@@ -30,8 +30,7 @@ from .core import (ConfigError, DegenerateInputError, FormatError,
                    SpectralConfig, Sim2Error, UnobservableError, load_video,
                    normalize_window, save_video)
 from .losses import analyze, ridge_wls_solve
-from .spectral import EtaParams, eta_retention, measured_retention, \
-    spectral_transform
+from .spectral import EtaParams, cube_retention, eta_retention
 from .synth import MotionSpec, make_rng, synth_powerlaw, synth_sim2
 
 EXIT_OK = 0
@@ -304,7 +303,7 @@ def suite_retention(n: int, seed: int) -> tuple:
     Clips are independent, so the measurement loop honors the
     SIM2SPEC_THREADS cap with a thread pool (results stay ordered by seed).
     """
-    cfg = SpectralConfig(window_kind="rect")
+    cfg = SpectralConfig(window_kind="rect", lowpass_ratio=0.3)
     checks = []
     size = (16, 224, 224)
     params = EtaParams.for_grid(*size, kappa=1.8)
@@ -316,8 +315,7 @@ def suite_retention(n: int, seed: int) -> tuple:
 
     def one(i: int) -> float:
         clip = synth_powerlaw(*size, kappa=1.8, seed=seed + i)
-        s = spectral_transform(normalize_window(clip), cfg)
-        return measured_retention(s, 0.3)
+        return cube_retention(normalize_window(clip), cfg)
 
     workers = thread_cap()
     if workers > 1:

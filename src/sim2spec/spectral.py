@@ -5,6 +5,21 @@ window-weighted frame spectra.  All axes are stored in shifted order with
 signed integer bin grids centered at zero.  The forward transform is
 unnormalized, so Parseval reads ``sum |X|^2 == N * sum |x|^2`` with
 ``N = T*H*W`` (rect window).
+
+``cropped_transform`` is the pipeline's transform: a pruned pass (Markel
+1971; Sorensen & Burrus 1993) that forms only the kept low-pass bins.  It
+takes ``rfft`` along x and gathers the kept columns, the negative ones by
+Hermitian conjugation; FFTs along y only those columns and gathers the kept
+rows; applies the origin-centring phase ``exp(2 pi i k (n//2) / n)`` per
+bin instead of rolling the data; and runs the windowed temporal FFT on the
+cropped frames only.  A kept bin's DFT index ``k`` is read off its shifted
+position (``position - n//2``), not off its ``signed_bins`` label, which
+is wrong for many ``n``; the returned grids are still the labels, exactly
+as ``crop_to_cube`` produces them.  ``cube_retention`` takes the total
+energy from the time domain by Parseval,
+``T*H*W * sum_t h_t^2 * sum_{y,x} x_t^2``, so the full spectrum is never
+formed.  ``spatial_transform``, ``spectral_transform`` and ``crop_to_cube``
+remain as the full-spectrum reference.
 """
 
 from __future__ import annotations
@@ -28,7 +43,9 @@ __all__ = [
     "spectral_transform",
     "lowpass_cube",
     "crop_to_cube",
+    "cropped_transform",
     "eta_retention",
+    "cube_retention",
     "measured_retention",
 ]
 
@@ -123,6 +140,55 @@ def spectral_transform(v: VideoWindow, cfg: SpectralConfig) -> Spectrum3D:
     weighted = frames.coeffs * h[:, None, None]
     spec = np.fft.fftshift(np.fft.fft(weighted, axis=0), axes=0)
     return Spectrum3D(spec, signed_bins(v.frames_t), frames.freq_y, frames.freq_x)
+
+
+def _kept_dft_index(n: int, ratio: float) -> np.ndarray:
+    """True DFT index of each kept bin, read off its shifted position.
+
+    Position ``p`` of a shifted axis holds DFT index ``p - n//2``.  The
+    ``signed_bins`` label is not used here: it is wrong for many ``n``.
+    """
+    return np.flatnonzero(keep_mask_1d(n, ratio)) - n // 2
+
+
+def _centring_phase(k: np.ndarray, n: int) -> np.ndarray:
+    """Per-bin phase that moves the spatial origin to ``n//2``; it equals
+    what ``ifftshift`` before the DFT does to bin ``k``."""
+    return np.exp(2j * np.pi * k * (n // 2) / n)
+
+
+def cropped_transform(v: VideoWindow,
+                      cfg: SpectralConfig) -> tuple[Spectrum3D, Spectrum3D]:
+    """Cropped per-frame spectrum and cropped 3D cube from one pruned pass
+    (described in the module docstring).
+
+    Equal (to rounding) to ``crop_to_cube(spatial_transform(v))`` and
+    ``crop_to_cube(spectral_transform(v, cfg))`` at ``cfg.lowpass_ratio``,
+    with the same bin grids.
+    """
+    ratio = cfg.lowpass_ratio
+    t_n, h, w = v.data.shape
+    kt = _kept_dft_index(t_n, ratio)
+    ky = _kept_dft_index(h, ratio)
+    kx = _kept_dft_index(w, ratio)
+
+    # kx is ascending, so the negative kept bins are a leading block
+    cols = np.fft.rfft(v.data, axis=2)[:, :, np.abs(kx)]
+    neg = cols[:, :, :np.count_nonzero(kx < 0)]
+    np.conjugate(neg, out=neg)
+    rows = np.fft.fft(cols, axis=1)[:, ky % h, :]
+    frames = rows * (_centring_phase(ky, h)[:, None]
+                     * _centring_phase(kx, w)[None, :])
+
+    taper = temporal_window(t_n, cfg.window_kind)
+    cube = np.fft.fft(frames * taper[:, None, None], axis=0)[kt % t_n]
+
+    fy = signed_bins(h)[keep_mask_1d(h, ratio)]
+    fx = signed_bins(w)[keep_mask_1d(w, ratio)]
+    ft = signed_bins(t_n)[keep_mask_1d(t_n, ratio)]
+    return (Spectrum3D(frames, np.arange(t_n), fy, fx,
+                       temporal_axis_is_time=True),
+            Spectrum3D(cube, ft, fy, fx))
 
 
 def keep_count(n: int, ratio: float) -> int:
@@ -221,6 +287,23 @@ def eta_retention(ratio: float, p: EtaParams) -> dict:
     lo = _eta_ball(ratio, p)
     hi = _eta_ball(min(1.0, math.sqrt(3.0) * ratio), p)
     return {"eta_ball": lo, "eta_cube_lo": lo, "eta_cube_hi": hi}
+
+
+def cube_retention(v: VideoWindow, cfg: SpectralConfig) -> float:
+    """``measured_retention(spectral_transform(v, cfg), cfg.lowpass_ratio)``
+    without the full spectrum.
+
+    The inside energy comes from the pruned cube; the total comes from the
+    time domain by Parseval, ``T*H*W * sum_t h_t^2 * sum_{y,x} x_t^2``.
+    """
+    _, cube = cropped_transform(v, cfg)
+    h = temporal_window(v.frames_t, cfg.window_kind)
+    frame_sq = np.einsum("tyx,tyx->t", v.data, v.data)
+    total = v.data.size * float(h ** 2 @ frame_sq)
+    if total <= 0.0:
+        raise DegenerateInputError("zero total energy; retention undefined")
+    inside = float(np.vdot(cube.coeffs, cube.coeffs).real)
+    return inside / total
 
 
 def measured_retention(s: Spectrum3D, ratio: float) -> float:

@@ -6,10 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from sim2spec.core import DegenerateInputError, SpectralConfig, VideoWindow, \
     normalize_window
-from sim2spec.spectral import (EtaParams, Spectrum3D, eta_retention,
-                               keep_count, keep_mask_1d, lowpass_cube,
-                               measured_retention, signed_bins,
-                               spectral_transform)
+from sim2spec.spectral import (EtaParams, Spectrum3D, crop_to_cube,
+                               cropped_transform, cube_retention,
+                               eta_retention, keep_count, keep_mask_1d,
+                               lowpass_cube, measured_retention, signed_bins,
+                               spatial_transform, spectral_transform)
 from sim2spec.synth import MotionSpec, make_rng, synth_sim2
 
 RECT = SpectralConfig(window_kind="rect")
@@ -243,3 +244,79 @@ def test_keep_count_properties(n, r1, r2):
     lo, hi = sorted((r1, r2))
     assert 2 <= keep_count(n, lo) <= keep_count(n, hi) <= n
     assert keep_count(n, 1.0) == n
+
+
+# ---------------------------------------------------------------------------
+# pruned one-pass transform against the crop of the full transform
+
+
+def assert_pruned_matches_crop(data, kind, ratio):
+    vn = normalize_window(VideoWindow.from_array(data))
+    cfg = SpectralConfig(window_kind=kind, lowpass_ratio=ratio)
+    frames, cube = cropped_transform(vn, cfg)
+    refs = (crop_to_cube(spatial_transform(vn), ratio),
+            crop_to_cube(spectral_transform(vn, cfg), ratio))
+    for got, ref in zip((frames, cube), refs):
+        assert got.temporal_axis_is_time == ref.temporal_axis_is_time
+        for grid in ("freq_t", "freq_y", "freq_x"):
+            assert np.array_equal(getattr(got, grid), getattr(ref, grid))
+        assert got.coeffs.shape == ref.coeffs.shape
+        # the Hann taper of T = 2 is all zeros, so the cube is exactly zero
+        scale = np.abs(ref.coeffs).max()
+        assert np.abs(got.coeffs - ref.coeffs).max() <= 1e-10 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 33), st.integers(5, 70), st.integers(5, 70),
+       st.sampled_from(["rect", "hann"]),
+       st.floats(1e-3, 1.0, exclude_min=True), st.integers(0, 2 ** 31))
+def test_cropped_transform_matches_crop_property(t_n, h, w, kind, ratio,
+                                                 seed):
+    data = make_rng(seed).random((t_n, h, w))
+    assert_pruned_matches_crop(data, kind, ratio)
+
+
+@pytest.mark.parametrize("shape", [(8, 224, 47), (16, 224, 224),
+                                   (32, 256, 256)])
+@pytest.mark.parametrize("kind", ["rect", "hann"])
+def test_cropped_transform_matches_crop_sizes(shape, kind):
+    # 47 and 224 are sizes whose signed_bins labels are off (see below)
+    assert_pruned_matches_crop(make_rng(11).random(shape), kind, 0.3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 33), st.integers(5, 70), st.integers(5, 70),
+       st.sampled_from(["rect", "hann"]),
+       st.floats(1e-3, 1.0, exclude_min=True), st.integers(0, 2 ** 31))
+def test_cube_retention_matches_measured(t_n, h, w, kind, ratio, seed):
+    v = normalize_window(VideoWindow.from_array(
+        make_rng(seed).random((t_n, h, w))))
+    cfg = SpectralConfig(window_kind=kind, lowpass_ratio=ratio)
+    if kind == "hann" and t_n == 2:
+        with pytest.raises(DegenerateInputError):
+            cube_retention(v, cfg)
+        return
+    ref = measured_retention(spectral_transform(v, cfg), ratio)
+    assert abs(cube_retention(v, cfg) - ref) <= 1e-12
+
+
+def test_cube_retention_powerlaw_suite_size():
+    from sim2spec.synth import synth_powerlaw
+    v = normalize_window(synth_powerlaw(16, 224, 224, kappa=1.8, seed=3))
+    cfg = SpectralConfig(window_kind="rect", lowpass_ratio=0.3)
+    ref = measured_retention(spectral_transform(v, cfg), 0.3)
+    assert abs(cube_retention(v, cfg) - ref) <= 1e-12
+
+
+def test_cube_retention_zero_energy_errors():
+    v = VideoWindow.from_array(np.zeros((4, 8, 8)))
+    with pytest.raises(DegenerateInputError):
+        cube_retention(v, RECT)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "signed_bins truncates fftfreq(n)*n (4.999... -> 4) and mislabels "
+    "366 sizes below 600, among them 24 and 224"))
+def test_signed_bins_are_centered_integer_range():
+    for n in range(1, 600):
+        assert np.array_equal(signed_bins(n), np.arange(n) - n // 2), n
