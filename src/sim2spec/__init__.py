@@ -18,7 +18,7 @@ from .losses import (LossReport, adaptive_composite, analyze, rotation_loss,
                      scaling_loss, translation_loss, unified_residual,
                      ridge_wls_solve)
 from .spectral import (EnergyGrid, EtaParams, Spectrum3D, eta_retention,
-                       lowpass_cube, measured_retention, spectral_transform)
+                       measured_retention, spectral_transform)
 from .synth import MotionSpec, synth_powerlaw, synth_sim2
 
 __all__ = [
@@ -26,7 +26,7 @@ __all__ = [
     "VideoWindow", "SpectralConfig", "MotionEstimate", "MotionSpec",
     "Spectrum3D", "EnergyGrid", "EtaParams", "LossReport",
     "load_video", "save_video", "normalize_window",
-    "spectral_transform", "lowpass_cube", "eta_retention",
+    "spectral_transform", "eta_retention",
     "measured_retention", "analyze", "adaptive_composite",
     "translation_loss", "rotation_loss", "scaling_loss", "unified_residual",
     "ridge_wls_solve", "synth_sim2", "synth_powerlaw",

@@ -39,16 +39,6 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 
 
-def thread_cap() -> int:
-    """Parallelism cap from SIM2SPEC_THREADS (processing is currently
-    single-threaded, so any cap >= 1 is honored trivially)."""
-    raw = os.environ.get("SIM2SPEC_THREADS", "")
-    try:
-        return max(1, int(raw)) if raw else 1
-    except ValueError:
-        return 1
-
-
 def _digest_path(path: str) -> str:
     h = hashlib.sha256()
     if os.path.isdir(path):
@@ -298,11 +288,7 @@ def suite_exactness(seed: int) -> tuple:
 
 
 def suite_retention(n: int, seed: int) -> tuple:
-    """Power-law clips against the closed-form retention model.
-
-    Clips are independent, so the measurement loop honors the
-    SIM2SPEC_THREADS cap with a thread pool (results stay ordered by seed).
-    """
+    """Power-law clips against the closed-form retention model."""
     cfg = SpectralConfig(window_kind="rect", lowpass_ratio=0.3)
     checks = []
     size = (16, 224, 224)
@@ -313,17 +299,12 @@ def suite_retention(n: int, seed: int) -> tuple:
     checks.append(BoundCheck(abs(eta["eta_cube_hi"] - 0.987), 0.005,
                              {"bound": "eta_cube_hi_value"}))
 
+    # one clip per call, so each clip is freed before the next is made
     def one(i: int) -> float:
         clip = synth_powerlaw(*size, kappa=1.8, seed=seed + i)
         return cube_retention(normalize_window(clip), cfg)
 
-    workers = thread_cap()
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            vals = list(pool.map(one, range(n)))
-    else:
-        vals = [one(i) for i in range(n)]
+    vals = [one(i) for i in range(n)]
     for i, r in enumerate(vals):
         checks.append(BoundCheck(eta["eta_cube_lo"] - 0.02, r,
                                  {"bound": "retention_sample_lo", "i": i}))

@@ -34,7 +34,8 @@ from .spectral import Spectrum3D, cropped_transform
 from .spectral import spatial_transform, spectral_transform  # noqa: F401
 
 __all__ = [
-    "RidgeResult", "SliceFit", "LossReport",
+    "RidgeResult", "SliceFit", "LossReport", "TranslationLoss",
+    "RotationLoss", "ScalingLoss",
     "ridge_wls_solve", "translation_samples", "rotation_samples",
     "scaling_samples", "translation_loss", "rotation_loss", "scaling_loss",
     "unified_residual", "adaptive_composite", "analyze",
@@ -121,14 +122,12 @@ def scaling_samples(stack: HarmonicStack, cfg: SpectralConfig) -> WeightedSample
 
 
 # ---------------------------------------------------------------------------
-# slice machinery shared by the individual losses and the unified fit
+# slice machinery shared by the individual losses
 
 TRANS_COLS = (0, 1, 4)
 # integer synthetic motions put energy exactly on a band edge; without the
 # slack, rounding at the 1e-14 level decides whether it counts as inside
 BAND_EDGE_SLACK = 1e-9
-ROT_COLS = (2,)
-SCALE_COLS = (3,)
 
 
 @dataclass(frozen=True)
@@ -169,51 +168,119 @@ def _line_slope(samples: WeightedSamples, col: int) -> float:
     return num / den
 
 
-def _band_fraction(samples: WeightedSamples, col: int, slope: float,
-                   delta: float) -> float:
-    """Raw-energy fraction within ``delta`` of the fitted line."""
+def _band_fraction(samples: WeightedSamples, err: np.ndarray, delta: float,
+                   inside: bool = True) -> float:
+    """Raw-energy fraction of the samples whose fit error lies within
+    ``delta`` (or, with ``inside=False``, beyond it)."""
     e_all = float(samples.energies.sum())
     if e_all <= 0.0:
         return 0.0
-    miss = samples.rows[:, col] * slope - samples.targets
-    inside = np.abs(miss) <= delta + BAND_EDGE_SLACK
-    return float(samples.energies[inside].sum() / e_all)
+    in_band = np.abs(err) <= delta + BAND_EDGE_SLACK
+    return float(samples.energies[in_band == inside].sum() / e_all)
+
+
+def _line_slice(build, stack: HarmonicStack, col: int, cfg: SpectralConfig):
+    """Line slope, band capture, restricted fit and samples of one
+    harmonic slice; ``(0.0, 0.0, None, None)`` when the block carries no
+    usable energy."""
+    try:
+        samples = build(stack, cfg)
+        slope = _line_slope(samples, col)
+        err = samples.rows[:, col] * slope - samples.targets
+        capture = _band_fraction(samples, err, cfg.band_tolerance)
+        fit = fit_slice(samples, (col,), cfg.ridge, cfg.numeric_eps)
+    except UnobservableError:
+        return 0.0, 0.0, None, None
+    return slope, capture, fit, samples
 
 
 # ---------------------------------------------------------------------------
 # individual losses
 
 
-def translation_loss(s: Spectrum3D, cfg: SpectralConfig):
+@dataclass(frozen=True)
+class _SliceLoss:
+    """The part every loss result shares: the restricted slice fit and the
+    sample block it was solved on.  Both are ``None`` when the slice is
+    flagged, which also keeps the block out of the unified fit."""
+
+    fit: SliceFit | None
+    samples: WeightedSamples | None
+
+    @property
+    def flagged(self) -> bool:
+        return self.fit is None
+
+
+@dataclass(frozen=True)
+class TranslationLoss(_SliceLoss):
+    """``l_trans`` is the plane-fit residual in bin^2 (sentinel 1.0 when
+    flagged); ``band_miss`` the raw-energy fraction farther than the band
+    tolerance from the fitted plane."""
+
+    l_trans: float
+    band_miss: float
+
+
+@dataclass(frozen=True)
+class RotationLoss(_SliceLoss):
+    """``omega_bins`` is the line slope, ``omega`` the same in rad/frame."""
+
+    l_rot: float
+    c_rot: float
+    c_ring: float
+    omega_bins: float
+    omega: float
+    eps_nb: float
+
+
+@dataclass(frozen=True)
+class ScalingLoss(_SliceLoss):
+    """``alpha_bins`` is the line slope, ``alpha`` the log-scale rate per
+    frame; ``rho_c`` the per-frame radial centroid and ``rho_c_slope`` its
+    trend."""
+
+    l_scale: float
+    c_flow: float
+    s_trend: float
+    c_scale: float
+    alpha_bins: float
+    alpha: float
+    rho_c: np.ndarray
+    rho_c_slope: float
+    short_window: bool
+    trend_flat: bool
+
+
+def translation_loss(s: Spectrum3D, cfg: SpectralConfig) -> TranslationLoss:
     """Plane fit over the retained Cartesian bins.
 
-    Returns ``(fit: SliceFit, flagged: bool)``; a degenerate spatial support
-    (or an all-zero spectrum) yields the sentinel loss 1.0 with the flag
-    set, so adaptive weighting naturally ignores the slice.
+    A degenerate spatial support (or an all-zero spectrum) yields the
+    sentinel loss 1.0 with the slice flagged, so adaptive weighting
+    naturally ignores the slice.
     """
     try:
         samples = translation_samples(s, cfg)
         fit = fit_slice(samples, TRANS_COLS, cfg.ridge, cfg.numeric_eps)
     except UnobservableError:
-        return _sentinel_fit(), True
-    if not fit.identifiable:
-        return _sentinel_fit(), True
-    return fit, False
-
-
-def _sentinel_fit() -> SliceFit:
-    return SliceFit(1.0, np.zeros(5), 1.0, 1.0, 0.0, 0, False)
+        fit = None
+    if fit is None or not fit.identifiable:
+        return TranslationLoss(None, None, l_trans=1.0, band_miss=0.0)
+    err = samples.rows @ fit.theta - samples.targets
+    return TranslationLoss(
+        fit, samples, l_trans=fit.residual,
+        band_miss=_band_fraction(samples, err, cfg.band_tolerance,
+                                 inside=False))
 
 
 def rotation_loss(stack: HarmonicStack, rings: RingEnergies,
-                  cfg: SpectralConfig):
+                  cfg: SpectralConfig) -> RotationLoss:
     """Angular-velocity line fit, tilted-line energy ratio and ring
     concentration.
 
-    Returns a dict with omega (bin-slope and rad/frame), c_rot, c_ring,
-    l_rot, the restricted-slice ridge fit, and flags.  The line slope is
-    the gated energy-weighted closed form over m != 0; with zero harmonic
-    energy the line term is dropped (c_rot = 0, flagged).
+    The line slope is the gated energy-weighted closed form over m != 0;
+    with zero harmonic energy the line term is dropped (c_rot = 0,
+    flagged).
 
     Temporal Nyquist caveat: a harmonic m rotating at omega rad/frame
     carries a tone at m*omega rad/frame, which aliases once |m*omega| >= pi
@@ -224,49 +291,31 @@ def rotation_loss(stack: HarmonicStack, rings: RingEnergies,
                   axis=0)
     c_ring = float(np.clip(1.0 - ent.mean() / math.log(n_rings), 0.0, 1.0))
     eps_nb = float(np.mean(1.0 - rings.values.max(axis=0)))
-
-    flagged = False
-    omega_bins = 0.0
-    c_rot = 0.0
-    fit = _sentinel_fit()
-    try:
-        samples = rotation_samples(stack, cfg)
-        omega_bins = _line_slope(samples, 2)
-        c_rot = _band_fraction(samples, 2, omega_bins, cfg.band_tolerance)
-        fit = fit_slice(samples, ROT_COLS, cfg.ridge, cfg.numeric_eps)
-    except UnobservableError:
-        flagged = True
-
-    nt = len(stack.freq_t)
+    omega_bins, c_rot, fit, samples = _line_slice(rotation_samples, stack,
+                                                  2, cfg)
     l_rot = 1.0 - 0.5 * (c_ring + c_rot)
-    return {
-        "omega_bins": omega_bins,
-        "omega": omega_bins * 2.0 * math.pi / nt,
-        "c_rot": c_rot,
-        "c_ring": c_ring,
-        "l_rot": float(np.clip(l_rot, 0.0, 1.0)),
-        "eps_nb": eps_nb,
-        "fit": fit,
-        "flagged": flagged,
-    }
+    return RotationLoss(
+        fit, samples, l_rot=float(np.clip(l_rot, 0.0, 1.0)), c_rot=c_rot,
+        c_ring=c_ring, omega_bins=omega_bins,
+        omega=omega_bins * 2.0 * math.pi / len(stack.freq_t), eps_nb=eps_nb)
 
 
 def scaling_loss(rings: RingEnergies, stack: HarmonicStack,
-                 cfg: SpectralConfig):
+                 cfg: SpectralConfig) -> ScalingLoss:
     """Radial-flow alignment, centroid trend and the log-radial line fit.
 
-    Windows shorter than 3 frames default both proxies to 0.5; a flat
-    centroid (zero variance) yields trend 0 with a flag.
+    Windows shorter than 3 frames default both proxies to 0.5
+    (``short_window``); a flat centroid (zero variance) yields trend 0 with
+    ``trend_flat`` set.
     """
     v = rings.values
     n_rings, nt = v.shape
     eps = cfg.numeric_eps
-    flags = {"short_window": False, "trend_flat": False, "no_energy": False}
+    trend_flat = False
+    rho_c = _radial_centroid(v, eps)
 
     if nt < 3:
         c_flow, s_trend = 0.5, 0.5
-        flags["short_window"] = True
-        rho_c = _radial_centroid(v, eps)
         slope = 0.0
     else:
         d_rho = v[1:, :] - v[:-1, :]
@@ -276,7 +325,6 @@ def scaling_loss(rings: RingEnergies, stack: HarmonicStack,
         c_flow = float(abs((dr_hat[:, :-1] * dt_hat[:-1, :]).sum()))
         c_flow = min(c_flow, 1.0)
 
-        rho_c = _radial_centroid(v, eps)
         t = np.arange(nt, dtype=np.float64)
         cov = float(np.mean((rho_c - rho_c.mean()) * (t - t.mean())))
         var_r = float(np.var(rho_c))
@@ -285,35 +333,20 @@ def scaling_loss(rings: RingEnergies, stack: HarmonicStack,
         s_trend = min(s_trend, 1.0)
         if var_r <= 1e-24:
             s_trend = 0.0
-            flags["trend_flat"] = True
+            trend_flat = True
         slope = cov / var_t if var_t > 0 else 0.0
 
-    alpha_bins = 0.0
-    c_scale = 0.0
-    fit = _sentinel_fit()
-    try:
-        samples = scaling_samples(stack, cfg)
-        alpha_bins = _line_slope(samples, 3)
-        c_scale = _band_fraction(samples, 3, alpha_bins, cfg.band_tolerance)
-        fit = fit_slice(samples, SCALE_COLS, cfg.ridge, cfg.numeric_eps)
-    except UnobservableError:
-        flags["no_energy"] = True
-
+    alpha_bins, c_scale, fit, samples = _line_slice(scaling_samples, stack,
+                                                    3, cfg)
     n_xi = len(stack.rad_nu)
-    alpha = -alpha_bins * stack.xi_step * n_xi / len(stack.freq_t)
     l_scale = 1.0 - 0.5 * (c_flow + s_trend)
-    return {
-        "c_flow": c_flow,
-        "s_trend": s_trend,
-        "l_scale": float(np.clip(l_scale, 0.0, 1.0)),
-        "alpha_bins": alpha_bins,
-        "alpha": alpha,
-        "c_scale": c_scale,
-        "rho_c": rho_c,
-        "rho_c_slope": slope,
-        "fit": fit,
-        "flags": flags,
-    }
+    return ScalingLoss(
+        fit, samples, l_scale=float(np.clip(l_scale, 0.0, 1.0)),
+        c_flow=c_flow, s_trend=s_trend, c_scale=c_scale,
+        alpha_bins=alpha_bins,
+        alpha=-alpha_bins * stack.xi_step * n_xi / len(stack.freq_t),
+        rho_c=rho_c, rho_c_slope=slope, short_window=nt < 3,
+        trend_flat=trend_flat)
 
 
 def _radial_centroid(values: np.ndarray, eps: float) -> np.ndarray:
@@ -328,38 +361,23 @@ def _radial_centroid(values: np.ndarray, eps: float) -> np.ndarray:
 def unified_residual(trans: WeightedSamples | None,
                      rot: WeightedSamples | None,
                      scale: WeightedSamples | None,
-                     cfg: SpectralConfig,
-                     lam: float | None = None):
-    """Joint 5-parameter hyperplane fit over all sample blocks.
+                     cfg: SpectralConfig) -> RidgeResult:
+    """Joint 5-parameter hyperplane fit over the blocks that are given.
 
     Each block's energies are normalized to unit total before joining so no
-    domain swamps the others (the per-slice restricted fits are computed on
-    the raw blocks and are invariant to that scaling).  Returns
-    ``(theta5, l_uni, slices: dict[str, SliceFit], identifiable)``.
+    domain swamps the others.
     """
-    lam = cfg.ridge if lam is None else lam
-    blocks = [(name, s) for name, s in
-              (("translation", trans), ("rotation", rot), ("scaling", scale))
-              if s is not None and s.n > 0]
+    blocks = [s for s in (trans, rot, scale) if s is not None]
     if not blocks:
         raise UnobservableError("no samples for the unified fit")
-
-    rows, targets, weights = [], [], []
-    for _, s in blocks:
+    weights = []
+    for s in blocks:
         tot = float(s.energies.sum())
-        scale_f = 1.0 / tot if tot > 0 else 1.0
-        rows.append(s.rows)
-        targets.append(s.targets)
-        weights.append(s.weights * scale_f)
-    res = ridge_wls_solve(np.vstack(rows), np.concatenate(targets),
-                          np.concatenate(weights), lam, cfg.numeric_eps)
-
-    slices = {}
-    cols = {"translation": TRANS_COLS, "rotation": ROT_COLS,
-            "scaling": SCALE_COLS}
-    for name, s in blocks:
-        slices[name] = fit_slice(s, cols[name], lam, cfg.numeric_eps)
-    return res.theta, res.residual, slices, res.identifiable
+        weights.append(s.weights * (1.0 / tot if tot > 0 else 1.0))
+    return ridge_wls_solve(np.vstack([s.rows for s in blocks]),
+                           np.concatenate([s.targets for s in blocks]),
+                           np.concatenate(weights), cfg.ridge,
+                           cfg.numeric_eps)
 
 
 # ---------------------------------------------------------------------------
@@ -482,72 +500,56 @@ def analyze(v: VideoWindow, cfg: SpectralConfig | None = None) -> LossReport:
                               rho_max=float(lut.rho[-1]))
 
     with _Stage("losses"):
-        trans_fit, trans_flagged = translation_loss(s3c, cfg)
+        trans = translation_loss(s3c, cfg)
         rot = rotation_loss(stack, rings, cfg)
         scl = scaling_loss(rings, stack, cfg)
 
     try:
-        t_samples = translation_samples(s3c, cfg) if not trans_flagged else None
+        uni = unified_residual(trans.samples, rot.samples, scl.samples, cfg)
+        slices = {name: r.fit for name, r in (("translation", trans),
+                                              ("rotation", rot),
+                                              ("scaling", scl))
+                  if not r.flagged}
     except UnobservableError:
-        t_samples = None
-    trans_band_miss = 0.0
-    if t_samples is not None:
-        e_all = float(t_samples.energies.sum())
-        if e_all > 0:
-            err = t_samples.rows @ trans_fit.theta - t_samples.targets
-            outside = np.abs(err) > cfg.band_tolerance + BAND_EDGE_SLACK
-            trans_band_miss = float(t_samples.energies[outside].sum() / e_all)
-    try:
-        r_samples = rotation_samples(stack, cfg)
-    except UnobservableError:
-        r_samples = None
-    try:
-        s_samples = scaling_samples(stack, cfg)
-    except UnobservableError:
-        s_samples = None
-    try:
-        theta5, l_uni, slices, identifiable = unified_residual(
-            t_samples, r_samples, s_samples, cfg)
-    except UnobservableError:
-        theta5, l_uni, slices, identifiable = np.zeros(5), 0.0, {}, False
+        uni, slices = RidgeResult(np.zeros(5), 0.0, False, 0.0), {}
 
-    l_trans = trans_fit.residual if not trans_flagged else 1.0
-    w, l_motion = adaptive_composite(l_trans, rot["l_rot"], scl["l_scale"],
+    w, l_motion = adaptive_composite(trans.l_trans, rot.l_rot, scl.l_scale,
                                      cfg.softmax_temperature)
 
     nt = v.frames_t
     estimate = MotionEstimate(
-        v_x=float(theta5[0]), v_y=float(theta5[1]),
-        omega=float(theta5[2]) * 2.0 * math.pi / nt,
-        alpha=-float(theta5[3]) * stack.xi_step * len(stack.rad_nu) / nt,
-        b0=float(theta5[4]))
+        v_x=float(uni.theta[0]), v_y=float(uni.theta[1]),
+        omega=float(uni.theta[2]) * 2.0 * math.pi / nt,
+        alpha=-float(uni.theta[3]) * stack.xi_step * len(stack.rad_nu) / nt,
+        b0=float(uni.theta[4]))
+    t_theta = trans.fit.theta if trans.fit is not None else np.zeros(5)
     slice_estimates = {
-        "translation": MotionEstimate(v_x=float(trans_fit.theta[0]),
-                                      v_y=float(trans_fit.theta[1]),
-                                      b0=float(trans_fit.theta[4])),
-        "rotation": MotionEstimate(omega=rot["omega"]),
-        "scaling": MotionEstimate(alpha=scl["alpha"]),
+        "translation": MotionEstimate(v_x=float(t_theta[0]),
+                                      v_y=float(t_theta[1]),
+                                      b0=float(t_theta[4])),
+        "rotation": MotionEstimate(omega=rot.omega),
+        "scaling": MotionEstimate(alpha=scl.alpha),
     }
     slice_residuals = {name: fit.residual for name, fit in slices.items()}
 
     diagnostics = {
         "retained_fraction": retained,
-        "rho_c": scl["rho_c"],
-        "rho_c_slope": scl["rho_c_slope"],
-        "eps_nb": rot["eps_nb"],
-        "trans_band_miss": trans_band_miss,
+        "rho_c": scl.rho_c,
+        "rho_c_slope": scl.rho_c_slope,
+        "eps_nb": rot.eps_nb,
+        "trans_band_miss": trans.band_miss,
         "gate_bounds": {name: [fit.g_lo, fit.g_hi]
                         for name, fit in slices.items()},
         "sum_w": {name: fit.sum_w for name, fit in slices.items()},
         "slice_theta_sqnorm": {name: float(fit.theta @ fit.theta)
                                for name, fit in slices.items()},
         "flags": {
-            "trans_unobservable": trans_flagged,
-            "rot_no_energy": rot["flagged"],
-            "scale_no_energy": scl["flags"]["no_energy"],
-            "trend_flat": scl["flags"]["trend_flat"],
-            "short_window": scl["flags"]["short_window"],
-            "unified_rank_deficient": not identifiable,
+            "trans_unobservable": trans.flagged,
+            "rot_no_energy": rot.flagged,
+            "scale_no_energy": scl.flagged,
+            "trend_flat": scl.trend_flat,
+            "short_window": scl.short_window,
+            "unified_rank_deficient": not uni.identifiable,
         },
         "conversions": {
             "v_x_bins_to_px_per_frame": v.width / nt,
@@ -556,8 +558,8 @@ def analyze(v: VideoWindow, cfg: SpectralConfig | None = None) -> LossReport:
             "alpha_bins_to_rate_per_frame":
                 -stack.xi_step * len(stack.rad_nu) / nt,
         },
-        "omega_bins": rot["omega_bins"],
-        "alpha_bins": scl["alpha_bins"],
+        "omega_bins": rot.omega_bins,
+        "alpha_bins": scl.alpha_bins,
         "frames_t": nt,
         "rings": rings.n_rings,
         "window_kind": cfg.window_kind,
@@ -566,10 +568,10 @@ def analyze(v: VideoWindow, cfg: SpectralConfig | None = None) -> LossReport:
     }
 
     return LossReport(
-        l_trans=float(l_trans), l_rot=rot["l_rot"], l_scale=scl["l_scale"],
-        l_uni=float(l_uni), l_motion=l_motion,
-        c_rot=rot["c_rot"], c_ring=rot["c_ring"], c_flow=scl["c_flow"],
-        s_trend=scl["s_trend"], c_scale=scl["c_scale"],
+        l_trans=trans.l_trans, l_rot=rot.l_rot, l_scale=scl.l_scale,
+        l_uni=uni.residual, l_motion=l_motion,
+        c_rot=rot.c_rot, c_ring=rot.c_ring, c_flow=scl.c_flow,
+        s_trend=scl.s_trend, c_scale=scl.c_scale,
         estimate=estimate, slice_estimates=slice_estimates,
         weights={"translation": float(w[0]), "rotation": float(w[1]),
                  "scaling": float(w[2])},

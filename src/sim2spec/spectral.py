@@ -41,7 +41,6 @@ __all__ = [
     "keep_mask_1d",
     "spatial_transform",
     "spectral_transform",
-    "lowpass_cube",
     "crop_to_cube",
     "cropped_transform",
     "eta_retention",
@@ -212,19 +211,8 @@ def keep_mask_1d(n: int, ratio: float) -> np.ndarray:
     return mask
 
 
-def lowpass_cube(s: Spectrum3D, ratio: float) -> Spectrum3D:
-    """Zero all coefficients outside the centered low-frequency cube."""
-    mt = keep_mask_1d(len(s.freq_t), ratio) if not s.temporal_axis_is_time \
-        else np.ones(len(s.freq_t), dtype=bool)
-    my = keep_mask_1d(len(s.freq_y), ratio)
-    mx = keep_mask_1d(len(s.freq_x), ratio)
-    mask = mt[:, None, None] & my[None, :, None] & mx[None, None, :]
-    return Spectrum3D(np.where(mask, s.coeffs, 0.0), s.freq_t, s.freq_y,
-                      s.freq_x, s.temporal_axis_is_time)
-
-
 def crop_to_cube(s: Spectrum3D, ratio: float) -> Spectrum3D:
-    """Like lowpass_cube but drops the zeroed bins instead of masking them.
+    """Keep only the coefficients inside the centered low-frequency cube.
 
     Signed bin values of the retained coefficients are preserved, so sample
     coordinates are unchanged; only the array gets smaller.  The frame axis

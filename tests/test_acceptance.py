@@ -99,8 +99,8 @@ def test_acceptance_3_rotation(cfg, cfg_rect):
     for omega in (2 * math.pi / 16, 2 * math.pi / 8):
         stack = constructed_stack(2, omega)
         out = rotation_loss(stack, one_ring_energies(), cfg_rect)
-        assert abs(out["omega"] - omega) / omega <= 0.10
-        assert out["c_rot"] >= 0.9
+        assert abs(out.omega - omega) / omega <= 0.10
+        assert out.c_rot >= 0.9
 
     rep_rot = analyze(make_fixture_clip("rotation"), cfg)
     rep_trans = analyze(make_fixture_clip("translation"), cfg)

@@ -205,16 +205,16 @@ def test_master_rotation_delta_sweep(cfg, calibration):
 
 def test_band_capture_from_samples_adapter(cfg_rect):
     from sim2spec.bounds import band_capture_from_samples
-    from sim2spec.losses import translation_loss, translation_samples
+    from sim2spec.losses import translation_loss
     from sim2spec.spectral import crop_to_cube, spectral_transform
     from sim2spec.core import normalize_window
     spec = MotionSpec(kind="translation", v=(1.0, 0.0), seed=4)
     clip = synth_sim2("bandpass_noise", spec, 32, 32, 32, exact=True)
     s3c = crop_to_cube(spectral_transform(normalize_window(clip), cfg_rect),
                        cfg_rect.lowpass_ratio)
-    fit, _ = translation_loss(s3c, cfg_rect)
-    samples = translation_samples(s3c, cfg_rect)
-    errors = samples.rows @ fit.theta - samples.targets
+    out = translation_loss(s3c, cfg_rect)
+    samples = out.samples
+    errors = samples.rows @ out.fit.theta - samples.targets
     chk = band_capture_from_samples(samples, errors, 1.0)
     assert chk.holds
     assert chk.lhs <= 1e-9  # exactness-mode clip sits on the plane

@@ -177,18 +177,6 @@ def test_sidecar_matches_schema(tmp_path):
                         schema("sidecar.schema.json"))
 
 
-def test_thread_cap_env(monkeypatch):
-    from sim2spec.cli import thread_cap
-    monkeypatch.delenv("SIM2SPEC_THREADS", raising=False)
-    assert thread_cap() == 1
-    monkeypatch.setenv("SIM2SPEC_THREADS", "4")
-    assert thread_cap() == 4
-    monkeypatch.setenv("SIM2SPEC_THREADS", "0")
-    assert thread_cap() == 1
-    monkeypatch.setenv("SIM2SPEC_THREADS", "junk")
-    assert thread_cap() == 1
-
-
 def test_sweep_seed_flag(tmp_path):
     a = str(tmp_path / "a.csv")
     b = str(tmp_path / "b.csv")

@@ -8,9 +8,7 @@ from hypothesis import given, settings, strategies as st
 from sim2spec.core import (DegenerateInputError, SpectralConfig, VideoWindow,
                            normalize_window)
 from sim2spec.losses import (adaptive_composite, analyze, ridge_wls_solve,
-                             rotation_loss, scaling_loss, translation_loss,
-                             translation_samples, unified_residual,
-                             rotation_samples, scaling_samples)
+                             rotation_loss, scaling_loss, translation_loss)
 from sim2spec.resample import HarmonicStack, RingEnergies
 from sim2spec.spectral import crop_to_cube, signed_bins, spatial_transform, \
     spectral_transform
@@ -93,19 +91,19 @@ def test_translation_static_video():
     rng = make_rng(3)
     frame = rng.random((1, 32, 32))
     clip = VideoWindow.from_array(np.broadcast_to(frame, (8, 32, 32)).copy())
-    fit, flagged = translation_loss(analyzed_spectrum(clip, RECT), RECT)
-    assert not flagged
-    assert fit.residual <= 1e-6
-    assert abs(fit.theta[0]) <= 1e-6 and abs(fit.theta[1]) <= 1e-6
+    out = translation_loss(analyzed_spectrum(clip, RECT), RECT)
+    assert not out.flagged
+    assert out.l_trans == out.fit.residual <= 1e-6
+    assert abs(out.fit.theta[0]) <= 1e-6 and abs(out.fit.theta[1]) <= 1e-6
 
 
 def test_translation_circular_shift_velocity():
     spec = MotionSpec(kind="translation", v=(1.0, 0.0), seed=4)
     clip = synth_sim2("bandpass_noise", spec, 32, 32, 32, exact=True)
-    fit, flagged = translation_loss(analyzed_spectrum(clip, RECT), RECT)
-    assert not flagged
-    assert fit.residual <= 1e-4
-    v_px = fit.theta[0] * 32 / 32
+    out = translation_loss(analyzed_spectrum(clip, RECT), RECT)
+    assert not out.flagged
+    assert out.fit.residual <= 1e-4
+    v_px = out.fit.theta[0] * 32 / 32
     assert abs(v_px - 1.0) <= 0.05
 
 
@@ -119,9 +117,9 @@ def test_translation_hann_band_miss_within_leakage():
     cfg = SpectralConfig()
     rep = analyze(clip, cfg)
     s3c = analyzed_spectrum(clip, cfg)
-    fit, _ = translation_loss(s3c, cfg)
-    samples = translation_samples(s3c, cfg)
-    err = samples.rows @ fit.theta - samples.targets
+    out = translation_loss(s3c, cfg)
+    samples = out.samples
+    err = samples.rows @ out.fit.theta - samples.targets
     miss = samples.energies[np.abs(err) > cfg.band_tolerance + 0.01].sum()
     miss /= samples.energies.sum()
     eps_win = window_leakage(32, cfg.band_tolerance, "hann")
@@ -152,9 +150,10 @@ def test_translation_hann_residual_bounded_by_window_moment():
 
 def test_translation_degenerate_support_sentinel():
     clip = VideoWindow.from_array(np.full((8, 32, 32), 0.5))
-    fit, flagged = translation_loss(analyzed_spectrum(clip, RECT), RECT)
-    assert flagged
-    assert fit.residual == 1.0
+    out = translation_loss(analyzed_spectrum(clip, RECT), RECT)
+    assert out.flagged
+    assert out.l_trans == 1.0
+    assert out.fit is None and out.samples is None
 
 
 # ---------------------------------------------------------------------------
@@ -185,23 +184,23 @@ def one_ring_energies(n_rings=20, t_n=16, hot=9):
 def test_rotation_single_harmonic_recovery(omega):
     stack = constructed_stack(2, omega)
     out = rotation_loss(stack, one_ring_energies(), RECT)
-    assert abs(out["omega"] - omega) / omega <= 0.10
-    assert out["c_rot"] >= 0.9
-    assert not out["flagged"]
+    assert abs(out.omega - omega) / omega <= 0.10
+    assert out.c_rot >= 0.9
+    assert not out.flagged
 
 
 def test_rotation_all_m0_flagged():
     stack = constructed_stack(0, 0.3)
     rings = one_ring_energies()
     out = rotation_loss(stack, rings, RECT)
-    assert out["flagged"]
-    assert out["c_rot"] == 0.0
-    assert out["l_rot"] == pytest.approx(1.0 - out["c_ring"] / 2.0)
+    assert out.flagged
+    assert out.c_rot == 0.0
+    assert out.l_rot == pytest.approx(1.0 - out.c_ring / 2.0)
 
 
 def test_rotation_one_ring_full_concentration():
     out = rotation_loss(constructed_stack(2, 0.4), one_ring_energies(), RECT)
-    assert out["c_ring"] == pytest.approx(1.0, abs=1e-6)
+    assert out.c_ring == pytest.approx(1.0, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +212,9 @@ def test_scaling_t2_defaults():
     v[5] = 0.5
     stack = constructed_stack(2, 0.1, t_n=2)
     out = scaling_loss(RingEnergies(v), stack, SpectralConfig())
-    assert out["c_flow"] == 0.5 and out["s_trend"] == 0.5
-    assert out["l_scale"] == 0.5
-    assert out["flags"]["short_window"]
+    assert out.c_flow == 0.5 and out.s_trend == 0.5
+    assert out.l_scale == 0.5
+    assert out.short_window
 
 
 def test_scaling_zoom_in_trend():
@@ -249,8 +248,8 @@ def test_scaling_flat_centroid_flagged():
     v[5] = 1.0  # identical every frame
     stack = constructed_stack(2, 0.1, t_n=8)
     out = scaling_loss(RingEnergies(v), stack, SpectralConfig())
-    assert out["s_trend"] == 0.0
-    assert out["flags"]["trend_flat"]
+    assert out.s_trend == 0.0
+    assert out.trend_flat
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +296,58 @@ def test_unified_slice_layout(motion_reports):
     assert set(rep.slice_residuals) == {"translation", "rotation", "scaling"}
     est = rep.slice_estimates["rotation"]
     assert est.v_x == 0.0 and est.alpha == 0.0  # out-of-slice fields zero
+
+
+BLOCK_FLAGS = {"translation": "trans_unobservable",
+               "rotation": "rot_no_energy", "scaling": "scale_no_energy"}
+
+LAYOUT_CLIPS = {
+    **{kind: lambda kind=kind: make_fixture_clip(kind) for kind in BLOCK_FLAGS},
+    "flat_0.6": lambda: VideoWindow.from_array(np.full((16, 64, 64), 0.6)),
+    "all_0.5": lambda: VideoWindow.from_array(np.full((16, 64, 64), 0.5)),
+    "t2_blobs": lambda: synth_sim2(
+        "gaussian_blobs", MotionSpec(kind="rotation", omega=0.2, seed=3),
+        2, 64, 64),
+    "t2_noise": lambda: synth_sim2(
+        "bandpass_noise", MotionSpec(kind="translation", v=(1.0, 0.0),
+                                     seed=3), 2, 48, 48),
+}
+
+
+@pytest.mark.parametrize("window", ["hann", "rect"])
+@pytest.mark.parametrize("name", sorted(LAYOUT_CLIPS))
+def test_slice_layout_follows_flags(name, window):
+    # a block gets a slice fit exactly when its flag is unset; the flat and
+    # all-0.5 clips and Hann at T=2 flag some or all of the blocks
+    rep = analyze(LAYOUT_CLIPS[name](), SpectralConfig(window_kind=window))
+    flags = rep.diagnostics["flags"]
+    fitted = {block for block, flag in BLOCK_FLAGS.items() if not flags[flag]}
+    assert set(rep.slice_residuals) == fitted
+    assert set(rep.diagnostics["gate_bounds"]) == fitted
+    trans_matches = rep.slice_residuals.get("translation") == rep.l_trans
+    assert trans_matches == (not flags["trans_unobservable"])
+
+
+def counting(monkeypatch, name):
+    calls = []
+    fn = getattr(losses, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(losses, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize("kind", sorted(BLOCK_FLAGS))
+def test_analyze_builds_each_block_and_solves_each_fit_once(kind, cfg,
+                                                            monkeypatch):
+    builds = counting(monkeypatch, "build_samples")
+    solves = counting(monkeypatch, "ridge_wls_solve")
+    analyze(make_fixture_clip(kind), cfg)
+    assert len(builds) == 3  # one per sample block
+    assert len(solves) == 4  # one per slice fit, plus the joint fit
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from sim2spec.core import DegenerateInputError, SpectralConfig, VideoWindow, \
 from sim2spec.spectral import (EtaParams, Spectrum3D, crop_to_cube,
                                cropped_transform, cube_retention,
                                eta_retention, keep_count, keep_mask_1d,
-                               lowpass_cube, measured_retention, signed_bins,
+                               measured_retention, signed_bins,
                                spatial_transform, spectral_transform)
 from sim2spec.synth import MotionSpec, make_rng, synth_sim2
 
@@ -127,23 +127,6 @@ def test_t1_degenerates_to_identity():
     assert np.isfinite(s.coeffs).all()
 
 
-def test_lowpass_full_ratio_is_identity():
-    rng = make_rng(6)
-    v = VideoWindow.from_array(rng.random((4, 8, 8)))
-    s = spectral_transform(v, RECT)
-    out = lowpass_cube(s, 1.0)
-    assert np.array_equal(out.coeffs, s.coeffs)
-
-
-def test_lowpass_idempotent():
-    rng = make_rng(7)
-    v = VideoWindow.from_array(rng.random((4, 16, 16)))
-    s = spectral_transform(v, RECT)
-    once = lowpass_cube(s, 0.3)
-    twice = lowpass_cube(once, 0.3)
-    assert np.array_equal(once.coeffs, twice.coeffs)
-
-
 def test_lowpass_counts_paper_fraction():
     # 16 x 224 x 224 at 0.3 -> about 2.7% of coefficients
     n = [keep_count(16, 0.3), keep_count(224, 0.3), keep_count(224, 0.3)]
@@ -234,7 +217,10 @@ def test_lowpass_then_retention_is_total():
     rng = make_rng(21)
     v = VideoWindow.from_array(rng.random((8, 32, 32)))
     s = spectral_transform(normalize_window(v), RECT)
-    truncated = lowpass_cube(s, 0.3)
+    keep = np.ix_(*(keep_mask_1d(n, 0.3) for n in s.shape))
+    coeffs = np.zeros_like(s.coeffs)
+    coeffs[keep] = s.coeffs[keep]
+    truncated = Spectrum3D(coeffs, s.freq_t, s.freq_y, s.freq_x)
     assert measured_retention(truncated, 0.3) == pytest.approx(1.0, abs=1e-12)
 
 
