@@ -17,14 +17,14 @@ from .core import (CalibrationMissingError, ConfigError, DegenerateInputError,
 from .losses import (LossReport, adaptive_composite, analyze, rotation_loss,
                      scaling_loss, translation_loss, unified_residual,
                      ridge_wls_solve)
-from .spectral import (EnergyGrid, EtaParams, Spectrum3D, eta_retention,
+from .spectral import (EtaParams, Spectrum3D, eta_retention,
                        measured_retention, spectral_transform)
 from .synth import MotionSpec, synth_powerlaw, synth_sim2
 
 __all__ = [
     "__version__",
     "VideoWindow", "SpectralConfig", "MotionEstimate", "MotionSpec",
-    "Spectrum3D", "EnergyGrid", "EtaParams", "LossReport",
+    "Spectrum3D", "EtaParams", "LossReport",
     "load_video", "save_video", "normalize_window",
     "spectral_transform", "eta_retention",
     "measured_retention", "analyze", "adaptive_composite",

@@ -24,7 +24,7 @@ import numpy as np
 from .core import CalibrationMissingError, ConfigError, SpectralConfig
 from .losses import LossReport, analyze, ridge_wls_solve
 from .resample import build_polar_lut, polar_resample
-from .spectral import Spectrum3D, signed_bins, temporal_window
+from .spectral import signed_bins, temporal_window
 from .synth import MotionSpec, synth_sim2
 
 __all__ = [
@@ -304,9 +304,7 @@ def _dense_band_fraction(field2d: np.ndarray, freq_y, freq_x, n_rho: int,
     out = {}
     for name, factor in (("lut", 1), ("dense", oversample)):
         lut = build_polar_lut(freq_y, freq_x, n_rho * factor, n_theta * factor)
-        spec = Spectrum3D(field2d[None, :, :], np.arange(1), freq_y, freq_x,
-                          temporal_axis_is_time=True)
-        polar = polar_resample(spec, lut)[:, :, 0]
+        polar = polar_resample(field2d[None], lut)[:, :, 0]
         harm = np.fft.fft(polar, axis=1) / polar.shape[1]
         out[name] = harm
     return out["lut"], out["dense"]

@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 validation failure, 2 input/format error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import hashlib
@@ -431,17 +432,12 @@ def cmd_sweep(args) -> int:
         rows.append(row)
 
     out = args.out or "-"
-    if out == "-":
-        wr = csv.DictWriter(sys.stdout, fieldnames=list(rows[0]))
+    with (contextlib.nullcontext(sys.stdout) if out == "-"
+          else open(out, "w", newline="")) as fh:
+        wr = csv.DictWriter(fh, fieldnames=list(rows[0]))
         wr.writeheader()
-        for r in rows:
-            wr.writerow(r)
-    else:
-        with open(out, "w", newline="") as fh:
-            wr = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            wr.writeheader()
-            for r in rows:
-                wr.writerow(r)
+        wr.writerows(rows)
+    if out != "-":
         print(f"wrote {out} ({len(rows)} rows)")
     return EXIT_OK
 

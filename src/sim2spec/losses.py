@@ -18,7 +18,7 @@ Units and sign conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .spectral import Spectrum3D, cropped_transform
 from .spectral import spatial_transform, spectral_transform  # noqa: F401
 
 __all__ = [
-    "RidgeResult", "SliceFit", "LossReport", "TranslationLoss",
+    "RidgeResult", "LossReport", "TranslationLoss",
     "RotationLoss", "ScalingLoss",
     "ridge_wls_solve", "translation_samples", "rotation_samples",
     "scaling_samples", "translation_loss", "rotation_loss", "scaling_loss",
@@ -43,6 +43,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RidgeResult:
+    """A weighted ridge fit: the joint fit, or one motion slice's fit."""
+
     theta: np.ndarray
     residual: float
     identifiable: bool
@@ -130,31 +132,15 @@ TRANS_COLS = (0, 1, 4)
 BAND_EDGE_SLACK = 1e-9
 
 
-@dataclass(frozen=True)
-class SliceFit:
-    """Restricted WLS fit of one motion slice plus its gate bookkeeping."""
-
-    residual: float
-    theta: np.ndarray          # full 5-vector, out-of-slice entries zero
-    g_lo: float
-    g_hi: float
-    sum_w: float
-    n: int
-    identifiable: bool
-
-    @property
-    def gate_ratio(self) -> float:
-        return self.g_hi / self.g_lo if self.g_lo > 0 else math.inf
-
-
 def fit_slice(samples: WeightedSamples, cols, lam: float,
-              jitter: float) -> SliceFit:
+              jitter: float) -> RidgeResult:
+    """Restricted WLS fit of one motion slice; ``theta`` is returned as the
+    full 5-vector with the out-of-slice entries zero."""
     res = ridge_wls_solve(samples.rows[:, list(cols)], samples.targets,
                           samples.weights, lam, jitter)
     theta = np.zeros(5)
     theta[list(cols)] = res.theta
-    return SliceFit(res.residual, theta, samples.g_lo, samples.g_hi,
-                    res.sum_w, samples.n, res.identifiable)
+    return replace(res, theta=theta)
 
 
 def _line_slope(samples: WeightedSamples, col: int) -> float:
@@ -204,7 +190,7 @@ class _SliceLoss:
     sample block it was solved on.  Both are ``None`` when the slice is
     flagged, which also keeps the block out of the unified fit."""
 
-    fit: SliceFit | None
+    fit: RidgeResult | None
     samples: WeightedSamples | None
 
     @property
@@ -489,15 +475,15 @@ def analyze(v: VideoWindow, cfg: SpectralConfig | None = None) -> LossReport:
         retained = s3c.coeffs.size / v.data.size
 
     with _Stage("resample"):
-        if max_safe_radius(frames_c.freq_y, frames_c.freq_x) < 1.0:
+        if max_safe_radius(s3c.freq_y, s3c.freq_x) < 1.0:
             raise DegenerateInputError(
                 "spatial grid too small for polar analysis")
-        lut = build_polar_lut(frames_c.freq_y, frames_c.freq_x,
+        lut = build_polar_lut(s3c.freq_y, s3c.freq_x,
                               cfg.rings, cfg.angular_bins)
         polar = polar_resample(frames_c, lut)
         stack = make_stack(polar, cfg)
-        rings = ring_energies(frames_c.energy(), cfg,
-                              rho_max=float(lut.rho[-1]))
+        rings = ring_energies(np.abs(frames_c) ** 2, s3c.freq_y, s3c.freq_x,
+                              cfg, rho_max=float(lut.rho[-1]))
 
     with _Stage("losses"):
         trans = translation_loss(s3c, cfg)
@@ -506,9 +492,9 @@ def analyze(v: VideoWindow, cfg: SpectralConfig | None = None) -> LossReport:
 
     try:
         uni = unified_residual(trans.samples, rot.samples, scl.samples, cfg)
-        slices = {name: r.fit for name, r in (("translation", trans),
-                                              ("rotation", rot),
-                                              ("scaling", scl))
+        slices = {name: r for name, r in (("translation", trans),
+                                          ("rotation", rot),
+                                          ("scaling", scl))
                   if not r.flagged}
     except UnobservableError:
         uni, slices = RidgeResult(np.zeros(5), 0.0, False, 0.0), {}
@@ -530,7 +516,7 @@ def analyze(v: VideoWindow, cfg: SpectralConfig | None = None) -> LossReport:
         "rotation": MotionEstimate(omega=rot.omega),
         "scaling": MotionEstimate(alpha=scl.alpha),
     }
-    slice_residuals = {name: fit.residual for name, fit in slices.items()}
+    slice_residuals = {name: r.fit.residual for name, r in slices.items()}
 
     diagnostics = {
         "retained_fraction": retained,
@@ -538,11 +524,11 @@ def analyze(v: VideoWindow, cfg: SpectralConfig | None = None) -> LossReport:
         "rho_c_slope": scl.rho_c_slope,
         "eps_nb": rot.eps_nb,
         "trans_band_miss": trans.band_miss,
-        "gate_bounds": {name: [fit.g_lo, fit.g_hi]
-                        for name, fit in slices.items()},
-        "sum_w": {name: fit.sum_w for name, fit in slices.items()},
-        "slice_theta_sqnorm": {name: float(fit.theta @ fit.theta)
-                               for name, fit in slices.items()},
+        "gate_bounds": {name: [r.samples.g_lo, r.samples.g_hi]
+                        for name, r in slices.items()},
+        "sum_w": {name: r.fit.sum_w for name, r in slices.items()},
+        "slice_theta_sqnorm": {name: float(r.fit.theta @ r.fit.theta)
+                               for name, r in slices.items()},
         "flags": {
             "trans_unobservable": trans.flagged,
             "rot_no_energy": rot.flagged,

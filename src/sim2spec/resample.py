@@ -1,10 +1,12 @@
 """Polar and log-radius resampling of spatial spectra, harmonic stacks and
 ring energies.
 
-The polar grid lives on the spatial-frequency plane of a (possibly cropped)
-spectrum: radii are linear in ``(0, rho_max]`` with the zero radius excluded
-so the log-radius axis is defined, angles uniform on ``[0, 2pi)``.  The DC
-bin is handled by the Cartesian-domain losses only.
+Inputs are per-frame spatial spectra: complex ``(T, ky, kx)`` arrays on
+signed bin grids ``freq_y`` x ``freq_x`` (possibly cropped).  The polar
+grid lives on that spatial-frequency plane: radii are linear in
+``(0, rho_max]`` with the zero radius excluded so the log-radius axis is
+defined, angles uniform on ``[0, 2pi)``.  The DC bin is handled by the
+Cartesian-domain losses only.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError, SpectralConfig
-from .spectral import EnergyGrid, Spectrum3D, signed_bins, temporal_window
+from .spectral import signed_bins, temporal_window
 
 __all__ = ["PolarLUT", "HarmonicStack", "RingEnergies", "build_polar_lut",
            "polar_resample", "angular_spectrum", "logradial_spectrum",
@@ -90,14 +92,17 @@ def build_polar_lut(freq_y: np.ndarray, freq_x: np.ndarray, n_rho: int,
     return PolarLUT(rho, theta, idx, wgt, (h, w))
 
 
-def polar_resample(s: Spectrum3D, lut: PolarLUT) -> np.ndarray:
-    """Interpolate the complex coefficients onto ``(rho, theta)`` for every
-    leading-axis slice; returns an array of shape ``(n_rho, n_theta, T)``."""
-    if s.coeffs.shape[1:] != lut.spatial_shape:
+def polar_resample(frames: np.ndarray, lut: PolarLUT) -> np.ndarray:
+    """Interpolate per-frame spatial spectra ``frames[t, y, x]`` onto
+    ``(rho, theta)``; returns an array of shape ``(n_rho, n_theta, T)``.
+
+    ``frames`` must lie on the grids the LUT was built from.
+    """
+    if frames.shape[1:] != lut.spatial_shape:
         raise ConfigError(
-            f"LUT built for {lut.spatial_shape}, spectrum is {s.coeffs.shape[1:]}")
-    nt = s.coeffs.shape[0]
-    flat = s.coeffs.reshape(nt, -1)
+            f"LUT built for {lut.spatial_shape}, spectrum is {frames.shape[1:]}")
+    nt = frames.shape[0]
+    flat = frames.reshape(nt, -1)
     gathered = flat[:, lut.indices]            # (T, n_rho*n_theta, 4)
     vals = np.einsum("tpk,pk->tp", gathered, lut.weights)
     return vals.T.reshape(lut.n_rho, lut.n_theta, nt).copy()
@@ -215,24 +220,27 @@ def _ring_masks(radius: np.ndarray, n_rings: int, rho_max: float,
     return np.stack([lo - up for lo, up in zip(lower, upper)])
 
 
-def ring_energies(e: EnergyGrid, cfg: SpectralConfig,
+def ring_energies(energy: np.ndarray, freq_y: np.ndarray,
+                  freq_x: np.ndarray, cfg: SpectralConfig,
                   rho_max: float | None = None) -> RingEnergies:
     """Soft annular sums of per-frame spatial energy, normalized per frame.
 
-    Expects the frame-indexed energy grid (time on axis 0); the temporal
-    trend of these distributions is what the scaling statistics read.
+    ``energy[t, y, x]`` is the nonnegative per-frame energy (``|frames|^2``)
+    on the ``freq_y`` x ``freq_x`` grid; the temporal trend of these
+    distributions is what the scaling statistics read.
     """
     if cfg.rings < 2:
         raise ConfigError("need at least 2 rings")
-    fy = np.asarray(e.freq_y, dtype=np.float64)
-    fx = np.asarray(e.freq_x, dtype=np.float64)
+    if energy.shape[1:] != (len(freq_y), len(freq_x)):
+        raise ConfigError(f"energy is {energy.shape[1:]}, grids are "
+                          f"{(len(freq_y), len(freq_x))}")
     if rho_max is None:
-        rho_max = max_safe_radius(e.freq_y, e.freq_x)
+        rho_max = max_safe_radius(freq_y, freq_x)
     if rho_max <= 0:
         raise ConfigError("spatial grid too small for ring analysis")
-    radius = np.hypot(fy[:, None], fx[None, :])
+    radius = np.hypot(freq_y[:, None], freq_x[None, :])
     masks = _ring_masks(radius, cfg.rings, rho_max, cfg.soft_ring_edge)
-    sums = np.einsum("kyx,tyx->kt", masks, e.energy)
+    sums = np.einsum("kyx,tyx->kt", masks, energy)
     totals = sums.sum(axis=0)
     values = sums / (totals + cfg.numeric_eps)[None, :]
     return RingEnergies(values)

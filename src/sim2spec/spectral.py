@@ -1,8 +1,11 @@
 """Windowed 3D DFT, low-pass cube truncation and the retained-energy model.
 
 Transform layout: per-frame 2D spatial DFT, then a temporal DFT of the
-window-weighted frame spectra.  All axes are stored in shifted order with
-signed integer bin grids centered at zero.  The forward transform is
+window-weighted frame spectra.  All frequency axes are stored in shifted
+order with signed integer bin grids centered at zero.  Per-frame spatial
+spectra are plain complex ``(T, ky, kx)`` arrays indexed by frame; a
+``Spectrum3D`` always has a temporal-frequency axis 0, and frames cropped
+with it share its ``freq_y``/``freq_x`` grids.  The forward transform is
 unnormalized, so Parseval reads ``sum |X|^2 == N * sum |x|^2`` with
 ``N = T*H*W`` (rect window).
 
@@ -33,7 +36,6 @@ from .core import ConfigError, DegenerateInputError, SpectralConfig, VideoWindow
 
 __all__ = [
     "Spectrum3D",
-    "EnergyGrid",
     "EtaParams",
     "temporal_window",
     "signed_bins",
@@ -66,19 +68,13 @@ def signed_bins(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum3D:
-    """Complex DFT coefficients indexed ``(axis0, omega_y, omega_x)``.
-
-    ``axis0`` is the temporal-frequency axis for the full transform and the
-    frame index for per-frame spatial spectra; ``freq_t`` is the signed bin
-    grid in the former case and plain frame indices in the latter
-    (``temporal_axis_is_time`` tells them apart).
-    """
+    """Complex DFT coefficients indexed ``(omega_t, omega_y, omega_x)``,
+    with the signed bin grid of each axis."""
 
     coeffs: np.ndarray
     freq_t: np.ndarray
     freq_y: np.ndarray
     freq_x: np.ndarray
-    temporal_axis_is_time: bool = False
 
     def __post_init__(self):
         c = np.asarray(self.coeffs)
@@ -91,29 +87,10 @@ class Spectrum3D:
     def shape(self):
         return self.coeffs.shape
 
-    def energy(self) -> "EnergyGrid":
-        return EnergyGrid(np.abs(self.coeffs) ** 2, self.freq_t, self.freq_y,
-                          self.freq_x, self.temporal_axis_is_time)
 
-
-@dataclass(frozen=True)
-class EnergyGrid:
-    """Nonnegative ``|coeff|^2`` values on the same grid as a Spectrum3D."""
-
-    energy: np.ndarray
-    freq_t: np.ndarray
-    freq_y: np.ndarray
-    freq_x: np.ndarray
-    temporal_axis_is_time: bool = False
-
-    def __post_init__(self):
-        e = np.asarray(self.energy)
-        if np.any(e < 0) or not np.all(np.isfinite(e)):
-            raise ConfigError("energies must be finite and nonnegative")
-
-
-def spatial_transform(v: VideoWindow) -> Spectrum3D:
-    """Per-frame 2D spatial DFT, shifted, frame index kept on axis 0.
+def spatial_transform(v: VideoWindow) -> np.ndarray:
+    """Per-frame 2D spatial DFT, shifted, as a complex ``(T, H, W)`` array
+    on the ``signed_bins(H)`` x ``signed_bins(W)`` grid.
 
     The spatial phase origin is the frame center ``(H//2, W//2)``: in-plane
     rotation and scaling act about the image center, and only with a
@@ -122,10 +99,7 @@ def spatial_transform(v: VideoWindow) -> Spectrum3D:
     recentering is a fixed per-bin phase).
     """
     centered = np.fft.ifftshift(v.data, axes=(1, 2))
-    spec = np.fft.fftshift(np.fft.fft2(centered, axes=(1, 2)), axes=(1, 2))
-    return Spectrum3D(spec, np.arange(v.frames_t),
-                      signed_bins(v.height), signed_bins(v.width),
-                      temporal_axis_is_time=True)
+    return np.fft.fftshift(np.fft.fft2(centered, axes=(1, 2)), axes=(1, 2))
 
 
 def spectral_transform(v: VideoWindow, cfg: SpectralConfig) -> Spectrum3D:
@@ -134,11 +108,11 @@ def spectral_transform(v: VideoWindow, cfg: SpectralConfig) -> Spectrum3D:
     T == 1 degenerates to the identity temporal transform; that is not an
     error, the spectrum simply has a single temporal bin.
     """
-    frames = spatial_transform(v)
     h = temporal_window(v.frames_t, cfg.window_kind)
-    weighted = frames.coeffs * h[:, None, None]
+    weighted = spatial_transform(v) * h[:, None, None]
     spec = np.fft.fftshift(np.fft.fft(weighted, axis=0), axes=0)
-    return Spectrum3D(spec, signed_bins(v.frames_t), frames.freq_y, frames.freq_x)
+    return Spectrum3D(spec, signed_bins(v.frames_t), signed_bins(v.height),
+                      signed_bins(v.width))
 
 
 def _kept_dft_index(n: int, ratio: float) -> np.ndarray:
@@ -157,13 +131,15 @@ def _centring_phase(k: np.ndarray, n: int) -> np.ndarray:
 
 
 def cropped_transform(v: VideoWindow,
-                      cfg: SpectralConfig) -> tuple[Spectrum3D, Spectrum3D]:
-    """Cropped per-frame spectrum and cropped 3D cube from one pruned pass
-    (described in the module docstring).
+                      cfg: SpectralConfig) -> tuple[np.ndarray, Spectrum3D]:
+    """Cropped per-frame spectra ``frames`` (a complex ``(T, ky, kx)``
+    array) and the cropped 3D cube from one pruned pass (described in the
+    module docstring).
 
-    Equal (to rounding) to ``crop_to_cube(spatial_transform(v))`` and
-    ``crop_to_cube(spectral_transform(v, cfg))`` at ``cfg.lowpass_ratio``,
-    with the same bin grids.
+    The cube equals (to rounding) ``crop_to_cube(spectral_transform(v,
+    cfg))`` at ``cfg.lowpass_ratio``, with the same bin grids.  ``frames``
+    equals ``spatial_transform(v)`` cropped by ``keep_mask_1d`` along y and
+    x and lies on the cube's ``freq_y``/``freq_x`` grids.
     """
     ratio = cfg.lowpass_ratio
     t_n, h, w = v.data.shape
@@ -185,9 +161,7 @@ def cropped_transform(v: VideoWindow,
     fy = signed_bins(h)[keep_mask_1d(h, ratio)]
     fx = signed_bins(w)[keep_mask_1d(w, ratio)]
     ft = signed_bins(t_n)[keep_mask_1d(t_n, ratio)]
-    return (Spectrum3D(frames, np.arange(t_n), fy, fx,
-                       temporal_axis_is_time=True),
-            Spectrum3D(cube, ft, fy, fx))
+    return frames, Spectrum3D(cube, ft, fy, fx)
 
 
 def keep_count(n: int, ratio: float) -> int:
@@ -215,18 +189,13 @@ def crop_to_cube(s: Spectrum3D, ratio: float) -> Spectrum3D:
     """Keep only the coefficients inside the centered low-frequency cube.
 
     Signed bin values of the retained coefficients are preserved, so sample
-    coordinates are unchanged; only the array gets smaller.  The frame axis
-    of per-frame spectra is never cropped.
+    coordinates are unchanged; only the array gets smaller.
     """
-    if s.temporal_axis_is_time:
-        mt = np.ones(len(s.freq_t), dtype=bool)
-    else:
-        mt = keep_mask_1d(len(s.freq_t), ratio)
+    mt = keep_mask_1d(len(s.freq_t), ratio)
     my = keep_mask_1d(len(s.freq_y), ratio)
     mx = keep_mask_1d(len(s.freq_x), ratio)
     coeffs = s.coeffs[np.ix_(mt, my, mx)]
-    return Spectrum3D(coeffs, s.freq_t[mt], s.freq_y[my], s.freq_x[mx],
-                      s.temporal_axis_is_time)
+    return Spectrum3D(coeffs, s.freq_t[mt], s.freq_y[my], s.freq_x[mx])
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,7 @@ from sim2spec.core import SpectralConfig, normalize_window
 from sim2spec.losses import (adaptive_composite, analyze, ridge_wls_solve,
                              rotation_loss)
 from sim2spec.resample import RingEnergies
-from sim2spec.spectral import (EtaParams, eta_retention, measured_retention,
-                               spectral_transform)
+from sim2spec.spectral import EtaParams, cube_retention, eta_retention
 from sim2spec.synth import MotionSpec, make_rng, synth_powerlaw, synth_sim2
 
 from conftest import FIXTURE_SPECS, make_fixture_clip
@@ -39,11 +38,11 @@ def test_acceptance_1_retention(cfg_rect):
 
     lo = eta["eta_cube_lo"] - 0.02
     hi = eta["eta_cube_hi"] + 0.02
+    cfg = cfg_rect.with_overrides(lowpass_ratio=0.3)
     vals = []
     for seed in range(100):
         clip = synth_powerlaw(16, 224, 224, kappa=1.8, seed=1000 + seed)
-        s = spectral_transform(normalize_window(clip), cfg_rect)
-        r = measured_retention(s, 0.3)
+        r = cube_retention(normalize_window(clip), cfg)
         assert lo <= r <= hi, (seed, r)
         vals.append(r)
     mean = float(np.mean(vals))

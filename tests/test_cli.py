@@ -164,6 +164,18 @@ def test_sweep_t_eps_win_monotone(tmp_path):
     assert all(ew[i + 1] <= ew[i] + 1e-15 for i in range(len(ew) - 1))
 
 
+def test_sweep_stdout_matches_file(tmp_path, capsys):
+    argv = ["sweep", "--param", "delta", "--range", "1,2"]
+    assert main(argv) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    out = str(tmp_path / "sweep.csv")
+    assert main(argv + ["--out", out]) == 0
+    file_rows = list(csv.DictReader(open(out)))
+    assert [r["value"] for r in rows] == ["1", "2"]
+    assert list(rows[0]) == list(file_rows[0])
+    assert rows == file_rows
+
+
 def test_sweep_bad_range_exit_2():
     assert main(["sweep", "--param", "delta", "--range", "0..2"]) == 2
     assert main(["sweep", "--param", "tau", "--range", "abc"]) == 2

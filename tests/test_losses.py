@@ -10,8 +10,8 @@ from sim2spec.core import (DegenerateInputError, SpectralConfig, VideoWindow,
 from sim2spec.losses import (adaptive_composite, analyze, ridge_wls_solve,
                              rotation_loss, scaling_loss, translation_loss)
 from sim2spec.resample import HarmonicStack, RingEnergies
-from sim2spec.spectral import crop_to_cube, signed_bins, spatial_transform, \
-    spectral_transform
+from sim2spec.spectral import crop_to_cube, keep_mask_1d, signed_bins, \
+    spatial_transform, spectral_transform
 from sim2spec import losses
 from sim2spec.synth import MotionSpec, make_rng, synth_sim2
 from sim2spec.bounds import window_leakage
@@ -455,7 +455,9 @@ def test_analyze_stage_labels():
 
 def crop_of_full_transform(vn, cfg):
     """Reference for ``cropped_transform``: full transforms, then crop."""
-    return (crop_to_cube(spatial_transform(vn), cfg.lowpass_ratio),
+    my = keep_mask_1d(vn.height, cfg.lowpass_ratio)
+    mx = keep_mask_1d(vn.width, cfg.lowpass_ratio)
+    return (spatial_transform(vn)[:, my][:, :, mx],
             crop_to_cube(spectral_transform(vn, cfg), cfg.lowpass_ratio))
 
 

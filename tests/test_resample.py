@@ -7,7 +7,7 @@ from sim2spec.core import ConfigError, SpectralConfig
 from sim2spec.resample import (RingEnergies, build_polar_lut, angular_spectrum,
                                logradial_spectrum, make_stack, polar_resample,
                                ring_energies)
-from sim2spec.spectral import EnergyGrid, Spectrum3D, signed_bins
+from sim2spec.spectral import signed_bins
 from sim2spec.synth import make_rng
 
 RECT = SpectralConfig(window_kind="rect")
@@ -15,10 +15,7 @@ RECT = SpectralConfig(window_kind="rect")
 
 def spectrum_from_field(field2d, frames_t=1):
     h, w = field2d.shape
-    data = np.broadcast_to(field2d[None], (frames_t, h, w)).copy()
-    return Spectrum3D(data.astype(complex), np.arange(frames_t),
-                      signed_bins(h), signed_bins(w),
-                      temporal_axis_is_time=True)
+    return np.broadcast_to(field2d[None], (frames_t, h, w)).astype(complex)
 
 
 def smooth_test_field(size, seed=0):
@@ -54,6 +51,16 @@ def test_lut_shape_mismatch_rejected():
     s = spectrum_from_field(np.ones((16, 16)))
     with pytest.raises(ConfigError):
         polar_resample(s, lut)
+
+
+def test_ring_grid_shape_mismatch_rejected():
+    energy = np.ones((2, 16, 16))
+    with pytest.raises(ConfigError):
+        ring_energies(energy, signed_bins(32), signed_bins(16),
+                      SpectralConfig())
+    with pytest.raises(ConfigError):
+        ring_energies(energy, signed_bins(16), signed_bins(15),
+                      SpectralConfig())
 
 
 def test_radially_symmetric_field_theta_independent():
@@ -268,8 +275,7 @@ def test_logradial_parseval_affine_profile():
 
 
 def ring_grid(values, size=48):
-    grids = np.arange(values.shape[0]), signed_bins(size), signed_bins(size)
-    return EnergyGrid(values, *grids, temporal_axis_is_time=True)
+    return values, signed_bins(size), signed_bins(size)
 
 
 def test_ring_concentrated_annulus():
@@ -282,7 +288,7 @@ def test_ring_concentrated_annulus():
     lo, hi = 9 * rho_max / 20, 10 * rho_max / 20
     energy = (((r > lo + 0.3) & (r < hi - 0.3)).astype(float))[None]
     energy = np.broadcast_to(energy, (4, size, size)).copy()
-    out = ring_energies(ring_grid(energy), cfg, rho_max=rho_max)
+    out = ring_energies(*ring_grid(energy), cfg, rho_max=rho_max)
     assert np.all(out.values[9, :] >= 0.95)
 
 
@@ -293,7 +299,7 @@ def test_ring_uniform_energy_matches_area_oracle():
     cfg = SpectralConfig()
     rho_max = 31.0
     energy = np.ones((2, size, size))
-    out = ring_energies(ring_grid(energy, size), cfg, rho_max=rho_max)
+    out = ring_energies(*ring_grid(energy, size), cfg, rho_max=rho_max)
     # pixel-count oracle with hard rings
     edges = rho_max * np.arange(21) / 20
     counts = np.array([((r > edges[k]) & (r <= edges[k + 1])).sum()
@@ -312,7 +318,7 @@ def test_ring_zero_frame_stays_zero():
     energy = np.ones((3, size, size))
     energy[1] = 0.0
     cfg = SpectralConfig()
-    out = ring_energies(ring_grid(energy, size), cfg)
+    out = ring_energies(*ring_grid(energy, size), cfg)
     assert np.all(out.values[:, 1] == 0.0)
     sums = out.values.sum(axis=0)
     assert abs(sums[0] - 1.0) <= 1e-6 and abs(sums[2] - 1.0) <= 1e-6
@@ -322,6 +328,6 @@ def test_ring_normalization_invariant():
     rng = make_rng(17)
     size = 40
     energy = rng.uniform(0, 1, (5, size, size))
-    out = ring_energies(ring_grid(energy, size), SpectralConfig())
+    out = ring_energies(*ring_grid(energy, size), SpectralConfig())
     sums = out.values.sum(axis=0)
     assert np.all((np.abs(sums - 1.0) <= 1e-6) | (sums == 0.0))
