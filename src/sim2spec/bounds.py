@@ -14,7 +14,6 @@ zero-rate anchor where the line ratio is high but both proxies are not).
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass, field
@@ -28,8 +27,7 @@ from .spectral import signed_bins, temporal_window
 from .synth import MotionSpec, synth_sim2
 
 __all__ = [
-    "BoundCheck", "LeakageTable", "Calibration",
-    "window_leakage", "leakage_table", "band_capture_check",
+    "BoundCheck", "Calibration", "window_leakage", "band_capture_check",
     "ring_entropy_bound", "ring_entropy_check", "ridge_inequality_check",
     "band_capture_from_samples", "master_bound_check", "calibrate_interp",
     "calibrate_flow",
@@ -73,34 +71,6 @@ def window_leakage(frames_t: int, delta: int, kind: str = "hann") -> float:
     power = np.fft.fftshift(np.abs(np.fft.fft(h)) ** 2)
     bins = signed_bins(frames_t)
     return float(power[np.abs(bins) > delta].sum() / power.sum())
-
-
-@dataclass(frozen=True)
-class LeakageTable:
-    """eps_win values per (T, delta) for one window kind."""
-
-    kind: str
-    entries: dict  # (T, delta) -> eps_win
-
-    def eps(self, frames_t: int, delta: int) -> float:
-        return self.entries[(frames_t, delta)]
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(["T", "delta", "kind", "eps_win"])
-            for (t, d), v in sorted(self.entries.items()):
-                wr.writerow([t, d, self.kind, repr(v)])
-
-
-def leakage_table(frames: tuple = (8, 16, 32, 64), max_delta: int | None = None,
-                  kind: str = "hann") -> LeakageTable:
-    entries = {}
-    for t in frames:
-        top = t // 2 if max_delta is None else max_delta
-        for d in range(top + 1):
-            entries[(t, d)] = window_leakage(t, d, kind)
-    return LeakageTable(kind, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -84,6 +84,9 @@ class VideoWindow:
                 f"data is {arr.shape}")
         if self.frames_t < 1:
             raise FormatError("need at least one frame")
+        if self.height < 1 or self.width < 1:
+            raise FormatError(
+                f"frames must be at least 1x1, got {self.height}x{self.width}")
         if not np.all(np.isfinite(arr)):
             raise FormatError("video contains non-finite samples")
         arr.setflags(write=False)
@@ -267,6 +270,9 @@ def load_video(path: str, format: str = "raw_f32") -> VideoWindow:
             t, h, w = int(meta["T"]), int(meta["H"]), int(meta["W"])
         except (OSError, ValueError, KeyError, TypeError) as exc:
             raise FormatError(f"bad sidecar {sidecar}: {exc}") from exc
+        if min(t, h, w) < 1:
+            raise FormatError(f"bad sidecar {sidecar}: dimensions must be "
+                              f"positive, got T={t} H={h} W={w}")
         raw = np.fromfile(path, dtype="<f4")
         if raw.size != t * h * w:
             raise FormatError(

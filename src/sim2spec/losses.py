@@ -25,9 +25,8 @@ import numpy as np
 from .core import (DegenerateInputError, MotionEstimate, SpectralConfig,
                    UnobservableError, VideoWindow, normalize_window)
 from .gates import WeightedSamples, build_samples
-from .resample import (HarmonicStack, RingEnergies, build_polar_lut,
-                       make_stack, max_safe_radius, polar_resample,
-                       ring_energies)
+from .resample import (HarmonicStack, build_polar_lut, make_stack,
+                       max_safe_radius, polar_resample, ring_energies)
 from .spectral import Spectrum3D, cropped_transform
 # the full-spectrum reference transforms stay importable from this module,
 # where the benchmark's span checks look them up
@@ -259,10 +258,10 @@ def translation_loss(s: Spectrum3D, cfg: SpectralConfig) -> TranslationLoss:
                                  inside=False))
 
 
-def rotation_loss(stack: HarmonicStack, rings: RingEnergies,
+def rotation_loss(stack: HarmonicStack, rings: np.ndarray,
                   cfg: SpectralConfig) -> RotationLoss:
     """Angular-velocity line fit, tilted-line energy ratio and ring
-    concentration.
+    concentration of the ``(rings, T)`` ring shares.
 
     The line slope is the gated energy-weighted closed form over m != 0;
     with zero harmonic energy the line term is dropped (c_rot = 0,
@@ -272,11 +271,9 @@ def rotation_loss(stack: HarmonicStack, rings: RingEnergies,
     carries a tone at m*omega rad/frame, which aliases once |m*omega| >= pi
     and then biases the slope toward zero.
     """
-    n_rings = rings.n_rings
-    ent = -np.sum(rings.values * np.log(rings.values + cfg.numeric_eps),
-                  axis=0)
-    c_ring = float(np.clip(1.0 - ent.mean() / math.log(n_rings), 0.0, 1.0))
-    eps_nb = float(np.mean(1.0 - rings.values.max(axis=0)))
+    ent = -np.sum(rings * np.log(rings + cfg.numeric_eps), axis=0)
+    c_ring = float(np.clip(1.0 - ent.mean() / math.log(len(rings)), 0.0, 1.0))
+    eps_nb = float(np.mean(1.0 - rings.max(axis=0)))
     omega_bins, c_rot, fit, samples = _line_slice(rotation_samples, stack,
                                                   2, cfg)
     l_rot = 1.0 - 0.5 * (c_ring + c_rot)
@@ -286,26 +283,26 @@ def rotation_loss(stack: HarmonicStack, rings: RingEnergies,
         omega=omega_bins * 2.0 * math.pi / len(stack.freq_t), eps_nb=eps_nb)
 
 
-def scaling_loss(rings: RingEnergies, stack: HarmonicStack,
+def scaling_loss(rings: np.ndarray, stack: HarmonicStack,
                  cfg: SpectralConfig) -> ScalingLoss:
     """Radial-flow alignment, centroid trend and the log-radial line fit.
 
-    Windows shorter than 3 frames default both proxies to 0.5
-    (``short_window``); a flat centroid (zero variance) yields trend 0 with
-    ``trend_flat`` set.
+    ``rings`` is the ``(rings, T)`` array of per-frame ring shares from
+    ``ring_energies``.  Windows shorter than 3 frames default both proxies
+    to 0.5 (``short_window``); a flat centroid (zero variance) yields trend
+    0 with ``trend_flat`` set.
     """
-    v = rings.values
-    n_rings, nt = v.shape
+    nt = rings.shape[1]
     eps = cfg.numeric_eps
     trend_flat = False
-    rho_c = _radial_centroid(v, eps)
+    rho_c = _radial_centroid(rings, eps)
 
     if nt < 3:
         c_flow, s_trend = 0.5, 0.5
         slope = 0.0
     else:
-        d_rho = v[1:, :] - v[:-1, :]
-        d_t = v[:, 1:] - v[:, :-1]
+        d_rho = rings[1:, :] - rings[:-1, :]
+        d_t = rings[:, 1:] - rings[:, :-1]
         dr_hat = d_rho / (math.sqrt(float((d_rho ** 2).sum())) + eps)
         dt_hat = d_t / (math.sqrt(float((d_t ** 2).sum())) + eps)
         c_flow = float(abs((dr_hat[:, :-1] * dt_hat[:-1, :]).sum()))
@@ -483,7 +480,7 @@ def analyze(v: VideoWindow, cfg: SpectralConfig | None = None) -> LossReport:
         polar = polar_resample(frames_c, lut)
         stack = make_stack(polar, cfg)
         rings = ring_energies(np.abs(frames_c) ** 2, s3c.freq_y, s3c.freq_x,
-                              cfg, rho_max=float(lut.rho[-1]))
+                              cfg)
 
     with _Stage("losses"):
         trans = translation_loss(s3c, cfg)
@@ -547,7 +544,7 @@ def analyze(v: VideoWindow, cfg: SpectralConfig | None = None) -> LossReport:
         "omega_bins": rot.omega_bins,
         "alpha_bins": scl.alpha_bins,
         "frames_t": nt,
-        "rings": rings.n_rings,
+        "rings": len(rings),
         "window_kind": cfg.window_kind,
         "ridge": cfg.ridge,
         "band_tolerance": cfg.band_tolerance,

@@ -7,6 +7,12 @@ grid lives on that spatial-frequency plane: radii are linear in
 ``(0, rho_max]`` with the zero radius excluded so the log-radius axis is
 defined, angles uniform on ``[0, 2pi)``.  The DC bin is handled by the
 Cartesian-domain losses only.
+
+``make_stack`` takes one windowed DFT over theta and t of the polar
+samples; the log-radial harmonics are read off its m = 0 row (the
+angle-averaged profile), so the temporal transform is computed once.
+``ring_energies`` returns the per-frame ring shares as a plain
+``(rings, T)`` array.
 """
 
 from __future__ import annotations
@@ -18,9 +24,8 @@ import numpy as np
 from .core import ConfigError, SpectralConfig
 from .spectral import signed_bins, temporal_window
 
-__all__ = ["PolarLUT", "HarmonicStack", "RingEnergies", "build_polar_lut",
-           "polar_resample", "angular_spectrum", "logradial_spectrum",
-           "ring_energies", "max_safe_radius"]
+__all__ = ["PolarLUT", "HarmonicStack", "build_polar_lut", "polar_resample",
+           "make_stack", "ring_energies", "max_safe_radius"]
 
 
 def max_safe_radius(freq_y: np.ndarray, freq_x: np.ndarray) -> float:
@@ -125,80 +130,41 @@ class HarmonicStack:
             raise ConfigError("harmonic stack contains non-finite entries")
 
 
-def _windowed_time_dft(x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
-    """DFT over the last axis after applying the configured temporal taper."""
-    nt = x.shape[-1]
-    h = temporal_window(nt, cfg.window_kind)
-    return np.fft.fftshift(np.fft.fft(x * h, axis=-1), axes=-1)
+def make_stack(polar: np.ndarray, cfg: SpectralConfig) -> HarmonicStack:
+    """Angular and log-radial harmonic stacks from one windowed temporal DFT.
 
-
-def angular_spectrum(polar: np.ndarray, cfg: SpectralConfig) -> tuple:
-    """DFT over theta, then windowed DFT over t.
-
-    Returns ``(coeffs[rho, m, omega_t], m_grid, omega_t_grid)`` with both
-    harmonic and temporal axes in shifted signed order.
-    """
-    n_rho, n_theta, nt = polar.shape
-    if n_theta < 4:
-        raise ConfigError("need at least 4 angular samples")
-    cm = np.fft.fftshift(np.fft.fft(polar, axis=1), axes=1)
-    out = _windowed_time_dft(cm, cfg)
-    return out, signed_bins(n_theta), signed_bins(nt)
-
-
-def logradial_spectrum(polar: np.ndarray, cfg: SpectralConfig) -> tuple:
-    """Angle-averaged profile resampled onto a log-radius grid, then DFT
-    over log-radius and (windowed) over t.
-
-    Returns ``(coeffs[nu, omega_t], nu_grid, omega_t_grid, xi_step)`` where
+    ``ang[rho, m, omega_t]`` is the DFT of ``polar[rho, theta, t]`` over
+    theta and (after the configured temporal taper) over t, both axes in
+    shifted signed order.  The angle-averaged profile is ``1/n_theta``
+    times the m = 0 row of ``ang``; it is interpolated from the linear
+    radius grid onto ``logradius_bins`` log-spaced radii spanning the same
+    range, and its DFT over log-radius gives ``rad[nu, omega_t]``.
     ``xi_step`` is the log-radius spacing (needed to convert the fitted
-    line slope into a physical log-scale rate).
+    line slope into a physical log-scale rate).  Every step is linear, so
+    one temporal transform serves both stacks.
     """
     n_rho, n_theta, nt = polar.shape
     n_xi = cfg.logradius_bins
+    if n_theta < 4:
+        raise ConfigError("need at least 4 angular samples")
     if n_xi < 4:
         raise ConfigError("need at least 4 log-radius bins")
-    prof = polar.mean(axis=1)                      # (n_rho, T), isotropic part
+    h = temporal_window(nt, cfg.window_kind)
+    ang = np.fft.fftshift(np.fft.fftn(polar * h, axes=(1, 2)), axes=(1, 2))
+    # m = 0 sits at position n_theta // 2 after the shift
+    prof = ang[:, n_theta // 2, :] / n_theta      # (n_rho, omega_t)
     # the rho grid is linear rho_k = rho_max*(k+1)/n_rho; interpolate in rho
     # at log-spaced targets spanning the same range
     rho = np.arange(1, n_rho + 1, dtype=np.float64)
     xi = np.linspace(np.log(rho[0]), np.log(rho[-1]), n_xi)
-    targets = np.exp(xi)
-    pos = targets - 1.0                            # fractional index into prof
+    pos = np.exp(xi) - 1.0                        # fractional index into prof
     i0 = np.clip(np.floor(pos).astype(np.int64), 0, n_rho - 2)
     frac = pos - i0
     resampled = (prof[i0] * (1 - frac)[:, None]
-                 + prof[i0 + 1] * frac[:, None])   # (n_xi, T)
-    dnu = np.fft.fftshift(np.fft.fft(resampled, axis=0), axes=0)
-    out = _windowed_time_dft(dnu, cfg)
-    xi_step = float(xi[1] - xi[0])
-    return out, signed_bins(n_xi), signed_bins(nt), xi_step
-
-
-def make_stack(polar: np.ndarray, cfg: SpectralConfig) -> HarmonicStack:
-    ang, m_grid, wt_grid = angular_spectrum(polar, cfg)
-    rad, nu_grid, _, xi_step = logradial_spectrum(polar, cfg)
-    return HarmonicStack(ang, m_grid, rad, nu_grid, wt_grid, xi_step)
-
-
-@dataclass(frozen=True)
-class RingEnergies:
-    """Per-frame energy distribution over concentric soft rings.
-
-    ``values[k, t]`` is ring ``k+1``'s share of frame ``t``'s spatial
-    energy; rows sum to 1 for frames with nonzero energy and to 0 for
-    silent frames.
-    """
-
-    values: np.ndarray
-
-    @property
-    def n_rings(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def frames_t(self) -> int:
-        return self.values.shape[1]
+                 + prof[i0 + 1] * frac[:, None])  # (n_xi, omega_t)
+    rad = np.fft.fftshift(np.fft.fft(resampled, axis=0), axes=0)
+    return HarmonicStack(ang, signed_bins(n_theta), rad, signed_bins(n_xi),
+                         signed_bins(nt), float(xi[1] - xi[0]))
 
 
 def _ring_masks(radius: np.ndarray, n_rings: int, rho_max: float,
@@ -221,26 +187,27 @@ def _ring_masks(radius: np.ndarray, n_rings: int, rho_max: float,
 
 
 def ring_energies(energy: np.ndarray, freq_y: np.ndarray,
-                  freq_x: np.ndarray, cfg: SpectralConfig,
-                  rho_max: float | None = None) -> RingEnergies:
+                  freq_x: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     """Soft annular sums of per-frame spatial energy, normalized per frame.
 
     ``energy[t, y, x]`` is the nonnegative per-frame energy (``|frames|^2``)
-    on the ``freq_y`` x ``freq_x`` grid; the temporal trend of these
-    distributions is what the scaling statistics read.
+    on the ``freq_y`` x ``freq_x`` grid.  The rings split the largest
+    radius whose full circle stays on the grids.  Returns the ``(rings, T)``
+    array whose entry ``[k, t]`` is ring ``k+1``'s share of frame ``t``'s
+    energy: columns sum to 1 for frames with nonzero energy and to 0 for
+    silent frames.  The temporal trend of these distributions is what the
+    scaling statistics read.
     """
     if cfg.rings < 2:
         raise ConfigError("need at least 2 rings")
     if energy.shape[1:] != (len(freq_y), len(freq_x)):
         raise ConfigError(f"energy is {energy.shape[1:]}, grids are "
                           f"{(len(freq_y), len(freq_x))}")
-    if rho_max is None:
-        rho_max = max_safe_radius(freq_y, freq_x)
+    rho_max = max_safe_radius(freq_y, freq_x)
     if rho_max <= 0:
         raise ConfigError("spatial grid too small for ring analysis")
     radius = np.hypot(freq_y[:, None], freq_x[None, :])
     masks = _ring_masks(radius, cfg.rings, rho_max, cfg.soft_ring_edge)
     sums = np.einsum("kyx,tyx->kt", masks, energy)
     totals = sums.sum(axis=0)
-    values = sums / (totals + cfg.numeric_eps)[None, :]
-    return RingEnergies(values)
+    return sums / (totals + cfg.numeric_eps)[None, :]

@@ -215,20 +215,30 @@ def synth_powerlaw(frames_t: int, height: int, width: int, kappa: float,
     if min(frames_t, height, width) < 2:
         raise ConfigError("power-law clips need at least 2 samples per axis")
     rng = make_rng(seed)
-    noise = rng.standard_normal((frames_t, height, width))
-    spec = np.fft.fftn(noise)
+    shape = (frames_t, height, width)
+    spec = np.fft.rfftn(rng.standard_normal(shape))
 
-    def axis_radius(n):
-        return np.fft.fftfreq(n) * n / ((n - 1) / 2.0)
+    def axis_radius(freq, n):
+        return freq * n / ((n - 1) / 2.0)
 
-    ut = axis_radius(frames_t)[:, None, None]
-    uy = axis_radius(height)[None, :, None]
-    ux = axis_radius(width)[None, None, :]
+    # the amplitude is even in every frequency, so shaping the half
+    # spectrum of the real noise keeps it Hermitian
+    ut = axis_radius(np.fft.fftfreq(frames_t), frames_t)[:, None, None]
+    uy = axis_radius(np.fft.fftfreq(height), height)[None, :, None]
+    ux = axis_radius(np.fft.rfftfreq(width), width)[None, None, :]
     r2 = ut ** 2 + uy ** 2 + ux ** 2
     amp = np.zeros_like(r2)
     nz = r2 > 0
     amp[nz] = r2[nz] ** (-kappa / 2.0)
-    v = np.fft.ifftn(spec * amp).real
+    # shape and rescale in place: every clip-sized temporary freed before
+    # the next is made keeps the heap from growing from one clip to the next
+    spec *= amp
+    v = np.fft.irfftn(spec, s=shape, axes=(0, 1, 2))
+    del spec
     lo, hi = v.min(), v.max()
-    v = (v - lo) / (hi - lo) if hi > lo else np.full_like(v, 0.5)
+    if hi > lo:
+        v -= lo
+        v /= hi - lo
+    else:
+        v = np.full_like(v, 0.5)
     return VideoWindow(frames_t, height, width, v)

@@ -17,7 +17,6 @@ from sim2spec.cli import suite_bounds
 from sim2spec.core import SpectralConfig, normalize_window
 from sim2spec.losses import (adaptive_composite, analyze, ridge_wls_solve,
                              rotation_loss)
-from sim2spec.resample import RingEnergies
 from sim2spec.spectral import EtaParams, cube_retention, eta_retention
 from sim2spec.synth import MotionSpec, make_rng, synth_powerlaw, synth_sim2
 

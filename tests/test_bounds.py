@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sim2spec.bounds import (BoundCheck, Calibration, band_capture_check,
-                             calibrate_flow, calibrate_interp, leakage_table,
+                             calibrate_flow, calibrate_interp,
                              master_bound_check, ridge_inequality_check,
                              ring_entropy_bound, ring_entropy_check,
                              window_leakage)
@@ -43,16 +43,6 @@ def test_leakage_monotone_in_delta():
         vals = [window_leakage(t, d) for d in range(t // 2 + 1)]
         assert all(vals[i + 1] <= vals[i] + 1e-15 for i in range(len(vals) - 1))
         assert all(0.0 <= v <= 1.0 for v in vals)
-
-
-def test_leakage_table_csv(tmp_path):
-    table = leakage_table(frames=(8, 16), kind="hann")
-    path = str(tmp_path / "leak.csv")
-    table.write_csv(path)
-    rows = [r.split(",") for r in open(path).read().strip().splitlines()]
-    assert rows[0] == ["T", "delta", "kind", "eps_win"]
-    parsed = {(int(r[0]), int(r[1])): float(r[3]) for r in rows[1:]}
-    assert parsed[(16, 1)] == pytest.approx(table.eps(16, 1))
 
 
 # ---------------------------------------------------------------------------

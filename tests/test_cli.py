@@ -63,6 +63,20 @@ def test_analyze_missing_input_exit_2(tmp_path):
     assert main(["analyze", str(tmp_path / "nope.raw")]) == 2
 
 
+def test_analyze_bad_dims_exit_2(tmp_path):
+    raw = tmp_path / "neg.raw"
+    np.zeros(4096, dtype="<f4").tofile(raw)
+    (tmp_path / "neg.raw.json").write_text(
+        json.dumps({"T": -1, "H": -1, "W": 4096}))
+    assert main(["analyze", str(raw)]) == 2
+
+    d = tmp_path / "frames"
+    d.mkdir()
+    for t in range(2):
+        (d / f"frame_{t:04d}.pgm").write_bytes(b"P5\n0 0\n255\n")
+    assert main(["analyze", str(d), "--format", "pgm_dir"]) == 2
+
+
 def test_analyze_too_short_exit_3(tmp_path):
     clip = synth_sim2("checker", MotionSpec(kind="static", seed=0), 1, 32, 32)
     path = str(tmp_path / "one.raw")

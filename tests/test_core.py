@@ -47,6 +47,11 @@ def test_raw_sidecar_mismatch(tmp_path):
     (tmp_path / "c.raw.json").write_text(json.dumps({"T": 8, "H": 32, "W": 32}))
     with pytest.raises(FormatError):
         load_video(str(path), "raw_f32")
+    # negative dims whose product matches the payload size
+    (tmp_path / "c.raw.json").write_text(
+        json.dumps({"T": -1, "H": -1, "W": 7 * 32 * 32}))
+    with pytest.raises(FormatError):
+        load_video(str(path), "raw_f32")
 
 
 def test_corrupt_pgm_names_frame(tmp_path):
@@ -54,6 +59,15 @@ def test_corrupt_pgm_names_frame(tmp_path):
     d.mkdir()
     (d / "frame_0000.pgm").write_bytes(b"P5\n4 4\n255\nshort")
     with pytest.raises(FormatError, match="frame_0000"):
+        load_video(str(d), "pgm_dir")
+
+
+def test_empty_pgm_frames_rejected(tmp_path):
+    d = tmp_path / "frames"
+    d.mkdir()
+    for t in range(2):
+        (d / f"frame_{t:04d}.pgm").write_bytes(b"P5\n0 0\n255\n")
+    with pytest.raises(FormatError):
         load_video(str(d), "pgm_dir")
 
 

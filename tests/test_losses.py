@@ -9,7 +9,7 @@ from sim2spec.core import (DegenerateInputError, SpectralConfig, VideoWindow,
                            normalize_window)
 from sim2spec.losses import (adaptive_composite, analyze, ridge_wls_solve,
                              rotation_loss, scaling_loss, translation_loss)
-from sim2spec.resample import HarmonicStack, RingEnergies
+from sim2spec.resample import HarmonicStack
 from sim2spec.spectral import crop_to_cube, keep_mask_1d, signed_bins, \
     spatial_transform, spectral_transform
 from sim2spec import losses
@@ -177,7 +177,7 @@ def constructed_stack(m_value, omega, t_n=16, n_rho=20, m_bins=24, n_xi=24,
 def one_ring_energies(n_rings=20, t_n=16, hot=9):
     v = np.zeros((n_rings, t_n))
     v[hot, :] = 1.0
-    return RingEnergies(v)
+    return v
 
 
 @pytest.mark.parametrize("omega", [2 * math.pi / 16, 2 * math.pi / 8])
@@ -211,7 +211,7 @@ def test_scaling_t2_defaults():
     v = np.zeros((20, 2))
     v[5] = 0.5
     stack = constructed_stack(2, 0.1, t_n=2)
-    out = scaling_loss(RingEnergies(v), stack, SpectralConfig())
+    out = scaling_loss(v, stack, SpectralConfig())
     assert out.c_flow == 0.5 and out.s_trend == 0.5
     assert out.l_scale == 0.5
     assert out.short_window
@@ -247,7 +247,7 @@ def test_scaling_flat_centroid_flagged():
     v = np.zeros((20, 8))
     v[5] = 1.0  # identical every frame
     stack = constructed_stack(2, 0.1, t_n=8)
-    out = scaling_loss(RingEnergies(v), stack, SpectralConfig())
+    out = scaling_loss(v, stack, SpectralConfig())
     assert out.s_trend == 0.0
     assert out.trend_flat
 

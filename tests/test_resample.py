@@ -2,15 +2,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sim2spec.core import ConfigError, SpectralConfig
-from sim2spec.resample import (RingEnergies, build_polar_lut, angular_spectrum,
-                               logradial_spectrum, make_stack, polar_resample,
+from sim2spec.resample import (build_polar_lut, make_stack, polar_resample,
                                ring_energies)
-from sim2spec.spectral import signed_bins
+from sim2spec.spectral import signed_bins, temporal_window
 from sim2spec.synth import make_rng
 
 RECT = SpectralConfig(window_kind="rect")
+
+
+def angular_spectrum(polar, cfg):
+    """The stack's angular harmonics with their m and omega_t grids."""
+    stack = make_stack(polar, cfg)
+    return stack.ang, stack.ang_m, stack.freq_t
+
+
+def logradial_spectrum(polar, cfg):
+    """The stack's log-radial harmonics with their nu and omega_t grids and
+    the log-radius step."""
+    stack = make_stack(polar, cfg)
+    return stack.rad, stack.rad_nu, stack.freq_t, stack.xi_step
 
 
 def spectrum_from_field(field2d, frames_t=1):
@@ -274,6 +287,52 @@ def test_logradial_parseval_affine_profile():
     assert abs(lhs - rhs) <= 1e-6 * rhs
 
 
+@settings(max_examples=150, deadline=None)
+@given(n_rho=st.integers(2, 24), n_theta=st.integers(4, 33),
+       frames_t=st.integers(1, 17), n_xi=st.integers(4, 24),
+       kind=st.sampled_from(["hann", "rect"]), seed=st.integers(0, 2 ** 31))
+# signed_bins(49) labels three bins 0; m = 0 must be read by position
+@example(n_rho=5, n_theta=49, frames_t=6, n_xi=8, kind="hann", seed=3)
+def test_make_stack_matches_two_pass_definition(n_rho, n_theta, frames_t,
+                                                n_xi, kind, seed):
+    """One temporal DFT for both stacks equals the two-pass definition:
+    angular harmonics by a theta DFT then a windowed t DFT, log-radial
+    harmonics from the angle-averaged profile interpolated onto log radii,
+    a DFT over log-radius, then its own windowed t DFT."""
+    rng = make_rng(seed)
+    shape = (n_rho, n_theta, frames_t)
+    polar = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    cfg = SpectralConfig(window_kind=kind, logradius_bins=n_xi)
+    h = temporal_window(frames_t, kind)
+
+    def windowed_time_dft(x):
+        return np.fft.fftshift(np.fft.fft(x * h, axis=-1), axes=-1)
+
+    ang = windowed_time_dft(np.fft.fftshift(np.fft.fft(polar, axis=1),
+                                            axes=1))
+    prof = polar.mean(axis=1)                      # (n_rho, T)
+    rho = np.arange(1, n_rho + 1, dtype=np.float64)
+    xi = np.linspace(np.log(rho[0]), np.log(rho[-1]), n_xi)
+    resampled = np.stack([np.interp(np.exp(xi), rho, col)
+                          for col in prof.T], axis=1)  # (n_xi, T)
+    rad = windowed_time_dft(np.fft.fftshift(np.fft.fft(resampled, axis=0),
+                                            axes=0))
+
+    stack = make_stack(polar, cfg)
+    assert stack.ang.shape == ang.shape and stack.rad.shape == rad.shape
+    assert np.abs(stack.ang - ang).max() <= 1e-12 * np.abs(ang).max()
+    assert np.abs(stack.rad - rad).max() <= 1e-12 * np.abs(rad).max()
+    assert np.array_equal(stack.ang_m, signed_bins(n_theta))
+    assert np.array_equal(stack.rad_nu, signed_bins(n_xi))
+    assert np.array_equal(stack.freq_t, signed_bins(frames_t))
+    assert abs(stack.xi_step - (xi[1] - xi[0])) <= 1e-12 * abs(xi[1] - xi[0])
+
+
+def test_make_stack_rejects_few_angles():
+    with pytest.raises(ConfigError):
+        make_stack(np.ones((4, 3, 4), dtype=complex), RECT)
+
+
 def ring_grid(values, size=48):
     return values, signed_bins(size), signed_bins(size)
 
@@ -288,8 +347,8 @@ def test_ring_concentrated_annulus():
     lo, hi = 9 * rho_max / 20, 10 * rho_max / 20
     energy = (((r > lo + 0.3) & (r < hi - 0.3)).astype(float))[None]
     energy = np.broadcast_to(energy, (4, size, size)).copy()
-    out = ring_energies(*ring_grid(energy), cfg, rho_max=rho_max)
-    assert np.all(out.values[9, :] >= 0.95)
+    out = ring_energies(*ring_grid(energy), cfg)
+    assert np.all(out[9, :] >= 0.95)
 
 
 def test_ring_uniform_energy_matches_area_oracle():
@@ -299,14 +358,14 @@ def test_ring_uniform_energy_matches_area_oracle():
     cfg = SpectralConfig()
     rho_max = 31.0
     energy = np.ones((2, size, size))
-    out = ring_energies(*ring_grid(energy, size), cfg, rho_max=rho_max)
+    out = ring_energies(*ring_grid(energy, size), cfg)
     # pixel-count oracle with hard rings
     edges = rho_max * np.arange(21) / 20
     counts = np.array([((r > edges[k]) & (r <= edges[k + 1])).sum()
                        for k in range(20)], dtype=float)
     counts[0] += (r == 0).sum()
     oracle = counts / counts.sum()
-    measured = out.values[:, 0] / out.values[:, 0].sum()
+    measured = out[:, 0] / out[:, 0].sum()
     # compare rings carrying real mass; soft edges blur the smallest ones
     big = oracle > 0.01
     rel = np.abs(measured[big] - oracle[big]) / oracle[big]
@@ -319,8 +378,8 @@ def test_ring_zero_frame_stays_zero():
     energy[1] = 0.0
     cfg = SpectralConfig()
     out = ring_energies(*ring_grid(energy, size), cfg)
-    assert np.all(out.values[:, 1] == 0.0)
-    sums = out.values.sum(axis=0)
+    assert np.all(out[:, 1] == 0.0)
+    sums = out.sum(axis=0)
     assert abs(sums[0] - 1.0) <= 1e-6 and abs(sums[2] - 1.0) <= 1e-6
 
 
@@ -329,5 +388,5 @@ def test_ring_normalization_invariant():
     size = 40
     energy = rng.uniform(0, 1, (5, size, size))
     out = ring_energies(*ring_grid(energy, size), SpectralConfig())
-    sums = out.values.sum(axis=0)
+    sums = out.sum(axis=0)
     assert np.all((np.abs(sums - 1.0) <= 1e-6) | (sums == 0.0))

@@ -87,6 +87,28 @@ def test_powerlaw_range():
     assert v.data.min() >= 0.0 and v.data.max() <= 1.0
 
 
+@pytest.mark.parametrize("shape", [(16, 224, 224), (5, 7, 9), (3, 33, 47)])
+def test_powerlaw_matches_complex_fft_construction(shape):
+    """The half-spectrum (rfftn/irfftn) shaping equals shaping the full
+    complex spectrum of the same noise and keeping the real part."""
+    t_n, h, w = shape
+    kappa, seed = 1.8, 77
+    noise = make_rng(seed).standard_normal(shape)
+
+    def axis_radius(n):
+        return np.fft.fftfreq(n) * n / ((n - 1) / 2.0)
+
+    r2 = (axis_radius(t_n)[:, None, None] ** 2
+          + axis_radius(h)[None, :, None] ** 2
+          + axis_radius(w)[None, None, :] ** 2)
+    amp = np.zeros_like(r2)
+    amp[r2 > 0] = r2[r2 > 0] ** (-kappa / 2.0)
+    oracle = np.fft.ifftn(np.fft.fftn(noise) * amp).real
+    oracle = (oracle - oracle.min()) / (oracle.max() - oracle.min())
+    clip = synth_powerlaw(t_n, h, w, kappa, seed)
+    assert np.abs(clip.data - oracle).max() <= 1e-12
+
+
 def test_powerlaw_radial_slope():
     """Log-log regression of shell-averaged energy vs dimensionless radius
     recovers the -2 kappa exponent over mid frequencies."""
