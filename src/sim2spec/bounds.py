@@ -252,12 +252,10 @@ def master_bound_check(report: LossReport, eps_win: float,
     if "translation" in resid:
         g_lo, g_hi = gate["translation"]
         ratio = g_hi / g_lo
-        band_miss = report.diagnostics.get("trans_band_miss")
-        if band_miss is None:
-            band_miss = 0.0
         rhs = (ratio / delta ** 2 * resid["translation"] + eps_win
                + _o_lambda(report, "translation"))
-        checks.append(BoundCheck(float(band_miss), rhs, {
+        band_miss = report.diagnostics["trans_band_miss"]
+        checks.append(BoundCheck(band_miss, rhs, {
             "bound": "translation", "delta": delta, "gate_ratio": ratio,
             "slice_residual": resid["translation"]}))
     return checks

@@ -27,8 +27,8 @@ from .bounds import (BoundCheck, Calibration, band_capture_check,
                      calibrate_flow, calibrate_interp, master_bound_check,
                      ridge_inequality_check, ring_entropy_check,
                      window_leakage)
-from .core import (ConfigError, DegenerateInputError, FormatError,
-                   SpectralConfig, Sim2Error, UnobservableError, load_video,
+from .core import (ConfigError, DegenerateInputError, SpectralConfig,
+                   Sim2Error, UnobservableError, load_video,
                    normalize_window, save_video)
 from .losses import analyze, ridge_wls_solve
 from .spectral import EtaParams, cube_retention, eta_retention
@@ -110,17 +110,7 @@ def _load_any(path: str, fmt: str | None) -> "VideoWindow":
 
 def cmd_analyze(args) -> int:
     cfg = config_from_args(args)
-    try:
-        v = _load_any(args.input, args.format)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        report = analyze(v, cfg)
-    except (DegenerateInputError, UnobservableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
-
+    report = analyze(_load_any(args.input, args.format), cfg)
     payload = {"manifest": make_manifest("analyze", cfg, {args.input: ""}),
                "report": report.to_dict()}
     if args.json:
@@ -169,6 +159,8 @@ def cmd_synth(args) -> int:
         print(f"error: cannot read spec: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
+        if not isinstance(raw, dict):
+            raise ValueError("spec must be a JSON object")
         spec = MotionSpec.from_dict(raw)
         frames_t = int(raw.get("T", 16))
         height = int(raw.get("H", 64))
@@ -176,7 +168,8 @@ def cmd_synth(args) -> int:
         base = raw.get("base", "bandpass_noise")
         exact = bool(raw.get("exact", False))
         v = synth_sim2(base, spec, frames_t, height, width, exact=exact)
-    except (ConfigError, DegenerateInputError, KeyError, ValueError) as exc:
+    except (ConfigError, DegenerateInputError, LookupError, TypeError,
+            ValueError) as exc:
         print(f"error: invalid spec: {exc}", file=sys.stderr)
         return EXIT_INPUT
     save_video(v, args.out, "raw_f32")
@@ -321,18 +314,13 @@ def cmd_validate(args) -> int:
     cfg = config_from_args(args)
     suites = []
     all_checks = []
-    names = ("bounds", "exactness", "retention") if args.suite == "all" \
-        else (args.suite,)
+    # the lambdas resolve each suite through the module globals at call time
+    run = {"bounds": lambda: suite_bounds(args.n, args.seed),
+           "exactness": lambda: suite_exactness(args.seed),
+           "retention": lambda: suite_retention(args.n_retention, args.seed)}
+    names = list(run) if args.suite == "all" else [args.suite]
     for name in names:
-        if name == "bounds":
-            checks, summary = suite_bounds(args.n, args.seed)
-        elif name == "exactness":
-            checks, summary = suite_exactness(args.seed)
-        elif name == "retention":
-            checks, summary = suite_retention(args.n_retention, args.seed)
-        else:
-            print(f"error: unknown suite {name}", file=sys.stderr)
-            return EXIT_INPUT
+        checks, summary = run[name]()
         suites.append(summary)
         all_checks.extend(checks)
         print(f"suite {summary['suite']}: {summary['instances']} checks, "

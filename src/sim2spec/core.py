@@ -95,12 +95,9 @@ class VideoWindow:
     @classmethod
     def from_array(cls, arr) -> "VideoWindow":
         arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim == 4:
-            arr = arr.mean(axis=3)
-        if arr.ndim != 3:
+        if arr.ndim not in (3, 4):
             raise FormatError(f"video data must be (T,H,W), got ndim={arr.ndim}")
-        t, h, w = arr.shape
-        return cls(t, h, w, arr)
+        return cls(*arr.shape[:3], arr)
 
     @property
     def shape(self):

@@ -131,52 +131,30 @@ TRANS_COLS = (0, 1, 4)
 BAND_EDGE_SLACK = 1e-9
 
 
-def fit_slice(samples: WeightedSamples, cols, lam: float,
-              jitter: float) -> RidgeResult:
-    """Restricted WLS fit of one motion slice; ``theta`` is returned as the
-    full 5-vector with the out-of-slice entries zero."""
-    res = ridge_wls_solve(samples.rows[:, list(cols)], samples.targets,
-                          samples.weights, lam, jitter)
-    theta = np.zeros(5)
-    theta[list(cols)] = res.theta
-    return replace(res, theta=theta)
+def _slice_fit(build, source, cols, cfg: SpectralConfig):
+    """Build one motion slice's sample block and solve its ridge fit once.
 
-
-def _line_slope(samples: WeightedSamples, col: int) -> float:
-    """Closed-form weighted LS slope of the no-intercept line fit
-    target = slope * column (the lam = 0 minimizer)."""
-    x = samples.rows[:, col]
-    num = float((samples.weights * x * samples.targets).sum())
-    den = float((samples.weights * x * x).sum())
-    if den <= 0.0:
-        raise UnobservableError("line fit has no excitation")
-    return num / den
-
-
-def _band_fraction(samples: WeightedSamples, err: np.ndarray, delta: float,
-                   inside: bool = True) -> float:
-    """Raw-energy fraction of the samples whose fit error lies within
-    ``delta`` (or, with ``inside=False``, beyond it)."""
-    e_all = float(samples.energies.sum())
-    if e_all <= 0.0:
-        return 0.0
-    in_band = np.abs(err) <= delta + BAND_EDGE_SLACK
-    return float(samples.energies[in_band == inside].sum() / e_all)
-
-
-def _line_slice(build, stack: HarmonicStack, col: int, cfg: SpectralConfig):
-    """Line slope, band capture, restricted fit and samples of one
-    harmonic slice; ``(0.0, 0.0, None, None)`` when the block carries no
-    usable energy."""
+    Returns ``(fit, samples, capture)``: ``fit.theta`` is the full 5-vector
+    with the out-of-slice entries zero, and ``capture`` the raw-energy
+    fraction of the samples whose error under that fit lies within the
+    band tolerance.  A block with no usable weight, or whose fit is not
+    identifiable, flags the slice as ``(None, None, 0.0)``.
+    """
+    cols = list(cols)
     try:
-        samples = build(stack, cfg)
-        slope = _line_slope(samples, col)
-        err = samples.rows[:, col] * slope - samples.targets
-        capture = _band_fraction(samples, err, cfg.band_tolerance)
-        fit = fit_slice(samples, (col,), cfg.ridge, cfg.numeric_eps)
+        samples = build(source, cfg)
+        res = ridge_wls_solve(samples.rows[:, cols], samples.targets,
+                              samples.weights, cfg.ridge, cfg.numeric_eps)
     except UnobservableError:
-        return 0.0, 0.0, None, None
-    return slope, capture, fit, samples
+        return None, None, 0.0
+    if not res.identifiable:
+        return None, None, 0.0
+    theta = np.zeros(5)
+    theta[cols] = res.theta
+    err = samples.rows @ theta - samples.targets
+    in_band = np.abs(err) <= cfg.band_tolerance + BAND_EDGE_SLACK
+    capture = float(samples.energies[in_band].sum() / samples.energies.sum())
+    return replace(res, theta=theta), samples, capture
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +187,8 @@ class TranslationLoss(_SliceLoss):
 
 @dataclass(frozen=True)
 class RotationLoss(_SliceLoss):
-    """``omega_bins`` is the line slope, ``omega`` the same in rad/frame."""
+    """``omega_bins`` is the slice fit's ridge slope, ``omega`` the same in
+    rad/frame."""
 
     l_rot: float
     c_rot: float
@@ -221,9 +200,9 @@ class RotationLoss(_SliceLoss):
 
 @dataclass(frozen=True)
 class ScalingLoss(_SliceLoss):
-    """``alpha_bins`` is the line slope, ``alpha`` the log-scale rate per
-    frame; ``rho_c`` the per-frame radial centroid and ``rho_c_slope`` its
-    trend."""
+    """``alpha_bins`` is the slice fit's ridge slope, ``alpha`` the log-scale
+    rate per frame; ``rho_c`` the per-frame radial centroid and
+    ``rho_c_slope`` its trend."""
 
     l_scale: float
     c_flow: float
@@ -244,18 +223,12 @@ def translation_loss(s: Spectrum3D, cfg: SpectralConfig) -> TranslationLoss:
     sentinel loss 1.0 with the slice flagged, so adaptive weighting
     naturally ignores the slice.
     """
-    try:
-        samples = translation_samples(s, cfg)
-        fit = fit_slice(samples, TRANS_COLS, cfg.ridge, cfg.numeric_eps)
-    except UnobservableError:
-        fit = None
-    if fit is None or not fit.identifiable:
+    fit, samples, capture = _slice_fit(translation_samples, s, TRANS_COLS,
+                                       cfg)
+    if fit is None:
         return TranslationLoss(None, None, l_trans=1.0, band_miss=0.0)
-    err = samples.rows @ fit.theta - samples.targets
-    return TranslationLoss(
-        fit, samples, l_trans=fit.residual,
-        band_miss=_band_fraction(samples, err, cfg.band_tolerance,
-                                 inside=False))
+    return TranslationLoss(fit, samples, l_trans=fit.residual,
+                           band_miss=1.0 - capture)
 
 
 def rotation_loss(stack: HarmonicStack, rings: np.ndarray,
@@ -263,9 +236,10 @@ def rotation_loss(stack: HarmonicStack, rings: np.ndarray,
     """Angular-velocity line fit, tilted-line energy ratio and ring
     concentration of the ``(rings, T)`` ring shares.
 
-    The line slope is the gated energy-weighted closed form over m != 0;
-    with zero harmonic energy the line term is dropped (c_rot = 0,
-    flagged).
+    The line slope is the slice's gated energy-weighted ridge slope over
+    m != 0, and c_rot the energy captured by that same fit; with no usable
+    harmonic energy, or an unidentifiable fit, the line term is dropped
+    (c_rot = 0, flagged).
 
     Temporal Nyquist caveat: a harmonic m rotating at omega rad/frame
     carries a tone at m*omega rad/frame, which aliases once |m*omega| >= pi
@@ -274,8 +248,8 @@ def rotation_loss(stack: HarmonicStack, rings: np.ndarray,
     ent = -np.sum(rings * np.log(rings + cfg.numeric_eps), axis=0)
     c_ring = float(np.clip(1.0 - ent.mean() / math.log(len(rings)), 0.0, 1.0))
     eps_nb = float(np.mean(1.0 - rings.max(axis=0)))
-    omega_bins, c_rot, fit, samples = _line_slice(rotation_samples, stack,
-                                                  2, cfg)
+    fit, samples, c_rot = _slice_fit(rotation_samples, stack, (2,), cfg)
+    omega_bins = float(fit.theta[2]) if fit is not None else 0.0
     l_rot = 1.0 - 0.5 * (c_ring + c_rot)
     return RotationLoss(
         fit, samples, l_rot=float(np.clip(l_rot, 0.0, 1.0)), c_rot=c_rot,
@@ -287,6 +261,9 @@ def scaling_loss(rings: np.ndarray, stack: HarmonicStack,
                  cfg: SpectralConfig) -> ScalingLoss:
     """Radial-flow alignment, centroid trend and the log-radial line fit.
 
+    The line slope is the slice's gated energy-weighted ridge slope over
+    nu != 0, and c_scale the energy captured by that same fit; a slice
+    flagged as in ``rotation_loss`` reports slope 0 and c_scale 0.
     ``rings`` is the ``(rings, T)`` array of per-frame ring shares from
     ``ring_energies``.  Windows shorter than 3 frames default both proxies
     to 0.5 (``short_window``); a flat centroid (zero variance) yields trend
@@ -319,8 +296,8 @@ def scaling_loss(rings: np.ndarray, stack: HarmonicStack,
             trend_flat = True
         slope = cov / var_t if var_t > 0 else 0.0
 
-    alpha_bins, c_scale, fit, samples = _line_slice(scaling_samples, stack,
-                                                    3, cfg)
+    fit, samples, c_scale = _slice_fit(scaling_samples, stack, (3,), cfg)
+    alpha_bins = float(fit.theta[3]) if fit is not None else 0.0
     n_xi = len(stack.rad_nu)
     l_scale = 1.0 - 0.5 * (c_flow + s_trend)
     return ScalingLoss(

@@ -120,6 +120,17 @@ def test_synth_scale_collapse_exit_2(tmp_path, capsys):
     assert "scale collapse" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", [[1, 2], {"kind": "translation", "v": 5},
+                                 {"kind": "translation", "v": [1]},
+                                 {"T": None}])
+def test_synth_malformed_spec_exit_2(raw, tmp_path, capsys):
+    spec_path = str(tmp_path / "spec.json")
+    json.dump(raw, open(spec_path, "w"))
+    assert main(["synth", spec_path, "--out", str(tmp_path / "x.raw")]) == 2
+    assert "error: invalid spec" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "x.raw")
+
+
 def test_validate_bounds_suite(tmp_path):
     out = str(tmp_path / "val.json")
     rc = main(["validate", "--suite", "bounds", "--n", "150", "--json", out])

@@ -328,6 +328,41 @@ def test_slice_layout_follows_flags(name, window):
     assert trans_matches == (not flags["trans_unobservable"])
 
 
+def loss_results(clip, cfg, monkeypatch):
+    """The translation, rotation and scaling results ``analyze`` computes."""
+    seen = {}
+    for name in ("translation_loss", "rotation_loss", "scaling_loss"):
+        def spy(*args, fn=getattr(losses, name), name=name):
+            seen[name] = fn(*args)
+            return seen[name]
+        monkeypatch.setattr(losses, name, spy)
+    analyze(clip, cfg)
+    return (seen["translation_loss"], seen["rotation_loss"],
+            seen["scaling_loss"])
+
+
+def in_band_fraction(result, cfg):
+    err = result.samples.rows @ result.fit.theta - result.samples.targets
+    inside = np.abs(err) <= cfg.band_tolerance + losses.BAND_EDGE_SLACK
+    e = result.samples.energies
+    return float(e[inside].sum() / e.sum())
+
+
+@pytest.mark.parametrize("window", ["hann", "rect"])
+@pytest.mark.parametrize("kind", sorted(BLOCK_FLAGS))
+def test_slice_statistics_come_from_the_slice_fit(kind, window, motion_clips,
+                                                  monkeypatch):
+    cfg = SpectralConfig(window_kind=window)
+    trans, rot, scl = loss_results(motion_clips[kind], cfg, monkeypatch)
+    assert rot.omega_bins == rot.fit.theta[2]
+    assert scl.alpha_bins == scl.fit.theta[3]
+    assert rot.c_rot == pytest.approx(in_band_fraction(rot, cfg), abs=1e-12)
+    assert scl.c_scale == pytest.approx(in_band_fraction(scl, cfg),
+                                        abs=1e-12)
+    assert 1.0 - trans.band_miss == pytest.approx(
+        in_band_fraction(trans, cfg), abs=1e-12)
+
+
 def counting(monkeypatch, name):
     calls = []
     fn = getattr(losses, name)
