@@ -40,20 +40,27 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 
 
+DIGEST_CHUNK = 1 << 20
+
+
+def _hash_file(h, path: str) -> None:
+    """Feed a file to ``h`` in ``DIGEST_CHUNK``-byte reads."""
+    with open(path, "rb") as fh:
+        while chunk := fh.read(DIGEST_CHUNK):
+            h.update(chunk)
+
+
 def _digest_path(path: str) -> str:
     h = hashlib.sha256()
     if os.path.isdir(path):
         for name in sorted(os.listdir(path)):
             h.update(name.encode())
-            with open(os.path.join(path, name), "rb") as fh:
-                h.update(fh.read())
+            _hash_file(h, os.path.join(path, name))
     else:
-        with open(path, "rb") as fh:
-            h.update(fh.read())
+        _hash_file(h, path)
         sidecar = path + ".json"
         if os.path.exists(sidecar):
-            with open(sidecar, "rb") as fh:
-                h.update(fh.read())
+            _hash_file(h, sidecar)
     return h.hexdigest()
 
 
@@ -168,8 +175,10 @@ def cmd_synth(args) -> int:
         base = raw.get("base", "bandpass_noise")
         exact = bool(raw.get("exact", False))
         v = synth_sim2(base, spec, frames_t, height, width, exact=exact)
-    except (ConfigError, DegenerateInputError, LookupError, TypeError,
-            ValueError) as exc:
+    except (ConfigError, DegenerateInputError, LookupError, MemoryError,
+            TypeError, ValueError) as exc:
+        # MemoryError: a clip too large to allocate (numpy's message names
+        # its size)
         print(f"error: invalid spec: {exc}", file=sys.stderr)
         return EXIT_INPUT
     save_video(v, args.out, "raw_f32")

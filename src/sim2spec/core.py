@@ -4,7 +4,9 @@ Conventions used throughout the package:
 
 * video data is a real ``(T, H, W)`` array, row-major ``(t, y, x)``,
   luminance in ``[0, 1]``
-* analysis runs on mean-shifted data (``normalize_window`` subtracts 1/2)
+* analysis runs on mean-shifted data, ``x - 1/2``: ``analyze`` takes the
+  1/2 off each frame's spatial DC bin inside the transform, and
+  ``normalize_window`` forms the shifted window explicitly
 * raw files are little-endian float32 with a UTF-8 JSON sidecar holding
   exactly the keys ``T``, ``H``, ``W``
 """

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import (DegenerateInputError, MotionEstimate, SpectralConfig,
-                   UnobservableError, VideoWindow, normalize_window)
+                   UnobservableError, VideoWindow)
 from .gates import WeightedSamples, build_samples
 from .resample import (HarmonicStack, build_polar_lut, make_stack,
                        max_safe_radius, polar_resample, ring_energies)
@@ -436,16 +436,17 @@ class _Stage:
 def analyze(v: VideoWindow, cfg: SpectralConfig | None = None) -> LossReport:
     """Run the full pipeline on one window.
 
-    normalize -> transform -> low-pass crop -> polar/harmonic features ->
-    losses -> adaptive composite.  Deterministic for fixed input and
-    configuration; escaping errors carry their stage label.
+    pruned transform of the mean-shifted window (the 1/2 offset comes off
+    each frame's DC bin, see ``cropped_transform``) -> polar/harmonic
+    features -> losses -> adaptive composite.  Deterministic for fixed
+    input and configuration; escaping errors carry their stage label.
     """
     cfg = cfg or SpectralConfig()
     if v.frames_t < 2:
         raise DegenerateInputError("window too short: need at least 2 frames")
 
     with _Stage("transform"):
-        frames_c, s3c = cropped_transform(normalize_window(v), cfg)
+        frames_c, s3c = cropped_transform(v, cfg, offset=0.5)
         retained = s3c.coeffs.size / v.data.size
 
     with _Stage("resample"):

@@ -12,11 +12,14 @@ Cartesian-domain losses only.
 samples; the log-radial harmonics are read off its m = 0 row (the
 angle-averaged profile), so the temporal transform is computed once.
 ``ring_energies`` returns the per-frame ring shares as a plain
-``(rings, T)`` array.
+``(rings, T)`` array.  The polar lookup table and the ring masks depend
+only on the grids and the config, so each is built once per distinct
+argument set, kept in a small LRU cache and handed out read-only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +60,30 @@ class PolarLUT:
         return len(self.theta)
 
 
+def _grid_key(freq: np.ndarray) -> tuple:
+    """Hashable form of a bin grid: the table builders read only its
+    values, as float64, so equal values give equal tables."""
+    return tuple(np.asarray(freq, dtype=np.float64).tolist())
+
+
 def build_polar_lut(freq_y: np.ndarray, freq_x: np.ndarray, n_rho: int,
                     n_theta: int, rho_max: float | None = None) -> PolarLUT:
     """Build the lookup table mapping ``(rho_k, theta_l)`` targets to four
-    Cartesian neighbors with bilinear weights."""
+    Cartesian neighbors with bilinear weights.
+
+    The table depends only on the grids and the sizes, so it is built once
+    per distinct argument set and shared; its arrays are read-only.
+    """
+    return _polar_lut(_grid_key(freq_y), _grid_key(freq_x), n_rho, n_theta,
+                      None if rho_max is None else float(rho_max))
+
+
+@functools.lru_cache(maxsize=8)
+def _polar_lut(key_y: tuple, key_x: tuple, n_rho: int, n_theta: int,
+               rho_max: float | None) -> PolarLUT:
     if n_rho < 2 or n_theta < 4:
         raise ConfigError("need n_rho >= 2 and n_theta >= 4")
+    freq_y, freq_x = np.array(key_y), np.array(key_x)
     h, w = len(freq_y), len(freq_x)
     safe = max_safe_radius(freq_y, freq_x)
     if rho_max is None:
@@ -94,6 +115,8 @@ def build_polar_lut(freq_y: np.ndarray, freq_x: np.ndarray, n_rho: int,
             idx[:, k] = np.where(inside, rr * w + cc, 0)
             wgt[:, k] = np.where(inside, wr * wc, 0.0)
             k += 1
+    for a in (rho, theta, idx, wgt):
+        a.setflags(write=False)
     return PolarLUT(rho, theta, idx, wgt, (h, w))
 
 
@@ -167,14 +190,23 @@ def make_stack(polar: np.ndarray, cfg: SpectralConfig) -> HarmonicStack:
                          signed_bins(nt), float(xi[1] - xi[0]))
 
 
-def _ring_masks(radius: np.ndarray, n_rings: int, rho_max: float,
+@functools.lru_cache(maxsize=8)
+def _ring_masks(key_y: tuple, key_x: tuple, n_rings: int,
                 sharpness: float) -> np.ndarray:
-    """Soft annulus memberships, shape ``(n_rings, *radius.shape)``.
+    """Soft annulus memberships on the grids ``key_y`` x ``key_x``, shape
+    ``(n_rings, ky, kx)``, built once per grid and config (read-only).
 
-    Logistic edges (slope ``sharpness`` per bin) telescope to a partition of
-    unity on ``(0, rho_max]``; the innermost ring has no lower edge so DC is
-    fully inside it, and weight rolls off to zero beyond the outer radius.
+    The rings split the largest radius whose full circle stays on the
+    grids.  Logistic edges (slope ``sharpness`` per bin) telescope to a
+    partition of unity on ``(0, rho_max]``; the innermost ring has no lower
+    edge so DC is fully inside it, and weight rolls off to zero beyond the
+    outer radius.
     """
+    freq_y, freq_x = np.array(key_y), np.array(key_x)
+    rho_max = max_safe_radius(freq_y, freq_x)
+    if rho_max <= 0:
+        raise ConfigError("spatial grid too small for ring analysis")
+    radius = np.hypot(freq_y[:, None], freq_x[None, :])
     edges = rho_max * np.arange(n_rings + 1) / n_rings
 
     def sig(x):
@@ -183,7 +215,9 @@ def _ring_masks(radius: np.ndarray, n_rings: int, rho_max: float,
     # mask_k = L_k - U_k with L_1 = 1, L_k = U_{k-1} = sig(s*(r - e_{k-1}))
     upper = [sig(sharpness * (radius - edges[k])) for k in range(1, n_rings + 1)]
     lower = [np.ones_like(radius)] + upper[:-1]
-    return np.stack([lo - up for lo, up in zip(lower, upper)])
+    masks = np.stack([lo - up for lo, up in zip(lower, upper)])
+    masks.setflags(write=False)
+    return masks
 
 
 def ring_energies(energy: np.ndarray, freq_y: np.ndarray,
@@ -203,11 +237,8 @@ def ring_energies(energy: np.ndarray, freq_y: np.ndarray,
     if energy.shape[1:] != (len(freq_y), len(freq_x)):
         raise ConfigError(f"energy is {energy.shape[1:]}, grids are "
                           f"{(len(freq_y), len(freq_x))}")
-    rho_max = max_safe_radius(freq_y, freq_x)
-    if rho_max <= 0:
-        raise ConfigError("spatial grid too small for ring analysis")
-    radius = np.hypot(freq_y[:, None], freq_x[None, :])
-    masks = _ring_masks(radius, cfg.rings, rho_max, cfg.soft_ring_edge)
-    sums = np.einsum("kyx,tyx->kt", masks, energy)
+    masks = _ring_masks(_grid_key(freq_y), _grid_key(freq_x), cfg.rings,
+                        cfg.soft_ring_edge)
+    sums = masks.reshape(cfg.rings, -1) @ energy.reshape(len(energy), -1).T
     totals = sums.sum(axis=0)
     return sums / (totals + cfg.numeric_eps)[None, :]

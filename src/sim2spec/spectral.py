@@ -10,12 +10,17 @@ unnormalized, so Parseval reads ``sum |X|^2 == N * sum |x|^2`` with
 ``N = T*H*W`` (rect window).
 
 ``cropped_transform`` is the pipeline's transform: a pruned pass (Markel
-1971; Sorensen & Burrus 1993) that forms only the kept low-pass bins.  It
-takes ``rfft`` along x and gathers the kept columns, the negative ones by
-Hermitian conjugation; FFTs along y only those columns and gathers the kept
-rows; applies the origin-centring phase ``exp(2 pi i k (n//2) / n)`` per
-bin instead of rolling the data; and runs the windowed temporal FFT on the
-cropped frames only.  A kept bin's DFT index ``k`` is read off its shifted
+1971; Sorensen & Burrus 1993) that forms only the kept low-pass bins.  One
+frame at a time it takes ``rfft`` along x, keeps the columns
+``0..max|kx|`` and FFTs along y only those, into one ``(T, H, max|kx|+1)``
+array, so no full-block spectrum is formed.  It subtracts an optional
+constant offset from each frame's DC bin (exact: a constant only moves that
+bin), so the caller's 1/2 mean shift needs no copy of the data.  It gathers
+the kept rows, reads the negative kept columns off the nonnegative ones by
+Hermitian symmetry, ``X[ky, -j] = conj(X[-ky, j])``; applies the
+origin-centring phase ``exp(2 pi i k (n//2) / n)`` per bin instead of
+rolling the data; and runs the windowed temporal FFT on the cropped frames
+only.  A kept bin's DFT index ``k`` is read off its shifted
 position (``position - n//2``), not off its ``signed_bins`` label, which
 is wrong for many ``n``; the returned grids are still the labels, exactly
 as ``crop_to_cube`` produces them.  ``cube_retention`` takes the total
@@ -130,16 +135,39 @@ def _centring_phase(k: np.ndarray, n: int) -> np.ndarray:
     return np.exp(2j * np.pi * k * (n // 2) / n)
 
 
-def cropped_transform(v: VideoWindow,
-                      cfg: SpectralConfig) -> tuple[np.ndarray, Spectrum3D]:
-    """Cropped per-frame spectra ``frames`` (a complex ``(T, ky, kx)``
-    array) and the cropped 3D cube from one pruned pass (described in the
-    module docstring).
+def _kept_frame_bins(data: np.ndarray, ky: np.ndarray, kx: np.ndarray,
+                     offset: float) -> np.ndarray:
+    """Unshifted 2D DFT of each frame of ``data - offset`` at the kept
+    indices ``ky`` x ``kx``, as a complex ``(T, ky, kx)`` array (the
+    frame-blocked Hermitian-half pass of the module docstring)."""
+    t_n, h, w = data.shape
+    n_half = int(np.abs(kx).max()) + 1
+    half = np.empty((t_n, h, n_half), dtype=np.complex128)
+    for t in range(t_n):
+        half[t] = np.fft.fft(np.fft.rfft(data[t], axis=1)[:, :n_half], axis=0)
+    half[:, 0, 0] -= offset * h * w
+    # np.take returns C-contiguous arrays; chained fancy indexing would
+    # leave them transposed, which slows every later stage
+    neg = kx < 0
+    frames = np.take(np.take(half, ky % h, axis=1), np.abs(kx), axis=2)
+    frames[:, :, neg] = np.take(np.take(half, -ky % h, axis=1), -kx[neg],
+                                axis=2).conj()
+    return frames
 
-    The cube equals (to rounding) ``crop_to_cube(spectral_transform(v,
-    cfg))`` at ``cfg.lowpass_ratio``, with the same bin grids.  ``frames``
-    equals ``spatial_transform(v)`` cropped by ``keep_mask_1d`` along y and
-    x and lies on the cube's ``freq_y``/``freq_x`` grids.
+
+def cropped_transform(v: VideoWindow, cfg: SpectralConfig,
+                      offset: float = 0.0) -> tuple[np.ndarray, Spectrum3D]:
+    """Cropped per-frame spectra ``frames`` (a complex ``(T, ky, kx)``
+    array) and the cropped 3D cube of ``v.data - offset`` from one pruned
+    pass (described in the module docstring).
+
+    ``offset`` comes off each frame's spatial DC bin as ``offset*H*W``
+    before the temporal FFT, so ``v.data`` is never copied.  The cube
+    equals (to rounding) ``crop_to_cube(spectral_transform(w, cfg))`` at
+    ``cfg.lowpass_ratio`` for ``w`` the window of ``v.data - offset``, with
+    the same bin grids.  ``frames`` equals ``spatial_transform(w)`` cropped
+    by ``keep_mask_1d`` along y and x and lies on the cube's
+    ``freq_y``/``freq_x`` grids.
     """
     ratio = cfg.lowpass_ratio
     t_n, h, w = v.data.shape
@@ -147,13 +175,8 @@ def cropped_transform(v: VideoWindow,
     ky = _kept_dft_index(h, ratio)
     kx = _kept_dft_index(w, ratio)
 
-    # kx is ascending, so the negative kept bins are a leading block
-    cols = np.fft.rfft(v.data, axis=2)[:, :, np.abs(kx)]
-    neg = cols[:, :, :np.count_nonzero(kx < 0)]
-    np.conjugate(neg, out=neg)
-    rows = np.fft.fft(cols, axis=1)[:, ky % h, :]
-    frames = rows * (_centring_phase(ky, h)[:, None]
-                     * _centring_phase(kx, w)[None, :])
+    frames = _kept_frame_bins(v.data, ky, kx, offset)
+    frames *= _centring_phase(ky, h)[:, None] * _centring_phase(kx, w)[None, :]
 
     taper = temporal_window(t_n, cfg.window_kind)
     cube = np.fft.fft(frames * taper[:, None, None], axis=0)[kt % t_n]

@@ -176,9 +176,10 @@ def synth_sim2(base_kind: str, spec: MotionSpec, frames_t: int, height: int,
         if vx != int(vx) or vy != int(vy):
             raise ConfigError("exactness mode needs integer per-frame shifts")
         base = make_base(base_kind, height, width, rng, taper=False)
-        frames = np.stack([
-            np.roll(base, shift=(int(vy) * t, int(vx) * t), axis=(0, 1))
-            for t in range(frames_t)])
+        frames = np.empty((frames_t, height, width))
+        for t in range(frames_t):
+            frames[t] = np.roll(base, shift=(int(vy) * t, int(vx) * t),
+                                axis=(0, 1))
     else:
         base = make_base(base_kind, height, width, rng)
         # pivot about (H//2, W//2): matches the spatial DFT phase origin

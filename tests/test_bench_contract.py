@@ -47,5 +47,7 @@ def test_tracer_counts_one_analyze(spans):
     counts = tracer.counts[tracer.op]
     assert counts["gates.build_samples.calls"] == 3
     assert counts["losses.ridge_wls_solve.calls"] == 4
+    # the 1/2 offset comes off the DC bins, not a normalized copy
+    assert counts["core.normalize_window.calls"] == 0
     for block in ("translation", "rotation", "scaling"):
         assert counts["samples." + block] > 0

@@ -3,13 +3,15 @@ import hashlib
 import json
 import math
 import os
+import pathlib
 
 import jsonschema
 import numpy as np
 import pytest
 
+from sim2spec import cli, synth
 from sim2spec.cli import main
-from sim2spec.core import save_video
+from sim2spec.core import SpectralConfig, save_video
 from sim2spec.synth import MotionSpec, synth_sim2
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "sim2spec",
@@ -120,15 +122,54 @@ def test_synth_scale_collapse_exit_2(tmp_path, capsys):
     assert "scale collapse" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("raw", [[1, 2], {"kind": "translation", "v": 5},
-                                 {"kind": "translation", "v": [1]},
-                                 {"T": None}])
-def test_synth_malformed_spec_exit_2(raw, tmp_path, capsys):
+@pytest.mark.parametrize("raw", [
+    [1, 2], {"kind": "translation", "v": 5}, {"kind": "translation", "v": [1]},
+    {"T": None},
+    # sizes that do not fit in memory
+    {"T": 10 ** 12}, {"H": 10 ** 7, "W": 10 ** 7},
+    {"kind": "translation", "v": [1, 0], "exact": True, "T": 10 ** 12}])
+def test_synth_malformed_spec_exit_2(raw, tmp_path, capsys, monkeypatch):
+    # an oversized clip fails at its first allocation, before any frame is
+    # rendered
+    def render(*args, **kwargs):
+        raise AssertionError("frame loop started")
+
+    monkeypatch.setattr(synth, "_bilinear", render)
+    monkeypatch.setattr(synth.np, "roll", render)
     spec_path = str(tmp_path / "spec.json")
     json.dump(raw, open(spec_path, "w"))
     assert main(["synth", spec_path, "--out", str(tmp_path / "x.raw")]) == 2
     assert "error: invalid spec" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "x.raw")
+
+
+def whole_read_digest(path):
+    """The manifest digest with every file read in one call."""
+    h = hashlib.sha256()
+    if os.path.isdir(path):
+        for name in sorted(os.listdir(path)):
+            h.update(name.encode())
+            h.update(pathlib.Path(path, name).read_bytes())
+    else:
+        h.update(pathlib.Path(path).read_bytes())
+        h.update(pathlib.Path(path + ".json").read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("chunk", [cli.DIGEST_CHUNK, 4097])
+def test_manifest_digest_streams_like_whole_read(chunk, tmp_path,
+                                                 monkeypatch):
+    monkeypatch.setattr(cli, "DIGEST_CHUNK", chunk)
+    # 20x128x128 float32 is 1.25 MiB: more than one default chunk
+    clip = synth_sim2("checker", MotionSpec(kind="static", seed=0), 20, 128,
+                      128)
+    raw = str(tmp_path / "clip.raw")
+    pgm = str(tmp_path / "frames")
+    save_video(clip, raw, "raw_f32")
+    save_video(clip, pgm, "pgm_dir")
+    inputs = cli.make_manifest("analyze", SpectralConfig(),
+                               {raw: raw, pgm: pgm})["inputs"]
+    assert inputs == {raw: whole_read_digest(raw), pgm: whole_read_digest(pgm)}
 
 
 def test_validate_bounds_suite(tmp_path):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from sim2spec.losses import (adaptive_composite, analyze, ridge_wls_solve,
 from sim2spec.resample import HarmonicStack
 from sim2spec.spectral import crop_to_cube, keep_mask_1d, signed_bins, \
     spatial_transform, spectral_transform
-from sim2spec import losses
+from sim2spec import losses, resample
 from sim2spec.synth import MotionSpec, make_rng, synth_sim2
 from sim2spec.bounds import window_leakage
 
@@ -488,8 +489,10 @@ def test_analyze_stage_labels():
 # the pruned transform leaves every report field where the full one put it
 
 
-def crop_of_full_transform(vn, cfg):
-    """Reference for ``cropped_transform``: full transforms, then crop."""
+def crop_of_full_transform(v, cfg, offset=0.0):
+    """Reference for ``cropped_transform``: the offset subtracted from the
+    data, then full transforms, then crop."""
+    vn = VideoWindow.from_array(v.data - offset)
     my = keep_mask_1d(vn.height, cfg.lowpass_ratio)
     mx = keep_mask_1d(vn.width, cfg.lowpass_ratio)
     return (spatial_transform(vn)[:, my][:, :, mx],
@@ -552,3 +555,49 @@ def test_band_edge_fields_stable_under_pruned_transform(cfg, monkeypatch):
     for key in ("diagnostics.trans_band_miss.", "stats.c_scale.",
                 "stats.c_rot."):
         assert abs(got[key] - ref[key]) <= 1e-12, key
+
+
+# ---------------------------------------------------------------------------
+# grid tables built once; no full-block temporaries
+
+
+def test_cached_grid_tables_give_cold_reports():
+    # sizes and configs interleaved so a table keyed on too little (the
+    # shape alone, or the grid without the ring count) would be reused
+    # where it does not belong
+    clip64 = make_fixture_clip("rotation", size=64)
+    calls = [(clip64, SpectralConfig()),
+             (make_fixture_clip("scaling", size=128), SpectralConfig()),
+             (clip64, SpectralConfig(rings=10)),
+             (REPORT_CLIPS["odd_8x33x47"](), SpectralConfig()),
+             (clip64, SpectralConfig())]
+    warm = [analyze(clip, c).to_dict() for clip, c in calls]
+    cold = []
+    for clip, c in calls:
+        resample._polar_lut.cache_clear()
+        resample._ring_masks.cache_clear()
+        cold.append(analyze(clip, c).to_dict())
+    assert warm == cold
+
+
+def test_cached_grid_tables_read_only():
+    fy, fx = signed_bins(33), signed_bins(47)
+    lut = resample.build_polar_lut(fy, fx, 20, 24)
+    masks = resample._ring_masks(resample._grid_key(fy),
+                                 resample._grid_key(fx), 20, 20.0)
+    for arr in (lut.rho, lut.theta, lut.indices, lut.weights, masks):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = 0
+
+
+def test_analyze_peak_allocation_below_two_blocks():
+    # no full-block temporary: the spectra are formed one frame at a time
+    # and the 1/2 offset comes off the DC bins instead of a shifted copy
+    clip = VideoWindow.from_array(make_rng(3).random((32, 256, 256)))
+    tracemalloc.start()
+    try:
+        analyze(clip)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * clip.data.nbytes

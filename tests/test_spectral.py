@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sim2spec.core import DegenerateInputError, SpectralConfig, VideoWindow, \
     normalize_window
@@ -236,10 +236,13 @@ def test_keep_count_properties(n, r1, r2):
 # pruned one-pass transform against the crop of the full transform
 
 
-def assert_pruned_matches_crop(data, kind, ratio):
-    vn = normalize_window(VideoWindow.from_array(data))
+def assert_pruned_matches_crop(data, kind, ratio, offset=0.0):
+    """``cropped_transform(v, cfg, offset)`` against the full transforms of
+    ``v.data - offset``, cropped."""
     cfg = SpectralConfig(window_kind=kind, lowpass_ratio=ratio)
-    frames, cube = cropped_transform(vn, cfg)
+    frames, cube = cropped_transform(VideoWindow.from_array(data), cfg,
+                                     offset=offset)
+    vn = VideoWindow.from_array(data - offset)
     ref_cube = crop_to_cube(spectral_transform(vn, cfg), ratio)
     for grid in ("freq_t", "freq_y", "freq_x"):
         assert np.array_equal(getattr(cube, grid), getattr(ref_cube, grid))
@@ -253,14 +256,24 @@ def assert_pruned_matches_crop(data, kind, ratio):
         assert np.abs(got - ref).max() <= 1e-10 * scale
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(2, 33), st.integers(5, 70), st.integers(5, 70),
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 33), st.integers(1, 70), st.integers(1, 70),
        st.sampled_from(["rect", "hann"]),
-       st.floats(1e-3, 1.0, exclude_min=True), st.integers(0, 2 ** 31))
+       st.floats(1e-3, 1.0, exclude_min=True),
+       st.one_of(st.sampled_from([0.0, 0.5]), st.floats(-2.0, 2.0)),
+       st.integers(0, 2 ** 31))
+@example(t_n=3, h=9, w=1, kind="hann", ratio=0.3, offset=0.5, seed=1)
+@example(t_n=4, h=1, w=1, kind="rect", ratio=0.3, offset=0.5, seed=2)
+@example(t_n=5, h=6, w=2, kind="rect", ratio=0.3, offset=0.0, seed=3)
+# at ratio 1.0 an even size keeps kx = -W/2, the column Hermitian
+# symmetry maps onto itself
+@example(t_n=6, h=8, w=10, kind="rect", ratio=1.0, offset=0.5, seed=4)
+@example(t_n=7, h=33, w=47, kind="hann", ratio=1.0, offset=0.37, seed=5)
+@example(t_n=9, h=31, w=45, kind="hann", ratio=0.3, offset=0.5, seed=6)
 def test_cropped_transform_matches_crop_property(t_n, h, w, kind, ratio,
-                                                 seed):
+                                                 offset, seed):
     data = make_rng(seed).random((t_n, h, w))
-    assert_pruned_matches_crop(data, kind, ratio)
+    assert_pruned_matches_crop(data, kind, ratio, offset=offset)
 
 
 @pytest.mark.parametrize("shape", [(8, 224, 47), (16, 224, 224),
@@ -268,7 +281,8 @@ def test_cropped_transform_matches_crop_property(t_n, h, w, kind, ratio,
 @pytest.mark.parametrize("kind", ["rect", "hann"])
 def test_cropped_transform_matches_crop_sizes(shape, kind):
     # 47 and 224 are sizes whose signed_bins labels are off (see below)
-    assert_pruned_matches_crop(make_rng(11).random(shape), kind, 0.3)
+    assert_pruned_matches_crop(make_rng(11).random(shape), kind, 0.3,
+                               offset=0.5)
 
 
 @settings(max_examples=40, deadline=None)

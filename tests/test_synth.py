@@ -25,6 +25,18 @@ def test_translation_exact_is_circular_shift():
         assert np.array_equal(clip.data[t], expected)
 
 
+def test_translation_exact_matches_stacked_rolls():
+    spec = MotionSpec(kind="translation", v=(3.0, -2.0), noise_sigma=0.01,
+                      seed=4)
+    clip = synth_sim2("bandpass_noise", spec, 6, 20, 28, exact=True)
+    rng = make_rng(4)
+    base = make_base("bandpass_noise", 20, 28, rng, taper=False)
+    ref = np.stack([np.roll(base, shift=(-2 * t, 3 * t), axis=(0, 1))
+                    for t in range(6)])
+    ref = np.clip(ref + 0.01 * rng.standard_normal(ref.shape), 0.0, 1.0)
+    assert np.array_equal(clip.data, ref)
+
+
 def test_translation_exact_requires_integer_v():
     spec = MotionSpec(kind="translation", v=(0.5, 0.0), seed=1)
     with pytest.raises(ConfigError):
