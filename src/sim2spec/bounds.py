@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import CalibrationMissingError, ConfigError, SpectralConfig
+from .core import (CalibrationMissingError, ConfigError, DegenerateInputError,
+                   SpectralConfig)
 from .losses import LossReport, analyze, ridge_wls_solve
 from .resample import build_polar_lut, polar_resample
 from .spectral import signed_bins, temporal_window
@@ -29,8 +30,7 @@ from .synth import MotionSpec, synth_sim2
 __all__ = [
     "BoundCheck", "Calibration", "window_leakage", "band_capture_check",
     "ring_entropy_bound", "ring_entropy_check", "ridge_inequality_check",
-    "band_capture_from_samples", "master_bound_check", "calibrate_interp",
-    "calibrate_flow",
+    "master_bound_check", "calibrate_interp", "calibrate_flow",
 ]
 
 REL_SLACK = 1e-9
@@ -68,6 +68,8 @@ def window_leakage(frames_t: int, delta: int, kind: str = "hann") -> float:
     if delta < 0:
         raise ConfigError("delta must be nonnegative")
     h = temporal_window(frames_t, kind)
+    if not np.any(h):
+        raise DegenerateInputError("temporal window is all zero")
     power = np.fft.fftshift(np.abs(np.fft.fft(h)) ** 2)
     bins = signed_bins(frames_t)
     return float(power[np.abs(bins) > delta].sum() / power.sum())
@@ -101,16 +103,6 @@ def band_capture_check(energies, errors, gates, delta: float,
     rhs = ratio / delta ** 2 * float((w * err * err).sum() / w.sum())
     ctx.update({"delta": delta, "gate_ratio": ratio})
     return BoundCheck(lhs, rhs, ctx)
-
-
-def band_capture_from_samples(samples, errors, delta: float,
-                              context: dict | None = None) -> BoundCheck:
-    """Band-capture check on a WeightedSamples block (gates recovered as
-    weight / energy; zero-energy samples carry nothing and are dropped)."""
-    keep = samples.energies > 0
-    gates = samples.weights[keep] / samples.energies[keep]
-    return band_capture_check(samples.energies[keep],
-                              np.asarray(errors)[keep], gates, delta, context)
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +156,12 @@ def ridge_inequality_check(design, targets, weights, lam: float,
     y = targets * np.sqrt(w)
     theta_ls, *_ = np.linalg.lstsq(x, y, rcond=None)
     r_star = float(((x @ theta_ls - y) ** 2).sum())
-    res = ridge_wls_solve(design, targets, w, lam)
-    lhs = res.residual * res.sum_w
+    theta, _ = ridge_wls_solve(x.T @ x, x.T @ y, float(w.sum()), lam)
+    lhs = float(((x @ theta - y) ** 2).sum())
     rhs = r_star + lam * float(theta_ls @ theta_ls)
     ctx = dict(context or {})
     ctx["lam"] = lam
-    return BoundCheck(float(lhs), rhs, ctx)
+    return BoundCheck(lhs, rhs, ctx)
 
 
 # ---------------------------------------------------------------------------

@@ -283,9 +283,13 @@ def suite_exactness(seed: int) -> tuple:
                             np.ones(500)])
     targets = rows @ theta_star
     weights = rng.uniform(0.2, 1.0, 500)
-    res = ridge_wls_solve(rows, targets, weights, 1e-8)
-    checks.append(BoundCheck(res.residual, 1e-10, {"bound": "hyperplane_residual"}))
-    checks.append(BoundCheck(float(np.max(np.abs(res.theta - theta_star))),
+    theta, _ = ridge_wls_solve(rows.T @ (rows * weights[:, None]),
+                               rows.T @ (weights * targets), weights.sum(),
+                               1e-8)
+    err = rows @ theta - targets
+    checks.append(BoundCheck(float(weights @ err ** 2 / weights.sum()), 1e-10,
+                             {"bound": "hyperplane_residual"}))
+    checks.append(BoundCheck(float(np.max(np.abs(theta - theta_star))),
                              1e-6, {"bound": "hyperplane_theta"}))
     return checks, _suite_summary("exactness", checks)
 

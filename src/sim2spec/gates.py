@@ -5,12 +5,13 @@ the noise floor from steering fits, and the observability gate
 ``m^2 / (m^2 + lambda_obs)`` removes harmonic samples that carry no motion
 information (exactly zero at m = 0).  The realized gate extremes are
 recorded with the samples because the concentration bounds need the gate
-ratio.
+ratio.  A block keeps its samples on their native grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,15 +23,16 @@ __all__ = ["WeightedSamples", "energy_gate", "obs_gate", "compute_weights",
 
 @dataclass(frozen=True)
 class WeightedSamples:
-    """Design rows, targets, energies and gated weights for one WLS fit.
+    """Columns, targets, energies and gated weights for one WLS block.
 
-    ``rows`` has the unified layout ``[omega_x, omega_y, m, nu, 1]``; slices
-    zero out the columns they do not use.  ``g_lo``/``g_hi`` bound the gate
-    factor over every carried sample (``w = g * E`` with ``g`` in
-    ``[g_lo, g_hi]``).
+    ``cols`` are the unified columns ``[omega_x, omega_y, m, nu, 1]``, each
+    a 1-D grid or a scalar (0 where the block does not use it) that
+    broadcasts against ``weights``, as do the targets ``-omega_t``.
+    ``g_lo``/``g_hi`` bound the gate factor over every carried sample
+    (``w = g * E`` with ``g`` in ``[g_lo, g_hi]``).
     """
 
-    rows: np.ndarray
+    cols: tuple
     targets: np.ndarray
     weights: np.ndarray
     energies: np.ndarray
@@ -38,14 +40,32 @@ class WeightedSamples:
     g_hi: float
 
     def __post_init__(self):
-        n = len(self.targets)
-        if self.rows.shape != (n, 5) or len(self.weights) != n \
-                or len(self.energies) != n:
-            raise ValueError("sample arrays must have matching lengths")
+        shape = self.weights.shape
+        if len(self.cols) != 5 or self.energies.shape != shape or shape != \
+                np.broadcast_shapes(shape, *map(np.shape, self.cols),
+                                    np.shape(self.targets)):
+            raise ValueError("sample arrays must broadcast to the weights")
 
     @property
     def n(self) -> int:
-        return len(self.targets)
+        return self.weights.size
+
+    @cached_property
+    def moments(self) -> tuple:
+        """``(gram, rhs, sum_w)`` = ``(sum w x x^T, sum w x y, sum w)``,
+        formed once; products with an all-zero factor are skipped."""
+        f = (*self.cols, self.targets)
+        live = [k for k, x in enumerate(f) if np.any(x)]
+        used = [k for k in live if k < 5]
+        m = np.zeros((5, 6))
+        m[np.ix_(used, live)] = [[float((self.weights * (f[i] * f[j])).sum())
+                                  for j in live] for i in used]
+        return m[:, :5], m[:, 5], m[4, 4]
+
+    def errors(self, theta) -> np.ndarray:
+        """Per-sample ``x . theta - y`` on the block's grid."""
+        err = sum(t * c for t, c in zip(theta, self.cols)) - self.targets
+        return np.broadcast_to(err, self.weights.shape)
 
 
 def energy_gate(energies: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
@@ -66,8 +86,8 @@ def obs_gate(harmonic_index: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
 def compute_weights(energies: np.ndarray, harmonic_index, cfg: SpectralConfig):
     """Gated weights plus the realized gate bounds ``(g_lo, g_hi)``.
 
-    ``harmonic_index`` is the per-sample m (or nu) for rotation/scaling
-    samples, or None for translation samples (observability gate 1).
+    ``harmonic_index`` is the m (or nu) of rotation/scaling samples (a grid
+    that broadcasts against ``energies``), or None for translation (gate 1).
     Bounds are taken over samples with a nonzero gate so the ratio
     ``g_hi/g_lo`` that feeds the band-capture bound is finite.
     """
@@ -84,14 +104,11 @@ def compute_weights(energies: np.ndarray, harmonic_index, cfg: SpectralConfig):
 
 def build_samples(omega_x, omega_y, m, nu, omega_t, energies,
                   harmonic_index, cfg: SpectralConfig) -> WeightedSamples:
-    """Assemble a WeightedSamples block in the unified row layout."""
-    energies = np.asarray(energies, dtype=np.float64).ravel()
-    n = energies.size
-    cols = []
-    for c in (omega_x, omega_y, m, nu):
-        c = np.asarray(c, dtype=np.float64).ravel()
-        cols.append(np.broadcast_to(c, (n,)) if c.size in (1, n) else c)
-    rows = np.column_stack(cols + [np.ones(n)])
-    targets = -np.asarray(omega_t, dtype=np.float64).ravel()
+    """Assemble a WeightedSamples block on the grid of ``energies``; the
+    columns, ``omega_t`` and ``harmonic_index`` broadcast against it."""
+    energies = np.asarray(energies, dtype=np.float64)
+    cols = tuple(np.asarray(c, dtype=np.float64)
+                 for c in (omega_x, omega_y, m, nu, 1.0))
+    targets = -np.asarray(omega_t, dtype=np.float64)
     w, g_lo, g_hi = compute_weights(energies, harmonic_index, cfg)
-    return WeightedSamples(rows, targets, w, energies, g_lo, g_hi)
+    return WeightedSamples(cols, targets, w, energies, g_lo, g_hi)

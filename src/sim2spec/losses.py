@@ -3,7 +3,7 @@ adaptive weighting, and the end-to-end analyze pipeline.
 
 Units and sign conventions (fixed once, used everywhere):
 
-* all fits run in signed frequency-bin coordinates; design rows are
+* all fits run in signed frequency-bin coordinates; design columns are
   ``[omega_x, omega_y, m, nu, 1]`` and targets ``-omega_t``
 * a pattern moving rightward at ``v`` px/frame fits a plane coefficient
   ``v * T / W`` (so px/frame = coefficient * W / T); analogous for y
@@ -18,7 +18,7 @@ Units and sign conventions (fixed once, used everywhere):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,45 +47,50 @@ class RidgeResult:
     theta: np.ndarray
     residual: float
     identifiable: bool
-    sum_w: float
 
 
-def ridge_wls_solve(design: np.ndarray, targets: np.ndarray,
-                    weights: np.ndarray, lam: float,
-                    jitter: float = 1e-8) -> RidgeResult:
-    """Solve the weighted ridge normal equations.
+CHOLESKY_JITTER = 1e-8
 
-    Factorization order: Cholesky of (X'WX + lam I); on failure the jitter
-    is added to the diagonal and the solve retried; the final fallback is
-    the pseudo-inverse (which at lam = 0 yields the min-norm LS solution).
-    The residual is the weight-normalized squared error.
-    """
-    design = np.asarray(design, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    sum_w = float(w.sum())
-    if sum_w <= 0.0 or not np.any(w > 0):
+
+def ridge_wls_solve(gram: np.ndarray, rhs: np.ndarray, sum_w: float,
+                    lam: float) -> tuple:
+    """``(theta, identifiable)`` of the ridge normal equations, from the
+    moments ``gram`` = X'WX, ``rhs`` = X'Wy and ``sum_w`` = sum(w).
+
+    Factorization order: Cholesky of (X'WX + lam I); on failure
+    ``CHOLESKY_JITTER`` is added to the diagonal and the solve retried; the
+    final fallback is the pseudo-inverse (min-norm LS at lam = 0)."""
+    if sum_w <= 0.0:
         raise UnobservableError("zero total weight")
-    gram = design.T @ (design * w[:, None])
-    rhs = design.T @ (w * targets)
-    a = gram + lam * np.eye(design.shape[1])
+    a = gram + lam * np.eye(len(rhs))
 
-    theta = None
     try:
         chol = np.linalg.cholesky(a)
         theta = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
     except np.linalg.LinAlgError:
         try:
-            chol = np.linalg.cholesky(a + jitter * np.eye(a.shape[0]))
+            chol = np.linalg.cholesky(a + CHOLESKY_JITTER * np.eye(len(rhs)))
             theta = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
         except np.linalg.LinAlgError:
             theta = np.linalg.pinv(a) @ rhs
 
-    err = design @ theta - targets
-    residual = float((w * err * err).sum() / sum_w)
     eig = np.linalg.eigvalsh(gram)
-    identifiable = bool(eig[0] > 1e-10 * max(1.0, eig[-1]))
-    return RidgeResult(theta, residual, identifiable, sum_w)
+    return theta, bool(eig[0] > 1e-10 * max(1.0, eig[-1]))
+
+
+def _fit(blocks, scales, cols, lam: float) -> tuple:
+    """Ridge fit over the list ``cols`` on the summed ``scale * moments``:
+    theta scattered into the 5-vector, the residual ``sum scale * w * err^2
+    / sum scale * w`` summed per sample, and each block's errors."""
+    gram, rhs, sum_w = (sum(s * x for s, x in zip(scales, part))
+                        for part in zip(*(b.moments for b in blocks)))
+    theta = np.zeros(5)
+    theta[cols], identifiable = ridge_wls_solve(gram[np.ix_(cols, cols)],
+                                                rhs[cols], sum_w, lam)
+    errs = [b.errors(theta) for b in blocks]
+    residual = sum(s * float((b.weights * e * e).sum())
+                   for b, s, e in zip(blocks, scales, errs)) / sum_w
+    return RidgeResult(theta, residual, identifiable), errs
 
 
 # ---------------------------------------------------------------------------
@@ -94,38 +99,31 @@ def ridge_wls_solve(design: np.ndarray, targets: np.ndarray,
 
 def translation_samples(s: Spectrum3D, cfg: SpectralConfig) -> WeightedSamples:
     """One sample per retained Cartesian bin (translation slice columns)."""
-    e = (np.abs(s.coeffs) ** 2).ravel()
-    wt, wy, wx = np.meshgrid(s.freq_t, s.freq_y, s.freq_x, indexing="ij")
-    return build_samples(wx.ravel(), wy.ravel(), 0.0, 0.0, wt.ravel(), e,
-                         None, cfg)
+    return build_samples(s.freq_x[None, None, :], s.freq_y[None, :, None],
+                         0.0, 0.0, s.freq_t[:, None, None],
+                         np.abs(s.coeffs) ** 2, None, cfg)
 
 
 def rotation_samples(stack: HarmonicStack, cfg: SpectralConfig) -> WeightedSamples:
     """One sample per (rho, m != 0, omega_t) angular-harmonic cell."""
     keep = stack.ang_m != 0
-    coeffs = stack.ang[:, keep, :]
-    m = np.broadcast_to(stack.ang_m[keep][None, :, None], coeffs.shape)
-    wt = np.broadcast_to(stack.freq_t[None, None, :], coeffs.shape)
-    e = np.abs(coeffs.ravel()) ** 2
-    return build_samples(0.0, 0.0, m.ravel(), 0.0, wt.ravel(), e,
-                         m.ravel(), cfg)
+    m = stack.ang_m[keep][None, :, None]
+    return build_samples(0.0, 0.0, m, 0.0, stack.freq_t[None, None, :],
+                         np.abs(stack.ang[:, keep, :]) ** 2, m, cfg)
 
 
 def scaling_samples(stack: HarmonicStack, cfg: SpectralConfig) -> WeightedSamples:
     """One sample per (nu != 0, omega_t) log-radial harmonic cell."""
     keep = stack.rad_nu != 0
-    coeffs = stack.rad[keep, :]
-    nu = np.broadcast_to(stack.rad_nu[keep][:, None], coeffs.shape)
-    wt = np.broadcast_to(stack.freq_t[None, :], coeffs.shape)
-    e = np.abs(coeffs.ravel()) ** 2
-    return build_samples(0.0, 0.0, 0.0, nu.ravel(), wt.ravel(), e,
-                         nu.ravel(), cfg)
+    nu = stack.rad_nu[keep][:, None]
+    return build_samples(0.0, 0.0, 0.0, nu, stack.freq_t[None, :],
+                         np.abs(stack.rad[keep, :]) ** 2, nu, cfg)
 
 
 # ---------------------------------------------------------------------------
 # slice machinery shared by the individual losses
 
-TRANS_COLS = (0, 1, 4)
+TRANS_COLS = [0, 1, 4]
 # integer synthetic motions put energy exactly on a band edge; without the
 # slack, rounding at the 1e-14 level decides whether it counts as inside
 BAND_EDGE_SLACK = 1e-9
@@ -134,27 +132,21 @@ BAND_EDGE_SLACK = 1e-9
 def _slice_fit(build, source, cols, cfg: SpectralConfig):
     """Build one motion slice's sample block and solve its ridge fit once.
 
-    Returns ``(fit, samples, capture)``: ``fit.theta`` is the full 5-vector
-    with the out-of-slice entries zero, and ``capture`` the raw-energy
-    fraction of the samples whose error under that fit lies within the
-    band tolerance.  A block with no usable weight, or whose fit is not
+    Returns ``(fit, samples, capture)``, ``capture`` being the raw-energy
+    fraction of the samples whose error under the fit lies within the band
+    tolerance.  A block with no usable weight, or whose fit is not
     identifiable, flags the slice as ``(None, None, 0.0)``.
     """
-    cols = list(cols)
     try:
         samples = build(source, cfg)
-        res = ridge_wls_solve(samples.rows[:, cols], samples.targets,
-                              samples.weights, cfg.ridge, cfg.numeric_eps)
+        fit, (err,) = _fit([samples], [1.0], cols, cfg.ridge)
     except UnobservableError:
         return None, None, 0.0
-    if not res.identifiable:
+    if not fit.identifiable:
         return None, None, 0.0
-    theta = np.zeros(5)
-    theta[cols] = res.theta
-    err = samples.rows @ theta - samples.targets
     in_band = np.abs(err) <= cfg.band_tolerance + BAND_EDGE_SLACK
     capture = float(samples.energies[in_band].sum() / samples.energies.sum())
-    return replace(res, theta=theta), samples, capture
+    return fit, samples, capture
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +240,7 @@ def rotation_loss(stack: HarmonicStack, rings: np.ndarray,
     ent = -np.sum(rings * np.log(rings + cfg.numeric_eps), axis=0)
     c_ring = float(np.clip(1.0 - ent.mean() / math.log(len(rings)), 0.0, 1.0))
     eps_nb = float(np.mean(1.0 - rings.max(axis=0)))
-    fit, samples, c_rot = _slice_fit(rotation_samples, stack, (2,), cfg)
+    fit, samples, c_rot = _slice_fit(rotation_samples, stack, [2], cfg)
     omega_bins = float(fit.theta[2]) if fit is not None else 0.0
     l_rot = 1.0 - 0.5 * (c_ring + c_rot)
     return RotationLoss(
@@ -296,7 +288,7 @@ def scaling_loss(rings: np.ndarray, stack: HarmonicStack,
             trend_flat = True
         slope = cov / var_t if var_t > 0 else 0.0
 
-    fit, samples, c_scale = _slice_fit(scaling_samples, stack, (3,), cfg)
+    fit, samples, c_scale = _slice_fit(scaling_samples, stack, [3], cfg)
     alpha_bins = float(fit.theta[3]) if fit is not None else 0.0
     n_xi = len(stack.rad_nu)
     l_scale = 1.0 - 0.5 * (c_flow + s_trend)
@@ -324,20 +316,14 @@ def unified_residual(trans: WeightedSamples | None,
                      cfg: SpectralConfig) -> RidgeResult:
     """Joint 5-parameter hyperplane fit over the blocks that are given.
 
-    Each block's energies are normalized to unit total before joining so no
-    domain swamps the others.
+    It solves on the sum of the block moments, each scaled by one over the
+    block's total energy so no domain swamps the others.
     """
     blocks = [s for s in (trans, rot, scale) if s is not None]
     if not blocks:
         raise UnobservableError("no samples for the unified fit")
-    weights = []
-    for s in blocks:
-        tot = float(s.energies.sum())
-        weights.append(s.weights * (1.0 / tot if tot > 0 else 1.0))
-    return ridge_wls_solve(np.vstack([s.rows for s in blocks]),
-                           np.concatenate([s.targets for s in blocks]),
-                           np.concatenate(weights), cfg.ridge,
-                           cfg.numeric_eps)
+    scales = [1.0 / float(s.energies.sum()) for s in blocks]
+    return _fit(blocks, scales, list(range(5)), cfg.ridge)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +458,7 @@ def analyze(v: VideoWindow, cfg: SpectralConfig | None = None) -> LossReport:
                                           ("scaling", scl))
                   if not r.flagged}
     except UnobservableError:
-        uni, slices = RidgeResult(np.zeros(5), 0.0, False, 0.0), {}
+        uni, slices = RidgeResult(np.zeros(5), 0.0, False), {}
 
     w, l_motion = adaptive_composite(trans.l_trans, rot.l_rot, scl.l_scale,
                                      cfg.softmax_temperature)
@@ -501,7 +487,7 @@ def analyze(v: VideoWindow, cfg: SpectralConfig | None = None) -> LossReport:
         "trans_band_miss": trans.band_miss,
         "gate_bounds": {name: [r.samples.g_lo, r.samples.g_hi]
                         for name, r in slices.items()},
-        "sum_w": {name: r.fit.sum_w for name, r in slices.items()},
+        "sum_w": {name: r.samples.moments[2] for name, r in slices.items()},
         "slice_theta_sqnorm": {name: float(r.fit.theta @ r.fit.theta)
                                for name, r in slices.items()},
         "flags": {

@@ -5,7 +5,7 @@ import pytest
 
 from sim2spec.bounds import Calibration, calibrate_flow, calibrate_interp
 from sim2spec.core import SpectralConfig
-from sim2spec.losses import analyze
+from sim2spec.losses import analyze, ridge_wls_solve
 from sim2spec.synth import MotionSpec, synth_sim2
 
 
@@ -39,6 +39,17 @@ def make_fixture_clip(kind, frames_t=16, size=128, noise=0.0, seed=None):
     if seed is not None:
         kw["seed"] = seed
     return synth_sim2(base, MotionSpec(**kw), frames_t, size, size)
+
+
+def solve_rows(design, targets, weights, lam):
+    """Ridge fit of a design matrix through the moment solver: returns
+    ``(theta, residual, identifiable)``, the residual weight-normalized."""
+    w = np.asarray(weights, dtype=np.float64)
+    theta, identifiable = ridge_wls_solve(
+        design.T @ (design * w[:, None]), design.T @ (w * targets), w.sum(),
+        lam)
+    err = design @ theta - targets
+    return theta, float((w * err * err).sum() / w.sum()), identifiable
 
 
 @pytest.fixture(scope="session")

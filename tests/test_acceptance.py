@@ -15,12 +15,11 @@ import pytest
 from sim2spec.bounds import window_leakage
 from sim2spec.cli import suite_bounds
 from sim2spec.core import SpectralConfig, normalize_window
-from sim2spec.losses import (adaptive_composite, analyze, ridge_wls_solve,
-                             rotation_loss)
+from sim2spec.losses import adaptive_composite, analyze, rotation_loss
 from sim2spec.spectral import EtaParams, cube_retention, eta_retention
 from sim2spec.synth import MotionSpec, make_rng, synth_powerlaw, synth_sim2
 
-from conftest import FIXTURE_SPECS, make_fixture_clip
+from conftest import FIXTURE_SPECS, make_fixture_clip, solve_rows
 from test_losses import constructed_stack, one_ring_energies
 
 
@@ -82,14 +81,15 @@ def test_acceptance_2_exactness(cfg_rect):
                             rng.integers(-6, 7, 800).astype(float),
                             np.ones(800)])
     targets = rows @ theta_star
-    res = ridge_wls_solve(rows, targets, rng.uniform(0.2, 1.0, 800), 1e-8)
-    assert res.residual <= 1e-10
-    assert np.max(np.abs(res.theta - theta_star)) <= 1e-6
+    theta, residual, _ = solve_rows(rows, targets,
+                                    rng.uniform(0.2, 1.0, 800), 1e-8)
+    assert residual <= 1e-10
+    assert np.max(np.abs(theta - theta_star)) <= 1e-6
     elapsed = time.time() - t0
     assert elapsed < 30.0
     announce(2, f"worst L_trans={worst_resid:.2e} worst |v_err|="
                 f"{worst_verr:.2e} px/frame, hyperplane residual="
-                f"{res.residual:.2e} ({elapsed:.1f}s)")
+                f"{residual:.2e} ({elapsed:.1f}s)")
 
 
 def test_acceptance_3_rotation(cfg, cfg_rect):
@@ -209,10 +209,10 @@ def test_acceptance_8_noise_consistency():
                             np.ones(n)])
     sigma2 = 0.01
     targets = rows @ theta_star + rng.normal(0, math.sqrt(sigma2), n)
-    res = ridge_wls_solve(rows, targets, rng.uniform(0.2, 1.0, n), 1e-3)
-    rel = abs(res.residual - sigma2) / sigma2
+    _, residual, _ = solve_rows(rows, targets, rng.uniform(0.2, 1.0, n), 1e-3)
+    rel = abs(residual - sigma2) / sigma2
     assert rel <= 0.10
-    announce(8, f"unified residual {res.residual:.5f} vs noise floor "
+    announce(8, f"unified residual {residual:.5f} vs noise floor "
                 f"{sigma2} (rel err {100 * rel:.1f}%, 10k samples)")
 
 

@@ -10,7 +10,7 @@ from sim2spec.bounds import (BoundCheck, Calibration, band_capture_check,
                              ring_entropy_bound, ring_entropy_check,
                              window_leakage)
 from sim2spec.core import (CalibrationMissingError, ConfigError,
-                           SpectralConfig)
+                           DegenerateInputError, SpectralConfig)
 from sim2spec.losses import analyze
 from sim2spec.synth import MotionSpec, make_rng, synth_sim2
 
@@ -43,6 +43,14 @@ def test_leakage_monotone_in_delta():
         vals = [window_leakage(t, d) for d in range(t // 2 + 1)]
         assert all(vals[i + 1] <= vals[i] + 1e-15 for i in range(len(vals) - 1))
         assert all(0.0 <= v <= 1.0 for v in vals)
+
+
+def test_leakage_all_zero_window_is_degenerate():
+    # the symmetric T=2 Hann window is all zero, so it has no spectral
+    # energy to split; the rect window at T=2 keeps all of it at DC
+    with pytest.raises(DegenerateInputError):
+        window_leakage(2, 1, "hann")
+    assert window_leakage(2, 1, "rect") == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +202,6 @@ def test_master_rotation_delta_sweep(cfg, calibration):
 
 
 def test_band_capture_from_samples_adapter(cfg_rect):
-    from sim2spec.bounds import band_capture_from_samples
     from sim2spec.losses import translation_loss
     from sim2spec.spectral import crop_to_cube, spectral_transform
     from sim2spec.core import normalize_window
@@ -204,8 +211,11 @@ def test_band_capture_from_samples_adapter(cfg_rect):
                        cfg_rect.lowpass_ratio)
     out = translation_loss(s3c, cfg_rect)
     samples = out.samples
-    errors = samples.rows @ out.fit.theta - samples.targets
-    chk = band_capture_from_samples(samples, errors, 1.0)
+    keep = samples.energies > 0
+    chk = band_capture_check(samples.energies[keep],
+                             samples.errors(out.fit.theta)[keep],
+                             samples.weights[keep] / samples.energies[keep],
+                             1.0)
     assert chk.holds
     assert chk.lhs <= 1e-9  # exactness-mode clip sits on the plane
 

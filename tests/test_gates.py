@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sim2spec.core import SpectralConfig, UnobservableError
 from sim2spec.gates import build_samples, compute_weights, energy_gate, obs_gate
+from sim2spec.synth import make_rng
 
 CFG = SpectralConfig()
 
@@ -77,7 +78,51 @@ def test_build_samples_layout():
                       nu=0.0, omega_t=np.array([3.0, -1.0]),
                       energies=np.array([1.0, 0.5]), harmonic_index=None,
                       cfg=CFG)
-    assert s.rows.shape == (2, 5)
-    assert np.allclose(s.rows[:, 0], [1.0, 2.0])
-    assert np.allclose(s.rows[:, 4], 1.0)
+    assert s.n == 2 and len(s.cols) == 5
+    assert np.allclose(s.cols[0], [1.0, 2.0])
+    assert np.allclose(s.cols[4], 1.0)
     assert np.allclose(s.targets, [-3.0, 1.0])
+
+
+def random_block(kind, a, b, c, rng):
+    """A sample block on a random native grid, and the explicit row matrix
+    ``[omega_x, omega_y, m, nu, 1]``, targets and weights it stands for."""
+    ints = lambda k: rng.choice([-1, 1], k) * rng.integers(1, 7, k)
+    if kind == "translation":
+        wt, wy, wx = (rng.normal(size=k) * 4 for k in (a, b, c))
+        grids = (wx[None, None, :], wy[None, :, None], 0.0, 0.0,
+                 wt[:, None, None])
+        shape, hidx = (a, b, c), None
+    elif kind == "rotation":
+        m, wt = ints(b), rng.normal(size=c) * 4
+        grids = (0.0, 0.0, m[None, :, None], 0.0, wt[None, None, :])
+        shape, hidx = (a, b, c), grids[2]
+    else:
+        nu, wt = ints(a), rng.normal(size=b) * 4
+        grids = (0.0, 0.0, 0.0, nu[:, None], wt[None, :])
+        shape, hidx = (a, b), grids[3]
+    e = rng.uniform(0.01, 1.0, shape)
+    s = build_samples(*grids, e, hidx, CFG)
+    full = [np.broadcast_to(g, shape).ravel() for g in grids]
+    rows = np.column_stack(full[:4] + [np.ones(e.size)])
+    return s, rows, -full[4], s.weights.ravel()
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["translation", "rotation", "scaling"]),
+       st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_block_moments_match_row_matrix(kind, a, b, c, seed):
+    rng = make_rng(seed)
+    s, rows, targets, w = random_block(kind, a, b, c, rng)
+    gram, rhs, sum_w = s.moments
+    ref_gram = rows.T @ (rows * w[:, None])
+    ref_rhs = rows.T @ (w * targets)
+    assert s.n == len(w)
+    assert np.abs(gram - ref_gram).max() <= 1e-12 * np.abs(ref_gram).max()
+    assert np.abs(rhs - ref_rhs).max() <= 1e-12 * np.abs(ref_rhs).max()
+    assert sum_w == pytest.approx(w.sum(), rel=1e-12)
+    theta = rng.normal(size=5)
+    ref_err = rows @ theta - targets
+    assert np.abs(s.errors(theta).ravel() - ref_err).max() \
+        <= 1e-12 * np.abs(ref_err).max()

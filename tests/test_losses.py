@@ -14,10 +14,11 @@ from sim2spec.resample import HarmonicStack
 from sim2spec.spectral import crop_to_cube, keep_mask_1d, signed_bins, \
     spatial_transform, spectral_transform
 from sim2spec import losses, resample
+from sim2spec.cli import EXACTNESS_VELOCITIES
 from sim2spec.synth import MotionSpec, make_rng, synth_sim2
 from sim2spec.bounds import window_leakage
 
-from conftest import make_fixture_clip
+from conftest import make_fixture_clip, solve_rows
 
 RECT = SpectralConfig(window_kind="rect")
 
@@ -32,9 +33,9 @@ def test_ridge_exact_system():
     theta_star = np.array([1.5, -2.0, 0.25])
     targets = design @ theta_star
     w = rng.uniform(0.5, 2.0, 50)
-    res = ridge_wls_solve(design, targets, w, 0.0)
-    assert res.residual <= 1e-12
-    assert np.max(np.abs(res.theta - theta_star)) <= 1e-9
+    theta, residual, _ = solve_rows(design, targets, w, 0.0)
+    assert residual <= 1e-12
+    assert np.max(np.abs(theta - theta_star)) <= 1e-9
 
 
 def test_ridge_residual_bounded_by_lambda_term():
@@ -44,8 +45,8 @@ def test_ridge_residual_bounded_by_lambda_term():
     targets = design @ theta_star
     w = rng.uniform(0.5, 2.0, 80)
     for lam in (1e-4, 1e-2, 1.0):
-        res = ridge_wls_solve(design, targets, w, lam)
-        assert res.residual <= lam * float(theta_star @ theta_star) / w.sum() \
+        _, residual, _ = solve_rows(design, targets, w, lam)
+        assert residual <= lam * float(theta_star @ theta_star) / w.sum() \
             + 1e-15
 
 
@@ -55,28 +56,28 @@ def test_ridge_matches_whitened_lstsq_oracle():
     targets = rng.normal(size=200)
     w = rng.uniform(0.1, 3.0, 200)
     lam = 1e-3
-    res = ridge_wls_solve(design, targets, w, lam)
+    theta, _, _ = solve_rows(design, targets, w, lam)
     # independent oracle: augmented least squares on whitened rows
     x = np.vstack([design * np.sqrt(w)[:, None],
                    math.sqrt(lam) * np.eye(3)])
     y = np.concatenate([targets * np.sqrt(w), np.zeros(3)])
     oracle, *_ = np.linalg.lstsq(x, y, rcond=None)
-    assert np.max(np.abs(res.theta - oracle)) <= 1e-8 * max(1, np.abs(oracle).max())
+    assert np.max(np.abs(theta - oracle)) <= 1e-8 * max(1, np.abs(oracle).max())
 
 
 def test_ridge_rank_deficient_falls_back():
     design = np.ones((10, 2))
     design[:, 1] = 2.0  # collinear columns
     targets = np.full(10, 3.0)
-    res = ridge_wls_solve(design, targets, np.ones(10), 0.0)
-    assert res.residual <= 1e-18
-    assert not res.identifiable
+    _, residual, identifiable = solve_rows(design, targets, np.ones(10), 0.0)
+    assert residual <= 1e-18
+    assert not identifiable
 
 
 def test_ridge_zero_weights_error():
     from sim2spec.core import UnobservableError
     with pytest.raises(UnobservableError):
-        ridge_wls_solve(np.ones((4, 2)), np.ones(4), np.zeros(4), 1e-3)
+        solve_rows(np.ones((4, 2)), np.ones(4), np.zeros(4), 1e-3)
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +121,7 @@ def test_translation_hann_band_miss_within_leakage():
     s3c = analyzed_spectrum(clip, cfg)
     out = translation_loss(s3c, cfg)
     samples = out.samples
-    err = samples.rows @ out.fit.theta - samples.targets
+    err = samples.errors(out.fit.theta)
     miss = samples.energies[np.abs(err) > cfg.band_tolerance + 0.01].sum()
     miss /= samples.energies.sum()
     eps_win = window_leakage(32, cfg.band_tolerance, "hann")
@@ -266,23 +267,30 @@ def hyperplane_samples(n, theta_star, sigma=0.0, seed=9):
                             np.ones(n)])
     targets = rows @ theta_star + (sigma * rng.normal(size=n) if sigma else 0)
     w = rng.uniform(0.2, 1.0, n)
-    return WeightedSamples(rows, targets, w, np.ones(n), 0.5, 1.0)
+    return WeightedSamples(tuple(rows.T), targets, w, np.ones(n), 0.5, 1.0)
+
+
+def moment_fit(s, lam):
+    """Ridge fit on a block's moments: ``(theta, residual)``."""
+    theta, _ = ridge_wls_solve(*s.moments, lam)
+    err = s.errors(theta)
+    return theta, float((s.weights * err * err).sum() / s.weights.sum())
 
 
 def test_unified_exact_hyperplane():
     theta_star = np.array([0.1, -0.2, 0.3, 0.05, 0.0])
     s = hyperplane_samples(800, theta_star)
-    res = ridge_wls_solve(s.rows, s.targets, s.weights, 1e-8)
-    assert res.residual <= 1e-10
-    assert np.max(np.abs(res.theta - theta_star)) <= 1e-6
+    theta, residual = moment_fit(s, 1e-8)
+    assert residual <= 1e-10
+    assert np.max(np.abs(theta - theta_star)) <= 1e-6
 
 
 def test_unified_noise_floor_montecarlo():
     theta_star = np.array([0.1, -0.2, 0.3, 0.05, 0.0])
     sigma2 = 0.01
     s = hyperplane_samples(10_000, theta_star, sigma=math.sqrt(sigma2))
-    res = ridge_wls_solve(s.rows, s.targets, s.weights, 1e-3)
-    assert abs(res.residual - sigma2) <= 0.10 * sigma2
+    _, residual = moment_fit(s, 1e-3)
+    assert abs(residual - sigma2) <= 0.10 * sigma2
 
 
 def test_translation_slice_matches_l_trans(motion_clips, cfg):
@@ -290,6 +298,18 @@ def test_translation_slice_matches_l_trans(motion_clips, cfg):
     slice_res = rep.slice_residuals["translation"]
     a, b = slice_res, rep.l_trans
     assert abs(a - b) <= 0.10 * max(a, b) + 1e-12
+
+
+@pytest.mark.parametrize("vel", EXACTNESS_VELOCITIES)
+def test_exact_translation_residuals_nonnegative(vel):
+    i = EXACTNESS_VELOCITIES.index(vel)
+    clip = synth_sim2("bandpass_noise",
+                      MotionSpec(kind="translation", v=vel, seed=i),
+                      32, 32, 32, exact=True)
+    rep = analyze(clip, RECT)
+    assert set(rep.slice_residuals) == {"translation", "rotation", "scaling"}
+    assert all(r >= 0.0 for r in rep.slice_residuals.values())
+    assert rep.l_uni >= 0.0
 
 
 def test_unified_slice_layout(motion_reports):
@@ -343,7 +363,7 @@ def loss_results(clip, cfg, monkeypatch):
 
 
 def in_band_fraction(result, cfg):
-    err = result.samples.rows @ result.fit.theta - result.samples.targets
+    err = result.samples.errors(result.fit.theta)
     inside = np.abs(err) <= cfg.band_tolerance + losses.BAND_EDGE_SLACK
     e = result.samples.energies
     return float(e[inside].sum() / e.sum())
