@@ -31,7 +31,7 @@ import tracemalloc
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = ((16, 64, 64), (16, 128, 128), (32, 256, 256))
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-               "BLIS_NUM_THREADS", "SIM2SPEC_THREADS")
+               "BLIS_NUM_THREADS")
 
 
 def min_ms(fn, repeats: int) -> float:

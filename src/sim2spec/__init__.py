@@ -17,8 +17,7 @@ from .core import (CalibrationMissingError, ConfigError, DegenerateInputError,
 from .losses import (LossReport, adaptive_composite, analyze, rotation_loss,
                      scaling_loss, translation_loss, unified_residual,
                      ridge_wls_solve)
-from .spectral import (EtaParams, Spectrum3D, eta_retention,
-                       measured_retention, spectral_transform)
+from .spectral import EtaParams, Spectrum3D, eta_retention
 from .synth import MotionSpec, synth_powerlaw, synth_sim2
 
 __all__ = [
@@ -26,8 +25,7 @@ __all__ = [
     "VideoWindow", "SpectralConfig", "MotionEstimate", "MotionSpec",
     "Spectrum3D", "EtaParams", "LossReport",
     "load_video", "save_video", "normalize_window",
-    "spectral_transform", "eta_retention",
-    "measured_retention", "analyze", "adaptive_composite",
+    "eta_retention", "analyze", "adaptive_composite",
     "translation_loss", "rotation_loss", "scaling_loss", "unified_residual",
     "ridge_wls_solve", "synth_sim2", "synth_powerlaw",
     "Sim2Error", "FormatError", "ConfigError", "UnobservableError",

@@ -14,7 +14,6 @@ zero-rate anchor where the line ratio is high but both proxies are not).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -172,23 +171,6 @@ def ridge_inequality_check(design, targets, weights, lam: float,
 class Calibration:
     eps_interp: float
     delta_flow: float
-    config_hash: str
-    rng: str = "numpy.random.Philox"
-
-    def to_dict(self) -> dict:
-        return {"eps_interp": self.eps_interp, "delta_flow": self.delta_flow,
-                "config_hash": self.config_hash, "rng": self.rng}
-
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=1)
-
-    @classmethod
-    def load(cls, path: str) -> "Calibration":
-        with open(path, "r", encoding="utf-8") as fh:
-            d = json.load(fh)
-        return cls(float(d["eps_interp"]), float(d["delta_flow"]),
-                   str(d.get("config_hash", "")), str(d.get("rng", "")))
 
 
 def _o_lambda(report: LossReport, name: str) -> float:

@@ -76,33 +76,33 @@ def make_manifest(command: str, cfg: SpectralConfig, inputs: dict) -> dict:
     }
 
 
+# one row per SpectralConfig field: (flag, field, type or choices, help)
+CONFIG_FLAGS = (
+    ("--rho", "lowpass_ratio", float, "low-pass ratio per dimension"),
+    ("--rings", "rings", int, None),
+    ("--angular-bins", "angular_bins", int, None),
+    ("--logradius-bins", "logradius_bins", int, None),
+    ("--delta", "band_tolerance", int, "tilted-line band tolerance (bins)"),
+    ("--ridge", "ridge", float, None),
+    ("--tau", "softmax_temperature", float, "softmax temperature"),
+    ("--tau-e", "energy_gate_threshold", float, "energy gate threshold"),
+    ("--gate-sharpness", "energy_gate_sharpness", float, None),
+    ("--window", "window_kind", ("hann", "rect"), None),
+)
+
+
 def add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rho", type=float, default=None, help="low-pass ratio per dimension")
-    p.add_argument("--rings", type=int, default=None)
-    p.add_argument("--angular-bins", type=int, default=None)
-    p.add_argument("--logradius-bins", type=int, default=None)
-    p.add_argument("--delta", type=int, default=None, help="tilted-line band tolerance (bins)")
-    p.add_argument("--ridge", type=float, default=None)
-    p.add_argument("--tau", type=float, default=None, help="softmax temperature")
-    p.add_argument("--tau-e", type=float, default=None, help="energy gate threshold")
-    p.add_argument("--gate-sharpness", type=float, default=None)
-    p.add_argument("--window", choices=("hann", "rect"), default=None)
+    for flag, _, kind, help_text in CONFIG_FLAGS:
+        p.add_argument(flag, default=None, help=help_text,
+                       **({"choices": kind} if isinstance(kind, tuple)
+                          else {"type": kind}))
 
 
 def config_from_args(args) -> SpectralConfig:
-    mapping = {
-        "rho": "lowpass_ratio", "rings": "rings",
-        "angular_bins": "angular_bins", "logradius_bins": "logradius_bins",
-        "delta": "band_tolerance", "ridge": "ridge",
-        "tau": "softmax_temperature", "tau_e": "energy_gate_threshold",
-        "gate_sharpness": "energy_gate_sharpness", "window": "window_kind",
-    }
-    overrides = {}
-    for arg_name, cfg_name in mapping.items():
-        val = getattr(args, arg_name, None)
-        if val is not None:
-            overrides[cfg_name] = val
-    return SpectralConfig(**overrides)
+    overrides = {field: getattr(args, flag[2:].replace("-", "_"), None)
+                 for flag, field, _, _ in CONFIG_FLAGS}
+    return SpectralConfig(**{k: v for k, v in overrides.items()
+                             if v is not None})
 
 
 def _load_any(path: str, fmt: str | None) -> "VideoWindow":
@@ -398,7 +398,7 @@ def cmd_sweep(args) -> int:
 
     base_cfg = config_from_args(args)
     cal = Calibration(calibrate_interp(cfg=base_cfg),
-                      calibrate_flow(cfg=base_cfg), base_cfg.stable_hash())
+                      calibrate_flow(cfg=base_cfg))
     fixture = "mixed" if args.param == "tau" else "rotation"
     base_kind, spec_kw = SWEEP_FIXTURES[fixture]
 

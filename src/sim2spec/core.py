@@ -106,6 +106,10 @@ class VideoWindow:
         return self.data.shape
 
 
+# guard added to denominators (and inside logs) of the normalized statistics
+NUMERIC_EPS = 1e-8
+
+
 # Defaults below are the fixed values used for all main runs; override per
 # call site only in sweeps or tests.
 @dataclass(frozen=True)
@@ -116,12 +120,9 @@ class SpectralConfig:
     logradius_bins: int = 24
     band_tolerance: int = 1
     ridge: float = 1e-3
-    numeric_eps: float = 1e-8
     energy_gate_threshold: float = 0.10
     energy_gate_sharpness: float = 10.0
-    obs_gate: float = 1.0
     softmax_temperature: float = 0.1
-    soft_ring_edge: float = 20.0
     window_kind: str = "hann"
 
     def __post_init__(self):
@@ -137,8 +138,6 @@ class SpectralConfig:
             raise ConfigError("band_tolerance must be >= 1")
         if self.ridge < 0:
             raise ConfigError("ridge must be nonnegative")
-        if self.numeric_eps <= 0:
-            raise ConfigError("numeric_eps must be positive")
         if self.softmax_temperature <= 0:
             raise ConfigError("softmax_temperature must be positive")
         if self.window_kind not in ("hann", "rect"):

@@ -20,6 +20,10 @@ from .core import SpectralConfig, UnobservableError
 __all__ = ["WeightedSamples", "energy_gate", "obs_gate", "compute_weights",
            "build_samples"]
 
+# lambda_obs of the observability gate m^2 / (m^2 + lambda_obs): half weight
+# at |m| = 1
+OBS_GATE_LAMBDA = 1.0
+
 
 @dataclass(frozen=True)
 class WeightedSamples:
@@ -77,10 +81,10 @@ def energy_gate(energies: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def obs_gate(harmonic_index: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
+def obs_gate(harmonic_index: np.ndarray) -> np.ndarray:
     """m^2 / (m^2 + lambda_obs); zero at m = 0, approaching 1 for large m."""
     m2 = np.asarray(harmonic_index, dtype=np.float64) ** 2
-    return m2 / (m2 + cfg.obs_gate)
+    return m2 / (m2 + OBS_GATE_LAMBDA)
 
 
 def compute_weights(energies: np.ndarray, harmonic_index, cfg: SpectralConfig):
@@ -94,7 +98,7 @@ def compute_weights(energies: np.ndarray, harmonic_index, cfg: SpectralConfig):
     energies = np.asarray(energies, dtype=np.float64)
     g = energy_gate(energies, cfg)
     if harmonic_index is not None:
-        g = g * obs_gate(harmonic_index, cfg)
+        g = g * obs_gate(harmonic_index)
     w = g * energies
     positive = g > 0.0
     if not np.any(positive):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DegenerateInputError, MotionEstimate, SpectralConfig,
-                   UnobservableError, VideoWindow)
+from .core import (NUMERIC_EPS, DegenerateInputError, MotionEstimate,
+                   SpectralConfig, UnobservableError, VideoWindow)
 from .gates import WeightedSamples, build_samples
 from .resample import (HarmonicStack, build_polar_lut, make_stack,
                        max_safe_radius, polar_resample, ring_energies)
@@ -49,33 +49,23 @@ class RidgeResult:
     identifiable: bool
 
 
-CHOLESKY_JITTER = 1e-8
-
-
 def ridge_wls_solve(gram: np.ndarray, rhs: np.ndarray, sum_w: float,
                     lam: float) -> tuple:
     """``(theta, identifiable)`` of the ridge normal equations, from the
     moments ``gram`` = X'WX, ``rhs`` = X'Wy and ``sum_w`` = sum(w).
 
-    Factorization order: Cholesky of (X'WX + lam I); on failure
-    ``CHOLESKY_JITTER`` is added to the diagonal and the solve retried; the
-    final fallback is the pseudo-inverse (min-norm LS at lam = 0)."""
+    One symmetric eigendecomposition ``gram = V diag(e) V'`` gives both:
+    ``theta = V ((V' rhs) / (e + lam))`` over the eigenpairs whose
+    ``e + lam`` lies above rounding level (``n eps max(e + lam)``), which is
+    the pseudo-inverse's min-norm answer at lam = 0; the fit is identifiable
+    when ``e_min > 1e-10 max(1, e_max)``."""
     if sum_w <= 0.0:
         raise UnobservableError("zero total weight")
-    a = gram + lam * np.eye(len(rhs))
-
-    try:
-        chol = np.linalg.cholesky(a)
-        theta = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-    except np.linalg.LinAlgError:
-        try:
-            chol = np.linalg.cholesky(a + CHOLESKY_JITTER * np.eye(len(rhs)))
-            theta = np.linalg.solve(chol.T, np.linalg.solve(chol, rhs))
-        except np.linalg.LinAlgError:
-            theta = np.linalg.pinv(a) @ rhs
-
-    eig = np.linalg.eigvalsh(gram)
-    return theta, bool(eig[0] > 1e-10 * max(1.0, eig[-1]))
+    e, v = np.linalg.eigh(gram)
+    d = e + lam
+    keep = d > len(d) * np.finfo(np.float64).eps * d.max()
+    theta = v[:, keep] @ ((v[:, keep].T @ rhs) / d[keep])
+    return theta, bool(e[0] > 1e-10 * max(1.0, e[-1]))
 
 
 def _fit(blocks, scales, cols, lam: float) -> tuple:
@@ -237,7 +227,7 @@ def rotation_loss(stack: HarmonicStack, rings: np.ndarray,
     carries a tone at m*omega rad/frame, which aliases once |m*omega| >= pi
     and then biases the slope toward zero.
     """
-    ent = -np.sum(rings * np.log(rings + cfg.numeric_eps), axis=0)
+    ent = -np.sum(rings * np.log(rings + NUMERIC_EPS), axis=0)
     c_ring = float(np.clip(1.0 - ent.mean() / math.log(len(rings)), 0.0, 1.0))
     eps_nb = float(np.mean(1.0 - rings.max(axis=0)))
     fit, samples, c_rot = _slice_fit(rotation_samples, stack, [2], cfg)
@@ -262,7 +252,7 @@ def scaling_loss(rings: np.ndarray, stack: HarmonicStack,
     0 with ``trend_flat`` set.
     """
     nt = rings.shape[1]
-    eps = cfg.numeric_eps
+    eps = NUMERIC_EPS
     trend_flat = False
     rho_c = _radial_centroid(rings, eps)
 
@@ -451,14 +441,11 @@ def analyze(v: VideoWindow, cfg: SpectralConfig | None = None) -> LossReport:
         rot = rotation_loss(stack, rings, cfg)
         scl = scaling_loss(rings, stack, cfg)
 
-    try:
-        uni = unified_residual(trans.samples, rot.samples, scl.samples, cfg)
-        slices = {name: r for name, r in (("translation", trans),
-                                          ("rotation", rot),
-                                          ("scaling", scl))
-                  if not r.flagged}
-    except UnobservableError:
-        uni, slices = RidgeResult(np.zeros(5), 0.0, False), {}
+    slices = {name: r for name, r in (("translation", trans),
+                                      ("rotation", rot), ("scaling", scl))
+              if not r.flagged}
+    uni = (unified_residual(trans.samples, rot.samples, scl.samples, cfg)
+           if slices else RidgeResult(np.zeros(5), 0.0, False))
 
     w, l_motion = adaptive_composite(trans.l_trans, rot.l_rot, scl.l_scale,
                                      cfg.softmax_temperature)

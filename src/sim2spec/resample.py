@@ -24,11 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, SpectralConfig
+from .core import NUMERIC_EPS, ConfigError, SpectralConfig
 from .spectral import signed_bins, temporal_window
 
 __all__ = ["PolarLUT", "HarmonicStack", "build_polar_lut", "polar_resample",
            "make_stack", "ring_energies", "max_safe_radius"]
+
+# logistic slope (per bin) of the soft ring edges
+SOFT_RING_EDGE = 20.0
 
 
 def max_safe_radius(freq_y: np.ndarray, freq_x: np.ndarray) -> float:
@@ -170,8 +173,6 @@ def make_stack(polar: np.ndarray, cfg: SpectralConfig) -> HarmonicStack:
     n_xi = cfg.logradius_bins
     if n_theta < 4:
         raise ConfigError("need at least 4 angular samples")
-    if n_xi < 4:
-        raise ConfigError("need at least 4 log-radius bins")
     h = temporal_window(nt, cfg.window_kind)
     ang = np.fft.fftshift(np.fft.fftn(polar * h, axes=(1, 2)), axes=(1, 2))
     # m = 0 sits at position n_theta // 2 after the shift
@@ -232,13 +233,11 @@ def ring_energies(energy: np.ndarray, freq_y: np.ndarray,
     silent frames.  The temporal trend of these distributions is what the
     scaling statistics read.
     """
-    if cfg.rings < 2:
-        raise ConfigError("need at least 2 rings")
     if energy.shape[1:] != (len(freq_y), len(freq_x)):
         raise ConfigError(f"energy is {energy.shape[1:]}, grids are "
                           f"{(len(freq_y), len(freq_x))}")
     masks = _ring_masks(_grid_key(freq_y), _grid_key(freq_x), cfg.rings,
-                        cfg.soft_ring_edge)
+                        SOFT_RING_EDGE)
     sums = masks.reshape(cfg.rings, -1) @ energy.reshape(len(energy), -1).T
     totals = sums.sum(axis=0)
-    return sums / (totals + cfg.numeric_eps)[None, :]
+    return sums / (totals + NUMERIC_EPS)[None, :]

@@ -26,8 +26,9 @@ is wrong for many ``n``; the returned grids are still the labels, exactly
 as ``crop_to_cube`` produces them.  ``cube_retention`` takes the total
 energy from the time domain by Parseval,
 ``T*H*W * sum_t h_t^2 * sum_{y,x} x_t^2``, so the full spectrum is never
-formed.  ``spatial_transform``, ``spectral_transform`` and ``crop_to_cube``
-remain as the full-spectrum reference.
+formed.  ``spatial_transform``, ``spectral_transform``, ``crop_to_cube`` and
+``measured_retention`` remain as the full-spectrum reference, outside
+``__all__``.
 """
 
 from __future__ import annotations
@@ -46,13 +47,9 @@ __all__ = [
     "signed_bins",
     "keep_count",
     "keep_mask_1d",
-    "spatial_transform",
-    "spectral_transform",
-    "crop_to_cube",
     "cropped_transform",
     "eta_retention",
     "cube_retention",
-    "measured_retention",
 ]
 
 

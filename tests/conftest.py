@@ -64,5 +64,4 @@ def motion_reports(motion_clips, cfg):
 
 @pytest.fixture(scope="session")
 def calibration(cfg):
-    return Calibration(calibrate_interp(cfg=cfg), calibrate_flow(cfg=cfg),
-                       cfg.stable_hash())
+    return Calibration(calibrate_interp(cfg=cfg), calibrate_flow(cfg=cfg))

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sim2spec.bounds import (BoundCheck, Calibration, band_capture_check,
-                             calibrate_flow, calibrate_interp,
-                             master_bound_check, ridge_inequality_check,
-                             ring_entropy_bound, ring_entropy_check,
-                             window_leakage)
+from sim2spec.bounds import (BoundCheck, band_capture_check, calibrate_flow,
+                             calibrate_interp, master_bound_check,
+                             ridge_inequality_check, ring_entropy_bound,
+                             ring_entropy_check, window_leakage)
 from sim2spec.core import (CalibrationMissingError, ConfigError,
                            DegenerateInputError, SpectralConfig)
 from sim2spec.losses import analyze
@@ -244,15 +243,6 @@ def test_bound_check_slack_sign():
 
 # ---------------------------------------------------------------------------
 # calibration
-
-
-def test_calibration_roundtrip(tmp_path, calibration):
-    path = str(tmp_path / "cal.json")
-    calibration.save(path)
-    back = Calibration.load(path)
-    assert back.eps_interp == calibration.eps_interp
-    assert back.delta_flow == calibration.delta_flow
-    assert back.rng == "numpy.random.Philox"
 
 
 def test_calibrate_interp_positive_bounded(calibration):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -42,6 +43,26 @@ def test_analyze_fixture_argmax(trans_clip_path, tmp_path):
     weights = payload["report"]["weights"]
     assert max(weights, key=weights.get) == "translation"
     assert payload["manifest"]["config"]["lowpass_ratio"] == 0.3
+
+
+def test_config_flags_mirror_config_fields():
+    fields = [f.name for f in dataclasses.fields(SpectralConfig)]
+    table = [field for _, field, _, _ in cli.CONFIG_FLAGS]
+    flags = [flag for flag, _, _, _ in cli.CONFIG_FLAGS]
+    assert sorted(table) == sorted(fields)
+    assert len(table) == len(set(table)) == len(set(flags))
+    # every flag sets its own field
+    values = {"--rho": "0.5", "--rings": "12", "--angular-bins": "16",
+              "--logradius-bins": "8", "--delta": "2", "--ridge": "0.01",
+              "--tau": "0.2", "--tau-e": "0.3", "--gate-sharpness": "5",
+              "--window": "rect"}
+    argv = ["analyze", "clip.raw"] + [x for kv in values.items() for x in kv]
+    cfg = cli.config_from_args(cli.build_parser().parse_args(argv))
+    assert cfg == SpectralConfig(
+        lowpass_ratio=0.5, rings=12, angular_bins=16, logradius_bins=8,
+        band_tolerance=2, ridge=0.01, softmax_temperature=0.2,
+        energy_gate_threshold=0.3, energy_gate_sharpness=5.0,
+        window_kind="rect")
 
 
 def test_analyze_rho_one_keeps_everything(trans_clip_path, tmp_path):

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sim2spec.core import (ConfigError, FormatError, MotionEstimate,
-                           SpectralConfig, VideoWindow, load_video,
-                           normalize_window, save_video)
+from sim2spec.core import (NUMERIC_EPS, ConfigError, FormatError,
+                           MotionEstimate, SpectralConfig, VideoWindow,
+                           load_video, normalize_window, save_video)
+from sim2spec.gates import OBS_GATE_LAMBDA
+from sim2spec.resample import SOFT_RING_EDGE
 
 
 def test_raw_roundtrip_bit_exact(tmp_path):
@@ -135,19 +137,20 @@ def test_config_defaults_match_fixed_values():
     assert cfg.logradius_bins == 24
     assert cfg.band_tolerance == 1
     assert cfg.ridge == 1e-3
-    assert cfg.numeric_eps == 1e-8
     assert cfg.energy_gate_threshold == 0.10
     assert cfg.energy_gate_sharpness == 10.0
-    assert cfg.obs_gate == 1.0
     assert cfg.softmax_temperature == 0.1
-    assert cfg.soft_ring_edge == 20.0
     assert cfg.window_kind == "hann"
+    # fixed numerics, not configuration
+    assert NUMERIC_EPS == 1e-8
+    assert OBS_GATE_LAMBDA == 1.0
+    assert SOFT_RING_EDGE == 20.0
 
 
 @pytest.mark.parametrize("kw", [
     {"lowpass_ratio": 0.0}, {"lowpass_ratio": 1.5}, {"rings": 1},
     {"angular_bins": 3}, {"logradius_bins": 2}, {"band_tolerance": 0},
-    {"ridge": -1.0}, {"numeric_eps": 0.0}, {"softmax_temperature": 0.0},
+    {"ridge": -1.0}, {"softmax_temperature": 0.0},
     {"window_kind": "blackman"},
 ])
 def test_config_invariants(kw):

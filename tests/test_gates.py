@@ -12,12 +12,12 @@ CFG = SpectralConfig()
 
 
 def test_obs_gate_half_at_m1():
-    assert obs_gate(np.array([1]), CFG)[0] == pytest.approx(0.5)
-    assert obs_gate(np.array([-1]), CFG)[0] == pytest.approx(0.5)
+    assert obs_gate(np.array([1]))[0] == pytest.approx(0.5)
+    assert obs_gate(np.array([-1]))[0] == pytest.approx(0.5)
 
 
 def test_obs_gate_zero_at_m0():
-    assert obs_gate(np.array([0]), CFG)[0] == 0.0
+    assert obs_gate(np.array([0]))[0] == 0.0
 
 
 def test_energy_gate_at_max():
@@ -69,7 +69,7 @@ def test_energy_gate_monotone(e1, e2):
 @given(st.integers(0, 50), st.integers(0, 50))
 def test_obs_gate_monotone_in_abs_m(m1, m2):
     lo, hi = sorted((m1, m2))
-    g = obs_gate(np.array([lo, hi]), CFG)
+    g = obs_gate(np.array([lo, hi]))
     assert g[0] <= g[1] + 1e-12
 
 

@@ -50,9 +50,13 @@ def test_ridge_residual_bounded_by_lambda_term():
             + 1e-15
 
 
-def test_ridge_matches_whitened_lstsq_oracle():
+@pytest.mark.parametrize("rank_deficient", [False, True],
+                         ids=["full_rank", "rank_deficient"])
+def test_ridge_matches_whitened_lstsq_oracle(rank_deficient):
     rng = make_rng(2)
     design = rng.normal(size=(200, 3))
+    if rank_deficient:
+        design[:, 2] = design[:, 0]  # collinear columns; lam makes it unique
     targets = rng.normal(size=200)
     w = rng.uniform(0.1, 3.0, 200)
     lam = 1e-3
@@ -69,9 +73,13 @@ def test_ridge_rank_deficient_falls_back():
     design = np.ones((10, 2))
     design[:, 1] = 2.0  # collinear columns
     targets = np.full(10, 3.0)
-    _, residual, identifiable = solve_rows(design, targets, np.ones(10), 0.0)
+    theta, residual, identifiable = solve_rows(design, targets, np.ones(10),
+                                               0.0)
     assert residual <= 1e-18
     assert not identifiable
+    # at lam = 0 the solve is the pseudo-inverse's min-norm answer
+    gram, rhs = design.T @ design, design.T @ targets
+    assert np.max(np.abs(theta - np.linalg.pinv(gram) @ rhs)) <= 1e-12
 
 
 def test_ridge_zero_weights_error():
