@@ -1,21 +1,27 @@
 """Per-stage and end-to-end wall times of ``sim2spec.losses.analyze``.
 
-    python bench/bench_analyze.py --label NAME [--src DIR] [--repeats N]
-                                  [--out BENCH_analyze.json]
+    python bench/bench_analyze.py --label NAME [--src DIR]
+                                  [--label NAME --src DIR ...]
+                                  [--repeats N] [--out BENCH_analyze.json]
 
 On a seeded mixed-motion clip at 16x64^2, 16x128^2 and 32x256^2, each stage
 of ``analyze`` is run on the previous stages' outputs and timed with
 ``time.perf_counter`` as the minimum over ``--repeats`` runs; ``analyze``
-itself is timed the same way, and one more run records its tracemalloc
-peak.  The stage rows split ``analyze`` as it runs: ``samples`` builds the
-three sample blocks, each ``*_loss`` row builds its block again and fits
-it, and ``unified_residual`` fits the blocks the losses returned.
+itself is timed the same way, after one untimed call per size, and one
+more run records its tracemalloc peak.  The stage rows split ``analyze``
+as it runs: ``samples`` builds the three sample blocks, each ``*_loss`` row
+builds its block again and fits it, and ``unified_residual`` fits the
+blocks the losses returned.
 
-The point is stored under ``--label`` in ``--out`` beside the points
-already there, so two source trees (``--src``, default this checkout's
-``src``) can be compared by one script on one machine.  BLAS and OpenMP
-thread variables are recorded, not set: pin them in the environment to
-compare like with like.
+Each ``--label`` names the source tree of the ``--src`` at the same
+position (one label alone defaults to this checkout's ``src``).  Every
+tree is timed in a fresh interpreter in each of ``ROUNDS`` rounds, and the
+order of the trees rotates from round to round, so no tree always runs
+first.  Each tree's point stores every value per round and its median
+under its label in ``--out``, beside the points already there, so trees
+are compared by one script on one machine.  BLAS and OpenMP thread
+variables are recorded, not set: pin them in the environment to compare
+like with like.
 """
 
 from __future__ import annotations
@@ -24,12 +30,21 @@ import argparse
 import json
 import os
 import platform
+import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
 
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
 SIZES = ((16, 64, 64), (16, 128, 128), (32, 256, 256))
+ROUNDS = 10
+# one round of one tree: bench_sizes in a fresh interpreter whose sim2spec
+# is the tree's (argv: this directory, the tree's src, --repeats)
+CHILD = ("import json, sys; sys.path[:0] = sys.argv[1:3]; "
+         "import bench_analyze; "
+         "json.dump(bench_analyze.bench_sizes(int(sys.argv[3])), sys.stdout)")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS")
 
@@ -69,6 +84,7 @@ def bench_size(size, repeats: int) -> dict:
     trans = translation_loss(cube, cfg)
     rot = rotation_loss(stack, rings, cfg)
     scl = scaling_loss(rings, stack, cfg)
+    analyze(clip, cfg)
     stages = {
         "transform": lambda: cropped_transform(clip, cfg, offset=0.5),
         "polar_lut": lambda: build_polar_lut(fy, fx, cfg.rings,
@@ -100,42 +116,77 @@ def bench_size(size, repeats: int) -> dict:
     return out
 
 
+def bench_sizes(repeats: int) -> dict:
+    return {"x".join(map(str, s)): bench_size(s, repeats) for s in SIZES}
+
+
+def run_round(src: str, repeats: int) -> dict:
+    out = subprocess.run([sys.executable, "-c", CHILD, HERE, src,
+                          str(repeats)], check=True, capture_output=True,
+                         text=True).stdout
+    return json.loads(out)
+
+
+def summarize(rounds: list):
+    """``{"median", "rounds"}`` for each leaf value of the per-round
+    results, which share one nested layout."""
+    if isinstance(rounds[0], dict):
+        return {k: summarize([r[k] for r in rounds]) for k in rounds[0]}
+    return {"median": statistics.median(rounds), "rounds": rounds}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--label", required=True,
-                    help="name of the point, e.g. the commit timed")
-    ap.add_argument("--src", default=os.path.join(ROOT, "src"),
-                    help="source tree whose sim2spec is timed")
+    ap.add_argument("--label", action="append", required=True,
+                    help="name of a point, e.g. the commit timed")
+    ap.add_argument("--src", action="append",
+                    help="source tree whose sim2spec is timed, one per "
+                         "--label (default: this checkout's src)")
     ap.add_argument("--repeats", type=int, default=9)
     ap.add_argument("--out", default=os.path.join(ROOT, "BENCH_analyze.json"))
     args = ap.parse_args(argv)
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
-    sys.path.insert(0, os.path.abspath(args.src))
+    srcs = args.src or [os.path.join(ROOT, "src")]
+    if len(srcs) != len(args.label) or len(set(args.label)) != len(srcs):
+        ap.error("give one --src per --label, and distinct labels")
+    trees = [(label, os.path.abspath(src))
+             for label, src in zip(args.label, srcs)]
     import numpy as np
 
-    point = {
-        "label": args.label,
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "cpu_count": os.cpu_count(),
-        "thread_env": {k: os.environ.get(k) for k in THREAD_VARS},
-        "repeats": args.repeats,
-        "sizes": {"x".join(map(str, s)): bench_size(s, args.repeats)
-                  for s in SIZES},
-    }
+    results = {label: [] for label, _ in trees}
+    for r in range(ROUNDS):
+        for label, src in trees[r % len(trees):] + trees[:r % len(trees)]:
+            results[label].append(run_round(src, args.repeats))
+
     points = []
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             points = json.load(fh)["points"]
-    points = [p for p in points if p["label"] != args.label] + [point]
+    points = [p for p in points if p["label"] not in results]
+    for label, _ in trees:
+        sizes = summarize(results[label])
+        points.append({
+            "label": label,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "machine": platform.machine(),
+            "cpu_count": os.cpu_count(),
+            "thread_env": {k: os.environ.get(k) for k in THREAD_VARS},
+            "repeats": args.repeats,
+            "rounds": ROUNDS,
+            "sizes": sizes,
+        })
+        for name, res in sizes.items():
+            q1, _, q3 = statistics.quantiles(res["analyze_ms"]["rounds"],
+                                             n=4)
+            print(f"{label} {name}: analyze median "
+                  f"{res['analyze_ms']['median']:.2f} ms "
+                  f"(quartiles {q1:.2f}-{q3:.2f}), peak "
+                  f"{res['analyze_tracemalloc_peak_mb']['median']:.1f} MB")
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"points": points}, fh, indent=1)
         fh.write("\n")
-    for name, res in point["sizes"].items():
-        print(f"{args.label} {name}: analyze {res['analyze_ms']:.2f} ms, "
-              f"peak {res['analyze_tracemalloc_peak_mb']:.1f} MB")
     return 0
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -147,7 +147,7 @@ class SpectralConfig:
         return replace(self, **kw)
 
     def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        return asdict(self)
 
     def stable_hash(self) -> str:
         """Platform-stable hash of the configuration (sorted-key JSON)."""
@@ -180,13 +180,7 @@ class MotionEstimate:
                 raise ConfigError(f"motion estimate field {name} is not finite")
 
     def to_dict(self) -> dict:
-        return {
-            "v_x": self.v_x,
-            "v_y": self.v_y,
-            "omega": self.omega,
-            "alpha": self.alpha,
-            "b0": self.b0,
-        }
+        return asdict(self)
 
 
 def _read_pgm(path: str) -> np.ndarray:

@@ -13,6 +13,9 @@ Units and sign conventions (fixed once, used everywhere):
 * a log-scale rate ``alpha`` per frame shifts the log-radius profile, and
   physical alpha = -line-slope * xi_step * N_xi / T (sign fixed by the
   discrete shift theorem; zooming in moves spectral mass to lower radii)
+* ``_rate_factors`` computes the two line-slope factors above; the loss
+  results, the joint and slice estimates and the report's ``conversions``
+  all take them from it
 """
 
 from __future__ import annotations
@@ -83,6 +86,11 @@ def _fit(blocks, scales, cols, lam: float) -> tuple:
     return RidgeResult(theta, residual, identifiable), errs
 
 
+# "no fit": a flagged slice, or the joint fit when every slice is flagged
+_NO_FIT = RidgeResult(np.zeros(5), 0.0, False)
+_NO_FIT.theta.setflags(write=False)
+
+
 # ---------------------------------------------------------------------------
 # sample builders
 
@@ -125,18 +133,34 @@ def _slice_fit(build, source, cols, cfg: SpectralConfig):
     Returns ``(fit, samples, capture)``, ``capture`` being the raw-energy
     fraction of the samples whose error under the fit lies within the band
     tolerance.  A block with no usable weight, or whose fit is not
-    identifiable, flags the slice as ``(None, None, 0.0)``.
+    identifiable, flags the slice as ``(_NO_FIT, None, 0.0)``.
     """
     try:
         samples = build(source, cfg)
         fit, (err,) = _fit([samples], [1.0], cols, cfg.ridge)
     except UnobservableError:
-        return None, None, 0.0
+        return _NO_FIT, None, 0.0
     if not fit.identifiable:
-        return None, None, 0.0
+        return _NO_FIT, None, 0.0
     in_band = np.abs(err) <= cfg.band_tolerance + BAND_EDGE_SLACK
     capture = float(samples.energies[in_band].sum() / samples.energies.sum())
     return fit, samples, capture
+
+
+def _rate_factors(stack: HarmonicStack) -> tuple:
+    """``(rad/frame, log-scale rate per frame)`` per bin of the angular and
+    the log-radial line slope."""
+    nt = len(stack.freq_t)
+    return 2.0 * math.pi / nt, -stack.xi_step * len(stack.rad_nu) / nt
+
+
+def _estimate(theta: np.ndarray, stack: HarmonicStack) -> MotionEstimate:
+    """A fit's ``theta`` as a motion estimate: the plane coefficients and
+    the intercept stay in bins, the line slopes take ``_rate_factors``.
+    Adding 0.0 makes a zero slope read 0.0, not the -0.0 of zero times the
+    negative alpha factor."""
+    factors = np.array([1.0, 1.0, *_rate_factors(stack), 1.0])
+    return MotionEstimate(*(theta * factors + 0.0).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +170,15 @@ def _slice_fit(build, source, cols, cfg: SpectralConfig):
 @dataclass(frozen=True)
 class _SliceLoss:
     """The part every loss result shares: the restricted slice fit and the
-    sample block it was solved on.  Both are ``None`` when the slice is
-    flagged, which also keeps the block out of the unified fit."""
+    sample block it was solved on.  A flagged slice has the zero-theta
+    ``_NO_FIT`` and no block, which also keeps it out of the unified fit."""
 
-    fit: RidgeResult | None
+    fit: RidgeResult
     samples: WeightedSamples | None
 
     @property
     def flagged(self) -> bool:
-        return self.fit is None
+        return self.samples is None
 
 
 @dataclass(frozen=True)
@@ -169,28 +193,25 @@ class TranslationLoss(_SliceLoss):
 
 @dataclass(frozen=True)
 class RotationLoss(_SliceLoss):
-    """``omega_bins`` is the slice fit's ridge slope, ``omega`` the same in
-    rad/frame."""
+    """``omega`` is the slice fit's ridge slope in rad/frame."""
 
     l_rot: float
     c_rot: float
     c_ring: float
-    omega_bins: float
     omega: float
     eps_nb: float
 
 
 @dataclass(frozen=True)
 class ScalingLoss(_SliceLoss):
-    """``alpha_bins`` is the slice fit's ridge slope, ``alpha`` the log-scale
-    rate per frame; ``rho_c`` the per-frame radial centroid and
-    ``rho_c_slope`` its trend."""
+    """``alpha`` is the slice fit's ridge slope as a log-scale rate per
+    frame; ``rho_c`` the per-frame radial centroid and ``rho_c_slope`` its
+    trend."""
 
     l_scale: float
     c_flow: float
     s_trend: float
     c_scale: float
-    alpha_bins: float
     alpha: float
     rho_c: np.ndarray
     rho_c_slope: float
@@ -207,8 +228,8 @@ def translation_loss(s: Spectrum3D, cfg: SpectralConfig) -> TranslationLoss:
     """
     fit, samples, capture = _slice_fit(translation_samples, s, TRANS_COLS,
                                        cfg)
-    if fit is None:
-        return TranslationLoss(None, None, l_trans=1.0, band_miss=0.0)
+    if samples is None:
+        return TranslationLoss(fit, None, l_trans=1.0, band_miss=0.0)
     return TranslationLoss(fit, samples, l_trans=fit.residual,
                            band_miss=1.0 - capture)
 
@@ -231,12 +252,11 @@ def rotation_loss(stack: HarmonicStack, rings: np.ndarray,
     c_ring = float(np.clip(1.0 - ent.mean() / math.log(len(rings)), 0.0, 1.0))
     eps_nb = float(np.mean(1.0 - rings.max(axis=0)))
     fit, samples, c_rot = _slice_fit(rotation_samples, stack, [2], cfg)
-    omega_bins = float(fit.theta[2]) if fit is not None else 0.0
     l_rot = 1.0 - 0.5 * (c_ring + c_rot)
     return RotationLoss(
         fit, samples, l_rot=float(np.clip(l_rot, 0.0, 1.0)), c_rot=c_rot,
-        c_ring=c_ring, omega_bins=omega_bins,
-        omega=omega_bins * 2.0 * math.pi / len(stack.freq_t), eps_nb=eps_nb)
+        c_ring=c_ring, omega=_estimate(fit.theta, stack).omega,
+        eps_nb=eps_nb)
 
 
 def scaling_loss(rings: np.ndarray, stack: HarmonicStack,
@@ -279,15 +299,11 @@ def scaling_loss(rings: np.ndarray, stack: HarmonicStack,
         slope = cov / var_t if var_t > 0 else 0.0
 
     fit, samples, c_scale = _slice_fit(scaling_samples, stack, [3], cfg)
-    alpha_bins = float(fit.theta[3]) if fit is not None else 0.0
-    n_xi = len(stack.rad_nu)
     l_scale = 1.0 - 0.5 * (c_flow + s_trend)
     return ScalingLoss(
         fit, samples, l_scale=float(np.clip(l_scale, 0.0, 1.0)),
         c_flow=c_flow, s_trend=s_trend, c_scale=c_scale,
-        alpha_bins=alpha_bins,
-        alpha=-alpha_bins * stack.xi_step * n_xi / len(stack.freq_t),
-        rho_c=rho_c, rho_c_slope=slope, short_window=nt < 3,
+        alpha=_estimate(fit.theta, stack).alpha, rho_c=rho_c, rho_c_slope=slope, short_window=nt < 3,
         trend_flat=trend_flat)
 
 
@@ -307,11 +323,12 @@ def unified_residual(trans: WeightedSamples | None,
     """Joint 5-parameter hyperplane fit over the blocks that are given.
 
     It solves on the sum of the block moments, each scaled by one over the
-    block's total energy so no domain swamps the others.
+    block's total energy so no domain swamps the others.  With no block
+    given it is ``_NO_FIT``.
     """
     blocks = [s for s in (trans, rot, scale) if s is not None]
     if not blocks:
-        raise UnobservableError("no samples for the unified fit")
+        return _NO_FIT
     scales = [1.0 / float(s.energies.sum()) for s in blocks]
     return _fit(blocks, scales, list(range(5)), cfg.ridge)[0]
 
@@ -373,22 +390,8 @@ class LossReport:
                                 for k, v in self.slice_estimates.items()},
             "weights": dict(self.weights),
             "slice_residuals": dict(self.slice_residuals),
-            "diagnostics": _plain(self.diagnostics),
+            "diagnostics": dict(self.diagnostics),
         }
-
-
-def _plain(obj):
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    return obj
 
 
 class _Stage:
@@ -441,40 +444,25 @@ def analyze(v: VideoWindow, cfg: SpectralConfig | None = None) -> LossReport:
         rot = rotation_loss(stack, rings, cfg)
         scl = scaling_loss(rings, stack, cfg)
 
-    slices = {name: r for name, r in (("translation", trans),
-                                      ("rotation", rot), ("scaling", scl))
-              if not r.flagged}
-    uni = (unified_residual(trans.samples, rot.samples, scl.samples, cfg)
-           if slices else RidgeResult(np.zeros(5), 0.0, False))
+    results = {"translation": trans, "rotation": rot, "scaling": scl}
+    slices = {name: r for name, r in results.items() if not r.flagged}
+    uni = unified_residual(trans.samples, rot.samples, scl.samples, cfg)
 
     w, l_motion = adaptive_composite(trans.l_trans, rot.l_rot, scl.l_scale,
                                      cfg.softmax_temperature)
 
     nt = v.frames_t
-    estimate = MotionEstimate(
-        v_x=float(uni.theta[0]), v_y=float(uni.theta[1]),
-        omega=float(uni.theta[2]) * 2.0 * math.pi / nt,
-        alpha=-float(uni.theta[3]) * stack.xi_step * len(stack.rad_nu) / nt,
-        b0=float(uni.theta[4]))
-    t_theta = trans.fit.theta if trans.fit is not None else np.zeros(5)
-    slice_estimates = {
-        "translation": MotionEstimate(v_x=float(t_theta[0]),
-                                      v_y=float(t_theta[1]),
-                                      b0=float(t_theta[4])),
-        "rotation": MotionEstimate(omega=rot.omega),
-        "scaling": MotionEstimate(alpha=scl.alpha),
-    }
-    slice_residuals = {name: r.fit.residual for name, r in slices.items()}
-
+    to_omega, to_alpha = _rate_factors(stack)
     diagnostics = {
         "retained_fraction": retained,
-        "rho_c": scl.rho_c,
+        "rho_c": scl.rho_c.tolist(),
         "rho_c_slope": scl.rho_c_slope,
         "eps_nb": rot.eps_nb,
         "trans_band_miss": trans.band_miss,
         "gate_bounds": {name: [r.samples.g_lo, r.samples.g_hi]
                         for name, r in slices.items()},
-        "sum_w": {name: r.samples.moments[2] for name, r in slices.items()},
+        "sum_w": {name: float(r.samples.moments[2])
+                  for name, r in slices.items()},
         "slice_theta_sqnorm": {name: float(r.fit.theta @ r.fit.theta)
                                for name, r in slices.items()},
         "flags": {
@@ -488,12 +476,11 @@ def analyze(v: VideoWindow, cfg: SpectralConfig | None = None) -> LossReport:
         "conversions": {
             "v_x_bins_to_px_per_frame": v.width / nt,
             "v_y_bins_to_px_per_frame": v.height / nt,
-            "omega_bins_to_rad_per_frame": 2.0 * math.pi / nt,
-            "alpha_bins_to_rate_per_frame":
-                -stack.xi_step * len(stack.rad_nu) / nt,
+            "omega_bins_to_rad_per_frame": to_omega,
+            "alpha_bins_to_rate_per_frame": to_alpha,
         },
-        "omega_bins": rot.omega_bins,
-        "alpha_bins": scl.alpha_bins,
+        "omega_bins": float(rot.fit.theta[2]),
+        "alpha_bins": float(scl.fit.theta[3]),
         "frames_t": nt,
         "rings": len(rings),
         "window_kind": cfg.window_kind,
@@ -506,8 +493,10 @@ def analyze(v: VideoWindow, cfg: SpectralConfig | None = None) -> LossReport:
         l_uni=uni.residual, l_motion=l_motion,
         c_rot=rot.c_rot, c_ring=rot.c_ring, c_flow=scl.c_flow,
         s_trend=scl.s_trend, c_scale=scl.c_scale,
-        estimate=estimate, slice_estimates=slice_estimates,
+        estimate=_estimate(uni.theta, stack),
+        slice_estimates={name: _estimate(r.fit.theta, stack)
+                         for name, r in results.items()},
         weights={"translation": float(w[0]), "rotation": float(w[1]),
                  "scaling": float(w[2])},
-        slice_residuals=slice_residuals,
+        slice_residuals={name: r.fit.residual for name, r in slices.items()},
         diagnostics=diagnostics)

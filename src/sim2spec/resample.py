@@ -70,31 +70,27 @@ def _grid_key(freq: np.ndarray) -> tuple:
 
 
 def build_polar_lut(freq_y: np.ndarray, freq_x: np.ndarray, n_rho: int,
-                    n_theta: int, rho_max: float | None = None) -> PolarLUT:
+                    n_theta: int) -> PolarLUT:
     """Build the lookup table mapping ``(rho_k, theta_l)`` targets to four
-    Cartesian neighbors with bilinear weights.
+    Cartesian neighbors with bilinear weights; the radii reach the largest
+    circle that stays on the grids.
 
     The table depends only on the grids and the sizes, so it is built once
     per distinct argument set and shared; its arrays are read-only.
     """
-    return _polar_lut(_grid_key(freq_y), _grid_key(freq_x), n_rho, n_theta,
-                      None if rho_max is None else float(rho_max))
+    return _polar_lut(_grid_key(freq_y), _grid_key(freq_x), n_rho, n_theta)
 
 
 @functools.lru_cache(maxsize=8)
-def _polar_lut(key_y: tuple, key_x: tuple, n_rho: int, n_theta: int,
-               rho_max: float | None) -> PolarLUT:
+def _polar_lut(key_y: tuple, key_x: tuple, n_rho: int,
+               n_theta: int) -> PolarLUT:
     if n_rho < 2 or n_theta < 4:
         raise ConfigError("need n_rho >= 2 and n_theta >= 4")
     freq_y, freq_x = np.array(key_y), np.array(key_x)
     h, w = len(freq_y), len(freq_x)
-    safe = max_safe_radius(freq_y, freq_x)
-    if rho_max is None:
-        rho_max = safe
+    rho_max = max_safe_radius(freq_y, freq_x)
     if rho_max <= 0:
         raise ConfigError("spatial grid too small for polar resampling")
-    if rho_max > safe + 1e-9:
-        raise ConfigError(f"rho_max {rho_max} exceeds grid half-extent {safe}")
     rho = rho_max * np.arange(1, n_rho + 1) / n_rho
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
 

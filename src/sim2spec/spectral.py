@@ -117,13 +117,16 @@ def spectral_transform(v: VideoWindow, cfg: SpectralConfig) -> Spectrum3D:
                       signed_bins(v.width))
 
 
-def _kept_dft_index(n: int, ratio: float) -> np.ndarray:
-    """True DFT index of each kept bin, read off its shifted position.
+def _kept_axis(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
+    """True DFT index and grid label of each kept bin of one axis, both from
+    one keep mask.
 
     Position ``p`` of a shifted axis holds DFT index ``p - n//2``.  The
-    ``signed_bins`` label is not used here: it is wrong for many ``n``.
+    index is not the ``signed_bins`` label, which is wrong for many ``n``;
+    the label is what the returned grids carry.
     """
-    return np.flatnonzero(keep_mask_1d(n, ratio)) - n // 2
+    mask = keep_mask_1d(n, ratio)
+    return np.flatnonzero(mask) - n // 2, signed_bins(n)[mask]
 
 
 def _centring_phase(k: np.ndarray, n: int) -> np.ndarray:
@@ -168,19 +171,15 @@ def cropped_transform(v: VideoWindow, cfg: SpectralConfig,
     """
     ratio = cfg.lowpass_ratio
     t_n, h, w = v.data.shape
-    kt = _kept_dft_index(t_n, ratio)
-    ky = _kept_dft_index(h, ratio)
-    kx = _kept_dft_index(w, ratio)
+    kt, ft = _kept_axis(t_n, ratio)
+    ky, fy = _kept_axis(h, ratio)
+    kx, fx = _kept_axis(w, ratio)
 
     frames = _kept_frame_bins(v.data, ky, kx, offset)
     frames *= _centring_phase(ky, h)[:, None] * _centring_phase(kx, w)[None, :]
 
     taper = temporal_window(t_n, cfg.window_kind)
     cube = np.fft.fft(frames * taper[:, None, None], axis=0)[kt % t_n]
-
-    fy = signed_bins(h)[keep_mask_1d(h, ratio)]
-    fx = signed_bins(w)[keep_mask_1d(w, ratio)]
-    ft = signed_bins(t_n)[keep_mask_1d(t_n, ratio)]
     return frames, Spectrum3D(cube, ft, fy, fx)
 
 

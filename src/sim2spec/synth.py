@@ -74,23 +74,22 @@ class MotionSpec:
                    seed=int(d.get("seed", 0)))
 
 
-def _vignette(height: int, width: int, inner: float = 0.25,
-              outer: float = 0.34) -> np.ndarray:
-    """Radial raised-cosine taper, 1 inside ``inner*min(H,W)``, 0 outside
-    ``outer*min(H,W)``.  Keeps content clear of the frame edge so rotation
+def _vignette(height: int, width: int) -> np.ndarray:
+    """Radial raised-cosine taper, 1 inside ``0.25*min(H,W)``, 0 outside
+    ``0.34*min(H,W)``.  Keeps content clear of the frame edge so rotation
     and zooming never drag hard borders through the window."""
     cy, cx = (height - 1) / 2.0, (width - 1) / 2.0
     y, x = np.mgrid[0:height, 0:width]
     r = np.hypot(y - cy, x - cx)
-    r0 = inner * min(height, width)
-    r1 = outer * min(height, width)
+    r0 = 0.25 * min(height, width)
+    r1 = 0.34 * min(height, width)
     out = np.clip((r - r0) / max(r1 - r0, 1e-9), 0.0, 1.0)
     return 0.5 * (1.0 + np.cos(np.pi * out))
 
 
 def make_base(kind: str, height: int, width: int, rng: np.random.Generator,
-              amplitude: float = 0.4, taper: bool = True) -> np.ndarray:
-    """Band-limited base pattern in [0,1] centered on mid-gray."""
+              taper: bool = True) -> np.ndarray:
+    """Band-limited base pattern in [0.1, 0.9] centered on mid-gray."""
     if kind == "checker":
         # smooth two-tone lattice: a single (fx, fy) frequency pair
         y, x = np.mgrid[0:height, 0:width]
@@ -126,12 +125,11 @@ def make_base(kind: str, height: int, width: int, rng: np.random.Generator,
         pat = pat / peak
     if taper:
         pat = pat * _vignette(height, width)
-    return 0.5 + amplitude * pat
+    return 0.5 + 0.4 * pat
 
 
-def _bilinear(base: np.ndarray, yq: np.ndarray, xq: np.ndarray,
-              fill: float = 0.5) -> np.ndarray:
-    """Sample ``base`` at float coordinates, constant fill outside."""
+def _bilinear(base: np.ndarray, yq: np.ndarray, xq: np.ndarray) -> np.ndarray:
+    """Sample ``base`` at float coordinates, mid-gray (0.5) fill outside."""
     h, w = base.shape
     y0 = np.floor(yq).astype(np.int64)
     x0 = np.floor(xq).astype(np.int64)
@@ -149,7 +147,7 @@ def _bilinear(base: np.ndarray, yq: np.ndarray, xq: np.ndarray,
                                          np.clip(xx, 0, w - 1)], 0.0)
             out += wgt * np.where(inside, vals, 0.0)
             acc_w += wgt * inside
-    return out + fill * (1.0 - acc_w)
+    return out + 0.5 * (1.0 - acc_w)
 
 
 def synth_sim2(base_kind: str, spec: MotionSpec, frames_t: int, height: int,

@@ -276,7 +276,9 @@ def test_calibrate_flow_positive_bounded(calibration):
 
 
 def test_calibrate_interp_impulse_is_worst_case():
-    worst, gaps = calibrate_interp(spatial_size=48, return_cases=True)
+    from sim2spec.bounds import _interp_gaps
+    gaps = _interp_gaps(SpectralConfig())
+    worst = calibrate_interp()
     assert gaps["impulse"] == pytest.approx(worst)
     assert gaps["constant"] <= 1e-6
     assert all(gaps["impulse"] >= g - 1e-12 for g in gaps.values())

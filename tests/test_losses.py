@@ -163,7 +163,7 @@ def test_translation_degenerate_support_sentinel():
     out = translation_loss(analyzed_spectrum(clip, RECT), RECT)
     assert out.flagged
     assert out.l_trans == 1.0
-    assert out.fit is None and out.samples is None
+    assert not out.fit.theta.any() and out.samples is None
 
 
 # ---------------------------------------------------------------------------
@@ -358,16 +358,18 @@ def test_slice_layout_follows_flags(name, window):
 
 
 def loss_results(clip, cfg, monkeypatch):
-    """The translation, rotation and scaling results ``analyze`` computes."""
+    """The report of ``analyze`` and the translation, rotation and scaling
+    results and the joint fit it computed."""
     seen = {}
-    for name in ("translation_loss", "rotation_loss", "scaling_loss"):
+    for name in ("translation_loss", "rotation_loss", "scaling_loss",
+                 "unified_residual"):
         def spy(*args, fn=getattr(losses, name), name=name):
             seen[name] = fn(*args)
             return seen[name]
         monkeypatch.setattr(losses, name, spy)
-    analyze(clip, cfg)
-    return (seen["translation_loss"], seen["rotation_loss"],
-            seen["scaling_loss"])
+    rep = analyze(clip, cfg)
+    return (rep, seen["translation_loss"], seen["rotation_loss"],
+            seen["scaling_loss"], seen["unified_residual"])
 
 
 def in_band_fraction(result, cfg):
@@ -382,14 +384,50 @@ def in_band_fraction(result, cfg):
 def test_slice_statistics_come_from_the_slice_fit(kind, window, motion_clips,
                                                   monkeypatch):
     cfg = SpectralConfig(window_kind=window)
-    trans, rot, scl = loss_results(motion_clips[kind], cfg, monkeypatch)
-    assert rot.omega_bins == rot.fit.theta[2]
-    assert scl.alpha_bins == scl.fit.theta[3]
+    rep, trans, rot, scl, _ = loss_results(motion_clips[kind], cfg,
+                                           monkeypatch)
+    conv = rep.diagnostics["conversions"]
+    assert rot.omega == rot.fit.theta[2] * conv["omega_bins_to_rad_per_frame"]
+    assert scl.alpha == scl.fit.theta[3] * conv["alpha_bins_to_rate_per_frame"]
     assert rot.c_rot == pytest.approx(in_band_fraction(rot, cfg), abs=1e-12)
     assert scl.c_scale == pytest.approx(in_band_fraction(scl, cfg),
                                         abs=1e-12)
     assert 1.0 - trans.band_miss == pytest.approx(
         in_band_fraction(trans, cfg), abs=1e-12)
+
+
+@pytest.mark.parametrize("window", ["hann", "rect"])
+@pytest.mark.parametrize("name", sorted(LAYOUT_CLIPS))
+def test_estimates_are_theta_times_conversions(name, window, monkeypatch):
+    # the plane coefficients and the intercept stay in bins; a flagged
+    # slice's fit is the zero-theta, unidentifiable no-fit value
+    rep, trans, rot, scl, uni = loss_results(
+        LAYOUT_CLIPS[name](), SpectralConfig(window_kind=window), monkeypatch)
+    conv = rep.diagnostics["conversions"]
+    factors = np.array([1.0, 1.0, conv["omega_bins_to_rad_per_frame"],
+                        conv["alpha_bins_to_rate_per_frame"], 1.0])
+    estimates = {"joint": rep.estimate, **rep.slice_estimates}
+    fits = {"joint": uni, "translation": trans.fit, "rotation": rot.fit,
+            "scaling": scl.fit}
+    for key, fit in fits.items():
+        got = list(estimates[key].to_dict().values())
+        assert got == (fit.theta * factors).tolist(), key
+    for block, result in zip(BLOCK_FLAGS, (trans, rot, scl)):
+        if result.flagged:
+            assert not result.fit.theta.any(), block
+            assert not result.fit.identifiable, block
+
+
+@pytest.mark.parametrize("window", ["hann", "rect"])
+@pytest.mark.parametrize("name", ["all_0.5", "flat_0.6", "t2_blobs",
+                                  "t2_noise"])
+def test_report_has_no_negative_zero(name, window):
+    # a zero slope times the negative alpha factor would read -0.0
+    rep = analyze(LAYOUT_CLIPS[name](), SpectralConfig(window_kind=window))
+    negative = [key for key, x in flat_fields(rep.to_dict()).items()
+                if isinstance(x, float) and x == 0.0
+                and math.copysign(1.0, x) < 0.0]
+    assert negative == []
 
 
 def counting(monkeypatch, name):

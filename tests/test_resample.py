@@ -53,12 +53,6 @@ def test_lut_weights_partition_of_unity():
     assert lut.indices.max() < 32 * 32
 
 
-def test_lut_rho_max_bounded():
-    fy, fx = signed_bins(32), signed_bins(32)
-    with pytest.raises(ConfigError):
-        build_polar_lut(fy, fx, 20, 24, rho_max=20.0)
-
-
 def test_lut_shape_mismatch_rejected():
     lut = build_polar_lut(signed_bins(32), signed_bins(32), 10, 8)
     s = spectrum_from_field(np.ones((16, 16)))
@@ -129,9 +123,13 @@ def test_rotated_field_shifts_theta_grid():
         inside = (xb >= 0) & (xb <= w - 1) & (yb >= 0) & (yb <= h - 1)
         return np.where(inside, out, 0.0)
 
-    rotated = rotate_field(field, step)
-    fy, fx = signed_bins(size), signed_bins(size)
-    lut = build_polar_lut(fy, fx, 12, m, rho_max=14.0)
+    # grids and fields cropped to |k| <= 14, so the polar radii reach 14
+    keep = np.abs(signed_bins(size)) <= 14
+    crop = np.ix_(keep, keep)
+    rotated = rotate_field(field, step)[crop]
+    field = field[crop]
+    fy = fx = signed_bins(size)[keep]
+    lut = build_polar_lut(fy, fx, 12, m)
     p0 = polar_resample(spectrum_from_field(field), lut)[:, :, 0]
     p1 = polar_resample(spectrum_from_field(rotated), lut)[:, :, 0]
     shifted = np.roll(p0, 1, axis=1)
@@ -139,7 +137,7 @@ def test_rotated_field_shifts_theta_grid():
     assert rel <= 5e-2
 
     # dense angular oracle: 4096-sample resampling agrees with the relation
-    dense = build_polar_lut(fy, fx, 12, 4096, rho_max=14.0)
+    dense = build_polar_lut(fy, fx, 12, 4096)
     d0 = polar_resample(spectrum_from_field(field), dense)[:, :, 0]
     d1 = polar_resample(spectrum_from_field(rotated), dense)[:, :, 0]
     dshift = np.roll(d0, 4096 // m, axis=1)
