@@ -8,7 +8,10 @@ On a seeded mixed-motion clip at 16x64^2, 16x128^2 and 32x256^2, each stage
 of ``analyze`` is run on the previous stages' outputs and timed with
 ``time.perf_counter`` as the minimum over ``--repeats`` runs; ``analyze``
 itself is timed the same way, after one untimed call per size, and one
-more run records its tracemalloc peak.  The stage rows split ``analyze``
+more run records its tracemalloc peak.  The ``retention_clip`` row times
+one clip of the ``validate`` retention suite the same way: a seeded
+16x224^2 ``synth_powerlaw`` clip and the ``cube_retention`` of its
+normalized window.  The stage rows split ``analyze``
 as it runs: ``samples`` builds the three sample blocks, each ``*_loss`` row
 builds its block again and fits it, and ``unified_residual`` fits the
 blocks the losses returned.
@@ -39,12 +42,13 @@ import tracemalloc
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SIZES = ((16, 64, 64), (16, 128, 128), (32, 256, 256))
+RETENTION_SIZE = (16, 224, 224)
 ROUNDS = 10
-# one round of one tree: bench_sizes in a fresh interpreter whose sim2spec
+# one round of one tree: bench_all in a fresh interpreter whose sim2spec
 # is the tree's (argv: this directory, the tree's src, --repeats)
 CHILD = ("import json, sys; sys.path[:0] = sys.argv[1:3]; "
          "import bench_analyze; "
-         "json.dump(bench_analyze.bench_sizes(int(sys.argv[3])), sys.stdout)")
+         "json.dump(bench_analyze.bench_all(int(sys.argv[3])), sys.stdout)")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS")
 
@@ -116,8 +120,26 @@ def bench_size(size, repeats: int) -> dict:
     return out
 
 
-def bench_sizes(repeats: int) -> dict:
-    return {"x".join(map(str, s)): bench_size(s, repeats) for s in SIZES}
+def bench_retention_clip(repeats: int) -> float:
+    from sim2spec.core import SpectralConfig, normalize_window
+    from sim2spec.spectral import cube_retention
+    from sim2spec.synth import synth_powerlaw
+
+    # the validate retention suite's config and clip
+    cfg = SpectralConfig(window_kind="rect", lowpass_ratio=0.3)
+
+    def one():
+        clip = synth_powerlaw(*RETENTION_SIZE, kappa=1.8, seed=0)
+        return cube_retention(normalize_window(clip), cfg)
+
+    one()
+    return min_ms(one, repeats)
+
+
+def bench_all(repeats: int) -> dict:
+    return {"sizes": {"x".join(map(str, s)): bench_size(s, repeats)
+                      for s in SIZES},
+            "retention_clip_ms": bench_retention_clip(repeats)}
 
 
 def run_round(src: str, repeats: int) -> dict:
@@ -165,7 +187,8 @@ def main(argv=None) -> int:
             points = json.load(fh)["points"]
     points = [p for p in points if p["label"] not in results]
     for label, _ in trees:
-        sizes = summarize(results[label])
+        summary = summarize(results[label])
+        sizes = summary["sizes"]
         points.append({
             "label": label,
             "numpy": np.__version__,
@@ -176,6 +199,7 @@ def main(argv=None) -> int:
             "repeats": args.repeats,
             "rounds": ROUNDS,
             "sizes": sizes,
+            "retention_clip_ms": summary["retention_clip_ms"],
         })
         for name, res in sizes.items():
             q1, _, q3 = statistics.quantiles(res["analyze_ms"]["rounds"],
@@ -184,6 +208,10 @@ def main(argv=None) -> int:
                   f"{res['analyze_ms']['median']:.2f} ms "
                   f"(quartiles {q1:.2f}-{q3:.2f}), peak "
                   f"{res['analyze_tracemalloc_peak_mb']['median']:.1f} MB")
+        clip = summary["retention_clip_ms"]
+        q1, _, q3 = statistics.quantiles(clip["rounds"], n=4)
+        print(f"{label} retention_clip: median {clip['median']:.2f} ms "
+              f"(quartiles {q1:.2f}-{q3:.2f})")
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"points": points}, fh, indent=1)
         fh.write("\n")

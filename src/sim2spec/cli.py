@@ -40,37 +40,13 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 
 
-DIGEST_CHUNK = 1 << 20
-
-
-def _hash_file(h, path: str) -> None:
-    """Feed a file to ``h`` in ``DIGEST_CHUNK``-byte reads."""
-    with open(path, "rb") as fh:
-        while chunk := fh.read(DIGEST_CHUNK):
-            h.update(chunk)
-
-
-def _digest_path(path: str) -> str:
-    h = hashlib.sha256()
-    if os.path.isdir(path):
-        for name in sorted(os.listdir(path)):
-            h.update(name.encode())
-            _hash_file(h, os.path.join(path, name))
-    else:
-        _hash_file(h, path)
-        sidecar = path + ".json"
-        if os.path.exists(sidecar):
-            _hash_file(h, sidecar)
-    return h.hexdigest()
-
-
 def make_manifest(command: str, cfg: SpectralConfig, inputs: dict) -> dict:
+    """Run manifest; ``inputs`` maps each input path to its digest."""
     return {
         "command": command,
         "config": cfg.to_dict(),
         "config_hash": cfg.stable_hash(),
-        "inputs": {k: _digest_path(k) if os.path.exists(k) else v
-                   for k, v in inputs.items()},
+        "inputs": dict(inputs),
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
@@ -105,10 +81,14 @@ def config_from_args(args) -> SpectralConfig:
                              if v is not None})
 
 
-def _load_any(path: str, fmt: str | None) -> "VideoWindow":
+def _load_any(path: str, fmt: str | None) -> tuple:
+    """``(window, sha256 hex digest)`` of ``path``, the digest taken over
+    the bytes the load reads (see ``load_video``), so the input is read
+    once."""
     if fmt is None:
         fmt = "pgm_dir" if os.path.isdir(path) else "raw_f32"
-    return load_video(path, fmt)
+    digest = hashlib.sha256()
+    return load_video(path, fmt, digest), digest.hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -117,8 +97,10 @@ def _load_any(path: str, fmt: str | None) -> "VideoWindow":
 
 def cmd_analyze(args) -> int:
     cfg = config_from_args(args)
-    report = analyze(_load_any(args.input, args.format), cfg)
-    payload = {"manifest": make_manifest("analyze", cfg, {args.input: ""}),
+    video, digest = _load_any(args.input, args.format)
+    report = analyze(video, cfg)
+    payload = {"manifest": make_manifest("analyze", cfg,
+                                         {args.input: digest}),
                "report": report.to_dict()}
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:

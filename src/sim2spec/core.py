@@ -183,13 +183,21 @@ class MotionEstimate:
         return asdict(self)
 
 
-def _read_pgm(path: str) -> np.ndarray:
-    """Minimal binary PGM (P5, 8-bit) reader."""
+def _read_bytes(path: str, digest) -> bytes:
+    """Whole contents of ``path``, also fed to ``digest`` if one is given."""
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
-        raise FormatError(f"cannot read frame {path}: {exc}") from exc
+        raise FormatError(f"cannot read {path}: {exc}") from exc
+    if digest is not None:
+        digest.update(blob)
+    return blob
+
+
+def _parse_pgm(blob: bytes, path: str) -> np.ndarray:
+    """Minimal binary PGM (P5, 8-bit) parser; ``path`` names the frame in
+    errors."""
     if not blob.startswith(b"P5"):
         raise FormatError(f"frame {path}: not a binary PGM (P5)")
     # header = magic, width, height, maxval; '#' comments allowed
@@ -231,19 +239,33 @@ def _write_pgm(path: str, frame: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
-def load_video(path: str, format: str = "raw_f32") -> VideoWindow:
+def load_video(path: str, format: str = "raw_f32",
+               digest=None) -> VideoWindow:
     """Load a video window from ``pgm_dir`` or ``raw_f32`` storage.
 
     Raw data is little-endian float32 already scaled to [0,1]; PGM frames
-    are 8-bit and divided by 255.
+    are 8-bit and divided by 255.  Every file is read once, whole.  A
+    ``hashlib`` object passed as ``digest`` is fed the input's bytes as
+    they are read: for a directory, each entry's name and then its
+    contents in sorted name order, files that are not frames included; for
+    a raw file, the payload and then the sidecar.
     """
     if format == "pgm_dir":
         if not os.path.isdir(path):
             raise FormatError(f"not a directory: {path}")
-        names = sorted(n for n in os.listdir(path) if n.endswith(".pgm"))
-        if not names:
+        names = sorted(os.listdir(path))
+        if not any(n.endswith(".pgm") for n in names):
             raise FormatError(f"no .pgm frames in {path}")
-        frames = [_read_pgm(os.path.join(path, n)) for n in names]
+        frames = []
+        for name in names:
+            is_frame = name.endswith(".pgm")
+            if digest is not None:
+                digest.update(name.encode())
+            elif not is_frame:
+                continue
+            blob = _read_bytes(os.path.join(path, name), digest)
+            if is_frame:
+                frames.append(_parse_pgm(blob, os.path.join(path, name)))
         shapes = {f.shape for f in frames}
         if len(shapes) != 1:
             raise FormatError(f"inconsistent frame shapes in {path}: {sorted(shapes)}")
@@ -256,16 +278,19 @@ def load_video(path: str, format: str = "raw_f32") -> VideoWindow:
             raise FormatError(f"missing raw file: {path}")
         if not os.path.exists(sidecar):
             raise FormatError(f"missing sidecar: {sidecar}")
+        meta_blob = _read_bytes(sidecar, None)
         try:
-            with open(sidecar, "r", encoding="utf-8") as fh:
-                meta = json.load(fh)
+            meta = json.loads(meta_blob.decode("utf-8"))
             t, h, w = int(meta["T"]), int(meta["H"]), int(meta["W"])
-        except (OSError, ValueError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise FormatError(f"bad sidecar {sidecar}: {exc}") from exc
         if min(t, h, w) < 1:
             raise FormatError(f"bad sidecar {sidecar}: dimensions must be "
                               f"positive, got T={t} H={h} W={w}")
-        raw = np.fromfile(path, dtype="<f4")
+        blob = _read_bytes(path, digest)
+        if digest is not None:
+            digest.update(meta_blob)
+        raw = np.frombuffer(blob, dtype="<f4", count=len(blob) // 4)
         if raw.size != t * h * w:
             raise FormatError(
                 f"{path}: sidecar declares T={t} H={h} W={w} "

@@ -5,10 +5,17 @@ Every generator is deterministic per seed (counter-based Philox stream, see
 with a half-intensity fill outside the base, so out-of-frame content is
 spectrally silent after mean shifting.  Base patterns are band-limited to
 at most 0.3x Nyquist so the analysis low-pass keeps the signal under test.
+
+Power-law clips shape white noise on its half spectrum.  The amplitude
+grid depends only on the shape and the exponent, so it is built once per
+``(T, H, W, kappa)``, kept in a small LRU cache and handed out read-only;
+the FFT passes run one axis at a time, each complex pass written back into
+the one half-spectrum buffer.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -201,27 +208,15 @@ def synth_sim2(base_kind: str, spec: MotionSpec, frames_t: int, height: int,
     return VideoWindow(frames_t, height, width, frames)
 
 
-def synth_powerlaw(frames_t: int, height: int, width: int, kappa: float,
-                   seed: int) -> VideoWindow:
-    """Random clip whose spectral energy follows ``r^(-2*kappa)`` on the
-    per-dimension-normalized radius (DC excluded), random Hermitian phases.
-
-    Built by shaping white noise in the frequency domain, so per-bin
-    energies fluctuate (chi-square) around the power law.
-    """
-    if kappa <= 0:
-        raise ConfigError("kappa must be positive")
-    if min(frames_t, height, width) < 2:
-        raise ConfigError("power-law clips need at least 2 samples per axis")
-    rng = make_rng(seed)
-    shape = (frames_t, height, width)
-    spec = np.fft.rfftn(rng.standard_normal(shape))
+@functools.lru_cache(maxsize=4)
+def _powerlaw_amplitude(frames_t: int, height: int, width: int,
+                        kappa: float) -> np.ndarray:
+    """``r^(-kappa)`` on the half-spectrum grid ``(T, H, W//2 + 1)``, zero
+    at DC; built once per shape and exponent and handed out read-only."""
 
     def axis_radius(freq, n):
         return freq * n / ((n - 1) / 2.0)
 
-    # the amplitude is even in every frequency, so shaping the half
-    # spectrum of the real noise keeps it Hermitian
     ut = axis_radius(np.fft.fftfreq(frames_t), frames_t)[:, None, None]
     uy = axis_radius(np.fft.fftfreq(height), height)[None, :, None]
     ux = axis_radius(np.fft.rfftfreq(width), width)[None, None, :]
@@ -229,10 +224,38 @@ def synth_powerlaw(frames_t: int, height: int, width: int, kappa: float,
     amp = np.zeros_like(r2)
     nz = r2 > 0
     amp[nz] = r2[nz] ** (-kappa / 2.0)
-    # shape and rescale in place: every clip-sized temporary freed before
-    # the next is made keeps the heap from growing from one clip to the next
+    amp.setflags(write=False)
+    return amp
+
+
+def synth_powerlaw(frames_t: int, height: int, width: int, kappa: float,
+                   seed: int) -> VideoWindow:
+    """Random clip whose spectral energy follows ``r^(-2*kappa)`` on the
+    per-dimension-normalized radius (DC excluded), random Hermitian phases.
+
+    Built by shaping white noise in the frequency domain, so per-bin
+    energies fluctuate (chi-square) around the power law.  The amplitude
+    grid is built once per ``(T, H, W, kappa)`` and shared read-only.  The
+    transforms are the ``rfftn``/``irfftn`` axis passes in their own order,
+    every complex pass written back into the one half-spectrum buffer, so
+    the clip is bit-identical to ``irfftn(rfftn(noise) * amp)`` without its
+    clip-sized temporaries.
+    """
+    if kappa <= 0:
+        raise ConfigError("kappa must be positive")
+    if min(frames_t, height, width) < 2:
+        raise ConfigError("power-law clips need at least 2 samples per axis")
+    amp = _powerlaw_amplitude(frames_t, height, width, float(kappa))
+    spec = np.fft.rfft(make_rng(seed).standard_normal(
+        (frames_t, height, width)), axis=2)
+    np.fft.fft(spec, axis=1, out=spec)
+    np.fft.fft(spec, axis=0, out=spec)
+    # the amplitude is even in every frequency, so shaping the half
+    # spectrum of the real noise keeps it Hermitian
     spec *= amp
-    v = np.fft.irfftn(spec, s=shape, axes=(0, 1, 2))
+    np.fft.ifft(spec, axis=0, out=spec)
+    np.fft.ifft(spec, axis=1, out=spec)
+    v = np.fft.irfft(spec, n=width, axis=2)
     del spec
     lo, hi = v.min(), v.max()
     if hi > lo:

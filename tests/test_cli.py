@@ -177,20 +177,34 @@ def whole_read_digest(path):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("chunk", [cli.DIGEST_CHUNK, 4097])
-def test_manifest_digest_streams_like_whole_read(chunk, tmp_path,
-                                                 monkeypatch):
-    monkeypatch.setattr(cli, "DIGEST_CHUNK", chunk)
-    # 20x128x128 float32 is 1.25 MiB: more than one default chunk
-    clip = synth_sim2("checker", MotionSpec(kind="static", seed=0), 20, 128,
-                      128)
+def test_analyze_manifest_digest_matches_whole_read(tmp_path):
+    clip = synth_sim2("checker", MotionSpec(kind="static", seed=0), 8, 64,
+                      64)
     raw = str(tmp_path / "clip.raw")
     pgm = str(tmp_path / "frames")
     save_video(clip, raw, "raw_f32")
     save_video(clip, pgm, "pgm_dir")
-    inputs = cli.make_manifest("analyze", SpectralConfig(),
-                               {raw: raw, pgm: pgm})["inputs"]
-    assert inputs == {raw: whole_read_digest(raw), pgm: whole_read_digest(pgm)}
+    # files that are not frames are part of a directory's digest
+    pathlib.Path(pgm, "notes.txt").write_bytes(b"not a frame\n")
+    for path in (raw, pgm):
+        out = str(tmp_path / "rep.json")
+        assert main(["analyze", path, "--json", out]) == 0
+        inputs = json.load(open(out))["manifest"]["inputs"]
+        assert inputs == {path: whole_read_digest(path)}
+
+
+def test_analyze_opens_raw_payload_once(trans_clip_path, monkeypatch):
+    real_open = open
+    opened = []
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    assert main(["analyze", trans_clip_path]) == 0
+    assert opened.count(trans_clip_path) == 1
+    assert opened.count(trans_clip_path + ".json") == 1
 
 
 def test_validate_bounds_suite(tmp_path):

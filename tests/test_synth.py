@@ -5,6 +5,7 @@ import pytest
 
 from sim2spec.core import ConfigError, DegenerateInputError, normalize_window
 from sim2spec.spectral import SpectralConfig, signed_bins, spectral_transform
+from sim2spec import synth
 from sim2spec.synth import (MotionSpec, make_base, make_rng, synth_powerlaw,
                             synth_sim2)
 
@@ -99,10 +100,13 @@ def test_powerlaw_range():
     assert v.data.min() >= 0.0 and v.data.max() <= 1.0
 
 
-@pytest.mark.parametrize("shape", [(16, 224, 224), (5, 7, 9), (3, 33, 47)])
+@pytest.mark.parametrize("shape", [(16, 224, 224), (5, 7, 9), (3, 33, 47),
+                                   (2, 2, 2), (6, 20, 21)])
 def test_powerlaw_matches_complex_fft_construction(shape):
-    """The half-spectrum (rfftn/irfftn) shaping equals shaping the full
-    complex spectrum of the same noise and keeping the real part."""
+    """The clip equals a plain ``rfftn`` -> shape -> ``irfftn`` -> min-max
+    construction bit for bit (the in-place axis passes run the same 1-D
+    transforms in the same order), and shaping the full complex spectrum
+    of the same noise and keeping the real part to 1e-12."""
     t_n, h, w = shape
     kappa, seed = 1.8, 77
     noise = make_rng(seed).standard_normal(shape)
@@ -110,15 +114,39 @@ def test_powerlaw_matches_complex_fft_construction(shape):
     def axis_radius(n):
         return np.fft.fftfreq(n) * n / ((n - 1) / 2.0)
 
+    def min_max(v):
+        return (v - v.min()) / (v.max() - v.min())
+
     r2 = (axis_radius(t_n)[:, None, None] ** 2
           + axis_radius(h)[None, :, None] ** 2
           + axis_radius(w)[None, None, :] ** 2)
     amp = np.zeros_like(r2)
     amp[r2 > 0] = r2[r2 > 0] ** (-kappa / 2.0)
-    oracle = np.fft.ifftn(np.fft.fftn(noise) * amp).real
-    oracle = (oracle - oracle.min()) / (oracle.max() - oracle.min())
     clip = synth_powerlaw(t_n, h, w, kappa, seed)
-    assert np.abs(clip.data - oracle).max() <= 1e-12
+    half = np.fft.irfftn(np.fft.rfftn(noise) * amp[..., :w // 2 + 1],
+                         s=shape, axes=(0, 1, 2))
+    assert np.array_equal(clip.data, min_max(half))
+    full = np.fft.ifftn(np.fft.fftn(noise) * amp).real
+    assert np.abs(clip.data - min_max(full)).max() <= 1e-12
+
+
+def test_powerlaw_amplitude_cached_read_only():
+    amp = synth._powerlaw_amplitude(4, 8, 10, 1.8)
+    assert amp.shape == (4, 8, 6)
+    assert synth._powerlaw_amplitude(4, 8, 10, 1.8) is amp
+    with pytest.raises(ValueError):
+        amp[1, 1, 1] = 0.0
+    # a second exponent or shape gets its own grid
+    other_kappa = synth._powerlaw_amplitude(4, 8, 10, 1.2)
+    other_shape = synth._powerlaw_amplitude(4, 8, 12, 1.8)
+    assert other_kappa is not amp and other_shape is not amp
+    assert not np.array_equal(other_kappa, amp)
+    assert other_shape.shape == (4, 8, 7)
+    # the clip reads the cached grid, which stays as built
+    before = synth._powerlaw_amplitude.cache_info().hits
+    synth_powerlaw(4, 8, 10, 1.8, 0)
+    assert synth._powerlaw_amplitude.cache_info().hits == before + 1
+    assert synth._powerlaw_amplitude(4, 8, 10, 1.8) is amp
 
 
 def test_powerlaw_radial_slope():
