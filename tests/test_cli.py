@@ -164,22 +164,32 @@ def test_synth_malformed_spec_exit_2(raw, tmp_path, capsys, monkeypatch):
     assert not os.path.exists(tmp_path / "x.raw")
 
 
-def whole_read_digest(path):
-    """The manifest digest with every file read in one call."""
+def whole_read_digest(path, chunk=None):
+    """The manifest digest with every file read in one call, or in
+    ``chunk``-byte reads if a chunk size is given."""
     h = hashlib.sha256()
+
+    def feed(file):
+        with open(file, "rb") as fh:
+            while piece := fh.read(chunk if chunk else -1):
+                h.update(piece)
+
     if os.path.isdir(path):
         for name in sorted(os.listdir(path)):
             h.update(name.encode())
-            h.update(pathlib.Path(path, name).read_bytes())
+            feed(os.path.join(path, name))
     else:
-        h.update(pathlib.Path(path).read_bytes())
-        h.update(pathlib.Path(path + ".json").read_bytes())
+        feed(path)
+        feed(path + ".json")
     return h.hexdigest()
 
 
-def test_analyze_manifest_digest_matches_whole_read(tmp_path):
-    clip = synth_sim2("checker", MotionSpec(kind="static", seed=0), 8, 64,
-                      64)
+@pytest.mark.parametrize("chunk", [1 << 20, 4097])
+def test_manifest_digest_streams_like_whole_read(chunk, tmp_path):
+    # 20x128x128 float32 is 1.25 MiB: more than one 1 MiB read; a streaming
+    # hasher at any read size reproduces the digest analyze records
+    clip = synth_sim2("checker", MotionSpec(kind="static", seed=0), 20, 128,
+                      128)
     raw = str(tmp_path / "clip.raw")
     pgm = str(tmp_path / "frames")
     save_video(clip, raw, "raw_f32")
@@ -191,6 +201,7 @@ def test_analyze_manifest_digest_matches_whole_read(tmp_path):
         assert main(["analyze", path, "--json", out]) == 0
         inputs = json.load(open(out))["manifest"]["inputs"]
         assert inputs == {path: whole_read_digest(path)}
+        assert inputs == {path: whole_read_digest(path, chunk)}
 
 
 def test_analyze_opens_raw_payload_once(trans_clip_path, monkeypatch):
