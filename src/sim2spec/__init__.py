@@ -10,8 +10,8 @@ verification suite checks every concentration bound the analysis relies on.
 
 __version__ = "0.1.0"
 
-from .core import (CalibrationMissingError, ConfigError, DegenerateInputError,
-                   FormatError, MotionEstimate, Sim2Error, SpectralConfig,
+from .core import (ConfigError, DegenerateInputError, FormatError,
+                   MotionEstimate, Sim2Error, SpectralConfig,
                    UnobservableError, VideoWindow, load_video,
                    normalize_window, save_video)
 from .losses import (LossReport, adaptive_composite, analyze, rotation_loss,
@@ -29,5 +29,5 @@ __all__ = [
     "translation_loss", "rotation_loss", "scaling_loss", "unified_residual",
     "ridge_wls_solve", "synth_sim2", "synth_powerlaw",
     "Sim2Error", "FormatError", "ConfigError", "UnobservableError",
-    "DegenerateInputError", "CalibrationMissingError",
+    "DegenerateInputError",
 ]

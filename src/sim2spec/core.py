@@ -26,7 +26,6 @@ __all__ = [
     "ConfigError",
     "UnobservableError",
     "DegenerateInputError",
-    "CalibrationMissingError",
     "VideoWindow",
     "SpectralConfig",
     "MotionEstimate",
@@ -54,10 +53,6 @@ class UnobservableError(Sim2Error):
 
 class DegenerateInputError(Sim2Error):
     """Input is structurally unusable (too short, collapsing scale, ...)."""
-
-
-class CalibrationMissingError(Sim2Error):
-    """A bound check needs calibrated constants that were not supplied."""
 
 
 @dataclass(frozen=True)
@@ -290,11 +285,11 @@ def load_video(path: str, format: str = "raw_f32",
         blob = _read_bytes(path, digest)
         if digest is not None:
             digest.update(meta_blob)
-        raw = np.frombuffer(blob, dtype="<f4", count=len(blob) // 4)
-        if raw.size != t * h * w:
+        if len(blob) != 4 * t * h * w:
             raise FormatError(
                 f"{path}: sidecar declares T={t} H={h} W={w} "
-                f"({t * h * w} floats), file holds {raw.size}")
+                f"({4 * t * h * w} bytes), file holds {len(blob)} bytes")
+        raw = np.frombuffer(blob, dtype="<f4")
         return VideoWindow(t, h, w, raw.reshape(t, h, w).astype(np.float64))
 
     raise FormatError(f"unknown format {format!r}")

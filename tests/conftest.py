@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from sim2spec.bounds import Calibration, calibrate_flow, calibrate_interp
 from sim2spec.core import SpectralConfig
 from sim2spec.losses import analyze, ridge_wls_solve
 from sim2spec.synth import MotionSpec, synth_sim2
@@ -60,8 +59,3 @@ def motion_clips():
 @pytest.fixture(scope="session")
 def motion_reports(motion_clips, cfg):
     return {kind: analyze(clip, cfg) for kind, clip in motion_clips.items()}
-
-
-@pytest.fixture(scope="session")
-def calibration(cfg):
-    return Calibration(calibrate_interp(cfg=cfg), calibrate_flow(cfg=cfg))

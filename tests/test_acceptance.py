@@ -1,9 +1,7 @@
 """Acceptance suite: every release criterion, one printed line each.
 
 Run with ``pytest -v -s tests/test_acceptance.py`` to see the PASS lines.
-All tolerances are fixed here; nothing is calibrated at test time except the
-two constants (interpolation error, flow-proxy defect) that are defined by
-their calibration procedures.
+All tolerances are fixed here; nothing is calibrated at test time.
 """
 
 import math
@@ -164,8 +162,7 @@ def test_acceptance_6_bound_suites():
                 f"({elapsed:.1f}s)")
 
 
-def test_acceptance_7_master_bounds(cfg, calibration):
-    from sim2spec.bounds import master_bound_check
+def test_acceptance_7_master_bounds(cfg):
     t0 = time.time()
     n_checked = 0
     for kind in ("translation", "rotation", "scaling"):
@@ -175,10 +172,6 @@ def test_acceptance_7_master_bounds(cfg, calibration):
                 conf = cfg.with_overrides(band_tolerance=delta)
                 rep = analyze(clip, conf)
                 eps_win = window_leakage(16, delta, "hann")
-                checks = master_bound_check(rep, eps_win, calibration)
-                assert len(checks) == 3
-                for c in checks:
-                    assert c.holds, (kind, noise, delta, c.to_dict())
                 # scatter: surrogate band-miss below the Chebyshev reference
                 gate = rep.diagnostics["gate_bounds"]
                 for name, lhs in (("rotation", 1 - rep.c_rot),
@@ -187,14 +180,11 @@ def test_acceptance_7_master_bounds(cfg, calibration):
                                    rep.diagnostics["trans_band_miss"])):
                     g_lo, g_hi = gate[name]
                     ref = (g_hi / g_lo) / delta ** 2 \
-                        * rep.slice_residuals[name] \
-                        + eps_win + calibration.eps_interp
+                        * rep.slice_residuals[name] + eps_win
                     assert lhs <= ref + 1e-9, (kind, noise, delta, name)
                 n_checked += 1
     elapsed = time.time() - t0
-    announce(7, f"27 clips x 3 inequalities hold (eps_interp="
-                f"{calibration.eps_interp:.3f}, delta_flow="
-                f"{calibration.delta_flow:.3f}); scatter below reference "
+    announce(7, f"27 clips x 3 band misses below their Chebyshev reference "
                 f"lines ({elapsed:.1f}s)")
     assert n_checked == 27
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import numpy as np
@@ -54,6 +55,16 @@ def test_raw_sidecar_mismatch(tmp_path):
         json.dumps({"T": -1, "H": -1, "W": 7 * 32 * 32}))
     with pytest.raises(FormatError):
         load_video(str(path), "raw_f32")
+
+
+def test_raw_trailing_bytes_rejected(tmp_path):
+    from sim2spec.cli import main
+    path = tmp_path / "c.raw"
+    path.write_bytes(np.zeros((2, 3, 4), dtype="<f4").tobytes() + b"\0\0\0")
+    (tmp_path / "c.raw.json").write_text(json.dumps({"T": 2, "H": 3, "W": 4}))
+    with pytest.raises(FormatError, match="96 bytes.*99 bytes"):
+        load_video(str(path), "raw_f32")
+    assert main(["analyze", str(path), "--format", "raw_f32"]) == 2
 
 
 def test_corrupt_pgm_names_frame(tmp_path):
@@ -168,3 +179,16 @@ def test_config_hash_stable():
 def test_motion_estimate_rejects_nonfinite():
     with pytest.raises(ConfigError):
         MotionEstimate(v_x=float("nan"))
+
+
+EXPORTING_MODULES = ("sim2spec", "sim2spec.core", "sim2spec.bounds",
+                     "sim2spec.spectral", "sim2spec.losses",
+                     "sim2spec.resample", "sim2spec.gates", "sim2spec.synth")
+
+
+@pytest.mark.parametrize("qualified", [
+    f"{mod}.{name}" for mod in EXPORTING_MODULES
+    for name in getattr(importlib.import_module(mod), "__all__", ())])
+def test_all_names_resolve(qualified):
+    mod, name = qualified.rsplit(".", 1)
+    assert hasattr(importlib.import_module(mod), name), qualified
