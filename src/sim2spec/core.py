@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -57,16 +57,14 @@ class DegenerateInputError(Sim2Error):
 
 @dataclass(frozen=True)
 class VideoWindow:
-    """A single-channel luminance block of shape ``(frames_t, height, width)``.
+    """A single-channel luminance block ``data`` of shape ``(T, H, W)``.
 
     ``data`` is stored as float64 and is immutable after construction.
-    Multi-channel input is reduced to one channel (equal-weight average)
-    before storage.
+    Multi-channel ``(T, H, W, C)`` input is reduced to one channel
+    (equal-weight average) before storage.  ``frames_t``, ``height`` and
+    ``width`` are read off the stored array's shape.
     """
 
-    frames_t: int
-    height: int
-    width: int
     data: np.ndarray
 
     def __post_init__(self):
@@ -75,26 +73,27 @@ class VideoWindow:
             arr = arr.mean(axis=3)
         if arr.ndim != 3:
             raise FormatError(f"video data must be (T,H,W), got ndim={arr.ndim}")
-        if arr.shape != (self.frames_t, self.height, self.width):
-            raise FormatError(
-                f"shape mismatch: declared {(self.frames_t, self.height, self.width)}, "
-                f"data is {arr.shape}")
-        if self.frames_t < 1:
+        t, h, w = arr.shape
+        if t < 1:
             raise FormatError("need at least one frame")
-        if self.height < 1 or self.width < 1:
-            raise FormatError(
-                f"frames must be at least 1x1, got {self.height}x{self.width}")
+        if h < 1 or w < 1:
+            raise FormatError(f"frames must be at least 1x1, got {h}x{w}")
         if not np.all(np.isfinite(arr)):
             raise FormatError("video contains non-finite samples")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
-    @classmethod
-    def from_array(cls, arr) -> "VideoWindow":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim not in (3, 4):
-            raise FormatError(f"video data must be (T,H,W), got ndim={arr.ndim}")
-        return cls(*arr.shape[:3], arr)
+    @property
+    def frames_t(self) -> int:
+        return self.data.shape[0]
+
+    @property
+    def height(self) -> int:
+        return self.data.shape[1]
+
+    @property
+    def width(self) -> int:
+        return self.data.shape[2]
 
     @property
     def shape(self):
@@ -121,6 +120,10 @@ class SpectralConfig:
     window_kind: str = "hann"
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f"{f.name} must be finite, got {value}")
         if not (0.0 < self.lowpass_ratio <= 1.0):
             raise ConfigError("lowpass_ratio must be in (0, 1]")
         if self.rings < 2:
@@ -137,9 +140,6 @@ class SpectralConfig:
             raise ConfigError("softmax_temperature must be positive")
         if self.window_kind not in ("hann", "rect"):
             raise ConfigError(f"unknown window kind {self.window_kind!r}")
-
-    def with_overrides(self, **kw) -> "SpectralConfig":
-        return replace(self, **kw)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -217,6 +217,9 @@ def _parse_pgm(blob: bytes, path: str) -> np.ndarray:
         w, h, maxval = (int(t) for t in tokens)
     except ValueError as exc:
         raise FormatError(f"frame {path}: bad PGM header") from exc
+    if w < 1 or h < 1:
+        raise FormatError(f"frame {path}: PGM dimensions must be positive, "
+                          f"got {w}x{h}")
     if maxval != 255:
         raise FormatError(f"frame {path}: only 8-bit PGM supported (maxval=255)")
     pixels = np.frombuffer(blob, dtype=np.uint8, offset=i)
@@ -234,20 +237,18 @@ def _write_pgm(path: str, frame: np.ndarray) -> None:
         fh.write(arr.tobytes())
 
 
-def load_video(path: str, format: str = "raw_f32",
-               digest=None) -> VideoWindow:
-    """Load a video window from ``pgm_dir`` or ``raw_f32`` storage.
+def load_video(path: str, digest=None) -> VideoWindow:
+    """Load a video window: a directory as 8-bit PGM frames, any other path
+    as a raw little-endian float32 file plus its ``path + ".json"`` sidecar.
 
-    Raw data is little-endian float32 already scaled to [0,1]; PGM frames
-    are 8-bit and divided by 255.  Every file is read once, whole.  A
+    Raw data is already scaled to [0,1]; PGM frames are divided by 255 and
+    stacked in sorted name order.  Every file is read once, whole.  A
     ``hashlib`` object passed as ``digest`` is fed the input's bytes as
     they are read: for a directory, each entry's name and then its
     contents in sorted name order, files that are not frames included; for
     a raw file, the payload and then the sidecar.
     """
-    if format == "pgm_dir":
-        if not os.path.isdir(path):
-            raise FormatError(f"not a directory: {path}")
+    if os.path.isdir(path):
         names = sorted(os.listdir(path))
         if not any(n.endswith(".pgm") for n in names):
             raise FormatError(f"no .pgm frames in {path}")
@@ -264,35 +265,30 @@ def load_video(path: str, format: str = "raw_f32",
         shapes = {f.shape for f in frames}
         if len(shapes) != 1:
             raise FormatError(f"inconsistent frame shapes in {path}: {sorted(shapes)}")
-        data = np.stack(frames, axis=0)
-        return VideoWindow(data.shape[0], data.shape[1], data.shape[2], data)
+        return VideoWindow(np.stack(frames, axis=0))
 
-    if format == "raw_f32":
-        sidecar = path + ".json"
-        if not os.path.exists(path):
-            raise FormatError(f"missing raw file: {path}")
-        if not os.path.exists(sidecar):
-            raise FormatError(f"missing sidecar: {sidecar}")
-        meta_blob = _read_bytes(sidecar, None)
-        try:
-            meta = json.loads(meta_blob.decode("utf-8"))
-            t, h, w = int(meta["T"]), int(meta["H"]), int(meta["W"])
-        except (ValueError, KeyError, TypeError) as exc:
-            raise FormatError(f"bad sidecar {sidecar}: {exc}") from exc
-        if min(t, h, w) < 1:
-            raise FormatError(f"bad sidecar {sidecar}: dimensions must be "
-                              f"positive, got T={t} H={h} W={w}")
-        blob = _read_bytes(path, digest)
-        if digest is not None:
-            digest.update(meta_blob)
-        if len(blob) != 4 * t * h * w:
-            raise FormatError(
-                f"{path}: sidecar declares T={t} H={h} W={w} "
-                f"({4 * t * h * w} bytes), file holds {len(blob)} bytes")
-        raw = np.frombuffer(blob, dtype="<f4")
-        return VideoWindow(t, h, w, raw.reshape(t, h, w).astype(np.float64))
-
-    raise FormatError(f"unknown format {format!r}")
+    sidecar = path + ".json"
+    if not os.path.exists(path):
+        raise FormatError(f"missing raw file: {path}")
+    if not os.path.exists(sidecar):
+        raise FormatError(f"missing sidecar: {sidecar}")
+    meta_blob = _read_bytes(sidecar, None)
+    try:
+        meta = json.loads(meta_blob.decode("utf-8"))
+        t, h, w = int(meta["T"]), int(meta["H"]), int(meta["W"])
+    except (ValueError, KeyError, TypeError) as exc:
+        raise FormatError(f"bad sidecar {sidecar}: {exc}") from exc
+    if min(t, h, w) < 1:
+        raise FormatError(f"bad sidecar {sidecar}: dimensions must be "
+                          f"positive, got T={t} H={h} W={w}")
+    blob = _read_bytes(path, digest)
+    if digest is not None:
+        digest.update(meta_blob)
+    if len(blob) != 4 * t * h * w:
+        raise FormatError(
+            f"{path}: sidecar declares T={t} H={h} W={w} "
+            f"({4 * t * h * w} bytes), file holds {len(blob)} bytes")
+    return VideoWindow(np.frombuffer(blob, dtype="<f4").reshape(t, h, w))
 
 
 def save_video(v: VideoWindow, path: str, format: str = "raw_f32") -> None:
@@ -307,9 +303,9 @@ def save_video(v: VideoWindow, path: str, format: str = "raw_f32") -> None:
         for t in range(v.frames_t):
             _write_pgm(os.path.join(path, f"frame_{t:04d}.pgm"), v.data[t])
         return
-    raise FormatError(f"unknown format {format!r}")
+    raise FormatError(f"cannot save as {format!r}: use 'raw_f32' or 'pgm_dir'")
 
 
 def normalize_window(v: VideoWindow) -> VideoWindow:
     """Subtract the half-intensity offset so samples live in [-1/2, 1/2]."""
-    return VideoWindow(v.frames_t, v.height, v.width, v.data - 0.5)
+    return VideoWindow(v.data - 0.5)

@@ -205,7 +205,7 @@ def synth_sim2(base_kind: str, spec: MotionSpec, frames_t: int, height: int,
     if spec.noise_sigma > 0:
         frames = frames + spec.noise_sigma * rng.standard_normal(frames.shape)
     frames = np.clip(frames, 0.0, 1.0)
-    return VideoWindow(frames_t, height, width, frames)
+    return VideoWindow(frames)
 
 
 @functools.lru_cache(maxsize=4)
@@ -263,4 +263,4 @@ def synth_powerlaw(frames_t: int, height: int, width: int, kappa: float,
         v /= hi - lo
     else:
         v = np.full_like(v, 0.5)
-    return VideoWindow(frames_t, height, width, v)
+    return VideoWindow(v)

@@ -6,6 +6,7 @@ All tolerances are fixed here; nothing is calibrated at test time.
 
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ def test_acceptance_1_retention(cfg_rect):
 
     lo = eta["eta_cube_lo"] - 0.02
     hi = eta["eta_cube_hi"] + 0.02
-    cfg = cfg_rect.with_overrides(lowpass_ratio=0.3)
+    cfg = replace(cfg_rect, lowpass_ratio=0.3)
     vals = []
     for seed in range(100):
         clip = synth_powerlaw(16, 224, 224, kappa=1.8, seed=1000 + seed)
@@ -136,7 +137,7 @@ def test_acceptance_5_adaptive_weights(cfg, motion_reports):
 
     for kind in FIXTURE_SPECS:
         rep = analyze(make_fixture_clip(kind),
-                      cfg.with_overrides(softmax_temperature=0.01))
+                      replace(cfg, softmax_temperature=0.01))
         assert max(rep.weights.values()) >= 0.99, kind
 
     rng = make_rng(11)
@@ -169,7 +170,7 @@ def test_acceptance_7_master_bounds(cfg):
         for noise in (0.0, 0.02, 0.05):
             clip = make_fixture_clip(kind, noise=noise)
             for delta in (1, 2, 3):
-                conf = cfg.with_overrides(band_tolerance=delta)
+                conf = replace(cfg, band_tolerance=delta)
                 rep = analyze(clip, conf)
                 eps_win = window_leakage(16, delta, "hann")
                 # scatter: surrogate band-miss below the Chebyshev reference

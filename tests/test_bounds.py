@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -172,7 +173,7 @@ def test_master_rotation_delta_sweep(cfg):
     prev_c_rot = -1.0
     prev_l_rot, prev_term = math.inf, math.inf
     for delta in (1, 2, 3):
-        rep = analyze(clip, cfg.with_overrides(band_tolerance=delta))
+        rep = analyze(clip, replace(cfg, band_tolerance=delta))
         assert rep.c_rot >= prev_c_rot - 1e-12  # band widening is monotone
         prev_c_rot = rep.c_rot
         # widening the band lowers the surrogate and shrinks the 1/delta^2

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -5,6 +6,7 @@ import json
 import math
 import os
 import pathlib
+import re
 
 import jsonschema
 import numpy as np
@@ -97,7 +99,18 @@ def test_analyze_bad_dims_exit_2(tmp_path):
     d.mkdir()
     for t in range(2):
         (d / f"frame_{t:04d}.pgm").write_bytes(b"P5\n0 0\n255\n")
-    assert main(["analyze", str(d), "--format", "pgm_dir"]) == 2
+    assert main(["analyze", str(d)]) == 2
+    for t in range(2):
+        (d / f"frame_{t:04d}.pgm").write_bytes(b"P5\n-4 -4\n255\n"
+                                               + bytes(64))
+    assert main(["analyze", str(d)]) == 2
+
+
+def test_analyze_nonfinite_config_exit_2(trans_clip_path, tmp_path):
+    out = tmp_path / "rep.json"
+    assert main(["analyze", trans_clip_path, "--tau", "nan",
+                 "--json", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_analyze_too_short_exit_3(tmp_path):
@@ -228,6 +241,18 @@ def test_validate_bounds_suite(tmp_path):
     assert payload["suites"][0]["instances"] >= 150
 
 
+def test_validate_manifest_has_no_config(tmp_path):
+    out = str(tmp_path / "val.json")
+    assert main(["validate", "--suite", "bounds", "--n", "5",
+                 "--json", out]) == 0
+    manifest = json.load(open(out))["manifest"]
+    assert "config" not in manifest and "config_hash" not in manifest
+    # the suites run fixed configs, so validate takes no config flags
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--window", "rect"])
+    assert exc.value.code == 2
+
+
 def test_validate_exactness_suite(tmp_path):
     out = str(tmp_path / "val.json")
     rc = main(["validate", "--suite", "exactness", "--json", out])
@@ -286,9 +311,16 @@ def test_sweep_stdout_matches_file(tmp_path, capsys):
     assert rows == file_rows
 
 
-def test_sweep_bad_range_exit_2():
+def test_sweep_bad_range_exit_2(monkeypatch):
+    # a bad value anywhere in the range fails before the first analysis
+    def no_analysis(*args):
+        raise AssertionError("analyze ran")
+
+    monkeypatch.setattr(cli, "analyze", no_analysis)
     assert main(["sweep", "--param", "delta", "--range", "0..2"]) == 2
     assert main(["sweep", "--param", "tau", "--range", "abc"]) == 2
+    assert main(["sweep", "--param", "noise", "--range", "0,-1"]) == 2
+    assert main(["sweep", "--param", "tau", "--range", "0.1,0"]) == 2
 
 
 def test_sidecar_matches_schema(tmp_path):
@@ -324,3 +356,17 @@ def test_sweep_noise_param(tmp_path):
     rows = list(csv.DictReader(open(out)))
     assert len(rows) == 3
     assert [float(r["value"]) for r in rows] == [0.0, 0.02, 0.05]
+
+
+def test_readme_lists_parser_options():
+    readme = pathlib.Path(__file__).parent.parent / "README.md"
+    text = readme.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    declared = {opt for parser in sub.choices.values()
+                for action in parser._actions
+                for opt in action.option_strings
+                if opt.startswith("--") and opt != "--help"}
+    assert documented == declared

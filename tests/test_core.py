@@ -15,10 +15,10 @@ from sim2spec.resample import SOFT_RING_EDGE
 def test_raw_roundtrip_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     data = rng.random((8, 32, 32)).astype(np.float32).astype(np.float64)
-    v = VideoWindow(8, 32, 32, data)
+    v = VideoWindow(data)
     path = str(tmp_path / "clip.raw")
     save_video(v, path)
-    back = load_video(path, "raw_f32")
+    back = load_video(path)
     assert back.shape == (8, 32, 32)
     assert np.array_equal(back.data, v.data)
 
@@ -26,10 +26,10 @@ def test_raw_roundtrip_bit_exact(tmp_path):
 def test_pgm_dir_roundtrip(tmp_path):
     rng = np.random.default_rng(1)
     data = rng.integers(0, 256, size=(16, 64, 64)) / 255.0
-    v = VideoWindow(16, 64, 64, data)
+    v = VideoWindow(data)
     d = str(tmp_path / "frames")
     save_video(v, d, "pgm_dir")
-    back = load_video(d, "pgm_dir")
+    back = load_video(d)
     assert back.shape == (16, 64, 64)
     assert np.allclose(back.data, v.data, atol=0.5 / 255)
 
@@ -39,7 +39,7 @@ def test_raw_sidecar_shapes(tmp_path):
     path = tmp_path / "c.raw"
     data.tofile(path)
     (tmp_path / "c.raw.json").write_text(json.dumps({"T": 8, "H": 32, "W": 32}))
-    v = load_video(str(path), "raw_f32")
+    v = load_video(str(path))
     assert v.shape == (8, 32, 32)
 
 
@@ -49,12 +49,12 @@ def test_raw_sidecar_mismatch(tmp_path):
     data.tofile(path)
     (tmp_path / "c.raw.json").write_text(json.dumps({"T": 8, "H": 32, "W": 32}))
     with pytest.raises(FormatError):
-        load_video(str(path), "raw_f32")
+        load_video(str(path))
     # negative dims whose product matches the payload size
     (tmp_path / "c.raw.json").write_text(
         json.dumps({"T": -1, "H": -1, "W": 7 * 32 * 32}))
     with pytest.raises(FormatError):
-        load_video(str(path), "raw_f32")
+        load_video(str(path))
 
 
 def test_raw_trailing_bytes_rejected(tmp_path):
@@ -63,8 +63,8 @@ def test_raw_trailing_bytes_rejected(tmp_path):
     path.write_bytes(np.zeros((2, 3, 4), dtype="<f4").tobytes() + b"\0\0\0")
     (tmp_path / "c.raw.json").write_text(json.dumps({"T": 2, "H": 3, "W": 4}))
     with pytest.raises(FormatError, match="96 bytes.*99 bytes"):
-        load_video(str(path), "raw_f32")
-    assert main(["analyze", str(path), "--format", "raw_f32"]) == 2
+        load_video(str(path))
+    assert main(["analyze", str(path)]) == 2
 
 
 def test_corrupt_pgm_names_frame(tmp_path):
@@ -72,7 +72,7 @@ def test_corrupt_pgm_names_frame(tmp_path):
     d.mkdir()
     (d / "frame_0000.pgm").write_bytes(b"P5\n4 4\n255\nshort")
     with pytest.raises(FormatError, match="frame_0000"):
-        load_video(str(d), "pgm_dir")
+        load_video(str(d))
 
 
 def test_empty_pgm_frames_rejected(tmp_path):
@@ -81,31 +81,37 @@ def test_empty_pgm_frames_rejected(tmp_path):
     for t in range(2):
         (d / f"frame_{t:04d}.pgm").write_bytes(b"P5\n0 0\n255\n")
     with pytest.raises(FormatError):
-        load_video(str(d), "pgm_dir")
+        load_video(str(d))
+    # negative dims: the payload-size check passes, the reshape would not
+    for t in range(2):
+        (d / f"frame_{t:04d}.pgm").write_bytes(b"P5\n-4 -4\n255\n"
+                                               + bytes(64))
+    with pytest.raises(FormatError, match="frame_0000"):
+        load_video(str(d))
 
 
 def test_missing_path_errors(tmp_path):
     with pytest.raises(FormatError):
-        load_video(str(tmp_path / "nope.raw"), "raw_f32")
+        load_video(str(tmp_path / "nope.raw"))
     with pytest.raises(FormatError):
-        load_video(str(tmp_path / "nope"), "pgm_dir")
+        load_video(str(tmp_path / "nope"))
 
 
 def test_normalize_constant_half():
-    v = VideoWindow.from_array(np.full((2, 4, 4), 0.5))
+    v = VideoWindow(np.full((2, 4, 4), 0.5))
     out = normalize_window(v)
     assert np.all(out.data == 0.0)
 
 
 def test_normalize_ones():
-    v = VideoWindow.from_array(np.ones((2, 4, 4)))
+    v = VideoWindow(np.ones((2, 4, 4)))
     assert np.all(normalize_window(v).data == 0.5)
 
 
 def test_normalize_checkerboard():
     y, x = np.mgrid[0:4, 0:4]
     board = ((y + x) % 2).astype(float)
-    v = VideoWindow.from_array(np.stack([board, board]))
+    v = VideoWindow(np.stack([board, board]))
     out = normalize_window(v).data
     assert set(np.unique(out)) == {-0.5, 0.5}
 
@@ -113,29 +119,36 @@ def test_normalize_checkerboard():
 @given(st.integers(0, 2 ** 31))
 def test_normalize_shift_identity(seed):
     rng = np.random.default_rng(seed)
-    v = VideoWindow.from_array(rng.random((2, 3, 3)))
+    v = VideoWindow(rng.random((2, 3, 3)))
     once = normalize_window(v)
-    again = normalize_window(VideoWindow.from_array(once.data + 0.5))
+    again = normalize_window(VideoWindow(once.data + 0.5))
     assert np.allclose(once.data, again.data)
 
 
 def test_multichannel_reduced_by_average():
     rgb = np.zeros((2, 4, 4, 3))
     rgb[..., 0] = 1.0
-    v = VideoWindow.from_array(rgb)
+    v = VideoWindow(rgb)
     assert v.shape == (2, 4, 4)
     assert np.allclose(v.data, 1.0 / 3.0)
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (2, 4, 4, 3, 1), (0, 4, 4),
+                                   (2, 0, 4)])
+def test_video_window_rejects_bad_shapes(shape):
+    with pytest.raises(FormatError):
+        VideoWindow(np.zeros(shape))
 
 
 def test_nonfinite_rejected():
     bad = np.zeros((2, 4, 4))
     bad[1, 2, 2] = np.nan
     with pytest.raises(FormatError):
-        VideoWindow.from_array(bad)
+        VideoWindow(bad)
 
 
 def test_video_window_immutable():
-    v = VideoWindow.from_array(np.zeros((2, 4, 4)))
+    v = VideoWindow(np.zeros((2, 4, 4)))
     with pytest.raises(ValueError):
         v.data[0, 0, 0] = 1.0
 
@@ -163,6 +176,14 @@ def test_config_defaults_match_fixed_values():
     {"angular_bins": 3}, {"logradius_bins": 2}, {"band_tolerance": 0},
     {"ridge": -1.0}, {"softmax_temperature": 0.0},
     {"window_kind": "blackman"},
+    {"ridge": float("nan")}, {"ridge": float("inf")},
+    {"softmax_temperature": float("nan")},
+    {"softmax_temperature": float("inf")},
+    {"energy_gate_threshold": float("nan")},
+    {"energy_gate_threshold": float("inf")},
+    {"energy_gate_sharpness": float("nan")},
+    {"energy_gate_sharpness": float("-inf")},
+    {"lowpass_ratio": float("nan")},
 ])
 def test_config_invariants(kw):
     with pytest.raises(ConfigError):

@@ -100,7 +100,7 @@ def analyzed_spectrum(clip, cfg):
 def test_translation_static_video():
     rng = make_rng(3)
     frame = rng.random((1, 32, 32))
-    clip = VideoWindow.from_array(np.broadcast_to(frame, (8, 32, 32)).copy())
+    clip = VideoWindow(np.broadcast_to(frame, (8, 32, 32)).copy())
     out = translation_loss(analyzed_spectrum(clip, RECT), RECT)
     assert not out.flagged
     assert out.l_trans == out.fit.residual <= 1e-6
@@ -159,7 +159,7 @@ def test_translation_hann_residual_bounded_by_window_moment():
 
 
 def test_translation_degenerate_support_sentinel():
-    clip = VideoWindow.from_array(np.full((8, 32, 32), 0.5))
+    clip = VideoWindow(np.full((8, 32, 32), 0.5))
     out = translation_loss(analyzed_spectrum(clip, RECT), RECT)
     assert out.flagged
     assert out.l_trans == 1.0
@@ -332,8 +332,8 @@ BLOCK_FLAGS = {"translation": "trans_unobservable",
 
 LAYOUT_CLIPS = {
     **{kind: lambda kind=kind: make_fixture_clip(kind) for kind in BLOCK_FLAGS},
-    "flat_0.6": lambda: VideoWindow.from_array(np.full((16, 64, 64), 0.6)),
-    "all_0.5": lambda: VideoWindow.from_array(np.full((16, 64, 64), 0.5)),
+    "flat_0.6": lambda: VideoWindow(np.full((16, 64, 64), 0.6)),
+    "all_0.5": lambda: VideoWindow(np.full((16, 64, 64), 0.5)),
     "t2_blobs": lambda: synth_sim2(
         "gaussian_blobs", MotionSpec(kind="rotation", omega=0.2, seed=3),
         2, 64, 64),
@@ -490,7 +490,7 @@ def test_softmax_properties(losses, tau, shift):
 
 
 def test_analyze_t1_rejected():
-    clip = VideoWindow.from_array(np.zeros((1, 32, 32)))
+    clip = VideoWindow(np.zeros((1, 32, 32)))
     with pytest.raises(DegenerateInputError, match="too short"):
         analyze(clip, SpectralConfig())
 
@@ -537,7 +537,7 @@ def test_analyze_continuity(motion_clips, cfg):
     clip = motion_clips["rotation"]
     rep0 = analyze(clip, cfg)
     rng = make_rng(1234)
-    bumped = VideoWindow.from_array(
+    bumped = VideoWindow(
         np.clip(clip.data + rng.uniform(-1e-3, 1e-3, clip.data.shape), 0, 1))
     rep1 = analyze(bumped, cfg)
     for attr in ("l_trans", "l_rot", "l_scale"):
@@ -546,7 +546,7 @@ def test_analyze_continuity(motion_clips, cfg):
 
 def test_analyze_stage_labels():
     # a window too small for the polar grid fails with its stage label
-    clip = VideoWindow.from_array(np.linspace(0, 1, 2 * 6 * 6).reshape(2, 6, 6))
+    clip = VideoWindow(np.linspace(0, 1, 2 * 6 * 6).reshape(2, 6, 6))
     with pytest.raises(DegenerateInputError, match=r"\[resample\]"):
         analyze(clip, SpectralConfig())
 
@@ -558,7 +558,7 @@ def test_analyze_stage_labels():
 def crop_of_full_transform(v, cfg, offset=0.0):
     """Reference for ``cropped_transform``: the offset subtracted from the
     data, then full transforms, then crop."""
-    vn = VideoWindow.from_array(v.data - offset)
+    vn = VideoWindow(v.data - offset)
     my = keep_mask_1d(vn.height, cfg.lowpass_ratio)
     mx = keep_mask_1d(vn.width, cfg.lowpass_ratio)
     return (spatial_transform(vn)[:, my][:, :, mx],
@@ -659,7 +659,7 @@ def test_cached_grid_tables_read_only():
 def test_analyze_peak_allocation_below_two_blocks():
     # no full-block temporary: the spectra are formed one frame at a time
     # and the 1/2 offset comes off the DC bins instead of a shifted copy
-    clip = VideoWindow.from_array(make_rng(3).random((32, 256, 256)))
+    clip = VideoWindow(make_rng(3).random((32, 256, 256)))
     tracemalloc.start()
     try:
         analyze(clip)

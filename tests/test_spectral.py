@@ -39,7 +39,7 @@ def brute_force_transform(data, window):
 
 
 def test_zero_video_zero_spectrum():
-    v = VideoWindow.from_array(np.zeros((4, 8, 8)))
+    v = VideoWindow(np.zeros((4, 8, 8)))
     s = spectral_transform(v, RECT)
     assert np.all(s.coeffs == 0)
 
@@ -49,7 +49,7 @@ def test_static_cosine_energy_at_spatial_bins():
     k0 = 3
     x = np.arange(w)
     frame = np.cos(2 * np.pi * k0 * x / w)[None, :] * np.ones((w, 1))
-    v = VideoWindow.from_array(np.broadcast_to(frame, (4, w, w)).copy())
+    v = VideoWindow(np.broadcast_to(frame, (4, w, w)).copy())
     s = spectral_transform(v, RECT)
     e = np.abs(s.coeffs) ** 2
     it0 = np.where(s.freq_t == 0)[0][0]
@@ -69,7 +69,7 @@ def test_shifted_cosine_against_brute_force_oracle():
     frames = np.stack([
         np.broadcast_to(np.cos(2 * np.pi * (x - t) / size)[None, :],
                         (size, size)) for t in range(t_n)])
-    v = VideoWindow.from_array(0.5 + 0.4 * frames)
+    v = VideoWindow(0.5 + 0.4 * frames)
     vn = normalize_window(v)
     s = spectral_transform(vn, RECT)
     oracle = brute_force_transform(vn.data, np.ones(t_n))
@@ -86,7 +86,7 @@ def test_shifted_cosine_against_brute_force_oracle():
 
 def test_hann_window_against_brute_force_oracle():
     rng = make_rng(7)
-    v = VideoWindow.from_array(rng.random((5, 6, 6)))
+    v = VideoWindow(rng.random((5, 6, 6)))
     vn = normalize_window(v)
     cfg = SpectralConfig(window_kind="hann")
     s = spectral_transform(vn, cfg)
@@ -98,7 +98,7 @@ def test_hann_window_against_brute_force_oracle():
 
 def test_parseval_rect():
     rng = make_rng(3)
-    v = VideoWindow.from_array(rng.random((6, 12, 10)))
+    v = VideoWindow(rng.random((6, 12, 10)))
     vn = normalize_window(v)
     s = spectral_transform(vn, RECT)
     n = vn.data.size
@@ -109,7 +109,7 @@ def test_parseval_rect():
 
 def test_hermitian_symmetry_real_input():
     rng = make_rng(4)
-    v = VideoWindow.from_array(rng.random((6, 8, 10)))
+    v = VideoWindow(rng.random((6, 8, 10)))
     s = spectral_transform(normalize_window(v), SpectralConfig())
     c = np.fft.ifftshift(s.coeffs)  # unshifted layout
     rev = c[(-np.arange(c.shape[0])) % c.shape[0]]
@@ -121,7 +121,7 @@ def test_hermitian_symmetry_real_input():
 
 def test_t1_degenerates_to_identity():
     rng = make_rng(5)
-    v = VideoWindow.from_array(rng.random((1, 8, 8)))
+    v = VideoWindow(rng.random((1, 8, 8)))
     s = spectral_transform(v, SpectralConfig())  # hann on T=1 is all-ones
     assert s.shape == (1, 8, 8)
     assert np.isfinite(s.coeffs).all()
@@ -200,7 +200,7 @@ def test_measured_retention_dc_only():
 
 def test_measured_retention_white_noise():
     rng = make_rng(8)
-    v = VideoWindow.from_array(rng.random((16, 64, 64)))
+    v = VideoWindow(rng.random((16, 64, 64)))
     s = spectral_transform(normalize_window(v), RECT)
     r = measured_retention(s, 0.3)
     assert abs(r - 0.027) < 0.01
@@ -215,7 +215,7 @@ def test_measured_retention_zero_energy_errors():
 
 def test_lowpass_then_retention_is_total():
     rng = make_rng(21)
-    v = VideoWindow.from_array(rng.random((8, 32, 32)))
+    v = VideoWindow(rng.random((8, 32, 32)))
     s = spectral_transform(normalize_window(v), RECT)
     keep = np.ix_(*(keep_mask_1d(n, 0.3) for n in s.shape))
     coeffs = np.zeros_like(s.coeffs)
@@ -240,9 +240,9 @@ def assert_pruned_matches_crop(data, kind, ratio, offset=0.0):
     """``cropped_transform(v, cfg, offset)`` against the full transforms of
     ``v.data - offset``, cropped."""
     cfg = SpectralConfig(window_kind=kind, lowpass_ratio=ratio)
-    frames, cube = cropped_transform(VideoWindow.from_array(data), cfg,
+    frames, cube = cropped_transform(VideoWindow(data), cfg,
                                      offset=offset)
-    vn = VideoWindow.from_array(data - offset)
+    vn = VideoWindow(data - offset)
     ref_cube = crop_to_cube(spectral_transform(vn, cfg), ratio)
     for grid in ("freq_t", "freq_y", "freq_x"):
         assert np.array_equal(getattr(cube, grid), getattr(ref_cube, grid))
@@ -290,7 +290,7 @@ def test_cropped_transform_matches_crop_sizes(shape, kind):
        st.sampled_from(["rect", "hann"]),
        st.floats(1e-3, 1.0, exclude_min=True), st.integers(0, 2 ** 31))
 def test_cube_retention_matches_measured(t_n, h, w, kind, ratio, seed):
-    v = normalize_window(VideoWindow.from_array(
+    v = normalize_window(VideoWindow(
         make_rng(seed).random((t_n, h, w))))
     cfg = SpectralConfig(window_kind=kind, lowpass_ratio=ratio)
     if kind == "hann" and t_n == 2:
@@ -310,7 +310,7 @@ def test_cube_retention_powerlaw_suite_size():
 
 
 def test_cube_retention_zero_energy_errors():
-    v = VideoWindow.from_array(np.zeros((4, 8, 8)))
+    v = VideoWindow(np.zeros((4, 8, 8)))
     with pytest.raises(DegenerateInputError):
         cube_retention(v, RECT)
 

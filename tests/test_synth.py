@@ -183,8 +183,7 @@ def test_base_kinds_band_limited():
     from sim2spec.core import VideoWindow
     for kind in ("checker", "gaussian_blobs", "bandpass_noise"):
         base = make_base(kind, 64, 64, make_rng(3))
-        clip = VideoWindow.from_array(
-            np.broadcast_to(base[None], (4, 64, 64)).copy())
+        clip = VideoWindow(np.broadcast_to(base[None], (4, 64, 64)).copy())
         s = spectral_transform(normalize_window(clip), RECT)
         assert measured_retention(s, 0.3) >= 0.95, kind
 
