@@ -8,10 +8,13 @@ On a seeded mixed-motion clip at 16x64^2, 16x128^2 and 32x256^2, each stage
 of ``analyze`` is run on the previous stages' outputs and timed with
 ``time.perf_counter`` as the minimum over ``--repeats`` runs; ``analyze``
 itself is timed the same way, after one untimed call per size, and one
-more run records its tracemalloc peak.  The ``retention_clip`` row times
-one clip of the ``validate`` retention suite the same way: a seeded
-16x224^2 ``synth_powerlaw`` clip and the ``cube_retention`` of its
-normalized window.  The stage rows split ``analyze``
+more run records its tracemalloc peak.  The ``cli_analyze`` row times an
+in-process ``cli.main(["analyze", FILE, "--json", OUT])`` on the same clip
+saved as raw_f32, after one untimed call, so the CLI glue (parsing,
+loading, manifest and JSON output) shows beside the stages.  The
+``retention_clip`` row times one clip of the ``validate`` retention suite
+the same way: a seeded 16x224^2 ``synth_powerlaw`` clip and the
+``cube_retention`` of its normalized window.  The stage rows split ``analyze``
 as it runs: ``samples`` builds the three sample blocks, each ``*_loss`` row
 builds its block again and fits it, and ``unified_residual`` fits the
 blocks the losses returned.
@@ -30,12 +33,15 @@ like with like.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 
@@ -109,7 +115,8 @@ def bench_size(size, repeats: int) -> dict:
             trans.l_trans, rot.l_rot, scl.l_scale, cfg.softmax_temperature),
     }
     out = {"stages_ms": {k: min_ms(fn, repeats) for k, fn in stages.items()},
-           "analyze_ms": min_ms(lambda: analyze(clip, cfg), repeats)}
+           "analyze_ms": min_ms(lambda: analyze(clip, cfg), repeats),
+           "cli_analyze_ms": bench_cli_analyze(clip, repeats)}
     tracemalloc.start()
     try:
         analyze(clip, cfg)
@@ -118,6 +125,26 @@ def bench_size(size, repeats: int) -> dict:
     finally:
         tracemalloc.stop()
     return out
+
+
+def bench_cli_analyze(clip, repeats: int) -> float:
+    """``cli.main(["analyze", FILE, "--json", OUT])`` in process on ``clip``
+    saved as raw_f32, after one untimed call; its printed summary is
+    dropped."""
+    from sim2spec import cli
+    from sim2spec.core import save_video
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "clip.raw")
+        save_video(clip, path)
+        argv = ["analyze", path, "--json", os.path.join(tmp, "out.json")]
+
+        def one():
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(argv)
+
+        one()
+        return min_ms(one, repeats)
 
 
 def bench_retention_clip(repeats: int) -> float:
@@ -208,6 +235,11 @@ def main(argv=None) -> int:
                   f"{res['analyze_ms']['median']:.2f} ms "
                   f"(quartiles {q1:.2f}-{q3:.2f}), peak "
                   f"{res['analyze_tracemalloc_peak_mb']['median']:.1f} MB")
+            q1, _, q3 = statistics.quantiles(
+                res["cli_analyze_ms"]["rounds"], n=4)
+            print(f"{label} {name}: cli analyze median "
+                  f"{res['cli_analyze_ms']['median']:.2f} ms "
+                  f"(quartiles {q1:.2f}-{q3:.2f})")
         clip = summary["retention_clip_ms"]
         q1, _, q3 = statistics.quantiles(clip["rounds"], n=4)
         print(f"{label} retention_clip: median {clip['median']:.2f} ms "

@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import csv
 import datetime
+import functools
 import hashlib
 import json
 import math
@@ -454,8 +455,15 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()`` once per process: parsing leaves a parser as it
+    was, and each handler looks its collaborators up at call time."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -5,7 +5,9 @@ the noise floor from steering fits, and the observability gate
 ``m^2 / (m^2 + lambda_obs)`` removes harmonic samples that carry no motion
 information (exactly zero at m = 0).  The realized gate extremes are
 recorded with the samples because the concentration bounds need the gate
-ratio.  A block keeps its samples on their native grid.
+ratio.  A block keeps its samples on their native grid; each column and
+the target varies along at most one of its axes, so the block's moments
+come from the weights' marginals, while the errors stay per sample.
 """
 
 from __future__ import annotations
@@ -49,6 +51,10 @@ class WeightedSamples:
                 np.broadcast_shapes(shape, *map(np.shape, self.cols),
                                     np.shape(self.targets)):
             raise ValueError("sample arrays must broadcast to the weights")
+        if any(sum(n > 1 for n in np.shape(x)) > 1
+               for x in (*self.cols, self.targets)):
+            raise ValueError("a column or the target varies along more "
+                             "than one axis")
 
     @property
     def n(self) -> int:
@@ -57,14 +63,33 @@ class WeightedSamples:
     @cached_property
     def moments(self) -> tuple:
         """``(gram, rhs, sum_w)`` = ``(sum w x x^T, sum w x y, sum w)``,
-        formed once; products with an all-zero factor are skipped."""
+        formed once from the weights' marginals.  Every factor varies along
+        at most one axis, so two on one axis give a dot with the 1-D
+        marginal and two on axes ``a < b`` give ``f_a' W_ab f_b``; one
+        contraction of the weights, an axis at a time, against the factors'
+        pairwise products along it (ones off their axis) forms them all.
+        Products with an all-zero factor are skipped."""
+        w = np.atleast_1d(self.weights)
         f = (*self.cols, self.targets)
-        live = [k for k, x in enumerate(f) if np.any(x)]
-        used = [k for k in live if k < 5]
-        m = np.zeros((5, 6))
-        m[np.ix_(used, live)] = [[float((self.weights * (f[i] * f[j])).sum())
-                                  for j in live] for i in used]
-        return m[:, :5], m[:, 5], m[4, 4]
+        live = [k for k, x in enumerate(f) if np.count_nonzero(x)]
+        k2 = len(live) ** 2
+        # rows per axis in turn: a live factor's values on its own axis (a
+        # constant on axis 0), ones elsewhere
+        starts = np.cumsum((0, *w.shape))
+        basis = np.ones((starts[-1], len(live)))
+        for j, x in enumerate(f[k] for k in live):
+            a = (w.ndim - np.ndim(x) + int(np.argmax(np.shape(x)))
+                 if np.size(x) > 1 else 0)
+            basis[starts[a]:starts[a + 1], j] = np.ravel(x)
+        pairs = np.split((basis[:, :, None] * basis[:, None, :])
+                         .reshape(-1, k2), starts[1:-1])
+        m = w.reshape(-1, w.shape[-1]) @ pairs[-1]
+        for a in range(w.ndim - 2, -1, -1):
+            m = np.einsum("pak,ak->pk", m.reshape(-1, w.shape[a], k2),
+                          pairs[a])
+        full = np.zeros((6, 6))
+        full[np.ix_(live, live)] = m.reshape(len(live), len(live))
+        return full[:5, :5], full[:5, 5], full[4, 4]
 
     def errors(self, theta) -> np.ndarray:
         """Per-sample ``x . theta - y`` on the block's grid."""

@@ -12,9 +12,11 @@ Cartesian-domain losses only.
 samples; the log-radial harmonics are read off its m = 0 row (the
 angle-averaged profile), so the temporal transform is computed once.
 ``ring_energies`` returns the per-frame ring shares as a plain
-``(rings, T)`` array.  The polar lookup table and the ring masks depend
-only on the grids and the config, so each is built once per distinct
-argument set, kept in a small LRU cache and handed out read-only.
+``(rings, T)`` array.  The polar lookup table, the ring masks and
+``make_stack``'s tables (``_stack_tables``: the taper, the log-radius
+interpolation, ``xi_step`` and the three signed grids) depend only on the
+grids or the stack's shape and the config, so each is built once per
+distinct argument set, kept in a small LRU cache and handed out read-only.
 """
 
 from __future__ import annotations
@@ -152,6 +154,26 @@ class HarmonicStack:
             raise ConfigError("harmonic stack contains non-finite entries")
 
 
+@functools.lru_cache(maxsize=8)
+def _stack_tables(n_rho: int, n_theta: int, nt: int, n_xi: int,
+                  window_kind: str) -> tuple:
+    """Shape-only tables of ``make_stack``, built once per key and
+    read-only: the taper; ``i0``, ``1 - frac`` and ``frac`` interpolating
+    the linear rho grid ``rho_max*(k+1)/n_rho`` at ``n_xi`` log-spaced
+    radii over the same range; ``xi_step``; the m, nu and omega_t grids."""
+    rho = np.arange(1, n_rho + 1, dtype=np.float64)
+    xi = np.linspace(np.log(rho[0]), np.log(rho[-1]), n_xi)
+    pos = np.exp(xi) - 1.0                        # fractional index into prof
+    i0 = np.clip(np.floor(pos).astype(np.int64), 0, n_rho - 2)
+    frac = pos - i0
+    arrays = (temporal_window(nt, window_kind), i0, (1 - frac)[:, None],
+              frac[:, None], signed_bins(n_theta), signed_bins(n_xi),
+              signed_bins(nt))
+    for a in arrays:
+        a.setflags(write=False)
+    return *arrays[:4], float(xi[1] - xi[0]), *arrays[4:]
+
+
 def make_stack(polar: np.ndarray, cfg: SpectralConfig) -> HarmonicStack:
     """Angular and log-radial harmonic stacks from one windowed temporal DFT.
 
@@ -166,25 +188,16 @@ def make_stack(polar: np.ndarray, cfg: SpectralConfig) -> HarmonicStack:
     one temporal transform serves both stacks.
     """
     n_rho, n_theta, nt = polar.shape
-    n_xi = cfg.logradius_bins
     if n_theta < 4:
         raise ConfigError("need at least 4 angular samples")
-    h = temporal_window(nt, cfg.window_kind)
+    h, i0, w0, w1, xi_step, ang_m, rad_nu, freq_t = _stack_tables(
+        n_rho, n_theta, nt, cfg.logradius_bins, cfg.window_kind)
     ang = np.fft.fftshift(np.fft.fftn(polar * h, axes=(1, 2)), axes=(1, 2))
     # m = 0 sits at position n_theta // 2 after the shift
     prof = ang[:, n_theta // 2, :] / n_theta      # (n_rho, omega_t)
-    # the rho grid is linear rho_k = rho_max*(k+1)/n_rho; interpolate in rho
-    # at log-spaced targets spanning the same range
-    rho = np.arange(1, n_rho + 1, dtype=np.float64)
-    xi = np.linspace(np.log(rho[0]), np.log(rho[-1]), n_xi)
-    pos = np.exp(xi) - 1.0                        # fractional index into prof
-    i0 = np.clip(np.floor(pos).astype(np.int64), 0, n_rho - 2)
-    frac = pos - i0
-    resampled = (prof[i0] * (1 - frac)[:, None]
-                 + prof[i0 + 1] * frac[:, None])  # (n_xi, omega_t)
+    resampled = prof[i0] * w0 + prof[i0 + 1] * w1  # (n_xi, omega_t)
     rad = np.fft.fftshift(np.fft.fft(resampled, axis=0), axes=0)
-    return HarmonicStack(ang, signed_bins(n_theta), rad, signed_bins(n_xi),
-                         signed_bins(nt), float(xi[1] - xi[0]))
+    return HarmonicStack(ang, ang_m, rad, rad_nu, freq_t, xi_step)
 
 
 @functools.lru_cache(maxsize=8)

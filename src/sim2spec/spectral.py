@@ -23,7 +23,12 @@ rolling the data; and runs the windowed temporal FFT on the cropped frames
 only.  A kept bin's DFT index ``k`` is read off its shifted
 position (``position - n//2``), not off its ``signed_bins`` label, which
 is wrong for many ``n``; the returned grids are still the labels, exactly
-as ``crop_to_cube`` produces them.  ``cube_retention`` takes the total
+as ``crop_to_cube`` produces them.  The tables that depend only on
+``(T, H, W, lowpass_ratio, window_kind)`` (indices, grids, centring
+phases, taper) are built once per key by ``_transform_tables``, in a small
+LRU cache, read-only; the half spectrum lives only inside
+``_kept_frame_bins``, so it is freed before the temporal pass.
+``cube_retention`` takes the total
 energy from the time domain by Parseval,
 ``T*H*W * sum_t h_t^2 * sum_{y,x} x_t^2``, so the full spectrum is never
 formed.  ``spatial_transform``, ``spectral_transform``, ``crop_to_cube`` and
@@ -33,6 +38,7 @@ formed.  ``spatial_transform``, ``spectral_transform``, ``crop_to_cube`` and
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -117,40 +123,49 @@ def spectral_transform(v: VideoWindow, cfg: SpectralConfig) -> Spectrum3D:
                       signed_bins(v.width))
 
 
-def _kept_axis(n: int, ratio: float) -> tuple[np.ndarray, np.ndarray]:
-    """True DFT index and grid label of each kept bin of one axis, both from
-    one keep mask.
+@functools.lru_cache(maxsize=8)
+def _transform_tables(t_n: int, h: int, w: int, ratio: float,
+                      window_kind: str) -> tuple:
+    """Shape-only tables of ``cropped_transform``, built once per key and
+    read-only: the cube's grids (``signed_bins`` labels); the gather from
+    the Hermitian half (rows ``ky % H`` at columns ``|kx|``; the negative
+    columns, masked, from rows ``-ky % H`` at ``-kx``); each kept bin's
+    centring phase ``exp(2 pi i k (n//2) / n)``, what ``ifftshift`` before
+    the DFT does; the taper; the rows ``kt % T``.  A kept bin's DFT index
+    ``k`` is its shifted position minus ``n//2``, not its label, which is
+    wrong for many ``n``."""
+    sizes = (t_n, h, w)
+    masks = [keep_mask_1d(n, ratio) for n in sizes]
+    kt, ky, kx = (np.flatnonzero(m) - n // 2 for m, n in zip(masks, sizes))
+    grids = tuple(signed_bins(n)[m] for m, n in zip(masks, sizes))
+    neg = kx < 0
+    gather = (ky % h, np.abs(kx), neg, -ky % h, -kx[neg])
+    phase = (np.exp(2j * np.pi * ky * (h // 2) / h)[:, None]
+             * np.exp(2j * np.pi * kx * (w // 2) / w)[None, :])
+    tables = (grids, gather, phase,
+              temporal_window(t_n, window_kind)[:, None, None], kt % t_n)
+    for a in (*grids, *gather, *tables[2:]):
+        a.setflags(write=False)
+    return tables
 
-    Position ``p`` of a shifted axis holds DFT index ``p - n//2``.  The
-    index is not the ``signed_bins`` label, which is wrong for many ``n``;
-    the label is what the returned grids carry.
-    """
-    mask = keep_mask_1d(n, ratio)
-    return np.flatnonzero(mask) - n // 2, signed_bins(n)[mask]
 
-
-def _centring_phase(k: np.ndarray, n: int) -> np.ndarray:
-    """Per-bin phase that moves the spatial origin to ``n//2``; it equals
-    what ``ifftshift`` before the DFT does to bin ``k``."""
-    return np.exp(2j * np.pi * k * (n // 2) / n)
-
-
-def _kept_frame_bins(data: np.ndarray, ky: np.ndarray, kx: np.ndarray,
+def _kept_frame_bins(data: np.ndarray, gather: tuple,
                      offset: float) -> np.ndarray:
     """Unshifted 2D DFT of each frame of ``data - offset`` at the kept
-    indices ``ky`` x ``kx``, as a complex ``(T, ky, kx)`` array (the
-    frame-blocked Hermitian-half pass of the module docstring)."""
+    bins ``gather`` reads off the Hermitian half, as a complex
+    ``(T, ky, kx)`` array (the frame-blocked pass of the module
+    docstring).  The half spectrum lives only inside this call."""
+    rows, cols, neg, neg_rows, neg_cols = gather
     t_n, h, w = data.shape
-    n_half = int(np.abs(kx).max()) + 1
+    n_half = int(cols.max()) + 1
     half = np.empty((t_n, h, n_half), dtype=np.complex128)
     for t in range(t_n):
         half[t] = np.fft.fft(np.fft.rfft(data[t], axis=1)[:, :n_half], axis=0)
     half[:, 0, 0] -= offset * h * w
     # np.take returns C-contiguous arrays; chained fancy indexing would
     # leave them transposed, which slows every later stage
-    neg = kx < 0
-    frames = np.take(np.take(half, ky % h, axis=1), np.abs(kx), axis=2)
-    frames[:, :, neg] = np.take(np.take(half, -ky % h, axis=1), -kx[neg],
+    frames = np.take(np.take(half, rows, axis=1), cols, axis=2)
+    frames[:, :, neg] = np.take(np.take(half, neg_rows, axis=1), neg_cols,
                                 axis=2).conj()
     return frames
 
@@ -169,18 +184,12 @@ def cropped_transform(v: VideoWindow, cfg: SpectralConfig,
     by ``keep_mask_1d`` along y and x and lies on the cube's
     ``freq_y``/``freq_x`` grids.
     """
-    ratio = cfg.lowpass_ratio
-    t_n, h, w = v.data.shape
-    kt, ft = _kept_axis(t_n, ratio)
-    ky, fy = _kept_axis(h, ratio)
-    kx, fx = _kept_axis(w, ratio)
-
-    frames = _kept_frame_bins(v.data, ky, kx, offset)
-    frames *= _centring_phase(ky, h)[:, None] * _centring_phase(kx, w)[None, :]
-
-    taper = temporal_window(t_n, cfg.window_kind)
-    cube = np.fft.fft(frames * taper[:, None, None], axis=0)[kt % t_n]
-    return frames, Spectrum3D(cube, ft, fy, fx)
+    grids, gather, phase, taper, kept_t = _transform_tables(
+        *v.data.shape, cfg.lowpass_ratio, cfg.window_kind)
+    frames = _kept_frame_bins(v.data, gather, offset)
+    frames *= phase
+    cube = np.fft.fft(frames * taper, axis=0)[kept_t]
+    return frames, Spectrum3D(cube, *grids)
 
 
 def keep_count(n: int, ratio: float) -> int:

@@ -49,6 +49,11 @@ class MotionSpec:
         if self.kind not in MOTION_KINDS:
             raise ConfigError(f"unknown motion kind {self.kind!r}")
         vx, vy = self.v
+        for name, val in (("v", vx), ("v", vy), ("omega", self.omega),
+                          ("alpha", self.alpha),
+                          ("noise_sigma", self.noise_sigma)):
+            if not math.isfinite(val):
+                raise ConfigError(f"{name} must be finite (got {val!r})")
         moving = {"v": (vx != 0 or vy != 0), "omega": self.omega != 0,
                   "alpha": self.alpha != 0}
         allowed = {

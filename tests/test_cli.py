@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import re
+import warnings
 
 import jsonschema
 import numpy as np
@@ -177,6 +178,29 @@ def test_synth_malformed_spec_exit_2(raw, tmp_path, capsys, monkeypatch):
     assert not os.path.exists(tmp_path / "x.raw")
 
 
+@pytest.mark.parametrize("field, raw", [
+    ("omega", {"kind": "rotation", "omega": math.inf}),
+    ("v", {"kind": "translation", "v": [math.nan, 0]}),
+    ("alpha", {"kind": "scaling", "alpha": -math.inf}),
+    ("noise_sigma", {"kind": "static", "noise_sigma": math.nan})])
+def test_synth_non_finite_spec_exit_2(field, raw, tmp_path, capsys,
+                                      monkeypatch):
+    # rejected with the field's name before any frame is rendered, and
+    # with no NumPy warning on the way
+    def render(*args, **kwargs):
+        raise AssertionError("frame loop started")
+
+    monkeypatch.setattr(synth, "_bilinear", render)
+    spec_path = str(tmp_path / "spec.json")
+    json.dump(dict(raw, T=8, H=32, W=32), open(spec_path, "w"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["synth", spec_path, "--out", str(tmp_path / "x.raw")])
+    assert rc == 2
+    assert f"invalid spec: {field} must be finite" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "x.raw")
+
+
 def whole_read_digest(path, chunk=None):
     """The manifest digest with every file read in one call, or in
     ``chunk``-byte reads if a chunk size is given."""
@@ -323,6 +347,17 @@ def test_sweep_bad_range_exit_2(monkeypatch):
     assert main(["sweep", "--param", "tau", "--range", "0.1,0"]) == 2
 
 
+def test_sweep_non_finite_noise_exit_2(tmp_path, monkeypatch):
+    def no_analysis(*args):
+        raise AssertionError("analyze ran")
+
+    monkeypatch.setattr(cli, "analyze", no_analysis)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--param", "noise", "--range", "0,nan",
+                 "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_sidecar_matches_schema(tmp_path):
     clip = synth_sim2("checker", MotionSpec(kind="static", seed=0), 4, 32, 32)
     path = str(tmp_path / "c.raw")
@@ -370,3 +405,47 @@ def test_readme_lists_parser_options():
                 for opt in action.option_strings
                 if opt.startswith("--") and opt != "--help"}
     assert documented == declared
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: nothing carries over from one main call to the next
+
+
+def test_main_reuses_one_parser():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_parsed_flags_do_not_carry_over(trans_clip_path, tmp_path):
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    assert main(["analyze", trans_clip_path, "--tau", "0.2", "--json", a]) == 0
+    assert main(["analyze", trans_clip_path, "--json", b]) == 0
+    assert json.load(open(a))["manifest"]["config"][
+        "softmax_temperature"] == 0.2
+    assert json.load(open(b))["manifest"]["config"] == \
+        SpectralConfig().to_dict()
+
+
+def test_valid_call_after_parse_error(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--suite", "nonsense"])
+    assert exc.value.code == 2
+    out = str(tmp_path / "v.json")
+    assert main(["validate", "--suite", "bounds", "--n", "5",
+                 "--json", out]) == 0
+    assert json.load(open(out))["violations_total"] == 0
+
+
+def test_patched_analyze_hit_after_earlier_calls(trans_clip_path, tmp_path,
+                                                 monkeypatch):
+    assert main(["analyze", trans_clip_path]) == 0
+
+    class Patched(Exception):
+        pass
+
+    def patched(*args):
+        raise Patched
+
+    monkeypatch.setattr(cli, "analyze", patched)
+    with pytest.raises(Patched):
+        main(["analyze", trans_clip_path])

@@ -84,6 +84,15 @@ def test_build_samples_layout():
     assert np.allclose(s.targets, [-3.0, 1.0])
 
 
+@pytest.mark.parametrize("which", ["column", "target"])
+def test_samples_varying_along_two_axes_rejected(which):
+    e = np.ones((3, 4))
+    grid = np.arange(12.0).reshape(3, 4)
+    col, target = (grid, 1.0) if which == "column" else (1.0, grid)
+    with pytest.raises(ValueError, match="more than one axis"):
+        build_samples(col, 0.0, 0.0, 0.0, target, e, None, CFG)
+
+
 def random_block(kind, a, b, c, rng):
     """A sample block on a random native grid, and the explicit row matrix
     ``[omega_x, omega_y, m, nu, 1]``, targets and weights it stands for."""

@@ -13,7 +13,7 @@ from sim2spec.losses import (adaptive_composite, analyze, ridge_wls_solve,
 from sim2spec.resample import HarmonicStack
 from sim2spec.spectral import crop_to_cube, keep_mask_1d, signed_bins, \
     spatial_transform, spectral_transform
-from sim2spec import losses, resample
+from sim2spec import losses, resample, spectral
 from sim2spec.cli import EXACTNESS_VELOCITIES
 from sim2spec.synth import MotionSpec, make_rng, synth_sim2
 from sim2spec.bounds import window_leakage
@@ -629,19 +629,25 @@ def test_band_edge_fields_stable_under_pruned_transform(cfg, monkeypatch):
 
 def test_cached_grid_tables_give_cold_reports():
     # sizes and configs interleaved so a table keyed on too little (the
-    # shape alone, or the grid without the ring count) would be reused
-    # where it does not belong
+    # shape alone, or the grid without the ring count, the window, the
+    # low-pass ratio or the log-radius bins) would be reused where it does
+    # not belong
     clip64 = make_fixture_clip("rotation", size=64)
     calls = [(clip64, SpectralConfig()),
              (make_fixture_clip("scaling", size=128), SpectralConfig()),
              (clip64, SpectralConfig(rings=10)),
              (REPORT_CLIPS["odd_8x33x47"](), SpectralConfig()),
+             (clip64, SpectralConfig(window_kind="rect")),
+             (clip64, SpectralConfig(lowpass_ratio=0.25)),
+             (clip64, SpectralConfig(logradius_bins=12)),
              (clip64, SpectralConfig())]
     warm = [analyze(clip, c).to_dict() for clip, c in calls]
     cold = []
     for clip, c in calls:
         resample._polar_lut.cache_clear()
         resample._ring_masks.cache_clear()
+        resample._stack_tables.cache_clear()
+        spectral._transform_tables.cache_clear()
         cold.append(analyze(clip, c).to_dict())
     assert warm == cold
 
@@ -651,7 +657,13 @@ def test_cached_grid_tables_read_only():
     lut = resample.build_polar_lut(fy, fx, 20, 24)
     masks = resample._ring_masks(resample._grid_key(fy),
                                  resample._grid_key(fx), 20, 20.0)
-    for arr in (lut.rho, lut.theta, lut.indices, lut.weights, masks):
+    grids, gather, *rest = spectral._transform_tables(8, 33, 47, 0.3, "hann")
+    arrays = [*grids, *gather, *rest,
+              *(a for a in resample._stack_tables(20, 24, 8, 16, "hann")
+                if isinstance(a, np.ndarray))]
+    assert len(arrays) == 18
+    for arr in (lut.rho, lut.theta, lut.indices, lut.weights, masks,
+                *arrays):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 0
 

@@ -78,6 +78,18 @@ def test_motion_spec_kind_constraints():
     MotionSpec(kind="mixed", v=(1.0, 0.0), omega=0.1, alpha=0.01)
 
 
+@pytest.mark.parametrize("field, kw", [
+    ("v", {"kind": "translation", "v": (math.nan, 0.0)}),
+    ("v", {"kind": "mixed", "v": (0.0, -math.inf)}),
+    ("omega", {"kind": "rotation", "omega": math.inf}),
+    ("alpha", {"kind": "scaling", "alpha": math.nan}),
+    ("noise_sigma", {"kind": "static", "noise_sigma": math.nan}),
+    ("noise_sigma", {"kind": "static", "noise_sigma": math.inf})])
+def test_motion_spec_rejects_non_finite(field, kw):
+    with pytest.raises(ConfigError, match=f"^{field} must be finite"):
+        MotionSpec(**kw)
+
+
 def test_synth_deterministic_per_seed():
     spec = MotionSpec(kind="rotation", omega=0.2, noise_sigma=0.05, seed=77)
     a = synth_sim2("gaussian_blobs", spec, 8, 48, 48)
