@@ -11,7 +11,8 @@ itself is timed the same way, after one untimed call per size, and one
 more run records its tracemalloc peak.  The ``cli_analyze`` row times an
 in-process ``cli.main(["analyze", FILE, "--json", OUT])`` on the same clip
 saved as raw_f32, after one untimed call, so the CLI glue (parsing,
-loading, manifest and JSON output) shows beside the stages.  The
+loading, manifest and JSON output) shows beside the stages; one more call
+records its tracemalloc peak, the load included.  The
 ``retention_clip`` row times one clip of the ``validate`` retention suite
 the same way: a seeded 16x224^2 ``synth_powerlaw`` clip and the
 ``cube_retention`` of its normalized window.  The stage rows split ``analyze``
@@ -114,9 +115,11 @@ def bench_size(size, repeats: int) -> dict:
         "composite": lambda: adaptive_composite(
             trans.l_trans, rot.l_rot, scl.l_scale, cfg.softmax_temperature),
     }
+    cli_ms, cli_peak = bench_cli_analyze(clip, repeats)
     out = {"stages_ms": {k: min_ms(fn, repeats) for k, fn in stages.items()},
            "analyze_ms": min_ms(lambda: analyze(clip, cfg), repeats),
-           "cli_analyze_ms": bench_cli_analyze(clip, repeats)}
+           "cli_analyze_ms": cli_ms,
+           "cli_analyze_tracemalloc_peak_mb": cli_peak}
     tracemalloc.start()
     try:
         analyze(clip, cfg)
@@ -127,9 +130,10 @@ def bench_size(size, repeats: int) -> dict:
     return out
 
 
-def bench_cli_analyze(clip, repeats: int) -> float:
-    """``cli.main(["analyze", FILE, "--json", OUT])`` in process on ``clip``
-    saved as raw_f32, after one untimed call; its printed summary is
+def bench_cli_analyze(clip, repeats: int) -> tuple:
+    """Minimum time (ms) of ``cli.main(["analyze", FILE, "--json", OUT])``
+    in process on ``clip`` saved as raw_f32, after one untimed call, and
+    the tracemalloc peak (MB) of one more call; its printed summary is
     dropped."""
     from sim2spec import cli
     from sim2spec.core import save_video
@@ -144,7 +148,14 @@ def bench_cli_analyze(clip, repeats: int) -> float:
                 cli.main(argv)
 
         one()
-        return min_ms(one, repeats)
+        ms = min_ms(one, repeats)
+        tracemalloc.start()
+        try:
+            one()
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+        finally:
+            tracemalloc.stop()
+        return ms, peak
 
 
 def bench_retention_clip(repeats: int) -> float:
@@ -239,7 +250,9 @@ def main(argv=None) -> int:
                 res["cli_analyze_ms"]["rounds"], n=4)
             print(f"{label} {name}: cli analyze median "
                   f"{res['cli_analyze_ms']['median']:.2f} ms "
-                  f"(quartiles {q1:.2f}-{q3:.2f})")
+                  f"(quartiles {q1:.2f}-{q3:.2f}), peak "
+                  f"{res['cli_analyze_tracemalloc_peak_mb']['median']:.1f}"
+                  f" MB")
         clip = summary["retention_clip_ms"]
         q1, _, q3 = statistics.quantiles(clip["rounds"], n=4)
         print(f"{label} retention_clip: median {clip['median']:.2f} ms "

@@ -178,6 +178,11 @@ class MotionEstimate:
         return asdict(self)
 
 
+# largest piece of a raw payload read at once: the float32 buffer it is
+# read into is reused for every piece
+RAW_READ_BYTES = 1 << 20
+
+
 def _read_bytes(path: str, digest) -> bytes:
     """Whole contents of ``path``, also fed to ``digest`` if one is given."""
     try:
@@ -188,6 +193,32 @@ def _read_bytes(path: str, digest) -> bytes:
     if digest is not None:
         digest.update(blob)
     return blob
+
+
+def _read_raw_payload(fh, path: str, shape: tuple, digest) -> np.ndarray:
+    """The float32 payload of the open file ``fh`` as a float64 array of
+    ``shape``, read in pieces of at most ``RAW_READ_BYTES`` into one reused
+    buffer; each piece is fed to ``digest`` if one is given."""
+    count = math.prod(shape)
+    size = os.fstat(fh.fileno()).st_size
+    if size != 4 * count:
+        t, h, w = shape
+        raise FormatError(
+            f"{path}: sidecar declares T={t} H={h} W={w} "
+            f"({4 * count} bytes), file holds {size} bytes")
+    data = np.empty(shape)
+    flat = data.reshape(-1)
+    buf = np.empty(min(count, RAW_READ_BYTES // 4), dtype="<f4")
+    raw = buf.view(np.uint8)
+    for start in range(0, count, buf.size):
+        n = min(buf.size, count - start)
+        if fh.readinto(raw[:4 * n]) != 4 * n:
+            raise FormatError(f"{path}: payload ended before the "
+                              f"{4 * count} bytes its size promised")
+        if digest is not None:
+            digest.update(raw[:4 * n])
+        flat[start:start + n] = buf[:n]
+    return data
 
 
 def _parse_pgm(blob: bytes, path: str) -> np.ndarray:
@@ -242,8 +273,12 @@ def load_video(path: str, digest=None) -> VideoWindow:
     as a raw little-endian float32 file plus its ``path + ".json"`` sidecar.
 
     Raw data is already scaled to [0,1]; PGM frames are divided by 255 and
-    stacked in sorted name order.  Every file is read once, whole.  A
-    ``hashlib`` object passed as ``digest`` is fed the input's bytes as
+    stacked in sorted name order.  Every file is read once.  A PGM frame
+    and a sidecar are read whole; a raw payload's size is checked against
+    its sidecar before it is read, and it is then read in pieces of at most
+    ``RAW_READ_BYTES`` into one reused float32 buffer and converted into
+    the window's float64 array, so no copy of the whole payload is held.
+    A ``hashlib`` object passed as ``digest`` is fed the input's bytes as
     they are read: for a directory, each entry's name and then its
     contents in sorted name order, files that are not frames included; for
     a raw file, the payload and then the sidecar.
@@ -281,14 +316,14 @@ def load_video(path: str, digest=None) -> VideoWindow:
     if min(t, h, w) < 1:
         raise FormatError(f"bad sidecar {sidecar}: dimensions must be "
                           f"positive, got T={t} H={h} W={w}")
-    blob = _read_bytes(path, digest)
+    try:
+        with open(path, "rb") as fh:
+            data = _read_raw_payload(fh, path, (t, h, w), digest)
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc}") from exc
     if digest is not None:
         digest.update(meta_blob)
-    if len(blob) != 4 * t * h * w:
-        raise FormatError(
-            f"{path}: sidecar declares T={t} H={h} W={w} "
-            f"({4 * t * h * w} bytes), file holds {len(blob)} bytes")
-    return VideoWindow(np.frombuffer(blob, dtype="<f4").reshape(t, h, w))
+    return VideoWindow(data)
 
 
 def save_video(v: VideoWindow, path: str, format: str = "raw_f32") -> None:

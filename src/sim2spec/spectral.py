@@ -10,26 +10,27 @@ unnormalized, so Parseval reads ``sum |X|^2 == N * sum |x|^2`` with
 ``N = T*H*W`` (rect window).
 
 ``cropped_transform`` is the pipeline's transform: a pruned pass (Markel
-1971; Sorensen & Burrus 1993) that forms only the kept low-pass bins.  One
-frame at a time it takes ``rfft`` along x, keeps the columns
-``0..max|kx|`` and FFTs along y only those, into one ``(T, H, max|kx|+1)``
-array, so no full-block spectrum is formed.  It subtracts an optional
-constant offset from each frame's DC bin (exact: a constant only moves that
-bin), so the caller's 1/2 mean shift needs no copy of the data.  It gathers
-the kept rows, reads the negative kept columns off the nonnegative ones by
-Hermitian symmetry, ``X[ky, -j] = conj(X[-ky, j])``; applies the
+1971; Sorensen & Burrus 1993) that forms only the kept low-pass bins.  It
+runs over the frames in chunks, as many frames as keep the x-transformed
+chunk within ``CHUNK_BYTES`` (one at least).  Per chunk it takes ``rfft``
+along x, keeps the columns ``0..max|kx|`` and FFTs along y only those;
+subtracts an optional constant offset from each frame's DC bin (exact: a
+constant only moves that bin), so the caller's 1/2 mean shift needs no copy
+of the data; gathers every kept bin with one flat index, the negative kept
+columns off the nonnegative ones by Hermitian symmetry,
+``X[ky, -j] = conj(X[-ky, j])``, conjugated in place; and applies the
 origin-centring phase ``exp(2 pi i k (n//2) / n)`` per bin instead of
-rolling the data; and runs the windowed temporal FFT on the cropped frames
-only.  A kept bin's DFT index ``k`` is read off its shifted
-position (``position - n//2``), not off its ``signed_bins`` label, which
-is wrong for many ``n``; the returned grids are still the labels, exactly
-as ``crop_to_cube`` produces them.  The tables that depend only on
-``(T, H, W, lowpass_ratio, window_kind)`` (indices, grids, centring
-phases, taper) are built once per key by ``_transform_tables``, in a small
-LRU cache, read-only; the half spectrum lives only inside
-``_kept_frame_bins``, so it is freed before the temporal pass.
-``cube_retention`` takes the total
-energy from the time domain by Parseval,
+rolling the data.  Each chunk lands in the kept-bin ``frames`` array, so
+no ``(T, H, max|kx|+1)`` half spectrum is formed.  The windowed temporal
+DFT is one matrix product of the ``(K_t, T)`` table, the taper times the
+kept rows of the DFT matrix, with the frames.  A kept bin's DFT index
+``k`` is read off its shifted position (``position - n//2``), not off its
+``signed_bins`` label, which is wrong for many ``n``; the returned grids
+are still the labels, exactly as ``crop_to_cube`` produces them.  The
+tables that depend only on ``(T, H, W, lowpass_ratio, window_kind)`` (the
+gather, grids, centring phases, the temporal table) are built once per key
+by ``_transform_tables``, in a small LRU cache, read-only.
+``cube_retention`` takes the total energy from the time domain by Parseval,
 ``T*H*W * sum_t h_t^2 * sum_{y,x} x_t^2``, so the full spectrum is never
 formed.  ``spatial_transform``, ``spectral_transform``, ``crop_to_cube`` and
 ``measured_retention`` remain as the full-spectrum reference, outside
@@ -123,50 +124,64 @@ def spectral_transform(v: VideoWindow, cfg: SpectralConfig) -> Spectrum3D:
                       signed_bins(v.width))
 
 
+# bytes of the x-transformed frames (the ``rfft`` output) that
+# ``_kept_frame_bins`` handles in one batch; at least one frame per batch
+CHUNK_BYTES = 1 << 18
+
+
 @functools.lru_cache(maxsize=8)
 def _transform_tables(t_n: int, h: int, w: int, ratio: float,
                       window_kind: str) -> tuple:
     """Shape-only tables of ``cropped_transform``, built once per key and
     read-only: the cube's grids (``signed_bins`` labels); the gather from
-    the Hermitian half (rows ``ky % H`` at columns ``|kx|``; the negative
-    columns, masked, from rows ``-ky % H`` at ``-kx``); each kept bin's
+    the Hermitian half, its width ``max|kx| + 1``, the flat index of each
+    kept bin in a frame's half spectrum (row ``ky % H`` at column ``kx``
+    for ``kx >= 0``, row ``-ky % H`` at column ``-kx`` for ``kx < 0``) and
+    the mask of the bins to conjugate (``kx < 0``); each kept bin's
     centring phase ``exp(2 pi i k (n//2) / n)``, what ``ifftshift`` before
-    the DFT does; the taper; the rows ``kt % T``.  A kept bin's DFT index
-    ``k`` is its shifted position minus ``n//2``, not its label, which is
-    wrong for many ``n``."""
+    the DFT does; the ``(K_t, T)`` temporal table, the taper times the kept
+    rows ``exp(-2 pi i kt t / T)`` of the DFT matrix.  A kept bin's DFT
+    index ``k`` is its shifted position minus ``n//2``, not its label,
+    which is wrong for many ``n``."""
     sizes = (t_n, h, w)
     masks = [keep_mask_1d(n, ratio) for n in sizes]
     kt, ky, kx = (np.flatnonzero(m) - n // 2 for m, n in zip(masks, sizes))
     grids = tuple(signed_bins(n)[m] for m, n in zip(masks, sizes))
     neg = kx < 0
-    gather = (ky % h, np.abs(kx), neg, -ky % h, -kx[neg])
+    n_half = int(np.abs(kx).max()) + 1
+    rows = np.where(neg, -ky[:, None] % h, ky[:, None] % h)
+    conj = np.broadcast_to(neg, rows.shape)
+    gather = (n_half, rows * n_half + np.abs(kx), conj)
     phase = (np.exp(2j * np.pi * ky * (h // 2) / h)[:, None]
              * np.exp(2j * np.pi * kx * (w // 2) / w)[None, :])
-    tables = (grids, gather, phase,
-              temporal_window(t_n, window_kind)[:, None, None], kt % t_n)
-    for a in (*grids, *gather, *tables[2:]):
+    # the product kt*t reduced mod T keeps every angle in [0, 2 pi)
+    tdft = (np.exp(-2j * np.pi * (np.outer(kt, np.arange(t_n)) % t_n) / t_n)
+            * temporal_window(t_n, window_kind))
+    for a in (*grids, *gather[1:], phase, tdft):
         a.setflags(write=False)
-    return tables
+    return grids, gather, phase, tdft
 
 
-def _kept_frame_bins(data: np.ndarray, gather: tuple,
+def _kept_frame_bins(data: np.ndarray, gather: tuple, phase: np.ndarray,
                      offset: float) -> np.ndarray:
-    """Unshifted 2D DFT of each frame of ``data - offset`` at the kept
-    bins ``gather`` reads off the Hermitian half, as a complex
-    ``(T, ky, kx)`` array (the frame-blocked pass of the module
-    docstring).  The half spectrum lives only inside this call."""
-    rows, cols, neg, neg_rows, neg_cols = gather
+    """Centred 2D DFT of each frame of ``data - offset`` at the kept bins
+    ``gather`` reads off the Hermitian half, as a complex ``(T, ky, kx)``
+    array (the chunked pass of the module docstring).  No half spectrum
+    outlives its chunk of frames."""
+    n_half, index, conj = gather
     t_n, h, w = data.shape
-    n_half = int(cols.max()) + 1
-    half = np.empty((t_n, h, n_half), dtype=np.complex128)
-    for t in range(t_n):
-        half[t] = np.fft.fft(np.fft.rfft(data[t], axis=1)[:, :n_half], axis=0)
-    half[:, 0, 0] -= offset * h * w
-    # np.take returns C-contiguous arrays; chained fancy indexing would
-    # leave them transposed, which slows every later stage
-    frames = np.take(np.take(half, rows, axis=1), cols, axis=2)
-    frames[:, :, neg] = np.take(np.take(half, neg_rows, axis=1), neg_cols,
-                                axis=2).conj()
+    frames = np.empty((t_n, *index.shape), dtype=np.complex128)
+    step = max(1, CHUNK_BYTES // (16 * h * (w // 2 + 1)))
+    for t0 in range(0, t_n, step):
+        half = np.fft.fft(np.fft.rfft(data[t0:t0 + step], axis=2)
+                          [:, :, :n_half], axis=1)
+        half[:, 0, 0] -= offset * h * w
+        out = frames[t0:t0 + step]
+        # every index is in range; "clip" lets take write into out unbuffered
+        np.take(half.reshape(len(half), -1), index, axis=1, out=out,
+                mode="clip")
+        np.conjugate(out, out=out, where=conj)
+        out *= phase
     return frames
 
 
@@ -177,18 +192,19 @@ def cropped_transform(v: VideoWindow, cfg: SpectralConfig,
     pass (described in the module docstring).
 
     ``offset`` comes off each frame's spatial DC bin as ``offset*H*W``
-    before the temporal FFT, so ``v.data`` is never copied.  The cube
+    before the temporal step, so ``v.data`` is never copied.  The cube
     equals (to rounding) ``crop_to_cube(spectral_transform(w, cfg))`` at
     ``cfg.lowpass_ratio`` for ``w`` the window of ``v.data - offset``, with
-    the same bin grids.  ``frames`` equals ``spatial_transform(w)`` cropped
-    by ``keep_mask_1d`` along y and x and lies on the cube's
-    ``freq_y``/``freq_x`` grids.
+    the same bin grids; it is one matrix product of the ``(K_t, T)``
+    tapered DFT rows with the frames.  ``frames`` equals
+    ``spatial_transform(w)`` cropped by ``keep_mask_1d`` along y and x and
+    lies on the cube's ``freq_y``/``freq_x`` grids.
     """
-    grids, gather, phase, taper, kept_t = _transform_tables(
+    grids, gather, phase, tdft = _transform_tables(
         *v.data.shape, cfg.lowpass_ratio, cfg.window_kind)
-    frames = _kept_frame_bins(v.data, gather, offset)
-    frames *= phase
-    cube = np.fft.fft(frames * taper, axis=0)[kept_t]
+    frames = _kept_frame_bins(v.data, gather, phase, offset)
+    cube = (tdft @ frames.reshape(len(frames), -1)).reshape(
+        len(tdft), *frames.shape[1:])
     return frames, Spectrum3D(cube, *grids)
 
 

@@ -7,6 +7,7 @@ import math
 import os
 import pathlib
 import re
+import tracemalloc
 import warnings
 
 import jsonschema
@@ -253,6 +254,26 @@ def test_analyze_opens_raw_payload_once(trans_clip_path, monkeypatch):
     assert main(["analyze", trans_clip_path]) == 0
     assert opened.count(trans_clip_path) == 1
     assert opened.count(trans_clip_path + ".json") == 1
+
+
+def test_cli_analyze_peak_allocation_near_one_window(tmp_path):
+    # the CLI path, load included, holds the float64 window plus spectra
+    # the size of the kept bins: neither the raw payload nor a block-sized
+    # half spectrum beside it.  A first call makes the one-time imports
+    # and cached tables, which are not what is measured
+    clip = synth_sim2("bandpass_noise", MotionSpec(kind="static", seed=3),
+                      32, 256, 256)
+    path = str(tmp_path / "clip.raw")
+    save_video(clip, path)
+    argv = ["analyze", path, "--json", str(tmp_path / "rep.json")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.45 * clip.data.nbytes
 
 
 def test_validate_bounds_suite(tmp_path):

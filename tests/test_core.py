@@ -1,13 +1,17 @@
 import importlib
 import json
+import os
+import re
+import types
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sim2spec.core import (NUMERIC_EPS, ConfigError, FormatError,
-                           MotionEstimate, SpectralConfig, VideoWindow,
-                           load_video, normalize_window, save_video)
+from sim2spec.core import (NUMERIC_EPS, RAW_READ_BYTES, ConfigError,
+                           FormatError, MotionEstimate, SpectralConfig,
+                           VideoWindow, load_video, normalize_window,
+                           save_video)
 from sim2spec.gates import OBS_GATE_LAMBDA
 from sim2spec.resample import SOFT_RING_EDGE
 
@@ -65,6 +69,25 @@ def test_raw_trailing_bytes_rejected(tmp_path):
     with pytest.raises(FormatError, match="96 bytes.*99 bytes"):
         load_video(str(path))
     assert main(["analyze", str(path)]) == 2
+
+
+@pytest.mark.parametrize("held", [0, 6, RAW_READ_BYTES + 8])
+def test_raw_payload_short_after_size_check(held, tmp_path, monkeypatch,
+                                            capsys):
+    # the size check passes but the payload ends early, in the first or a
+    # later piece of the read
+    from sim2spec.cli import main
+    shape = (5, 256, 256)  # 1.25 MiB: more than one piece
+    path = tmp_path / "c.raw"
+    path.write_bytes(bytes(held))
+    (tmp_path / "c.raw.json").write_text(
+        json.dumps(dict(zip("THW", shape))))
+    promised = types.SimpleNamespace(st_size=4 * int(np.prod(shape)))
+    monkeypatch.setattr(os, "fstat", lambda fd: promised)
+    with pytest.raises(FormatError, match=re.escape(f"{path}: payload ended")):
+        load_video(str(path))
+    assert main(["analyze", str(path)]) == 2
+    assert f"{path}: payload ended" in capsys.readouterr().err
 
 
 def test_corrupt_pgm_names_frame(tmp_path):

@@ -276,13 +276,33 @@ def test_cropped_transform_matches_crop_property(t_n, h, w, kind, ratio,
     assert_pruned_matches_crop(data, kind, ratio, offset=offset)
 
 
+# windows that the spatial pass splits into several chunks of frames, the
+# last one shorter than the others
+CHUNK_EDGE_SHAPES = [(16, 64, 64), (13, 100, 47)]
+
+
 @pytest.mark.parametrize("shape", [(8, 224, 47), (16, 224, 224),
-                                   (32, 256, 256)])
+                                   (32, 256, 256), *CHUNK_EDGE_SHAPES])
 @pytest.mark.parametrize("kind", ["rect", "hann"])
 def test_cropped_transform_matches_crop_sizes(shape, kind):
     # 47 and 224 are sizes whose signed_bins labels are off (see below)
     assert_pruned_matches_crop(make_rng(11).random(shape), kind, 0.3,
                                offset=0.5)
+
+
+@pytest.mark.parametrize("shape", CHUNK_EDGE_SHAPES)
+def test_chunk_edge_shapes_end_on_partial_chunk(shape, monkeypatch):
+    real_rfft = np.fft.rfft
+    chunks = []
+
+    def counting_rfft(a, *args, **kwargs):
+        chunks.append(len(a))
+        return real_rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    cropped_transform(VideoWindow(np.zeros(shape)), RECT)
+    assert sum(chunks) == shape[0]
+    assert len(chunks) > 1 and 0 < chunks[-1] < chunks[0]
 
 
 @settings(max_examples=40, deadline=None)
