@@ -1,9 +1,9 @@
 """Command-line surface: analyze / synth / validate / sweep.
 
 Every JSON output embeds a run manifest (command, input digests, tool
-version, timestamp, and for ``analyze`` the full configuration and its
-stable hash) and parses against the schema files shipped under
-``sim2spec/schemas``.
+version, timestamp, numpy/BLAS/thread environment, and for ``analyze`` the
+full configuration and its stable hash) and parses against the schema
+files shipped under ``sim2spec/schemas``.
 
 Exit codes: 0 success, 1 validation failure, 2 input/format error,
 3 unobservable or degenerate input.
@@ -19,6 +19,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -40,6 +41,17 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 
 
+def environment() -> dict:
+    """The numpy version, the BLAS it was built against, the BLAS thread
+    variables (None when unset) and the CPU count."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__,
+            "blas": {key: blas.get(key) for key in ("name", "version")},
+            "threads": {var: os.environ.get(var) for var in (
+                "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
+            "cpu_count": os.cpu_count()}
+
+
 def make_manifest(command: str, inputs: dict,
                   cfg: SpectralConfig | None = None) -> dict:
     """Run manifest; ``inputs`` maps each input path to its digest.  The
@@ -52,6 +64,7 @@ def make_manifest(command: str, inputs: dict,
         "inputs": dict(inputs),
         "version": __version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+        "environment": environment(),
     }
 
 

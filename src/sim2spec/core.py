@@ -17,6 +17,7 @@ import json
 import math
 import os
 from dataclasses import asdict, dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
@@ -122,7 +123,12 @@ class SpectralConfig:
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, float) and not math.isfinite(value):
+            if f.type == "int":  # NumPy integers are stored as int
+                if type(value) is bool or not isinstance(value, Integral):
+                    raise ConfigError(
+                        f"{f.name} must be an integer, got {value!r}")
+                object.__setattr__(self, f.name, int(value))
+            elif isinstance(value, float) and not math.isfinite(value):
                 raise ConfigError(f"{f.name} must be finite, got {value}")
         if not (0.0 < self.lowpass_ratio <= 1.0):
             raise ConfigError("lowpass_ratio must be in (0, 1]")

@@ -97,25 +97,25 @@ _NO_FIT.theta.setflags(write=False)
 
 def translation_samples(s: Spectrum3D, cfg: SpectralConfig) -> WeightedSamples:
     """One sample per retained Cartesian bin (translation slice columns)."""
-    return build_samples(s.freq_x[None, None, :], s.freq_y[None, :, None],
-                         0.0, 0.0, s.freq_t[:, None, None],
-                         np.abs(s.coeffs) ** 2, None, cfg)
+    return build_samples(s.freq_x[None, :], s.freq_y[:, None], 0.0, 0.0,
+                         s.freq_t, np.abs(s.coeffs) ** 2, None, cfg)
 
 
 def rotation_samples(stack: HarmonicStack, cfg: SpectralConfig) -> WeightedSamples:
     """One sample per (rho, m != 0, omega_t) angular-harmonic cell."""
     keep = stack.ang_m != 0
-    m = stack.ang_m[keep][None, :, None]
-    return build_samples(0.0, 0.0, m, 0.0, stack.freq_t[None, None, :],
-                         np.abs(stack.ang[:, keep, :]) ** 2, m, cfg)
+    m = stack.ang_m[keep][None, :]
+    return build_samples(0.0, 0.0, m, 0.0, stack.freq_t,
+                         np.abs(stack.ang[:, keep, :].transpose(2, 0, 1)) ** 2,
+                         m, cfg)
 
 
 def scaling_samples(stack: HarmonicStack, cfg: SpectralConfig) -> WeightedSamples:
     """One sample per (nu != 0, omega_t) log-radial harmonic cell."""
     keep = stack.rad_nu != 0
-    nu = stack.rad_nu[keep][:, None]
-    return build_samples(0.0, 0.0, 0.0, nu, stack.freq_t[None, :],
-                         np.abs(stack.rad[keep, :]) ** 2, nu, cfg)
+    nu = stack.rad_nu[keep]
+    return build_samples(0.0, 0.0, 0.0, nu, stack.freq_t,
+                         np.abs(stack.rad[keep, :].T) ** 2, nu, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -105,17 +105,13 @@ def _polar_lut(key_y: tuple, key_x: tuple, n_rho: int,
     r0 = np.floor(row).astype(np.int64)
     dc = col - c0
     dr = row - r0
-    idx = np.empty((col.size, 4), dtype=np.int64)
-    wgt = np.empty((col.size, 4))
-    k = 0
-    for orow, wr in ((0, 1 - dr), (1, dr)):
-        for ocol, wc in ((0, 1 - dc), (1, dc)):
-            rr = r0 + orow
-            cc = c0 + ocol
-            inside = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
-            idx[:, k] = np.where(inside, rr * w + cc, 0)
-            wgt[:, k] = np.where(inside, wr * wc, 0.0)
-            k += 1
+    # corners (r0, c0), (r0, c0 + 1), (r0 + 1, c0), (r0 + 1, c0 + 1)
+    rr = r0[:, None] + np.array([0, 0, 1, 1])
+    cc = c0[:, None] + np.array([0, 1, 0, 1])
+    inside = (rr >= 0) & (rr < h) & (cc >= 0) & (cc < w)
+    idx = np.where(inside, rr * w + cc, 0)
+    wgt = np.where(inside, np.column_stack([(1 - dr) * (1 - dc), (1 - dr) * dc,
+                                            dr * (1 - dc), dr * dc]), 0.0)
     for a in (rho, theta, idx, wgt):
         a.setflags(write=False)
     return PolarLUT(rho, theta, idx, wgt, (h, w))

@@ -235,11 +235,10 @@ def crop_to_cube(s: Spectrum3D, ratio: float) -> Spectrum3D:
     Signed bin values of the retained coefficients are preserved, so sample
     coordinates are unchanged; only the array gets smaller.
     """
-    mt = keep_mask_1d(len(s.freq_t), ratio)
-    my = keep_mask_1d(len(s.freq_y), ratio)
-    mx = keep_mask_1d(len(s.freq_x), ratio)
-    coeffs = s.coeffs[np.ix_(mt, my, mx)]
-    return Spectrum3D(coeffs, s.freq_t[mt], s.freq_y[my], s.freq_x[mx])
+    grids = (s.freq_t, s.freq_y, s.freq_x)
+    masks = [keep_mask_1d(len(g), ratio) for g in grids]
+    return Spectrum3D(s.coeffs[np.ix_(*masks)],
+                      *(g[m] for g, m in zip(grids, masks)))
 
 
 @dataclass(frozen=True)
@@ -313,8 +312,5 @@ def measured_retention(s: Spectrum3D, ratio: float) -> float:
     total = e.sum()
     if total <= 0.0:
         raise DegenerateInputError("zero total energy; retention undefined")
-    mt = keep_mask_1d(len(s.freq_t), ratio)
-    my = keep_mask_1d(len(s.freq_y), ratio)
-    mx = keep_mask_1d(len(s.freq_x), ratio)
-    inside = e[np.ix_(mt, my, mx)].sum()
+    inside = e[np.ix_(*(keep_mask_1d(n, ratio) for n in e.shape))].sum()
     return float(inside / total)

@@ -155,8 +155,7 @@ def _bilinear(base: np.ndarray, yq: np.ndarray, xq: np.ndarray) -> np.ndarray:
             xx = x0 + ox
             inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
             wgt = wy * wx
-            vals = np.where(inside, base[np.clip(yy, 0, h - 1),
-                                         np.clip(xx, 0, w - 1)], 0.0)
+            vals = base[np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)]
             out += wgt * np.where(inside, vals, 0.0)
             acc_w += wgt * inside
     return out + 0.5 * (1.0 - acc_w)

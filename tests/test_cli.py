@@ -298,6 +298,26 @@ def test_validate_manifest_has_no_config(tmp_path):
     assert exc.value.code == 2
 
 
+def test_manifests_record_environment(trans_clip_path, tmp_path,
+                                     monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    rep, val = str(tmp_path / "rep.json"), str(tmp_path / "val.json")
+    assert main(["analyze", trans_clip_path, "--json", rep]) == 0
+    assert main(["validate", "--suite", "bounds", "--n", "5",
+                 "--json", val]) == 0
+    report = json.load(open(rep))
+    jsonschema.validate(report, schema("report.schema.json"))
+    env_schema = schema("report.schema.json")["definitions"]["environment"]
+    for payload in (report, json.load(open(val))):
+        env = payload["manifest"]["environment"]
+        jsonschema.validate(env, env_schema)
+        assert env["numpy"] == np.__version__
+        assert env["threads"]["OPENBLAS_NUM_THREADS"] == "3"
+        assert env["threads"]["MKL_NUM_THREADS"] is None
+        assert env["cpu_count"] == os.cpu_count()
+
+
 def test_validate_exactness_suite(tmp_path):
     out = str(tmp_path / "val.json")
     rc = main(["validate", "--suite", "exactness", "--json", out])

@@ -213,6 +213,18 @@ def test_config_invariants(kw):
         SpectralConfig(**kw)
 
 
+@pytest.mark.parametrize("name", ["rings", "angular_bins", "logradius_bins",
+                                  "band_tolerance"])
+def test_config_integer_fields(name):
+    value = getattr(SpectralConfig(), name) + 4
+    for bad in (value + 0.5, float(value), True):
+        with pytest.raises(ConfigError, match="must be an integer"):
+            SpectralConfig(**{name: bad})
+    cfg = SpectralConfig(**{name: np.int64(value)})
+    assert type(getattr(cfg, name)) is int
+    assert cfg.stable_hash() == SpectralConfig(**{name: value}).stable_hash()
+
+
 def test_config_hash_stable():
     a = SpectralConfig()
     b = SpectralConfig()

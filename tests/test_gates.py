@@ -76,45 +76,58 @@ def test_obs_gate_monotone_in_abs_m(m1, m2):
 def test_build_samples_layout():
     s = build_samples(omega_x=np.array([1.0, 2.0]), omega_y=0.0, m=0.0,
                       nu=0.0, omega_t=np.array([3.0, -1.0]),
-                      energies=np.array([1.0, 0.5]), harmonic_index=None,
-                      cfg=CFG)
-    assert s.n == 2 and len(s.cols) == 5
-    assert np.allclose(s.cols[0], [1.0, 2.0])
-    assert np.allclose(s.cols[4], 1.0)
-    assert np.allclose(s.targets, [-3.0, 1.0])
+                      energies=np.array([[1.0, 0.5], [0.25, 1.0]]),
+                      harmonic_index=None, cfg=CFG)
+    assert s.n == 4 and s.design.shape == (2, 5)
+    assert s.weights.shape == s.energies.shape == (2, 2)
+    assert np.allclose(s.design[:, 0], [1.0, 2.0])
+    assert np.allclose(s.design[:, 1:4], 0.0)
+    assert np.allclose(s.design[:, 4], 1.0)
+    assert np.allclose(s.freq_t, [3.0, -1.0])
 
 
 @pytest.mark.parametrize("which", ["column", "target"])
 def test_samples_varying_along_two_axes_rejected(which):
     e = np.ones((3, 4))
     grid = np.arange(12.0).reshape(3, 4)
-    col, target = (grid, 1.0) if which == "column" else (1.0, grid)
-    with pytest.raises(ValueError, match="more than one axis"):
+    col, target = (grid, np.arange(3.0)) if which == "column" else (1.0, grid)
+    with pytest.raises(ValueError):
         build_samples(col, 0.0, 0.0, 0.0, target, e, None, CFG)
 
 
+@pytest.mark.parametrize("col, omega_t", [
+    (np.arange(3.0)[:, None], np.arange(3.0)),   # column along axis 0
+    (1.0, np.arange(4.0)),                       # grid of axis 1
+    (1.0, np.arange(3.0)[:, None]),              # not 1-D
+    (1.0, 2.0),                                  # scalar
+], ids=["column_axis0", "omega_t_axis1", "omega_t_2d", "omega_t_scalar"])
+def test_samples_off_temporal_layout_rejected(col, omega_t):
+    with pytest.raises(ValueError):
+        build_samples(col, 0.0, 0.0, 0.0, omega_t, np.ones((3, 4)), None, CFG)
+
+
 def random_block(kind, a, b, c, rng):
-    """A sample block on a random native grid, and the explicit row matrix
+    """A sample block, temporal axis first, and the explicit row matrix
     ``[omega_x, omega_y, m, nu, 1]``, targets and weights it stands for."""
     ints = lambda k: rng.choice([-1, 1], k) * rng.integers(1, 7, k)
     if kind == "translation":
         wt, wy, wx = (rng.normal(size=k) * 4 for k in (a, b, c))
-        grids = (wx[None, None, :], wy[None, :, None], 0.0, 0.0,
-                 wt[:, None, None])
+        grids = (wx[None, :], wy[:, None], 0.0, 0.0)
         shape, hidx = (a, b, c), None
     elif kind == "rotation":
-        m, wt = ints(b), rng.normal(size=c) * 4
-        grids = (0.0, 0.0, m[None, :, None], 0.0, wt[None, None, :])
-        shape, hidx = (a, b, c), grids[2]
+        m, wt = ints(b)[None, :], rng.normal(size=c) * 4
+        grids = (0.0, 0.0, m, 0.0)
+        shape, hidx = (c, a, b), m
     else:
         nu, wt = ints(a), rng.normal(size=b) * 4
-        grids = (0.0, 0.0, 0.0, nu[:, None], wt[None, :])
-        shape, hidx = (a, b), grids[3]
+        grids = (0.0, 0.0, 0.0, nu)
+        shape, hidx = (b, a), nu
     e = rng.uniform(0.01, 1.0, shape)
-    s = build_samples(*grids, e, hidx, CFG)
+    s = build_samples(*grids, wt, e, hidx, CFG)
     full = [np.broadcast_to(g, shape).ravel() for g in grids]
-    rows = np.column_stack(full[:4] + [np.ones(e.size)])
-    return s, rows, -full[4], s.weights.ravel()
+    rows = np.column_stack(full + [np.ones(e.size)])
+    t = np.broadcast_to(wt.reshape(-1, *[1] * (len(shape) - 1)), shape)
+    return s, rows, -t.ravel(), s.weights.ravel()
 
 
 @settings(deadline=None)

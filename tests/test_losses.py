@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from sim2spec.core import (DegenerateInputError, SpectralConfig, VideoWindow,
                            normalize_window)
-from sim2spec.losses import (adaptive_composite, analyze, ridge_wls_solve,
-                             rotation_loss, scaling_loss, translation_loss)
+from sim2spec.losses import (adaptive_composite, analyze, rotation_loss,
+                             scaling_loss, translation_loss)
 from sim2spec.resample import HarmonicStack
 from sim2spec.spectral import crop_to_cube, keep_mask_1d, signed_bins, \
     spatial_transform, spectral_transform
@@ -266,29 +266,21 @@ def test_scaling_flat_centroid_flagged():
 # unified
 
 
-def hyperplane_samples(n, theta_star, sigma=0.0, seed=9):
-    from sim2spec.gates import WeightedSamples
+def hyperplane_rows(n, theta_star, sigma=0.0, seed=9):
+    """Free rows ``[omega_x, omega_y, m, nu, 1]``, their targets on the
+    hyperplane ``theta_star`` (plus noise ``sigma``) and weights."""
     rng = make_rng(seed)
     rows = np.column_stack([rng.normal(size=n) * 4, rng.normal(size=n) * 4,
                             rng.integers(-6, 7, n).astype(float),
                             rng.integers(-6, 7, n).astype(float),
                             np.ones(n)])
     targets = rows @ theta_star + (sigma * rng.normal(size=n) if sigma else 0)
-    w = rng.uniform(0.2, 1.0, n)
-    return WeightedSamples(tuple(rows.T), targets, w, np.ones(n), 0.5, 1.0)
-
-
-def moment_fit(s, lam):
-    """Ridge fit on a block's moments: ``(theta, residual)``."""
-    theta, _ = ridge_wls_solve(*s.moments, lam)
-    err = s.errors(theta)
-    return theta, float((s.weights * err * err).sum() / s.weights.sum())
+    return rows, targets, rng.uniform(0.2, 1.0, n)
 
 
 def test_unified_exact_hyperplane():
     theta_star = np.array([0.1, -0.2, 0.3, 0.05, 0.0])
-    s = hyperplane_samples(800, theta_star)
-    theta, residual = moment_fit(s, 1e-8)
+    theta, residual, _ = solve_rows(*hyperplane_rows(800, theta_star), 1e-8)
     assert residual <= 1e-10
     assert np.max(np.abs(theta - theta_star)) <= 1e-6
 
@@ -296,8 +288,8 @@ def test_unified_exact_hyperplane():
 def test_unified_noise_floor_montecarlo():
     theta_star = np.array([0.1, -0.2, 0.3, 0.05, 0.0])
     sigma2 = 0.01
-    s = hyperplane_samples(10_000, theta_star, sigma=math.sqrt(sigma2))
-    _, residual = moment_fit(s, 1e-3)
+    rows = hyperplane_rows(10_000, theta_star, sigma=math.sqrt(sigma2))
+    _, residual, _ = solve_rows(*rows, 1e-3)
     assert abs(residual - sigma2) <= 0.10 * sigma2
 
 

@@ -53,6 +53,40 @@ def test_lut_weights_partition_of_unity():
     assert lut.indices.max() < 32 * 32
 
 
+def loop_lut(freq_y, freq_x, n_rho, n_theta):
+    """Reference gather: each target's four bilinear corners, one at a
+    time, with zero weight and index outside the grid."""
+    h, w = len(freq_y), len(freq_x)
+    rho_max = min(freq_y.max(), -freq_y.min(), freq_x.max(), -freq_x.min())
+    rho = rho_max * np.arange(1, n_rho + 1) / n_rho
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    cos, sin = np.cos(theta), np.sin(theta)
+    idx = np.zeros((n_rho * n_theta, 4), dtype=np.int64)
+    wgt = np.zeros((n_rho * n_theta, 4))
+    for i in range(n_rho):
+        for j in range(n_theta):
+            col = rho[i] * cos[j] - freq_x[0]
+            row = rho[i] * sin[j] - freq_y[0]
+            r0, c0 = math.floor(row), math.floor(col)
+            dr, dc = row - r0, col - c0
+            for k, (r, c, wr, wc) in enumerate((
+                    (r0, c0, 1 - dr, 1 - dc), (r0, c0 + 1, 1 - dr, dc),
+                    (r0 + 1, c0, dr, 1 - dc), (r0 + 1, c0 + 1, dr, dc))):
+                if 0 <= r < h and 0 <= c < w:
+                    idx[i * n_theta + j, k] = r * w + c
+                    wgt[i * n_theta + j, k] = wr * wc
+    return idx, wgt
+
+
+@pytest.mark.parametrize("h, w, n_rho, n_theta",
+                         [(32, 32, 20, 24), (19, 20, 5, 7), (11, 40, 9, 64)])
+def test_lut_matches_corner_loop(h, w, n_rho, n_theta):
+    lut = build_polar_lut(signed_bins(h), signed_bins(w), n_rho, n_theta)
+    idx, wgt = loop_lut(signed_bins(h), signed_bins(w), n_rho, n_theta)
+    assert np.array_equal(lut.indices, idx)
+    assert np.array_equal(lut.weights, wgt)
+
+
 def test_lut_shape_mismatch_rejected():
     lut = build_polar_lut(signed_bins(32), signed_bins(32), 10, 8)
     s = spectrum_from_field(np.ones((16, 16)))
