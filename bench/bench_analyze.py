@@ -12,13 +12,13 @@ more run records its tracemalloc peak.  The ``cli_analyze`` row times an
 in-process ``cli.main(["analyze", FILE, "--json", OUT])`` on the same clip
 saved as raw_f32, after one untimed call, so the CLI glue (parsing,
 loading, manifest and JSON output) shows beside the stages; one more call
-records its tracemalloc peak, the load included.  The
-``retention_clip`` row times one clip of the ``validate`` retention suite
-the same way: a seeded 16x224^2 ``synth_powerlaw`` clip and the
-``cube_retention`` of its normalized window.  The stage rows split ``analyze``
-as it runs: ``samples`` builds the three sample blocks, each ``*_loss`` row
-builds its block again and fits it, and ``unified_residual`` fits the
-blocks the losses returned.
+records its tracemalloc peak, the read included.  The
+``retention_clip`` row times ``cli.suite_retention(1, 0)``, the ``validate``
+retention suite on one seeded 16x224^2 ``synth_powerlaw`` clip, the same
+way, so each tree is timed on its own suite code.  The stage rows split
+``analyze`` as it runs: ``samples`` builds the three sample blocks, each
+``*_loss`` row builds its block again and fits it, and
+``unified_residual`` fits the blocks the losses returned.
 
 Each ``--label`` names the source tree of the ``--src`` at the same
 position (one label alone defaults to this checkout's ``src``).  Every
@@ -49,7 +49,6 @@ import tracemalloc
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SIZES = ((16, 64, 64), (16, 128, 128), (32, 256, 256))
-RETENTION_SIZE = (16, 224, 224)
 ROUNDS = 10
 # one round of one tree: bench_all in a fresh interpreter whose sim2spec
 # is the tree's (argv: this directory, the tree's src, --repeats)
@@ -159,16 +158,10 @@ def bench_cli_analyze(clip, repeats: int) -> tuple:
 
 
 def bench_retention_clip(repeats: int) -> float:
-    from sim2spec.core import SpectralConfig, normalize_window
-    from sim2spec.spectral import cube_retention
-    from sim2spec.synth import synth_powerlaw
-
-    # the validate retention suite's config and clip
-    cfg = SpectralConfig(window_kind="rect", lowpass_ratio=0.3)
+    from sim2spec.cli import suite_retention
 
     def one():
-        clip = synth_powerlaw(*RETENTION_SIZE, kappa=1.8, seed=0)
-        return cube_retention(normalize_window(clip), cfg)
+        return suite_retention(1, 0)
 
     one()
     return min_ms(one, repeats)

@@ -11,7 +11,7 @@ verification suite checks every concentration bound the analysis relies on.
 __version__ = "0.1.0"
 
 from .core import (ConfigError, DegenerateInputError, FormatError,
-                   MotionEstimate, Sim2Error, SpectralConfig,
+                   FrameSource, MotionEstimate, Sim2Error, SpectralConfig,
                    UnobservableError, VideoWindow, load_video,
                    normalize_window, save_video)
 from .losses import (LossReport, adaptive_composite, analyze, rotation_loss,
@@ -22,7 +22,7 @@ from .synth import MotionSpec, synth_powerlaw, synth_sim2
 
 __all__ = [
     "__version__",
-    "VideoWindow", "SpectralConfig", "MotionEstimate", "MotionSpec",
+    "VideoWindow", "FrameSource", "SpectralConfig", "MotionEstimate", "MotionSpec",
     "Spectrum3D", "EtaParams", "LossReport",
     "load_video", "save_video", "normalize_window",
     "eta_retention", "analyze", "adaptive_composite",

@@ -28,9 +28,8 @@ import numpy as np
 from . import __version__
 from .bounds import (BoundCheck, band_capture_check, ridge_inequality_check,
                      ring_entropy_check, window_leakage)
-from .core import (ConfigError, DegenerateInputError, SpectralConfig,
-                   Sim2Error, UnobservableError, load_video,
-                   normalize_window, save_video)
+from .core import (ConfigError, DegenerateInputError, FrameSource,
+                   SpectralConfig, Sim2Error, UnobservableError, save_video)
 from .losses import analyze, ridge_wls_solve
 from .spectral import EtaParams, cube_retention, eta_retention
 from .synth import MotionSpec, make_rng, synth_powerlaw, synth_sim2
@@ -103,9 +102,11 @@ def config_from_args(args) -> SpectralConfig:
 
 def cmd_analyze(args) -> int:
     cfg = config_from_args(args)
-    # the digest is fed the bytes the load reads, so the input is read once
+    # the source feeds the digest the bytes analyze reads through it, so
+    # the input is read once and never held whole
     digest = hashlib.sha256()
-    report = analyze(load_video(args.input, digest), cfg)
+    with FrameSource.open(args.input, digest) as src:
+        report = analyze(src, cfg)
     payload = {"manifest": make_manifest(
                    "analyze", {args.input: digest.hexdigest()}, cfg),
                "report": report.to_dict()}
@@ -131,16 +132,11 @@ def cmd_analyze(args) -> int:
 
 
 def _report_row(report) -> dict:
-    d = {"l_trans": report.l_trans, "l_rot": report.l_rot,
-         "l_scale": report.l_scale, "l_uni": report.l_uni,
-         "l_motion": report.l_motion, "c_rot": report.c_rot,
-         "c_ring": report.c_ring, "c_flow": report.c_flow,
-         "s_trend": report.s_trend, "c_scale": report.c_scale,
-         "w_translation": report.weights["translation"],
-         "w_rotation": report.weights["rotation"],
-         "w_scaling": report.weights["scaling"],
-         "retained_fraction": report.diagnostics["retained_fraction"]}
-    return d
+    stats = ("l_trans", "l_rot", "l_scale", "l_uni", "l_motion", "c_rot",
+             "c_ring", "c_flow", "s_trend", "c_scale")
+    return {**{k: getattr(report, k) for k in stats},
+            **{"w_" + k: w for k, w in report.weights.items()},
+            "retained_fraction": report.diagnostics["retained_fraction"]}
 
 
 # ---------------------------------------------------------------------------
@@ -295,12 +291,10 @@ def suite_retention(n: int, seed: int) -> tuple:
     checks.append(BoundCheck(abs(eta["eta_cube_hi"] - 0.987), 0.005,
                              {"bound": "eta_cube_hi_value"}))
 
-    # one clip per call, so each clip is freed before the next is made
-    def one(i: int) -> float:
-        clip = synth_powerlaw(*size, kappa=1.8, seed=seed + i)
-        return cube_retention(normalize_window(clip), cfg)
-
-    vals = [one(i) for i in range(n)]
+    # each clip is freed before the next is made; the 1/2 shift comes off
+    # the DC bins, so no shifted copy is made either
+    vals = [cube_retention(synth_powerlaw(*size, kappa=1.8, seed=seed + i),
+                           cfg, offset=0.5) for i in range(n)]
     for i, r in enumerate(vals):
         checks.append(BoundCheck(eta["eta_cube_lo"] - 0.02, r,
                                  {"bound": "retention_sample_lo", "i": i}))
@@ -479,15 +473,10 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (DegenerateInputError, UnobservableError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
     except Sim2Error as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        degenerate = isinstance(exc, (DegenerateInputError, UnobservableError))
+        return EXIT_DEGENERATE if degenerate else EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -9,13 +9,19 @@ Conventions used throughout the package:
   ``normalize_window`` forms the shifted window explicitly
 * raw files are little-endian float32 with a UTF-8 JSON sidecar holding
   exactly the keys ``T``, ``H``, ``W``
+* input is read through a ``FrameSource``, in checked chunks of frames,
+  so the transform never needs the whole window; ``load_video`` collects
+  a source into one array
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
+import re
+from collections.abc import Callable, Iterator
 from dataclasses import asdict, dataclass, fields
 from numbers import Integral
 
@@ -28,6 +34,7 @@ __all__ = [
     "UnobservableError",
     "DegenerateInputError",
     "VideoWindow",
+    "FrameSource",
     "SpectralConfig",
     "MotionEstimate",
     "load_video",
@@ -184,9 +191,9 @@ class MotionEstimate:
         return asdict(self)
 
 
-# largest piece of a raw payload read at once: the float32 buffer it is
-# read into is reused for every piece
-RAW_READ_BYTES = 1 << 20
+# bytes of a chunk of frames once x-transformed, ``16*H*(W//2 + 1)`` a
+# frame: a ``FrameSource`` yields as many frames at once as fit, one at least
+CHUNK_BYTES = 1 << 18
 
 
 def _read_bytes(path: str, digest) -> bytes:
@@ -201,30 +208,130 @@ def _read_bytes(path: str, digest) -> bytes:
     return blob
 
 
-def _read_raw_payload(fh, path: str, shape: tuple, digest) -> np.ndarray:
-    """The float32 payload of the open file ``fh`` as a float64 array of
-    ``shape``, read in pieces of at most ``RAW_READ_BYTES`` into one reused
-    buffer; each piece is fed to ``digest`` if one is given."""
-    count = math.prod(shape)
-    size = os.fstat(fh.fileno()).st_size
-    if size != 4 * count:
-        t, h, w = shape
-        raise FormatError(
-            f"{path}: sidecar declares T={t} H={h} W={w} "
-            f"({4 * count} bytes), file holds {size} bytes")
-    data = np.empty(shape)
-    flat = data.reshape(-1)
-    buf = np.empty(min(count, RAW_READ_BYTES // 4), dtype="<f4")
-    raw = buf.view(np.uint8)
-    for start in range(0, count, buf.size):
-        n = min(buf.size, count - start)
-        if fh.readinto(raw[:4 * n]) != 4 * n:
-            raise FormatError(f"{path}: payload ended before the "
-                              f"{4 * count} bytes its size promised")
-        if digest is not None:
-            digest.update(raw[:4 * n])
-        flat[start:start + n] = buf[:n]
-    return data
+@dataclass(frozen=True)
+class FrameSource:
+    """A ``(T, H, W)`` window as float64 chunks of whole frames, in order:
+    ``read(step)`` yields chunks of ``step`` frames (the last one shorter),
+    checks what it reads and feeds the digest given to ``open``.  A raw
+    file's source holds its file open until it is read, once, or closed;
+    a source is a context manager that closes it."""
+
+    shape: tuple
+    read: Callable[[int], Iterator[np.ndarray]]
+    close: Callable[[], None] = lambda: None
+
+    def __enter__(self) -> "FrameSource":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def chunks(self):
+        """The frames in chunks of ``CHUNK_BYTES`` once x-transformed."""
+        _, h, w = self.shape
+        return self.read(max(1, CHUNK_BYTES // (16 * h * (w // 2 + 1))))
+
+    @classmethod
+    def of(cls, v) -> "FrameSource":
+        """``v`` if a source, else views of the ``VideoWindow`` ``v``."""
+        if isinstance(v, FrameSource):
+            return v
+        return cls(v.shape, lambda step: (
+            v.data[t:t + step] for t in range(0, v.frames_t, step)))
+
+    @classmethod
+    def open(cls, path: str, digest=None) -> "FrameSource":
+        """A directory of 8-bit PGM frames (sorted name order, divided by
+        255) or a raw float32 file plus its ``path + ".json"`` sidecar;
+        the shape comes from the sidecar or from the listing and first
+        frame, and a raw payload's size is checked on opening.  A
+        ``hashlib`` ``digest`` is fed the bytes as they are read: each
+        entry's name and contents, non-frames included, or the payload and
+        then the sidecar."""
+        if os.path.isdir(path):
+            names = sorted(os.listdir(path))
+            frames = [os.path.join(path, n) for n in names
+                      if n.endswith(".pgm")]
+            if not frames:
+                raise FormatError(f"no .pgm frames in {path}")
+            hw = _parse_pgm(_read_bytes(frames[0], None), frames[0]).shape
+
+            def read_pgm(step):
+                # a frame of another shape is an error once every frame is
+                # parsed, so the error lists every shape
+                shapes, batch = {hw}, []
+                for name in names:
+                    is_frame = name.endswith(".pgm")
+                    if digest is not None:
+                        digest.update(name.encode())
+                    elif not is_frame:
+                        continue
+                    file = os.path.join(path, name)
+                    blob = _read_bytes(file, digest)
+                    if is_frame:
+                        batch.append(_parse_pgm(blob, file))
+                        shapes.add(batch[-1].shape)
+                    if len(batch) == step and len(shapes) == 1:
+                        yield np.stack(batch)
+                        batch = []
+                if len(shapes) != 1:
+                    raise FormatError(f"inconsistent frame shapes in {path}: "
+                                      f"{sorted(shapes)}")
+                if batch:
+                    yield np.stack(batch)
+            return cls((len(frames), *hw), read_pgm)
+
+        sidecar = path + ".json"
+        if not os.path.exists(path):
+            raise FormatError(f"missing raw file: {path}")
+        if not os.path.exists(sidecar):
+            raise FormatError(f"missing sidecar: {sidecar}")
+        meta_blob = _read_bytes(sidecar, None)
+        try:
+            meta = json.loads(meta_blob.decode("utf-8"))
+            shape = t, h, w = int(meta["T"]), int(meta["H"]), int(meta["W"])
+        except (ValueError, KeyError, TypeError) as exc:
+            raise FormatError(f"bad sidecar {sidecar}: {exc}") from exc
+        if min(shape) < 1:
+            raise FormatError(f"bad sidecar {sidecar}: dimensions must be "
+                              f"positive, got T={t} H={h} W={w}")
+        try:
+            fh = open(path, "rb")
+            size = os.fstat(fh.fileno()).st_size
+        except OSError as exc:
+            raise FormatError(f"cannot read {path}: {exc}") from exc
+        if size != 4 * t * h * w:
+            fh.close()
+            raise FormatError(f"{path}: sidecar declares T={t} H={h} W={w} "
+                              f"({4 * t * h * w} bytes), file holds {size} "
+                              "bytes")
+
+        def read_raw(step):
+            # each chunk is read into one reused float32 buffer; the
+            # sidecar is fed to the digest after the payload
+            buf = np.empty((min(step, t), h, w), dtype="<f4")
+            try:
+                with fh:
+                    for t0 in range(0, t, step):
+                        piece = buf[:min(step, t - t0)]
+                        if fh.readinto(piece) != piece.nbytes:
+                            raise FormatError(
+                                f"{path}: payload ended before the "
+                                f"{4 * t * h * w} bytes its size promised")
+                        if digest is not None:
+                            digest.update(piece)
+                        if not np.isfinite(piece).all():
+                            raise FormatError(
+                                "video contains non-finite samples")
+                        yield piece.astype(np.float64)
+            except OSError as exc:
+                raise FormatError(f"cannot read {path}: {exc}") from exc
+            if digest is not None:
+                digest.update(meta_blob)
+        return cls(shape, read_raw, fh.close)
+
+
+_PGM_TOKEN = re.compile(rb"#[^\n]*|\S+")
 
 
 def _parse_pgm(blob: bytes, path: str) -> np.ndarray:
@@ -232,26 +339,15 @@ def _parse_pgm(blob: bytes, path: str) -> np.ndarray:
     errors."""
     if not blob.startswith(b"P5"):
         raise FormatError(f"frame {path}: not a binary PGM (P5)")
-    # header = magic, width, height, maxval; '#' comments allowed
-    tokens = []
-    i = 2
-    while len(tokens) < 3:
-        while i < len(blob) and blob[i:i + 1].isspace():
-            i += 1
-        if i < len(blob) and blob[i:i + 1] == b"#":
-            while i < len(blob) and blob[i:i + 1] != b"\n":
-                i += 1
-            continue
-        j = i
-        while j < len(blob) and not blob[j:j + 1].isspace():
-            j += 1
-        if j == i:
-            raise FormatError(f"frame {path}: truncated PGM header")
-        tokens.append(blob[i:j])
-        i = j
-    i += 1  # single whitespace after maxval
+    # header = magic, width, height, maxval; a '#' starting a token starts
+    # a comment to the end of its line
+    tokens = list(itertools.islice((m for m in _PGM_TOKEN.finditer(blob, 2)
+                                    if m[0][:1] != b"#"), 3))
+    if len(tokens) < 3:
+        raise FormatError(f"frame {path}: truncated PGM header")
+    i = tokens[-1].end() + 1  # single whitespace after maxval
     try:
-        w, h, maxval = (int(t) for t in tokens)
+        w, h, maxval = (int(t[0]) for t in tokens)
     except ValueError as exc:
         raise FormatError(f"frame {path}: bad PGM header") from exc
     if w < 1 or h < 1:
@@ -259,76 +355,21 @@ def _parse_pgm(blob: bytes, path: str) -> np.ndarray:
                           f"got {w}x{h}")
     if maxval != 255:
         raise FormatError(f"frame {path}: only 8-bit PGM supported (maxval=255)")
-    pixels = np.frombuffer(blob, dtype=np.uint8, offset=i)
+    pixels = np.frombuffer(blob, dtype=np.uint8)[i:i + h * w]
     if pixels.size < h * w:
         raise FormatError(f"frame {path}: pixel payload truncated")
-    pixels = pixels[:h * w]
     return pixels.reshape(h, w).astype(np.float64) / 255.0
 
 
-def _write_pgm(path: str, frame: np.ndarray) -> None:
-    arr = np.clip(np.round(frame * 255.0), 0, 255).astype(np.uint8)
-    h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(arr.tobytes())
-
-
 def load_video(path: str, digest=None) -> VideoWindow:
-    """Load a video window: a directory as 8-bit PGM frames, any other path
-    as a raw little-endian float32 file plus its ``path + ".json"`` sidecar.
-
-    Raw data is already scaled to [0,1]; PGM frames are divided by 255 and
-    stacked in sorted name order.  Every file is read once.  A PGM frame
-    and a sidecar are read whole; a raw payload's size is checked against
-    its sidecar before it is read, and it is then read in pieces of at most
-    ``RAW_READ_BYTES`` into one reused float32 buffer and converted into
-    the window's float64 array, so no copy of the whole payload is held.
-    A ``hashlib`` object passed as ``digest`` is fed the input's bytes as
-    they are read: for a directory, each entry's name and then its
-    contents in sorted name order, files that are not frames included; for
-    a raw file, the payload and then the sidecar.
-    """
-    if os.path.isdir(path):
-        names = sorted(os.listdir(path))
-        if not any(n.endswith(".pgm") for n in names):
-            raise FormatError(f"no .pgm frames in {path}")
-        frames = []
-        for name in names:
-            is_frame = name.endswith(".pgm")
-            if digest is not None:
-                digest.update(name.encode())
-            elif not is_frame:
-                continue
-            blob = _read_bytes(os.path.join(path, name), digest)
-            if is_frame:
-                frames.append(_parse_pgm(blob, os.path.join(path, name)))
-        shapes = {f.shape for f in frames}
-        if len(shapes) != 1:
-            raise FormatError(f"inconsistent frame shapes in {path}: {sorted(shapes)}")
-        return VideoWindow(np.stack(frames, axis=0))
-
-    sidecar = path + ".json"
-    if not os.path.exists(path):
-        raise FormatError(f"missing raw file: {path}")
-    if not os.path.exists(sidecar):
-        raise FormatError(f"missing sidecar: {sidecar}")
-    meta_blob = _read_bytes(sidecar, None)
-    try:
-        meta = json.loads(meta_blob.decode("utf-8"))
-        t, h, w = int(meta["T"]), int(meta["H"]), int(meta["W"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise FormatError(f"bad sidecar {sidecar}: {exc}") from exc
-    if min(t, h, w) < 1:
-        raise FormatError(f"bad sidecar {sidecar}: dimensions must be "
-                          f"positive, got T={t} H={h} W={w}")
-    try:
-        with open(path, "rb") as fh:
-            data = _read_raw_payload(fh, path, (t, h, w), digest)
-    except OSError as exc:
-        raise FormatError(f"cannot read {path}: {exc}") from exc
-    if digest is not None:
-        digest.update(meta_blob)
+    """The window of ``FrameSource.open(path, digest)``, its chunks
+    collected into one float64 array as they are read."""
+    with FrameSource.open(path, digest) as src:
+        data = np.empty(src.shape)
+        t0 = 0
+        for chunk in src.chunks():
+            data[t0:t0 + len(chunk)] = chunk
+            t0 += len(chunk)
     return VideoWindow(data)
 
 
@@ -341,8 +382,11 @@ def save_video(v: VideoWindow, path: str, format: str = "raw_f32") -> None:
         return
     if format == "pgm_dir":
         os.makedirs(path, exist_ok=True)
-        for t in range(v.frames_t):
-            _write_pgm(os.path.join(path, f"frame_{t:04d}.pgm"), v.data[t])
+        pixels = np.clip(np.round(v.data * 255.0), 0, 255).astype(np.uint8)
+        for t, frame in enumerate(pixels):
+            with open(os.path.join(path, f"frame_{t:04d}.pgm"), "wb") as fh:
+                fh.write(b"P5\n%d %d\n255\n" % (v.width, v.height)
+                         + frame.tobytes())
         return
     raise FormatError(f"cannot save as {format!r}: use 'raw_f32' or 'pgm_dir'")
 

@@ -20,13 +20,15 @@ Units and sign conventions (fixed once, used everywhere):
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (NUMERIC_EPS, DegenerateInputError, MotionEstimate,
-                   SpectralConfig, UnobservableError, VideoWindow)
+from .core import (NUMERIC_EPS, DegenerateInputError, FormatError,
+                   FrameSource, MotionEstimate, SpectralConfig, Sim2Error,
+                   UnobservableError, VideoWindow)
 from .gates import WeightedSamples, build_samples
 from .resample import (HarmonicStack, build_polar_lut, make_stack,
                        max_safe_radius, polar_resample, ring_energies)
@@ -81,7 +83,7 @@ def _fit(blocks, scales, cols, lam: float) -> tuple:
     theta[cols], identifiable = ridge_wls_solve(gram[np.ix_(cols, cols)],
                                                 rhs[cols], sum_w, lam)
     errs = [b.errors(theta) for b in blocks]
-    residual = sum(s * float((b.weights * e * e).sum())
+    residual = sum(s * float(np.einsum("kc,kc,kc->", b.weights, e, e))
                    for b, s, e in zip(blocks, scales, errs)) / sum_w
     return RidgeResult(theta, residual, identifiable), errs
 
@@ -394,41 +396,39 @@ class LossReport:
         }
 
 
-class _Stage:
-    """Context manager that prefixes escaping package errors with the
-    pipeline stage that raised them."""
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        from .core import Sim2Error
-        if exc is not None and isinstance(exc, Sim2Error) \
-                and not str(exc).startswith(f"[{self.name}]"):
-            raise type(exc)(f"[{self.name}] {exc}") from exc
-        return False
+@contextlib.contextmanager
+def _stage(name: str):
+    """Prefixes escaping package errors with the pipeline stage that raised
+    them; a ``FormatError`` from reading the input keeps the reader's
+    text."""
+    try:
+        yield
+    except Sim2Error as exc:
+        if isinstance(exc, FormatError) or str(exc).startswith(f"[{name}]"):
+            raise
+        raise type(exc)(f"[{name}] {exc}") from exc
 
 
-def analyze(v: VideoWindow, cfg: SpectralConfig | None = None) -> LossReport:
-    """Run the full pipeline on one window.
+def analyze(v: VideoWindow | FrameSource,
+            cfg: SpectralConfig | None = None) -> LossReport:
+    """Run the full pipeline on one window, held or read from a source.
 
     pruned transform of the mean-shifted window (the 1/2 offset comes off
     each frame's DC bin, see ``cropped_transform``) -> polar/harmonic
     features -> losses -> adaptive composite.  Deterministic for fixed
-    input and configuration; escaping errors carry their stage label.
+    input and configuration; escaping errors carry their stage label, and
+    the input's format errors come ahead of a too-short window's.
     """
     cfg = cfg or SpectralConfig()
-    if v.frames_t < 2:
+    nt, height, width = v.shape
+
+    with _stage("transform"):
+        frames_c, s3c = cropped_transform(v, cfg, offset=0.5)
+        retained = s3c.coeffs.size / (nt * height * width)
+    if nt < 2:
         raise DegenerateInputError("window too short: need at least 2 frames")
 
-    with _Stage("transform"):
-        frames_c, s3c = cropped_transform(v, cfg, offset=0.5)
-        retained = s3c.coeffs.size / v.data.size
-
-    with _Stage("resample"):
+    with _stage("resample"):
         if max_safe_radius(s3c.freq_y, s3c.freq_x) < 1.0:
             raise DegenerateInputError(
                 "spatial grid too small for polar analysis")
@@ -439,7 +439,7 @@ def analyze(v: VideoWindow, cfg: SpectralConfig | None = None) -> LossReport:
         rings = ring_energies(np.abs(frames_c) ** 2, s3c.freq_y, s3c.freq_x,
                               cfg)
 
-    with _Stage("losses"):
+    with _stage("losses"):
         trans = translation_loss(s3c, cfg)
         rot = rotation_loss(stack, rings, cfg)
         scl = scaling_loss(rings, stack, cfg)
@@ -451,7 +451,6 @@ def analyze(v: VideoWindow, cfg: SpectralConfig | None = None) -> LossReport:
     w, l_motion = adaptive_composite(trans.l_trans, rot.l_rot, scl.l_scale,
                                      cfg.softmax_temperature)
 
-    nt = v.frames_t
     to_omega, to_alpha = _rate_factors(stack)
     diagnostics = {
         "retained_fraction": retained,
@@ -474,8 +473,8 @@ def analyze(v: VideoWindow, cfg: SpectralConfig | None = None) -> LossReport:
             "unified_rank_deficient": not uni.identifiable,
         },
         "conversions": {
-            "v_x_bins_to_px_per_frame": v.width / nt,
-            "v_y_bins_to_px_per_frame": v.height / nt,
+            "v_x_bins_to_px_per_frame": width / nt,
+            "v_y_bins_to_px_per_frame": height / nt,
             "omega_bins_to_rad_per_frame": to_omega,
             "alpha_bins_to_rate_per_frame": to_alpha,
         },

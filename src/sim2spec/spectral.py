@@ -11,13 +11,14 @@ unnormalized, so Parseval reads ``sum |X|^2 == N * sum |x|^2`` with
 
 ``cropped_transform`` is the pipeline's transform: a pruned pass (Markel
 1971; Sorensen & Burrus 1993) that forms only the kept low-pass bins.  It
-runs over the frames in chunks, as many frames as keep the x-transformed
-chunk within ``CHUNK_BYTES`` (one at least).  Per chunk it takes ``rfft``
-along x, keeps the columns ``0..max|kx|`` and FFTs along y only those;
-subtracts an optional constant offset from each frame's DC bin (exact: a
-constant only moves that bin), so the caller's 1/2 mean shift needs no copy
-of the data; gathers every kept bin with one flat index, the negative kept
-columns off the nonnegative ones by Hermitian symmetry,
+takes the frames as a ``core.FrameSource`` yields them, in chunks that keep
+the x-transformed chunk within ``core.CHUNK_BYTES`` (one frame at least),
+so a window read from a file is never held whole.  Per chunk it takes
+``rfft`` along x, keeps the columns ``0..max|kx|`` and FFTs along y only
+those; subtracts an optional constant offset from each frame's DC bin
+(exact: a constant only moves that bin), so the caller's 1/2 mean shift
+needs no copy of the data; gathers every kept bin with one flat index,
+the negative kept columns off the nonnegative ones by Hermitian symmetry,
 ``X[ky, -j] = conj(X[-ky, j])``, conjugated in place; and applies the
 origin-centring phase ``exp(2 pi i k (n//2) / n)`` per bin instead of
 rolling the data.  Each chunk lands in the kept-bin ``frames`` array, so
@@ -31,10 +32,10 @@ tables that depend only on ``(T, H, W, lowpass_ratio, window_kind)`` (the
 gather, grids, centring phases, the temporal table) are built once per key
 by ``_transform_tables``, in a small LRU cache, read-only.
 ``cube_retention`` takes the total energy from the time domain by Parseval,
-``T*H*W * sum_t h_t^2 * sum_{y,x} x_t^2``, so the full spectrum is never
-formed.  ``spatial_transform``, ``spectral_transform``, ``crop_to_cube`` and
-``measured_retention`` remain as the full-spectrum reference, outside
-``__all__``.
+``T*H*W * sum_t h_t^2 * sum_{y,x} (x_t - offset)^2``, summed per chunk in
+the same pass, so the full spectrum is never formed.  ``spatial_transform``,
+``spectral_transform``, ``crop_to_cube`` and ``measured_retention`` remain
+as the full-spectrum reference, outside ``__all__``.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DegenerateInputError, SpectralConfig, VideoWindow
+from .core import (ConfigError, DegenerateInputError, FrameSource,
+                   SpectralConfig, VideoWindow)
 
 __all__ = [
     "Spectrum3D",
@@ -124,11 +126,6 @@ def spectral_transform(v: VideoWindow, cfg: SpectralConfig) -> Spectrum3D:
                       signed_bins(v.width))
 
 
-# bytes of the x-transformed frames (the ``rfft`` output) that
-# ``_kept_frame_bins`` handles in one batch; at least one frame per batch
-CHUNK_BYTES = 1 << 18
-
-
 @functools.lru_cache(maxsize=8)
 def _transform_tables(t_n: int, h: int, w: int, ratio: float,
                       window_kind: str) -> tuple:
@@ -162,49 +159,41 @@ def _transform_tables(t_n: int, h: int, w: int, ratio: float,
     return grids, gather, phase, tdft
 
 
-def _kept_frame_bins(data: np.ndarray, gather: tuple, phase: np.ndarray,
-                     offset: float) -> np.ndarray:
-    """Centred 2D DFT of each frame of ``data - offset`` at the kept bins
-    ``gather`` reads off the Hermitian half, as a complex ``(T, ky, kx)``
-    array (the chunked pass of the module docstring).  No half spectrum
-    outlives its chunk of frames."""
-    n_half, index, conj = gather
-    t_n, h, w = data.shape
+def cropped_transform(v, cfg: SpectralConfig, offset: float = 0.0,
+                      frame_sq: np.ndarray | None = None
+                      ) -> tuple[np.ndarray, Spectrum3D]:
+    """Cropped per-frame spectra ``frames`` (a complex ``(T, ky, kx)``
+    array) and the cropped 3D cube of the window ``w = x - offset`` of the
+    ``VideoWindow`` or ``FrameSource`` ``v``, from one pruned pass over
+    its chunks (described in the module docstring).
+
+    ``offset`` comes off each frame's spatial DC bin as ``offset*H*W``, so
+    the data is never copied.  The cube equals (to rounding)
+    ``crop_to_cube(spectral_transform(w, cfg))`` at ``cfg.lowpass_ratio``,
+    with the same bin grids; ``frames`` equals ``spatial_transform(w)``
+    cropped by ``keep_mask_1d`` along y and x.  A ``frame_sq`` array is
+    filled with each frame's ``sum_{y,x} w_t^2`` on the way.
+    """
+    src = FrameSource.of(v)
+    t_n, h, w = src.shape
+    grids, (n_half, index, conj), phase, tdft = _transform_tables(
+        t_n, h, w, cfg.lowpass_ratio, cfg.window_kind)
     frames = np.empty((t_n, *index.shape), dtype=np.complex128)
-    step = max(1, CHUNK_BYTES // (16 * h * (w // 2 + 1)))
-    for t0 in range(0, t_n, step):
-        half = np.fft.fft(np.fft.rfft(data[t0:t0 + step], axis=2)
-                          [:, :, :n_half], axis=1)
+    t0 = 0
+    for chunk in src.chunks():
+        out = frames[t0:t0 + len(chunk)]
+        if frame_sq is not None:
+            d = chunk - offset
+            frame_sq[t0:t0 + len(chunk)] = np.einsum("tyx,tyx->t", d, d)
+        t0 += len(chunk)
+        half = np.fft.fft(np.fft.rfft(chunk, axis=2)[:, :, :n_half], axis=1)
         half[:, 0, 0] -= offset * h * w
-        out = frames[t0:t0 + step]
         # every index is in range; "clip" lets take write into out unbuffered
         np.take(half.reshape(len(half), -1), index, axis=1, out=out,
                 mode="clip")
         np.conjugate(out, out=out, where=conj)
         out *= phase
-    return frames
-
-
-def cropped_transform(v: VideoWindow, cfg: SpectralConfig,
-                      offset: float = 0.0) -> tuple[np.ndarray, Spectrum3D]:
-    """Cropped per-frame spectra ``frames`` (a complex ``(T, ky, kx)``
-    array) and the cropped 3D cube of ``v.data - offset`` from one pruned
-    pass (described in the module docstring).
-
-    ``offset`` comes off each frame's spatial DC bin as ``offset*H*W``
-    before the temporal step, so ``v.data`` is never copied.  The cube
-    equals (to rounding) ``crop_to_cube(spectral_transform(w, cfg))`` at
-    ``cfg.lowpass_ratio`` for ``w`` the window of ``v.data - offset``, with
-    the same bin grids; it is one matrix product of the ``(K_t, T)``
-    tapered DFT rows with the frames.  ``frames`` equals
-    ``spatial_transform(w)`` cropped by ``keep_mask_1d`` along y and x and
-    lies on the cube's ``freq_y``/``freq_x`` grids.
-    """
-    grids, gather, phase, tdft = _transform_tables(
-        *v.data.shape, cfg.lowpass_ratio, cfg.window_kind)
-    frames = _kept_frame_bins(v.data, gather, phase, offset)
-    cube = (tdft @ frames.reshape(len(frames), -1)).reshape(
-        len(tdft), *frames.shape[1:])
+    cube = (tdft @ frames.reshape(t_n, -1)).reshape(len(tdft), *index.shape)
     return frames, Spectrum3D(cube, *grids)
 
 
@@ -289,17 +278,18 @@ def eta_retention(ratio: float, p: EtaParams) -> dict:
     return {"eta_ball": lo, "eta_cube_lo": lo, "eta_cube_hi": hi}
 
 
-def cube_retention(v: VideoWindow, cfg: SpectralConfig) -> float:
-    """``measured_retention(spectral_transform(v, cfg), cfg.lowpass_ratio)``
-    without the full spectrum.
+def cube_retention(v, cfg: SpectralConfig, offset: float = 0.0) -> float:
+    """``measured_retention(spectral_transform(w, cfg), cfg.lowpass_ratio)``
+    for ``w`` as in ``cropped_transform``, without the full spectrum.
 
     The inside energy comes from the pruned cube; the total comes from the
-    time domain by Parseval, ``T*H*W * sum_t h_t^2 * sum_{y,x} x_t^2``.
+    time domain by Parseval, ``T*H*W * sum_t h_t^2 * sum_{y,x} w_t^2``,
+    summed per chunk in the same pass.
     """
-    _, cube = cropped_transform(v, cfg)
-    h = temporal_window(v.frames_t, cfg.window_kind)
-    frame_sq = np.einsum("tyx,tyx->t", v.data, v.data)
-    total = v.data.size * float(h ** 2 @ frame_sq)
+    frame_sq = np.empty(v.shape[0])
+    _, cube = cropped_transform(v, cfg, offset, frame_sq)
+    taper = temporal_window(v.shape[0], cfg.window_kind)
+    total = math.prod(v.shape) * float(taper ** 2 @ frame_sq)
     if total <= 0.0:
         raise DegenerateInputError("zero total energy; retention undefined")
     inside = float(np.vdot(cube.coeffs, cube.coeffs).real)

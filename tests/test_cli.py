@@ -16,7 +16,8 @@ import pytest
 
 from sim2spec import cli, synth
 from sim2spec.cli import main
-from sim2spec.core import SpectralConfig, save_video
+from sim2spec.core import (FormatError, SpectralConfig, VideoWindow,
+                           load_video, save_video)
 from sim2spec.synth import MotionSpec, synth_sim2
 
 SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "sim2spec",
@@ -274,6 +275,120 @@ def test_cli_analyze_peak_allocation_near_one_window(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 1.45 * clip.data.nbytes
+
+
+def test_cli_analyze_peak_allocation_below_half_window(tmp_path):
+    # the CLI streams the raw payload into the pruned pass a chunk of
+    # frames at a time, so it never holds the float64 window
+    clip = synth_sim2("bandpass_noise", MotionSpec(kind="static", seed=3),
+                      32, 256, 256)
+    path = str(tmp_path / "clip.raw")
+    save_video(clip, path)
+    window_bytes = clip.data.nbytes
+    del clip
+    argv = ["analyze", path, "--json", str(tmp_path / "rep.json")]
+    assert main(argv) == 0
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * window_bytes
+
+
+def test_manifest_digests_pinned(tmp_path):
+    # a window of exact float32 and 8-bit values: the digests of its raw
+    # file and of its PGM directory (one file in it not a frame) are the
+    # ones the whole-window loader recorded
+    t, y, x = np.ogrid[0:12, 0:32, 0:32]
+    v = VideoWindow(((3 * x + 5 * y + 7 * t) % 17) / 16.0)
+    raw = str(tmp_path / "clip.raw")
+    pgm = str(tmp_path / "frames")
+    save_video(v, raw)
+    save_video(v, pgm, "pgm_dir")
+    pathlib.Path(pgm, "notes.txt").write_bytes(b"not a frame\n")
+    pinned = {
+        raw: "065849ef1c157407493cae71d191ea04da636efce21d3d24b34290532bb09a03",
+        pgm: "122f734f9264cbd089dbef0cae8377e664c8425745e1695e8e8ed0afeccb4b89",
+    }
+    for path, digest in pinned.items():
+        out = str(tmp_path / "rep.json")
+        assert main(["analyze", path, "--json", out]) == 0
+        with open(out) as fh:
+            assert json.load(fh)["manifest"]["inputs"] == {path: digest}
+
+
+def write_raw(path, data, shape=None):
+    """``data`` as a raw float32 file, its sidecar declaring ``shape``
+    (default: the data's)."""
+    np.asarray(data, dtype="<f4").tofile(path)
+    with open(path + ".json", "w") as fh:
+        json.dump(dict(zip("THW", shape or np.shape(data))), fh)
+
+
+def write_pgm(path, frames):
+    """Each ``(h, w)`` uint8 array of ``frames`` as a PGM file in ``path``."""
+    os.makedirs(path)
+    for i, f in enumerate(frames):
+        with open(os.path.join(path, f"frame_{i:04d}.pgm"), "wb") as fh:
+            fh.write(b"P5\n%d %d\n255\n" % (f.shape[1], f.shape[0])
+                     + f.tobytes())
+
+
+def bad_inputs(tmp):
+    """``(path, message)`` of each malformed input case, built in ``tmp``."""
+    cases = {}
+    path = os.path.join(tmp, "short.raw")
+    write_raw(path, np.zeros((2, 3, 4)), (3, 3, 4))
+    cases["short_payload"] = (path, f"{path}: sidecar declares T=3 H=3 W=4 "
+                              "(144 bytes), file holds 96 bytes")
+    path = os.path.join(tmp, "trailing.raw")
+    write_raw(path, np.zeros((2, 3, 4)))
+    with open(path, "ab") as fh:
+        fh.write(b"\0\0\0")
+    cases["trailing_bytes"] = (path, f"{path}: sidecar declares T=2 H=3 W=4 "
+                               "(96 bytes), file holds 99 bytes")
+    # one frame is too short to analyze, but the format error comes first
+    path = os.path.join(tmp, "one_frame.raw")
+    write_raw(path, np.zeros(25), (1, 32, 32))
+    cases["t1_short_payload"] = (path, f"{path}: sidecar declares T=1 H=32 "
+                                 "W=32 (4096 bytes), file holds 100 bytes")
+    # 17 frames of 64x64 are read in chunks of 7: the NaN is in the third
+    path = os.path.join(tmp, "nan.raw")
+    data = np.full((17, 64, 64), 0.5)
+    data[16, 5, 5] = np.nan
+    write_raw(path, data)
+    cases["nan_last_frame"] = (path, "video contains non-finite samples")
+    path = os.path.join(tmp, "bad_header")
+    write_pgm(path, [np.zeros((4, 4), np.uint8)])
+    frame = os.path.join(path, "frame_0000.pgm")
+    with open(frame, "wb") as fh:
+        fh.write(b"P5\nx 4\n255\n" + bytes(16))
+    cases["bad_pgm_header"] = (path, f"frame {frame}: bad PGM header")
+    path = os.path.join(tmp, "mixed_shapes")
+    write_pgm(path, [np.zeros(s, np.uint8)
+                     for s in ((8, 8), (8, 6), (8, 8), (4, 4))])
+    cases["inconsistent_pgm_shapes"] = (
+        path, f"inconsistent frame shapes in {path}: "
+        "[(4, 4), (8, 6), (8, 8)]")
+    return cases
+
+
+BAD_INPUTS = ("short_payload", "trailing_bytes", "t1_short_payload",
+              "nan_last_frame", "bad_pgm_header", "inconsistent_pgm_shapes")
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_format_errors_keep_text_and_exit_2(case, tmp_path, capsys):
+    # the error streamed out of the pruned pass reads as the loader's: no
+    # stage label, exit code 2
+    path, message = bad_inputs(str(tmp_path))[case]
+    with pytest.raises(FormatError) as exc:
+        load_video(path)
+    assert str(exc.value) == message
+    assert main(["analyze", path]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_validate_bounds_suite(tmp_path):

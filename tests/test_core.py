@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sim2spec.core import (NUMERIC_EPS, RAW_READ_BYTES, ConfigError,
+from sim2spec.core import (NUMERIC_EPS, ConfigError,
                            FormatError, MotionEstimate, SpectralConfig,
                            VideoWindow, load_video, normalize_window,
                            save_video)
@@ -71,13 +71,14 @@ def test_raw_trailing_bytes_rejected(tmp_path):
     assert main(["analyze", str(path)]) == 2
 
 
-@pytest.mark.parametrize("held", [0, 6, RAW_READ_BYTES + 8])
+# the last held size is four 256x256 float32 frames and 8 bytes
+@pytest.mark.parametrize("held", [0, 6, 4 * 4 * 256 * 256 + 8])
 def test_raw_payload_short_after_size_check(held, tmp_path, monkeypatch,
                                             capsys):
     # the size check passes but the payload ends early, in the first or a
-    # later piece of the read
+    # later chunk of the read (one 256x256 frame per chunk)
     from sim2spec.cli import main
-    shape = (5, 256, 256)  # 1.25 MiB: more than one piece
+    shape = (5, 256, 256)
     path = tmp_path / "c.raw"
     path.write_bytes(bytes(held))
     (tmp_path / "c.raw.json").write_text(
@@ -95,6 +96,10 @@ def test_corrupt_pgm_names_frame(tmp_path):
     d.mkdir()
     (d / "frame_0000.pgm").write_bytes(b"P5\n4 4\n255\nshort")
     with pytest.raises(FormatError, match="frame_0000"):
+        load_video(str(d))
+    # a header that ends the file, with no byte after maxval
+    (d / "frame_0000.pgm").write_bytes(b"P5\n4 4\n255")
+    with pytest.raises(FormatError, match="frame_0000.*truncated"):
         load_video(str(d))
 
 

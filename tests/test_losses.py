@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sim2spec.core import (DegenerateInputError, SpectralConfig, VideoWindow,
-                           normalize_window)
+from sim2spec.core import (DegenerateInputError, FrameSource, SpectralConfig,
+                           VideoWindow, load_video, normalize_window,
+                           save_video)
 from sim2spec.losses import (adaptive_composite, analyze, rotation_loss,
                              scaling_loss, translation_loss)
 from sim2spec.resample import HarmonicStack
@@ -18,7 +19,7 @@ from sim2spec.cli import EXACTNESS_VELOCITIES
 from sim2spec.synth import MotionSpec, make_rng, synth_sim2
 from sim2spec.bounds import window_leakage
 
-from conftest import make_fixture_clip, solve_rows
+from conftest import FIXTURE_SPECS, make_fixture_clip, solve_rows
 
 RECT = SpectralConfig(window_kind="rect")
 
@@ -613,6 +614,23 @@ def test_band_edge_fields_stable_under_pruned_transform(cfg, monkeypatch):
     for key in ("diagnostics.trans_band_miss.", "stats.c_scale.",
                 "stats.c_rot."):
         assert abs(got[key] - ref[key]) <= 1e-12, key
+
+
+@pytest.mark.parametrize("fmt", ["raw_f32", "pgm_dir"])
+@pytest.mark.parametrize("kind", sorted(FIXTURE_SPECS))
+def test_analyze_source_matches_loaded_window(kind, fmt, cfg, tmp_path):
+    # 17 frames of 64x64 are read in chunks of 7, the last one of 3
+    path = str(tmp_path / "clip")
+    save_video(make_fixture_clip(kind, frames_t=17, size=64), path, fmt)
+    assert [len(c) for c in FrameSource.open(path).chunks()] == [7, 7, 3]
+    got = flat_fields(analyze(FrameSource.open(path), cfg).to_dict())
+    ref = flat_fields(analyze(load_video(path), cfg).to_dict())
+    assert got.keys() == ref.keys()
+    for key, r in ref.items():
+        if isinstance(r, float):
+            assert abs(got[key] - r) <= 1e-12 * max(1.0, abs(r)), key
+        else:
+            assert got[key] == r, key
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sim2spec.core import DegenerateInputError, SpectralConfig, VideoWindow, \
-    normalize_window
+from sim2spec.core import DegenerateInputError, FrameSource, SpectralConfig, \
+    VideoWindow, normalize_window, save_video
 from sim2spec.spectral import (EtaParams, Spectrum3D, crop_to_cube,
                                cropped_transform, cube_retention,
                                eta_retention, keep_count, keep_mask_1d,
@@ -327,6 +327,21 @@ def test_cube_retention_powerlaw_suite_size():
     cfg = SpectralConfig(window_kind="rect", lowpass_ratio=0.3)
     ref = measured_retention(spectral_transform(v, cfg), 0.3)
     assert abs(cube_retention(v, cfg) - ref) <= 1e-12
+
+
+def test_cube_retention_offset_matches_normalized_window(tmp_path):
+    # the suite's 1/2 shift taken off the DC bins, on the clip held and
+    # read from a file, against the retention of the shifted copy
+    from sim2spec.synth import synth_powerlaw
+    # float32 values, so the file holds the clip exactly
+    clip = VideoWindow(synth_powerlaw(16, 224, 224, kappa=1.8, seed=3)
+                       .data.astype(np.float32))
+    cfg = SpectralConfig(window_kind="rect", lowpass_ratio=0.3)
+    ref = cube_retention(normalize_window(clip), cfg)
+    path = str(tmp_path / "clip.raw")
+    save_video(clip, path)
+    for src in (clip, FrameSource.open(path)):
+        assert abs(cube_retention(src, cfg, offset=0.5) - ref) <= 1e-12
 
 
 def test_cube_retention_zero_energy_errors():
