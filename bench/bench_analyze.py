@@ -15,7 +15,11 @@ loading, manifest and JSON output) shows beside the stages; one more call
 records its tracemalloc peak, the read included.  The
 ``retention_clip`` row times ``cli.suite_retention(1, 0)``, the ``validate``
 retention suite on one seeded 16x224^2 ``synth_powerlaw`` clip, the same
-way, so each tree is timed on its own suite code.  The stage rows split
+way, so each tree is timed on its own suite code.  The ``synth_sim2_ms``
+rows time rendering the mixed-motion clip itself at 16x64^2 and 32x256^2,
+and the ``powerlaw_clip`` rows time one seeded 16x224^2 ``synth_powerlaw``
+clip (its amplitude grid cached) and record its tracemalloc peak.  The
+stage rows split
 ``analyze`` as it runs: ``samples`` builds the three sample blocks, each
 ``*_loss`` row builds its block again and fits it, and
 ``unified_residual`` fits the blocks the losses returned.
@@ -49,6 +53,8 @@ import tracemalloc
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 SIZES = ((16, 64, 64), (16, 128, 128), (32, 256, 256))
+SYNTH_SIZES = ((16, 64, 64), (32, 256, 256))
+POWERLAW_SIZE = (16, 224, 224)
 ROUNDS = 10
 # one round of one tree: bench_all in a fresh interpreter whose sim2spec
 # is the tree's (argv: this directory, the tree's src, --repeats)
@@ -68,6 +74,15 @@ def min_ms(fn, repeats: int) -> float:
     return best * 1e3
 
 
+def mixed_clip(size):
+    """The seeded mixed-motion clip the per-size rows are timed on."""
+    from sim2spec.synth import MotionSpec, synth_sim2
+
+    return synth_sim2("bandpass_noise",
+                      MotionSpec(kind="mixed", v=(0.7, -0.3), omega=0.05,
+                                 alpha=-0.01, seed=5), *size)
+
+
 def bench_size(size, repeats: int) -> dict:
     import numpy as np
     from sim2spec.core import SpectralConfig
@@ -79,12 +94,9 @@ def bench_size(size, repeats: int) -> dict:
     from sim2spec.resample import (build_polar_lut, make_stack,
                                    polar_resample, ring_energies)
     from sim2spec.spectral import cropped_transform
-    from sim2spec.synth import MotionSpec, synth_sim2
 
     cfg = SpectralConfig()
-    clip = synth_sim2("bandpass_noise",
-                      MotionSpec(kind="mixed", v=(0.7, -0.3), omega=0.05,
-                                 alpha=-0.01, seed=5), *size)
+    clip = mixed_clip(size)
     frames, cube = cropped_transform(clip, cfg, offset=0.5)
     fy, fx = cube.freq_y, cube.freq_x
     lut = build_polar_lut(fy, fx, cfg.rings, cfg.angular_bins)
@@ -167,10 +179,34 @@ def bench_retention_clip(repeats: int) -> float:
     return min_ms(one, repeats)
 
 
+def bench_synth(repeats: int) -> dict:
+    """Minimum times (ms) of the clip generators, and the tracemalloc peak
+    (MB) of one power-law clip with its amplitude grid cached."""
+    from sim2spec.synth import synth_powerlaw
+
+    out = {"synth_sim2_ms": {"x".join(map(str, size)): min_ms(
+        lambda: mixed_clip(size), repeats) for size in SYNTH_SIZES}}
+
+    def powerlaw():
+        return synth_powerlaw(*POWERLAW_SIZE, 1.8, 0)
+
+    powerlaw()
+    out["powerlaw_clip_ms"] = min_ms(powerlaw, repeats)
+    tracemalloc.start()
+    try:
+        powerlaw()
+        out["powerlaw_clip_tracemalloc_peak_mb"] = \
+            tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+    return out
+
+
 def bench_all(repeats: int) -> dict:
     return {"sizes": {"x".join(map(str, s)): bench_size(s, repeats)
                       for s in SIZES},
-            "retention_clip_ms": bench_retention_clip(repeats)}
+            "retention_clip_ms": bench_retention_clip(repeats),
+            **bench_synth(repeats)}
 
 
 def run_round(src: str, repeats: int) -> dict:
@@ -230,7 +266,9 @@ def main(argv=None) -> int:
             "repeats": args.repeats,
             "rounds": ROUNDS,
             "sizes": sizes,
-            "retention_clip_ms": summary["retention_clip_ms"],
+            **{k: summary[k] for k in ("retention_clip_ms", "synth_sim2_ms",
+                                       "powerlaw_clip_ms",
+                                       "powerlaw_clip_tracemalloc_peak_mb")},
         })
         for name, res in sizes.items():
             q1, _, q3 = statistics.quantiles(res["analyze_ms"]["rounds"],
@@ -250,6 +288,16 @@ def main(argv=None) -> int:
         q1, _, q3 = statistics.quantiles(clip["rounds"], n=4)
         print(f"{label} retention_clip: median {clip['median']:.2f} ms "
               f"(quartiles {q1:.2f}-{q3:.2f})")
+        for name, res in summary["synth_sim2_ms"].items():
+            q1, _, q3 = statistics.quantiles(res["rounds"], n=4)
+            print(f"{label} synth_sim2 {name}: median {res['median']:.2f} "
+                  f"ms (quartiles {q1:.2f}-{q3:.2f})")
+        clip = summary["powerlaw_clip_ms"]
+        q1, _, q3 = statistics.quantiles(clip["rounds"], n=4)
+        print(f"{label} powerlaw_clip: median {clip['median']:.2f} ms "
+              f"(quartiles {q1:.2f}-{q3:.2f}), peak "
+              f"{summary['powerlaw_clip_tracemalloc_peak_mb']['median']:.1f}"
+              " MB")
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"points": points}, fh, indent=1)
         fh.write("\n")

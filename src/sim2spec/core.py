@@ -196,6 +196,26 @@ class MotionEstimate:
 CHUNK_BYTES = 1 << 18
 
 
+def _sidecar_shape(meta, sidecar: str) -> tuple:
+    """``(T, H, W)`` from a parsed sidecar: an object with exactly those
+    keys, each a JSON integer (``2.0`` counts, as in JSON Schema) of at
+    least 1, as ``schemas/sidecar.schema.json`` states."""
+    if not isinstance(meta, dict) or set(meta) != {"T", "H", "W"}:
+        raise FormatError(f"bad sidecar {sidecar}: want an object with "
+                          f"exactly the keys T, H, W, got {meta!r}")
+    for key in ("T", "H", "W"):
+        val = meta[key]
+        if not (type(val) is int
+                or isinstance(val, float) and val.is_integer()):
+            raise FormatError(f"bad sidecar {sidecar}: {key} must be an "
+                              f"integer, got {val!r}")
+    shape = t, h, w = int(meta["T"]), int(meta["H"]), int(meta["W"])
+    if min(shape) < 1:
+        raise FormatError(f"bad sidecar {sidecar}: dimensions must be "
+                          f"positive, got T={t} H={h} W={w}")
+    return shape
+
+
 def _read_bytes(path: str, digest) -> bytes:
     """Whole contents of ``path``, also fed to ``digest`` if one is given."""
     try:
@@ -289,12 +309,9 @@ class FrameSource:
         meta_blob = _read_bytes(sidecar, None)
         try:
             meta = json.loads(meta_blob.decode("utf-8"))
-            shape = t, h, w = int(meta["T"]), int(meta["H"]), int(meta["W"])
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             raise FormatError(f"bad sidecar {sidecar}: {exc}") from exc
-        if min(shape) < 1:
-            raise FormatError(f"bad sidecar {sidecar}: dimensions must be "
-                              f"positive, got T={t} H={h} W={w}")
+        shape = t, h, w = _sidecar_shape(meta, sidecar)
         try:
             fh = open(path, "rb")
             size = os.fstat(fh.fileno()).st_size

@@ -3,14 +3,18 @@
 Every generator is deterministic per seed (counter-based Philox stream, see
 ``RNG_NAME``).  Warped clips use bilinear sampling about the frame center
 with a half-intensity fill outside the base, so out-of-frame content is
-spectrally silent after mean shifting.  Base patterns are band-limited to
-at most 0.3x Nyquist so the analysis low-pass keeps the signal under test.
+spectrally silent after mean shifting.  Each frame's four corners are four
+flat gathers from the base in a zero border, beside a table that marks
+the base, so a corner outside the frame needs no clip or mask of its own.
+Base patterns are band-limited to at most 0.3x Nyquist so the analysis
+low-pass keeps the signal under test.
 
 Power-law clips shape white noise on its half spectrum.  The amplitude
 grid depends only on the shape and the exponent, so it is built once per
-``(T, H, W, kappa)``, kept in a small LRU cache and handed out read-only;
-the FFT passes run one axis at a time, each complex pass written back into
-the one half-spectrum buffer.
+``(T, H, W, kappa)``, kept in a small LRU cache and handed out read-only.
+The noise is drawn and transformed one frame at a time into the one
+half-spectrum buffer, every complex FFT pass is written back into it, and
+the clip is written over the buffer's own bytes one frame at a time.
 """
 
 from __future__ import annotations
@@ -141,23 +145,37 @@ def make_base(kind: str, height: int, width: int, rng: np.random.Generator,
 
 
 def _bilinear(base: np.ndarray, yq: np.ndarray, xq: np.ndarray) -> np.ndarray:
-    """Sample ``base`` at float coordinates, mid-gray (0.5) fill outside."""
+    """Sample ``base`` at float coordinates, mid-gray (0.5) fill outside.
+
+    ``base`` sits in a two-pixel zero border, flattened beside a table that
+    is 1 on the base and 0 on the border.  The top-left corner is clamped
+    into that border (rows to ``[-2, h]``, columns to ``[-2, w]``), so a
+    corner outside the base reads 0 from both tables, and each corner is
+    one flat ``take`` from each at a fixed offset.
+    """
     h, w = base.shape
-    y0 = np.floor(yq).astype(np.int64)
-    x0 = np.floor(xq).astype(np.int64)
+    stride = w + 4
+    vals = np.zeros((h + 4, stride))
+    vals[2:-2, 2:-2] = base
+    inside = np.zeros((h + 4, stride))
+    inside[2:-2, 2:-2] = 1.0
+    vals, inside = vals.ravel(), inside.ravel()
+    y0 = np.floor(yq)
+    x0 = np.floor(xq)
     dy = yq - y0
     dx = xq - x0
+    # fmax/fmin send a NaN coordinate to the border; its NaN weights still
+    # make the pixel NaN
+    flat = ((np.fmin(np.fmax(y0, -2.0), h) + 2.0) * stride
+            + np.fmin(np.fmax(x0, -2.0), w) + 2.0).astype(np.intp)
+    wy0, wx0 = 1 - dy, 1 - dx
     out = np.zeros(yq.shape)
     acc_w = np.zeros(yq.shape)
-    for oy, wy in ((0, 1 - dy), (1, dy)):
-        for ox, wx in ((0, 1 - dx), (1, dx)):
-            yy = y0 + oy
-            xx = x0 + ox
-            inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
-            wgt = wy * wx
-            vals = base[np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)]
-            out += wgt * np.where(inside, vals, 0.0)
-            acc_w += wgt * inside
+    for off, wy, wx in ((0, wy0, wx0), (1, wy0, dx), (stride, dy, wx0),
+                        (stride + 1, dy, dx)):
+        wgt = wy * wx
+        out += wgt * vals[off:].take(flat)
+        acc_w += wgt * inside[off:].take(flat)
     return out + 0.5 * (1.0 - acc_w)
 
 
@@ -240,18 +258,25 @@ def synth_powerlaw(frames_t: int, height: int, width: int, kappa: float,
     Built by shaping white noise in the frequency domain, so per-bin
     energies fluctuate (chi-square) around the power law.  The amplitude
     grid is built once per ``(T, H, W, kappa)`` and shared read-only.  The
-    transforms are the ``rfftn``/``irfftn`` axis passes in their own order,
-    every complex pass written back into the one half-spectrum buffer, so
-    the clip is bit-identical to ``irfftn(rfftn(noise) * amp)`` without its
-    clip-sized temporaries.
+    transforms are the ``rfftn``/``irfftn`` axis passes in their own order:
+    each frame's noise is drawn and ``rfft``-ed into the one half-spectrum
+    buffer, every complex pass is written back into it, and each frame's
+    ``irfft`` is written over it.  So the clip is bit-identical to
+    ``irfftn(rfftn(noise) * amp)`` and the buffer is the only clip-sized
+    array.
     """
     if kappa <= 0:
         raise ConfigError("kappa must be positive")
     if min(frames_t, height, width) < 2:
         raise ConfigError("power-law clips need at least 2 samples per axis")
     amp = _powerlaw_amplitude(frames_t, height, width, float(kappa))
-    spec = np.fft.rfft(make_rng(seed).standard_normal(
-        (frames_t, height, width)), axis=2)
+    rng = make_rng(seed)
+    spec = np.empty(amp.shape, dtype=np.complex128)
+    for t in range(frames_t):
+        # frame by frame, the noise is drawn in the order of one
+        # (T, H, W) draw
+        np.fft.rfft(rng.standard_normal((height, width)), axis=1,
+                    out=spec[t])
     np.fft.fft(spec, axis=1, out=spec)
     np.fft.fft(spec, axis=0, out=spec)
     # the amplitude is even in every frequency, so shaping the half
@@ -259,8 +284,13 @@ def synth_powerlaw(frames_t: int, height: int, width: int, kappa: float,
     spec *= amp
     np.fft.ifft(spec, axis=0, out=spec)
     np.fft.ifft(spec, axis=1, out=spec)
-    v = np.fft.irfft(spec, n=width, axis=2)
-    del spec
+    # the clip is written over the spectrum's own bytes: a clip row (8*W
+    # bytes) is no longer than a spectrum row (16*(W//2 + 1)), so clip
+    # frame t ends before spectrum frame t + 1 begins
+    v = spec.reshape(-1).view(np.float64)[:frames_t * height * width]
+    v = v.reshape(frames_t, height, width)
+    for t in range(frames_t):
+        v[t] = np.fft.irfft(spec[t], n=width, axis=1)
     lo, hi = v.min(), v.max()
     if hi > lo:
         v -= lo

@@ -25,8 +25,20 @@ SCHEMA_DIR = os.path.join(os.path.dirname(__file__), "..", "src", "sim2spec",
 
 
 def schema(name):
-    with open(os.path.join(SCHEMA_DIR, name)) as fh:
-        return json.load(fh)
+    return read_json(os.path.join(SCHEMA_DIR, name))
+
+
+def read_json(path):
+    return json.loads(pathlib.Path(path).read_text())
+
+
+def write_json(path, obj):
+    pathlib.Path(path).write_text(json.dumps(obj))
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +55,7 @@ def test_analyze_fixture_argmax(trans_clip_path, tmp_path):
     out = str(tmp_path / "rep.json")
     rc = main(["analyze", trans_clip_path, "--json", out])
     assert rc == 0
-    payload = json.load(open(out))
+    payload = read_json(out)
     jsonschema.validate(payload, schema("report.schema.json"))
     weights = payload["report"]["weights"]
     assert max(weights, key=weights.get) == "translation"
@@ -74,7 +86,7 @@ def test_analyze_rho_one_keeps_everything(trans_clip_path, tmp_path):
     out = str(tmp_path / "rep.json")
     rc = main(["analyze", trans_clip_path, "--rho", "1.0", "--json", out])
     assert rc == 0
-    payload = json.load(open(out))
+    payload = read_json(out)
     assert payload["report"]["diagnostics"]["retained_fraction"] == 1.0
 
 
@@ -82,7 +94,7 @@ def test_analyze_csv_output(trans_clip_path, tmp_path):
     out = str(tmp_path / "rep.csv")
     rc = main(["analyze", trans_clip_path, "--csv", out])
     assert rc == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = read_rows(out)
     assert len(rows) == 1
     assert float(rows[0]["w_translation"]) > 0.5
 
@@ -125,36 +137,37 @@ def test_analyze_too_short_exit_3(tmp_path):
 
 def test_synth_roundtrip_reanalyzable(tmp_path):
     spec_path = str(tmp_path / "spec.json")
-    json.dump({"kind": "rotation", "omega": 2 * math.pi / 16, "seed": 5,
-               "base": "gaussian_blobs", "T": 16, "H": 128, "W": 128},
-              open(spec_path, "w"))
+    write_json(spec_path, {"kind": "rotation", "omega": 2 * math.pi / 16,
+                           "seed": 5, "base": "gaussian_blobs", "T": 16,
+                           "H": 128, "W": 128})
     out = str(tmp_path / "rot.raw")
     assert main(["synth", spec_path, "--out", out]) == 0
-    meta = json.load(open(out + ".spec.json"))
+    meta = read_json(out + ".spec.json")
     jsonschema.validate(meta, schema("synth_spec.schema.json"))
     rep = str(tmp_path / "rep.json")
     assert main(["analyze", out, "--json", rep]) == 0
-    payload = json.load(open(rep))
+    payload = read_json(rep)
     weights = payload["report"]["weights"]
     assert max(weights, key=weights.get) == "rotation"
 
 
 def test_synth_deterministic_digests(tmp_path):
     spec_path = str(tmp_path / "spec.json")
-    json.dump({"kind": "translation", "v": [1, 0], "seed": 9, "T": 8,
-               "H": 32, "W": 32}, open(spec_path, "w"))
+    write_json(spec_path, {"kind": "translation", "v": [1, 0], "seed": 9,
+                           "T": 8, "H": 32, "W": 32})
     digests = []
     for name in ("a.raw", "b.raw"):
         out = str(tmp_path / name)
         assert main(["synth", spec_path, "--out", out]) == 0
-        digests.append(hashlib.sha256(open(out, "rb").read()).hexdigest())
+        digests.append(
+            hashlib.sha256(pathlib.Path(out).read_bytes()).hexdigest())
     assert digests[0] == digests[1]
 
 
 def test_synth_scale_collapse_exit_2(tmp_path, capsys):
     spec_path = str(tmp_path / "spec.json")
-    json.dump({"kind": "scaling", "alpha": 0.5, "seed": 1, "T": 16,
-               "H": 32, "W": 32}, open(spec_path, "w"))
+    write_json(spec_path, {"kind": "scaling", "alpha": 0.5, "seed": 1,
+                           "T": 16, "H": 32, "W": 32})
     assert main(["synth", spec_path, "--out", str(tmp_path / "x.raw")]) == 2
     assert "scale collapse" in capsys.readouterr().err
 
@@ -174,7 +187,7 @@ def test_synth_malformed_spec_exit_2(raw, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(synth, "_bilinear", render)
     monkeypatch.setattr(synth.np, "roll", render)
     spec_path = str(tmp_path / "spec.json")
-    json.dump(raw, open(spec_path, "w"))
+    write_json(spec_path, raw)
     assert main(["synth", spec_path, "--out", str(tmp_path / "x.raw")]) == 2
     assert "error: invalid spec" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "x.raw")
@@ -194,7 +207,7 @@ def test_synth_non_finite_spec_exit_2(field, raw, tmp_path, capsys,
 
     monkeypatch.setattr(synth, "_bilinear", render)
     spec_path = str(tmp_path / "spec.json")
-    json.dump(dict(raw, T=8, H=32, W=32), open(spec_path, "w"))
+    write_json(spec_path, dict(raw, T=8, H=32, W=32))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rc = main(["synth", spec_path, "--out", str(tmp_path / "x.raw")])
@@ -238,7 +251,7 @@ def test_manifest_digest_streams_like_whole_read(chunk, tmp_path):
     for path in (raw, pgm):
         out = str(tmp_path / "rep.json")
         assert main(["analyze", path, "--json", out]) == 0
-        inputs = json.load(open(out))["manifest"]["inputs"]
+        inputs = read_json(out)["manifest"]["inputs"]
         assert inputs == {path: whole_read_digest(path)}
         assert inputs == {path: whole_read_digest(path, chunk)}
 
@@ -395,7 +408,7 @@ def test_validate_bounds_suite(tmp_path):
     out = str(tmp_path / "val.json")
     rc = main(["validate", "--suite", "bounds", "--n", "150", "--json", out])
     assert rc == 0
-    payload = json.load(open(out))
+    payload = read_json(out)
     jsonschema.validate(payload, schema("validate.schema.json"))
     assert payload["violations_total"] == 0
     assert payload["suites"][0]["instances"] >= 150
@@ -405,7 +418,7 @@ def test_validate_manifest_has_no_config(tmp_path):
     out = str(tmp_path / "val.json")
     assert main(["validate", "--suite", "bounds", "--n", "5",
                  "--json", out]) == 0
-    manifest = json.load(open(out))["manifest"]
+    manifest = read_json(out)["manifest"]
     assert "config" not in manifest and "config_hash" not in manifest
     # the suites run fixed configs, so validate takes no config flags
     with pytest.raises(SystemExit) as exc:
@@ -421,10 +434,10 @@ def test_manifests_record_environment(trans_clip_path, tmp_path,
     assert main(["analyze", trans_clip_path, "--json", rep]) == 0
     assert main(["validate", "--suite", "bounds", "--n", "5",
                  "--json", val]) == 0
-    report = json.load(open(rep))
+    report = read_json(rep)
     jsonschema.validate(report, schema("report.schema.json"))
     env_schema = schema("report.schema.json")["definitions"]["environment"]
-    for payload in (report, json.load(open(val))):
+    for payload in (report, read_json(val)):
         env = payload["manifest"]["environment"]
         jsonschema.validate(env, env_schema)
         assert env["numpy"] == np.__version__
@@ -437,7 +450,7 @@ def test_validate_exactness_suite(tmp_path):
     out = str(tmp_path / "val.json")
     rc = main(["validate", "--suite", "exactness", "--json", out])
     assert rc == 0
-    payload = json.load(open(out))
+    payload = read_json(out)
     assert payload["violations_total"] == 0
 
 
@@ -446,7 +459,7 @@ def test_validate_retention_suite_small(tmp_path):
     rc = main(["validate", "--suite", "retention", "--n-retention", "3",
                "--json", out])
     assert rc == 0
-    payload = json.load(open(out))
+    payload = read_json(out)
     jsonschema.validate(payload, schema("validate.schema.json"))
     assert payload["violations_total"] == 0
 
@@ -455,7 +468,7 @@ def test_sweep_delta_monotone_c_rot(tmp_path):
     out = str(tmp_path / "sweep.csv")
     rc = main(["sweep", "--param", "delta", "--range", "1..3", "--out", out])
     assert rc == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = read_rows(out)
     c_rot = [float(r["c_rot"]) for r in rows]
     assert all(c_rot[i + 1] >= c_rot[i] - 1e-12 for i in range(len(c_rot) - 1))
 
@@ -465,7 +478,7 @@ def test_sweep_tau_max_weight_monotone(tmp_path):
     rc = main(["sweep", "--param", "tau", "--range",
                "0.01,0.05,0.1,0.5,1.0", "--out", out])
     assert rc == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = read_rows(out)
     mw = [float(r["max_weight"]) for r in rows]
     assert all(mw[i + 1] <= mw[i] + 1e-9 for i in range(len(mw) - 1))
 
@@ -474,7 +487,7 @@ def test_sweep_t_eps_win_monotone(tmp_path):
     out = str(tmp_path / "sweep.csv")
     rc = main(["sweep", "--param", "T", "--range", "8,16,32", "--out", out])
     assert rc == 0
-    rows = list(csv.DictReader(open(out)))
+    rows = read_rows(out)
     ew = [float(r["eps_win"]) for r in rows]
     assert all(ew[i + 1] <= ew[i] + 1e-15 for i in range(len(ew) - 1))
 
@@ -485,7 +498,7 @@ def test_sweep_stdout_matches_file(tmp_path, capsys):
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     out = str(tmp_path / "sweep.csv")
     assert main(argv + ["--out", out]) == 0
-    file_rows = list(csv.DictReader(open(out)))
+    file_rows = read_rows(out)
     assert [r["value"] for r in rows] == ["1", "2"]
     assert list(rows[0]) == list(file_rows[0])
     assert rows == file_rows
@@ -518,8 +531,35 @@ def test_sidecar_matches_schema(tmp_path):
     clip = synth_sim2("checker", MotionSpec(kind="static", seed=0), 4, 32, 32)
     path = str(tmp_path / "c.raw")
     save_video(clip, path)
-    jsonschema.validate(json.load(open(path + ".json")),
+    jsonschema.validate(read_json(path + ".json"),
                         schema("sidecar.schema.json"))
+
+
+@pytest.mark.parametrize("meta, valid", [
+    ({"T": 2, "H": 3, "W": 4}, True),
+    ({"T": 2.0, "H": 3, "W": 4}, True),
+    ({"T": 2.7, "H": 3, "W": 4}, False),
+    ({"T": "2", "H": 3, "W": 4}, False),
+    ({"T": True, "H": 3, "W": 4}, False),
+    ({"T": 0, "H": 3, "W": 4}, False),
+    ({"H": 3, "W": 4}, False),
+    ({"T": 2, "H": 3, "W": 4, "C": 1}, False),
+    ([2, 3, 4], False),
+], ids=["valid", "float_integral", "float_fraction", "string", "bool",
+        "zero", "missing_key", "extra_key", "list"])
+def test_sidecar_loader_agrees_with_schema(meta, valid, tmp_path):
+    # the raw loader accepts exactly the sidecars the schema accepts
+    path = tmp_path / "c.raw"
+    np.arange(24, dtype="<f4").tofile(path)
+    write_json(str(path) + ".json", meta)
+    validator = jsonschema.Draft7Validator(schema("sidecar.schema.json"))
+    assert validator.is_valid(meta) == valid
+    if valid:
+        assert load_video(str(path)).shape == (2, 3, 4)
+    else:
+        with pytest.raises(FormatError, match="bad sidecar"):
+            load_video(str(path))
+        assert main(["analyze", str(path)]) == 2
 
 
 def test_sweep_seed_flag(tmp_path):
@@ -529,7 +569,7 @@ def test_sweep_seed_flag(tmp_path):
                  "--seed", "5", "--out", a]) == 0
     assert main(["sweep", "--param", "delta", "--range", "1,2",
                  "--seed", "6", "--out", b]) == 0
-    assert open(a).read() != open(b).read()
+    assert pathlib.Path(a).read_text() != pathlib.Path(b).read_text()
 
 
 def test_sweep_noise_param(tmp_path):
@@ -544,7 +584,7 @@ def test_sweep_noise_param(tmp_path):
         "c_rot", "c_ring", "c_flow", "s_trend", "c_scale", "w_translation",
         "w_rotation", "w_scaling", "retained_fraction", "max_weight",
         "eps_win"]
-    rows = list(csv.DictReader(open(out)))
+    rows = read_rows(out)
     assert len(rows) == 3
     assert [float(r["value"]) for r in rows] == [0.0, 0.02, 0.05]
 
@@ -576,9 +616,9 @@ def test_parsed_flags_do_not_carry_over(trans_clip_path, tmp_path):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     assert main(["analyze", trans_clip_path, "--tau", "0.2", "--json", a]) == 0
     assert main(["analyze", trans_clip_path, "--json", b]) == 0
-    assert json.load(open(a))["manifest"]["config"][
+    assert read_json(a)["manifest"]["config"][
         "softmax_temperature"] == 0.2
-    assert json.load(open(b))["manifest"]["config"] == \
+    assert read_json(b)["manifest"]["config"] == \
         SpectralConfig().to_dict()
 
 
@@ -589,7 +629,7 @@ def test_valid_call_after_parse_error(tmp_path):
     out = str(tmp_path / "v.json")
     assert main(["validate", "--suite", "bounds", "--n", "5",
                  "--json", out]) == 0
-    assert json.load(open(out))["violations_total"] == 0
+    assert read_json(out)["violations_total"] == 0
 
 
 def test_patched_analyze_hit_after_earlier_calls(trans_clip_path, tmp_path,

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -159,6 +160,92 @@ def test_powerlaw_amplitude_cached_read_only():
     synth_powerlaw(4, 8, 10, 1.8, 0)
     assert synth._powerlaw_amplitude.cache_info().hits == before + 1
     assert synth._powerlaw_amplitude(4, 8, 10, 1.8) is amp
+
+
+def test_powerlaw_peak_below_clip_and_a_third():
+    """With the amplitude grid cached, the clip is written over its own
+    half spectrum: the traced peak stays under 1.3x the clip's bytes (the
+    noise, the spectrum and the output used to be held at once, 2.0x)."""
+    shape = (16, 224, 224)
+    synth._powerlaw_amplitude(*shape, 1.8)
+    tracemalloc.start()
+    try:
+        clip = synth_powerlaw(*shape, 1.8, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert clip.data.nbytes == 8 * 16 * 224 * 224
+    assert peak < 1.3 * clip.data.nbytes
+
+
+def per_corner_bilinear(base, yq, xq):
+    """Reference warp: each bilinear corner clipped into the frame,
+    gathered with 2-D indexing and masked where it falls outside."""
+    h, w = base.shape
+    y0 = np.floor(yq).astype(np.int64)
+    x0 = np.floor(xq).astype(np.int64)
+    dy = yq - y0
+    dx = xq - x0
+    out = np.zeros(yq.shape)
+    acc_w = np.zeros(yq.shape)
+    for oy, wy in ((0, 1 - dy), (1, dy)):
+        for ox, wx in ((0, 1 - dx), (1, dx)):
+            yy = y0 + oy
+            xx = x0 + ox
+            inside = (yy >= 0) & (yy < h) & (xx >= 0) & (xx < w)
+            wgt = wy * wx
+            vals = base[np.clip(yy, 0, h - 1), np.clip(xx, 0, w - 1)]
+            out += wgt * np.where(inside, vals, 0.0)
+            acc_w += wgt * inside
+    return out + 0.5 * (1.0 - acc_w)
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (33, 47), (1, 7), (6, 6)])
+def test_bilinear_matches_per_corner_reference(shape):
+    """On an untapered random base (a tapered base is 0.5 at its edge, like
+    the fill), sample points on and around the frame, some of them on
+    integer coordinates and some far outside, warp bit for bit like the
+    per-corner reference."""
+    h, w = shape
+    rng = np.random.default_rng(h * 100 + w)
+    base = rng.uniform(0.1, 0.9, shape)
+    yq = rng.uniform(-4.0, h + 4.0, (40, 50))
+    xq = rng.uniform(-4.0, w + 4.0, (40, 50))
+    yq[:10] = np.round(yq[:10])
+    xq[:, :10] = np.round(xq[:, :10])
+    yq[-5:] *= 1e6
+    xq[:, -5:] *= -1e6
+    assert np.array_equal(synth._bilinear(base, yq, xq),
+                          per_corner_bilinear(base, yq, xq))
+
+
+WARP_SPECS = {
+    "translation": MotionSpec(kind="translation", v=(0.7, -0.3), seed=1),
+    "rotation": MotionSpec(kind="rotation", omega=0.05, seed=2),
+    "scaling": MotionSpec(kind="scaling", alpha=-0.02, seed=3),
+    "mixed": MotionSpec(kind="mixed", v=(0.7, -0.3), omega=0.05,
+                        alpha=0.01, seed=4),
+    "static": MotionSpec(kind="static", seed=5),
+    "noisy": MotionSpec(kind="translation", v=(1.3, 0.4), noise_sigma=0.05,
+                        seed=6),
+    # most corners land far outside the frame
+    "far_outside": MotionSpec(kind="mixed", v=(40.0, -55.0), omega=0.3,
+                              alpha=0.02, seed=7),
+}
+
+
+@pytest.mark.parametrize("shape", [(16, 64, 64), (8, 33, 47), (5, 1, 7),
+                                   (3, 6, 6)])
+def test_warp_matches_per_corner_reference(shape, monkeypatch):
+    """The padded flat-table warp renders every clip bit for bit like the
+    per-corner reference."""
+    for base in synth.BASE_KINDS:
+        for name, spec in WARP_SPECS.items():
+            got = synth_sim2(base, spec, *shape)
+            with monkeypatch.context() as m:
+                m.setattr(synth, "_bilinear", per_corner_bilinear)
+                want = synth_sim2(base, spec, *shape)
+            assert np.array_equal(got.data, want.data), (base, name)
 
 
 def test_powerlaw_radial_slope():
