@@ -188,6 +188,8 @@ def _suite_summary(name: str, checks: list) -> dict:
 
 def suite_bounds(n: int, seed: int) -> tuple:
     """Randomized inequality suites plus leakage monotonicity."""
+    if n < 0:
+        raise ConfigError(f"--n must be at least 0, got {n}")
     rng = make_rng(seed)
     checks = []
     for i in range(n):
@@ -281,6 +283,9 @@ def suite_exactness(seed: int) -> tuple:
 
 def suite_retention(n: int, seed: int) -> tuple:
     """Power-law clips against the closed-form retention model."""
+    if n < 1:
+        # with no clip the mean would be NaN and read as a violation
+        raise ConfigError(f"--n-retention must be at least 1, got {n}")
     cfg = SpectralConfig(window_kind="rect", lowpass_ratio=0.3)
     checks = []
     size = (16, 224, 224)

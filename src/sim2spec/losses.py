@@ -73,19 +73,20 @@ def ridge_wls_solve(gram: np.ndarray, rhs: np.ndarray, sum_w: float,
     return theta, bool(e[0] > 1e-10 * max(1.0, e[-1]))
 
 
-def _fit(blocks, scales, cols, lam: float) -> tuple:
+def _fit(blocks, scales, cols, lam: float) -> RidgeResult:
     """Ridge fit over the list ``cols`` on the summed ``scale * moments``:
-    theta scattered into the 5-vector, the residual ``sum scale * w * err^2
-    / sum scale * w`` summed per sample, and each block's errors."""
-    gram, rhs, sum_w = (sum(s * x for s, x in zip(scales, part))
-                        for part in zip(*(b.moments for b in blocks)))
+    theta scattered into the 5-vector, and the residual ``sum scale * w *
+    err^2 / sum scale * w`` from the same moments as ``(theta' G theta -
+    2 theta' r + sum w y^2) / sum w``, clamped at 0 where rounding takes
+    it below."""
+    gram, rhs, sum_w, sum_wyy = (
+        sum(s * x for s, x in zip(scales, part))
+        for part in zip(*(b.moments for b in blocks)))
     theta = np.zeros(5)
     theta[cols], identifiable = ridge_wls_solve(gram[np.ix_(cols, cols)],
                                                 rhs[cols], sum_w, lam)
-    errs = [b.errors(theta) for b in blocks]
-    residual = sum(s * float(np.einsum("kc,kc,kc->", b.weights, e, e))
-                   for b, s, e in zip(blocks, scales, errs)) / sum_w
-    return RidgeResult(theta, residual, identifiable), errs
+    residual = (theta @ gram @ theta - 2.0 * theta @ rhs + sum_wyy) / sum_w
+    return RidgeResult(theta, max(0.0, float(residual)), identifiable)
 
 
 # "no fit": a flagged slice, or the joint fit when every slice is flagged
@@ -97,10 +98,18 @@ _NO_FIT.theta.setflags(write=False)
 # sample builders
 
 
+def _energy(z: np.ndarray) -> np.ndarray:
+    """``|z|^2`` squared in place: bit-identical to ``np.abs(z) ** 2``, with
+    one array fewer alive."""
+    e = np.abs(z)
+    e *= e
+    return e
+
+
 def translation_samples(s: Spectrum3D, cfg: SpectralConfig) -> WeightedSamples:
     """One sample per retained Cartesian bin (translation slice columns)."""
     return build_samples(s.freq_x[None, :], s.freq_y[:, None], 0.0, 0.0,
-                         s.freq_t, np.abs(s.coeffs) ** 2, None, cfg)
+                         s.freq_t, _energy(s.coeffs), None, cfg)
 
 
 def rotation_samples(stack: HarmonicStack, cfg: SpectralConfig) -> WeightedSamples:
@@ -108,7 +117,7 @@ def rotation_samples(stack: HarmonicStack, cfg: SpectralConfig) -> WeightedSampl
     keep = stack.ang_m != 0
     m = stack.ang_m[keep][None, :]
     return build_samples(0.0, 0.0, m, 0.0, stack.freq_t,
-                         np.abs(stack.ang[:, keep, :].transpose(2, 0, 1)) ** 2,
+                         _energy(stack.ang[:, keep, :].transpose(2, 0, 1)),
                          m, cfg)
 
 
@@ -117,7 +126,7 @@ def scaling_samples(stack: HarmonicStack, cfg: SpectralConfig) -> WeightedSample
     keep = stack.rad_nu != 0
     nu = stack.rad_nu[keep]
     return build_samples(0.0, 0.0, 0.0, nu, stack.freq_t,
-                         np.abs(stack.rad[keep, :].T) ** 2, nu, cfg)
+                         _energy(stack.rad[keep, :].T), nu, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +148,13 @@ def _slice_fit(build, source, cols, cfg: SpectralConfig):
     """
     try:
         samples = build(source, cfg)
-        fit, (err,) = _fit([samples], [1.0], cols, cfg.ridge)
+        fit = _fit([samples], [1.0], cols, cfg.ridge)
     except UnobservableError:
         return _NO_FIT, None, 0.0
     if not fit.identifiable:
         return _NO_FIT, None, 0.0
-    in_band = np.abs(err) <= cfg.band_tolerance + BAND_EDGE_SLACK
+    in_band = (np.abs(samples.errors(fit.theta))
+               <= cfg.band_tolerance + BAND_EDGE_SLACK)
     capture = float(samples.energies[in_band].sum() / samples.energies.sum())
     return fit, samples, capture
 
@@ -332,7 +342,7 @@ def unified_residual(trans: WeightedSamples | None,
     if not blocks:
         return _NO_FIT
     scales = [1.0 / float(s.energies.sum()) for s in blocks]
-    return _fit(blocks, scales, list(range(5)), cfg.ridge)[0]
+    return _fit(blocks, scales, list(range(5)), cfg.ridge)
 
 
 # ---------------------------------------------------------------------------
@@ -436,8 +446,7 @@ def analyze(v: VideoWindow | FrameSource,
                               cfg.rings, cfg.angular_bins)
         polar = polar_resample(frames_c, lut)
         stack = make_stack(polar, cfg)
-        rings = ring_energies(np.abs(frames_c) ** 2, s3c.freq_y, s3c.freq_x,
-                              cfg)
+        rings = ring_energies(_energy(frames_c), s3c.freq_y, s3c.freq_x, cfg)
 
     with _stage("losses"):
         trans = translation_loss(s3c, cfg)

@@ -9,14 +9,17 @@ defined, angles uniform on ``[0, 2pi)``.  The DC bin is handled by the
 Cartesian-domain losses only.
 
 ``make_stack`` takes one windowed DFT over theta and t of the polar
-samples; the log-radial harmonics are read off its m = 0 row (the
-angle-averaged profile), so the temporal transform is computed once.
-``ring_energies`` returns the per-frame ring shares as a plain
-``(rings, T)`` array.  The polar lookup table, the ring masks and
-``make_stack``'s tables (``_stack_tables``: the taper, the log-radius
-interpolation, ``xi_step`` and the three signed grids) depend only on the
-grids or the stack's shape and the config, so each is built once per
-distinct argument set, kept in a small LRU cache and handed out read-only.
+samples, as two products with DFT matrices whose rows are in shifted
+order; the log-radial harmonics are one more product, of its m = 0 row
+(the angle-averaged profile) with a matrix that averages, interpolates
+onto log radii and transforms over log-radius, so the temporal transform
+is computed once.  ``ring_energies`` returns the per-frame ring shares as
+a plain ``(rings, T)`` array.  The polar lookup table, the ring masks and
+``make_stack``'s tables (``_stack_tables``: the angular DFT matrix, the
+tapered temporal DFT matrix, the radial matrix, ``xi_step`` and the three
+signed grids) depend only on the grids or the stack's shape and the
+config, so each is built once per distinct argument set, kept in a small
+LRU cache and handed out read-only.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NUMERIC_EPS, ConfigError, SpectralConfig
-from .spectral import signed_bins, temporal_window
+from .spectral import shifted_dft, signed_bins, temporal_window
 
 __all__ = ["PolarLUT", "HarmonicStack", "build_polar_lut", "polar_resample",
            "make_stack", "ring_energies", "max_safe_radius"]
@@ -128,8 +131,10 @@ def polar_resample(frames: np.ndarray, lut: PolarLUT) -> np.ndarray:
             f"LUT built for {lut.spatial_shape}, spectrum is {frames.shape[1:]}")
     nt = frames.shape[0]
     flat = frames.reshape(nt, -1)
-    gathered = flat[:, lut.indices]            # (T, n_rho*n_theta, 4)
-    vals = np.einsum("tpk,pk->tp", gathered, lut.weights)
+    # one (T, n_rho*n_theta) gather per corner, accumulated in corner order
+    vals = flat[:, lut.indices[:, 0]] * lut.weights[:, 0]
+    for k in range(1, 4):
+        vals += flat[:, lut.indices[:, k]] * lut.weights[:, k]
     return vals.T.reshape(lut.n_rho, lut.n_theta, nt).copy()
 
 
@@ -154,20 +159,28 @@ class HarmonicStack:
 def _stack_tables(n_rho: int, n_theta: int, nt: int, n_xi: int,
                   window_kind: str) -> tuple:
     """Shape-only tables of ``make_stack``, built once per key and
-    read-only: the taper; ``i0``, ``1 - frac`` and ``frac`` interpolating
-    the linear rho grid ``rho_max*(k+1)/n_rho`` at ``n_xi`` log-spaced
-    radii over the same range; ``xi_step``; the m, nu and omega_t grids."""
+    read-only: the shifted angular DFT matrix; the transposed shifted
+    temporal DFT matrix times the taper; the ``(n_xi, n_rho)`` radial
+    matrix, ``1/n_theta`` times the shifted DFT over xi of the linear
+    interpolation from the rho grid ``rho_max*(k+1)/n_rho`` to ``n_xi``
+    log-spaced radii over the same range; ``xi_step``; the m, nu and
+    omega_t grids."""
     rho = np.arange(1, n_rho + 1, dtype=np.float64)
     xi = np.linspace(np.log(rho[0]), np.log(rho[-1]), n_xi)
     pos = np.exp(xi) - 1.0                        # fractional index into prof
     i0 = np.clip(np.floor(pos).astype(np.int64), 0, n_rho - 2)
     frac = pos - i0
-    arrays = (temporal_window(nt, window_kind), i0, (1 - frac)[:, None],
-              frac[:, None], signed_bins(n_theta), signed_bins(n_xi),
-              signed_bins(nt))
+    interp = np.zeros((n_xi, n_rho))
+    rows = np.arange(n_xi)
+    interp[rows, i0] = 1.0 - frac
+    interp[rows, i0 + 1] = frac
+    arrays = (shifted_dft(n_theta),
+              (shifted_dft(nt) * temporal_window(nt, window_kind)).T,
+              shifted_dft(n_xi) @ (interp / n_theta), signed_bins(n_theta),
+              signed_bins(n_xi), signed_bins(nt))
     for a in arrays:
         a.setflags(write=False)
-    return *arrays[:4], float(xi[1] - xi[0]), *arrays[4:]
+    return *arrays[:3], float(xi[1] - xi[0]), *arrays[3:]
 
 
 def make_stack(polar: np.ndarray, cfg: SpectralConfig) -> HarmonicStack:
@@ -175,24 +188,23 @@ def make_stack(polar: np.ndarray, cfg: SpectralConfig) -> HarmonicStack:
 
     ``ang[rho, m, omega_t]`` is the DFT of ``polar[rho, theta, t]`` over
     theta and (after the configured temporal taper) over t, both axes in
-    shifted signed order.  The angle-averaged profile is ``1/n_theta``
-    times the m = 0 row of ``ang``; it is interpolated from the linear
-    radius grid onto ``logradius_bins`` log-spaced radii spanning the same
-    range, and its DFT over log-radius gives ``rad[nu, omega_t]``.
-    ``xi_step`` is the log-radius spacing (needed to convert the fitted
-    line slope into a physical log-scale rate).  Every step is linear, so
-    one temporal transform serves both stacks.
+    shifted signed order: two matrix products with the cached DFT matrices.
+    The angle-averaged profile is ``1/n_theta`` times the m = 0 row of
+    ``ang``; it is interpolated from the linear radius grid onto
+    ``logradius_bins`` log-spaced radii spanning the same range, and its
+    DFT over log-radius gives ``rad[nu, omega_t]``, all three steps one
+    cached matrix.  ``xi_step`` is the log-radius spacing (needed to
+    convert the fitted line slope into a physical log-scale rate).  Every
+    step is linear, so one temporal transform serves both stacks.
     """
     n_rho, n_theta, nt = polar.shape
     if n_theta < 4:
         raise ConfigError("need at least 4 angular samples")
-    h, i0, w0, w1, xi_step, ang_m, rad_nu, freq_t = _stack_tables(
+    adft, tdft_t, radial, xi_step, ang_m, rad_nu, freq_t = _stack_tables(
         n_rho, n_theta, nt, cfg.logradius_bins, cfg.window_kind)
-    ang = np.fft.fftshift(np.fft.fftn(polar * h, axes=(1, 2)), axes=(1, 2))
-    # m = 0 sits at position n_theta // 2 after the shift
-    prof = ang[:, n_theta // 2, :] / n_theta      # (n_rho, omega_t)
-    resampled = prof[i0] * w0 + prof[i0 + 1] * w1  # (n_xi, omega_t)
-    rad = np.fft.fftshift(np.fft.fft(resampled, axis=0), axes=0)
+    ang = adft @ (polar.reshape(-1, nt) @ tdft_t).reshape(polar.shape)
+    # m = 0 sits at position n_theta // 2 of the shifted rows
+    rad = radial @ ang[:, n_theta // 2, :]
     return HarmonicStack(ang, ang_m, rad, rad_nu, freq_t, xi_step)
 
 

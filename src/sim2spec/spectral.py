@@ -126,6 +126,14 @@ def spectral_transform(v: VideoWindow, cfg: SpectralConfig) -> Spectrum3D:
                       signed_bins(v.width))
 
 
+def shifted_dft(n: int) -> np.ndarray:
+    """The ``(n, n)`` DFT matrix with its rows in fftshift order: row ``p``
+    is DFT index ``k = p - n//2``, entry ``exp(-2 pi i (k j mod n) / n)``
+    (the product reduced mod n keeps every angle in ``[0, 2 pi)``)."""
+    k = np.arange(n) - n // 2
+    return np.exp(-2j * np.pi * (np.outer(k, np.arange(n)) % n) / n)
+
+
 @functools.lru_cache(maxsize=8)
 def _transform_tables(t_n: int, h: int, w: int, ratio: float,
                       window_kind: str) -> tuple:
@@ -137,12 +145,12 @@ def _transform_tables(t_n: int, h: int, w: int, ratio: float,
     the mask of the bins to conjugate (``kx < 0``); each kept bin's
     centring phase ``exp(2 pi i k (n//2) / n)``, what ``ifftshift`` before
     the DFT does; the ``(K_t, T)`` temporal table, the taper times the kept
-    rows ``exp(-2 pi i kt t / T)`` of the DFT matrix.  A kept bin's DFT
+    rows of ``shifted_dft(T)``.  A kept bin's DFT
     index ``k`` is its shifted position minus ``n//2``, not its label,
     which is wrong for many ``n``."""
     sizes = (t_n, h, w)
     masks = [keep_mask_1d(n, ratio) for n in sizes]
-    kt, ky, kx = (np.flatnonzero(m) - n // 2 for m, n in zip(masks, sizes))
+    ky, kx = (np.flatnonzero(m) - n // 2 for m, n in zip(masks[1:], (h, w)))
     grids = tuple(signed_bins(n)[m] for m, n in zip(masks, sizes))
     neg = kx < 0
     n_half = int(np.abs(kx).max()) + 1
@@ -151,9 +159,7 @@ def _transform_tables(t_n: int, h: int, w: int, ratio: float,
     gather = (n_half, rows * n_half + np.abs(kx), conj)
     phase = (np.exp(2j * np.pi * ky * (h // 2) / h)[:, None]
              * np.exp(2j * np.pi * kx * (w // 2) / w)[None, :])
-    # the product kt*t reduced mod T keeps every angle in [0, 2 pi)
-    tdft = (np.exp(-2j * np.pi * (np.outer(kt, np.arange(t_n)) % t_n) / t_n)
-            * temporal_window(t_n, window_kind))
+    tdft = shifted_dft(t_n)[masks[0]] * temporal_window(t_n, window_kind)
     for a in (*grids, *gather[1:], phase, tdft):
         a.setflags(write=False)
     return grids, gather, phase, tdft

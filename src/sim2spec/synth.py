@@ -225,9 +225,14 @@ def synth_sim2(base_kind: str, spec: MotionSpec, frames_t: int, height: int,
             frames[t] = _bilinear(base, yb, xb)
 
     if spec.noise_sigma > 0:
-        frames = frames + spec.noise_sigma * rng.standard_normal(frames.shape)
-    frames = np.clip(frames, 0.0, 1.0)
-    return VideoWindow(frames)
+        # frame by frame from the same generator: the stream is consumed
+        # in the order of one (T, H, W) draw, with one frame of noise alive
+        noise = np.empty((height, width))
+        for frame in frames:
+            rng.standard_normal(out=noise)
+            noise *= spec.noise_sigma
+            frame += noise
+    return VideoWindow(np.clip(frames, 0.0, 1.0, out=frames))
 
 
 @functools.lru_cache(maxsize=4)

@@ -464,6 +464,20 @@ def test_validate_retention_suite_small(tmp_path):
     assert payload["violations_total"] == 0
 
 
+def test_validate_no_retention_clip_is_input_error(capsys):
+    # no clip analyzed used to give a NaN mean, a false violation, exit 1
+    assert main(["validate", "--suite", "retention",
+                 "--n-retention", "0"]) == 2
+    assert capsys.readouterr().err == \
+        "error: --n-retention must be at least 1, got 0\n"
+
+
+def test_validate_negative_bounds_count_is_input_error(capsys):
+    # a negative count used to run silently as 0
+    assert main(["validate", "--suite", "bounds", "--n", "-3"]) == 2
+    assert capsys.readouterr().err == "error: --n must be at least 0, got -3\n"
+
+
 def test_sweep_delta_monotone_c_rot(tmp_path):
     out = str(tmp_path / "sweep.csv")
     rc = main(["sweep", "--param", "delta", "--range", "1..3", "--out", out])

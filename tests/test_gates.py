@@ -137,13 +137,14 @@ def random_block(kind, a, b, c, rng):
 def test_block_moments_match_row_matrix(kind, a, b, c, seed):
     rng = make_rng(seed)
     s, rows, targets, w = random_block(kind, a, b, c, rng)
-    gram, rhs, sum_w = s.moments
+    gram, rhs, sum_w, sum_wyy = s.moments
     ref_gram = rows.T @ (rows * w[:, None])
     ref_rhs = rows.T @ (w * targets)
     assert s.n == len(w)
     assert np.abs(gram - ref_gram).max() <= 1e-12 * np.abs(ref_gram).max()
     assert np.abs(rhs - ref_rhs).max() <= 1e-12 * np.abs(ref_rhs).max()
     assert sum_w == pytest.approx(w.sum(), rel=1e-12)
+    assert sum_wyy == pytest.approx(w @ targets ** 2, rel=1e-12)
     theta = rng.normal(size=5)
     ref_err = rows @ theta - targets
     assert np.abs(s.errors(theta).ravel() - ref_err).max() \

@@ -14,12 +14,13 @@ from sim2spec.losses import (adaptive_composite, analyze, rotation_loss,
 from sim2spec.resample import HarmonicStack
 from sim2spec.spectral import crop_to_cube, keep_mask_1d, signed_bins, \
     spatial_transform, spectral_transform
-from sim2spec import losses, resample, spectral
+from sim2spec import gates, losses, resample, spectral
 from sim2spec.cli import EXACTNESS_VELOCITIES
 from sim2spec.synth import MotionSpec, make_rng, synth_sim2
 from sim2spec.bounds import window_leakage
 
 from conftest import FIXTURE_SPECS, make_fixture_clip, solve_rows
+from test_gates import random_block
 
 RECT = SpectralConfig(window_kind="rect")
 
@@ -302,15 +303,18 @@ def test_translation_slice_matches_l_trans(motion_clips, cfg):
 
 
 @pytest.mark.parametrize("vel", EXACTNESS_VELOCITIES)
-def test_exact_translation_residuals_nonnegative(vel):
+def test_exact_translation_residuals_nonnegative(vel, monkeypatch):
     i = EXACTNESS_VELOCITIES.index(vel)
     clip = synth_sim2("bandpass_noise",
                       MotionSpec(kind="translation", v=vel, seed=i),
                       32, 32, 32, exact=True)
-    rep = analyze(clip, RECT)
+    rep, trans, *_ = loss_results(clip, RECT, monkeypatch)
     assert set(rep.slice_residuals) == {"translation", "rotation", "scaling"}
     assert all(r >= 0.0 for r in rep.slice_residuals.values())
     assert rep.l_uni >= 0.0
+    # the exact plane fit's moment residual keeps only rounding
+    assert rep.l_trans <= 1e-12
+    assert_moment_residual(trans.fit, [trans.samples], [1.0])
 
 
 def test_unified_slice_layout(motion_reports):
@@ -370,6 +374,59 @@ def in_band_fraction(result, cfg):
     inside = np.abs(err) <= cfg.band_tolerance + losses.BAND_EDGE_SLACK
     e = result.samples.energies
     return float(e[inside].sum() / e.sum())
+
+
+def per_sample_residual(blocks, scales, theta):
+    """``sum scale * w * err^2 / sum scale * w`` summed sample by sample,
+    and the same ratio at theta = 0 (each term the moment form subtracts
+    is bounded by it)."""
+    sum_w = sum(s * b.weights.sum() for b, s in zip(blocks, scales))
+    num = sum(s * (b.weights * b.errors(theta) ** 2).sum()
+              for b, s in zip(blocks, scales))
+    null = sum(s * (b.weights * b.freq_t[:, None] ** 2).sum()
+               for b, s in zip(blocks, scales))
+    return num / sum_w, null / sum_w
+
+
+def assert_moment_residual(fit, blocks, scales):
+    # the moment form cancels terms of size null, so its rounding is
+    # relative to null; on near-exact random fits the residual's own
+    # relative error reaches about 3e-5 while this stays near 1e-14
+    ref, null = per_sample_residual(blocks, scales, fit.theta)
+    assert fit.residual >= 0.0
+    assert abs(fit.residual - ref) <= 1e-12 * null
+
+
+@settings(deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
+       st.integers(0, 2 ** 32 - 1))
+def test_moment_residual_matches_per_sample_on_random_blocks(a, b, c,
+                                                             seed):
+    rng = make_rng(seed)
+    blocks = [random_block(kind, a, b, c, rng)[0]
+              for kind in ("translation", "rotation", "scaling")]
+    for block, cols in zip(blocks, ([0, 1, 4], [2], [3])):
+        assert_moment_residual(losses._fit([block], [1.0], cols, 1e-3),
+                               [block], [1.0])
+    scales = [1.0 / b.energies.sum() for b in blocks]
+    assert_moment_residual(losses.unified_residual(*blocks, SpectralConfig()),
+                           blocks, scales)
+
+
+@pytest.mark.parametrize("window", ["hann", "rect"])
+@pytest.mark.parametrize("kind", sorted(BLOCK_FLAGS))
+def test_moment_residual_matches_per_sample_on_fixtures(kind, window,
+                                                        motion_clips,
+                                                        monkeypatch):
+    rep, *results, uni = loss_results(
+        motion_clips[kind], SpectralConfig(window_kind=window), monkeypatch)
+    for r in results:
+        assert not r.flagged
+        assert_moment_residual(r.fit, [r.samples], [1.0])
+    blocks = [r.samples for r in results]
+    assert_moment_residual(uni, blocks,
+                           [1.0 / b.energies.sum() for b in blocks])
+    assert rep.l_uni == uni.residual
 
 
 @pytest.mark.parametrize("window", ["hann", "rect"])
@@ -658,6 +715,7 @@ def test_cached_grid_tables_give_cold_reports():
         resample._ring_masks.cache_clear()
         resample._stack_tables.cache_clear()
         spectral._transform_tables.cache_clear()
+        gates._block_grids.cache_clear()
         cold.append(analyze(clip, c).to_dict())
     assert warm == cold
 
@@ -669,10 +727,17 @@ def test_cached_grid_tables_read_only():
                                  resample._grid_key(fx), 20, 20.0)
     grids, (_, *gather), *rest = spectral._transform_tables(8, 33, 47, 0.3,
                                                            "hann")
+    m = signed_bins(24)[None, :]
+    rot = gates.build_samples(0.0, 0.0, m, 0.0, signed_bins(8),
+                              np.ones((8, 20, 24)), m, SpectralConfig())
+    design, obs = gates._block_grids(
+        tuple(gates._grid_key(c) for c in (0.0, 0.0, m, 0.0)), (20, 24),
+        gates._grid_key(m))
+    assert rot.design is design
     arrays = [*grids, *gather, *rest,
               *(a for a in resample._stack_tables(20, 24, 8, 16, "hann")
-                if isinstance(a, np.ndarray))]
-    assert len(arrays) == 14
+                if isinstance(a, np.ndarray)), design, obs]
+    assert len(arrays) == 15
     for arr in (lut.rho, lut.theta, lut.indices, lut.weights, masks,
                 *arrays):
         with pytest.raises(ValueError):
