@@ -32,7 +32,7 @@ from .core import (ConfigError, DegenerateInputError, FrameSource,
                    SpectralConfig, Sim2Error, UnobservableError, save_video)
 from .losses import analyze, ridge_wls_solve
 from .spectral import EtaParams, cube_retention, eta_retention
-from .synth import MotionSpec, make_rng, synth_powerlaw, synth_sim2
+from .synth import MotionSpec, make_rng, read_spec, synth_powerlaw, synth_sim2
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -116,10 +116,9 @@ def cmd_analyze(args) -> int:
     if args.csv:
         row = _report_row(report)
         with open(args.csv, "w", newline="") as fh:
-            wr = csv.writer(fh)
-            wr.writerow(list(row))
-            wr.writerow([repr(v) if isinstance(v, float) else v
-                         for v in row.values()])
+            wr = csv.DictWriter(fh, fieldnames=list(row))
+            wr.writeheader()
+            wr.writerow(row)
     w = report.weights
     print(f"L_trans={report.l_trans:.6g} L_rot={report.l_rot:.6g} "
           f"L_scale={report.l_scale:.6g} L_uni={report.l_uni:.6g} "
@@ -148,30 +147,19 @@ def cmd_synth(args) -> int:
         with open(args.spec, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, ValueError) as exc:
-        print(f"error: cannot read spec: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ConfigError(f"cannot read spec: {exc}") from exc
     try:
-        if not isinstance(raw, dict):
-            raise ValueError("spec must be a JSON object")
-        spec = MotionSpec.from_dict(raw)
-        frames_t = int(raw.get("T", 16))
-        height = int(raw.get("H", 64))
-        width = int(raw.get("W", 64))
-        base = raw.get("base", "bandpass_noise")
-        exact = bool(raw.get("exact", False))
-        v = synth_sim2(base, spec, frames_t, height, width, exact=exact)
-    except (ConfigError, DegenerateInputError, LookupError, MemoryError,
-            TypeError, ValueError) as exc:
-        # MemoryError: a clip too large to allocate (numpy's message names
-        # its size)
-        print(f"error: invalid spec: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        spec, base, shape, exact = read_spec(raw)
+        v = synth_sim2(base, spec, *shape, exact=exact)
+    except (Sim2Error, MemoryError) as exc:
+        # a scale collapse or a clip too large to allocate is the spec's fault
+        raise ConfigError(f"invalid spec: {exc}") from exc
     save_video(v, args.out)
-    spec_copy = dict(spec.to_dict(), T=frames_t, H=height, W=width,
+    spec_copy = dict(spec.to_dict(), T=shape[0], H=shape[1], W=shape[2],
                      base=base, exact=exact)
     with open(args.out + ".spec.json", "w", encoding="utf-8") as fh:
         json.dump(spec_copy, fh, indent=1)
-    print(f"wrote {args.out} ({frames_t}x{height}x{width})")
+    print(f"wrote {args.out} ({'x'.join(map(str, shape))})")
     return EXIT_OK
 
 
@@ -356,27 +344,31 @@ SWEEP_FIXTURES = {
 }
 
 
-def _parse_range(text: str, integer: bool):
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = float(lo), float(hi)
-        if integer:
-            return [int(x) for x in range(int(lo), int(hi) + 1)]
-        return list(np.linspace(lo, hi, 7))
-    vals = [float(x) for x in text.split(",") if x.strip()]
-    return [int(x) for x in vals] if integer else vals
+def _parse_range(text: str, integer: bool) -> list:
+    """``--range``: a comma list or ``lo..hi`` inclusive (each integer for an
+    integer parameter, else 7 steps); a value not a finite number is bad."""
+    span = ".." in text
+    try:
+        vals = [float(x) for x in (text.split("..", 1) if span else
+                                   filter(str.strip, text.split(",")))]
+        if not all(map(math.isfinite, vals)):
+            raise ValueError(f"{text!r} is not finite")
+    except ValueError as exc:
+        raise ConfigError(f"bad range: {exc}") from exc
+    if span:
+        vals = (list(range(int(vals[0]), int(vals[1]) + 1)) if integer
+                else list(np.linspace(*vals, 7)))
+    elif integer:
+        vals = [int(x) for x in vals]
+    if not vals:
+        raise ConfigError("bad range: empty range")
+    return vals
 
 
 def cmd_sweep(args) -> int:
-    try:
-        values = _parse_range(args.range, args.param in ("T", "delta"))
-        if not values:
-            raise ValueError("empty range")
-        if args.param == "T" and any(v < 4 for v in values):
-            raise ValueError("T must be >= 4")
-    except ValueError as exc:
-        print(f"error: bad range: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    values = _parse_range(args.range, args.param in ("T", "delta"))
+    if args.param == "T" and any(v < 4 for v in values):
+        raise ConfigError("bad range: T must be >= 4")
 
     base_cfg = config_from_args(args)
     fixture = "mixed" if args.param == "tau" else "rotation"
@@ -475,10 +467,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command: the one place an error becomes ``error: ...`` and
+    its exit code; an ``OSError`` (an unwritable output) is an input error."""
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except Sim2Error as exc:
+    except (Sim2Error, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         degenerate = isinstance(exc, (DegenerateInputError, UnobservableError))
         return EXIT_DEGENERATE if degenerate else EXIT_INPUT

@@ -7,15 +7,15 @@ Conventions used throughout the package:
 * analysis runs on mean-shifted data, ``x - 1/2``: ``analyze`` takes the
   1/2 off each frame's spatial DC bin inside the transform, and
   ``normalize_window`` forms the shifted window explicitly
-* raw files are little-endian float32 with a UTF-8 JSON sidecar holding
-  exactly the keys ``T``, ``H``, ``W``
-* input is read through a ``FrameSource``, in checked chunks of frames,
-  so the transform never needs the whole window; ``load_video`` collects
-  a source into one array
+* raw files are little-endian float32 with a UTF-8 JSON sidecar; JSON
+  from outside (a sidecar, a synth spec) is read by ``check_json``
+  against its shipped schema; ``logistic`` and ``grid_key`` are shared
+* input is read through a ``FrameSource``, in checked chunks of frames
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -112,6 +112,23 @@ class VideoWindow:
 NUMERIC_EPS = 1e-8
 
 
+def logistic(z) -> np.ndarray:
+    """``1 / (1 + exp(-z))`` with ``z`` clipped to ``[-60, 60]``, so ``exp``
+    cannot overflow; past the clip the value is within 1e-26 of its limit."""
+    return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
+
+
+def grid_key(grid) -> tuple:
+    """Hashable form of a grid for the cached table builders: its shape and
+    its float64 values (``from_key`` gives it back)."""
+    a = np.asarray(grid, dtype=np.float64)
+    return a.shape, tuple(a.ravel().tolist())
+
+
+def from_key(key: tuple) -> np.ndarray:
+    return np.array(key[1], dtype=np.float64).reshape(key[0])
+
+
 # Defaults below are the fixed values used for all main runs; override per
 # call site only in sweeps or tests.
 @dataclass(frozen=True)
@@ -196,24 +213,49 @@ class MotionEstimate:
 CHUNK_BYTES = 1 << 18
 
 
-def _sidecar_shape(meta, sidecar: str) -> tuple:
-    """``(T, H, W)`` from a parsed sidecar: an object with exactly those
-    keys, each a JSON integer (``2.0`` counts, as in JSON Schema) of at
-    least 1, as ``schemas/sidecar.schema.json`` states."""
-    if not isinstance(meta, dict) or set(meta) != {"T", "H", "W"}:
-        raise FormatError(f"bad sidecar {sidecar}: want an object with "
-                          f"exactly the keys T, H, W, got {meta!r}")
-    for key in ("T", "H", "W"):
-        val = meta[key]
-        if not (type(val) is int
-                or isinstance(val, float) and val.is_integer()):
-            raise FormatError(f"bad sidecar {sidecar}: {key} must be an "
-                              f"integer, got {val!r}")
-    shape = t, h, w = int(meta["T"]), int(meta["H"]), int(meta["W"])
-    if min(shape) < 1:
-        raise FormatError(f"bad sidecar {sidecar}: dimensions must be "
-                          f"positive, got T={t} H={h} W={w}")
-    return shape
+# the Python types of each JSON Schema type (an integral float is an integer)
+_JSON_TYPES = {"object": (dict,), "array": (list,), "string": (str,),
+               "boolean": (bool,), "number": (int, float), "integer": (int,)}
+
+
+@functools.cache
+def load_schema(name: str) -> dict:
+    """The schema file ``name`` shipped under ``sim2spec/schemas``."""
+    with open(os.path.join(os.path.dirname(__file__), "schemas", name),
+              encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def check_json(value, schema: dict, name: str = "value") -> None:
+    """Raise ``ValueError`` at the first part of the parsed JSON ``value``
+    that ``schema`` rejects.  Reads the keywords the shipped schemas use:
+    ``type`` (see ``_JSON_TYPES``), ``enum``, ``minimum`` (NaN is below
+    none, as in JSON Schema), ``required``, ``properties``,
+    ``additionalProperties: false``, ``items``, ``minItems``, ``maxItems``."""
+    kind = schema.get("type")
+    if kind and type(value) not in _JSON_TYPES[kind] and not (
+            kind == "integer" and type(value) is float and value.is_integer()):
+        raise ValueError(f"{name} must be of type {kind}, got {value!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise ValueError(f"{name} must be in {schema['enum']}, got {value!r}")
+    if "minimum" in schema and value < schema["minimum"]:
+        raise ValueError(f"{name} must be >= {schema['minimum']}, "
+                         f"got {value!r}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise ValueError(f"{key} is required")
+        for key, item in value.items():
+            if key in schema.get("properties", {}):
+                check_json(item, schema["properties"][key], key)
+            elif schema.get("additionalProperties") is False:
+                raise ValueError(f"unexpected key {key!r}")
+    if isinstance(value, list):
+        if not (schema.get("minItems", 0) <= len(value)
+                <= schema.get("maxItems", len(value))):
+            raise ValueError(f"{name} has the wrong length, got {value!r}")
+        for i, item in enumerate(value):
+            check_json(item, schema.get("items", {}), f"{name}[{i}]")
 
 
 def _read_bytes(path: str, digest) -> bytes:
@@ -308,10 +350,12 @@ class FrameSource:
             raise FormatError(f"missing sidecar: {sidecar}")
         meta_blob = _read_bytes(sidecar, None)
         try:
+            # exactly the keys T, H, W, each an integer of at least 1
             meta = json.loads(meta_blob.decode("utf-8"))
+            check_json(meta, load_schema("sidecar.schema.json"), "sidecar")
         except ValueError as exc:
             raise FormatError(f"bad sidecar {sidecar}: {exc}") from exc
-        shape = t, h, w = _sidecar_shape(meta, sidecar)
+        shape = t, h, w = tuple(int(meta[key]) for key in ("T", "H", "W"))
         try:
             fh = open(path, "rb")
             size = os.fstat(fh.fileno()).st_size

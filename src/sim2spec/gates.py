@@ -6,11 +6,10 @@ the noise floor from steering fits, and the observability gate
 information (exactly zero at m = 0).  The realized gate extremes are
 recorded with the samples because the concentration bounds need the gate
 ratio.  A block is a design matrix over its cells times a temporal grid,
-the target ``-omega_t`` varying only along the latter, so its four moments
-(``X'WX``, ``X'Wy``, ``sum w`` and ``sum w y^2``) come from the weights'
-per-cell and per-frequency sums by matrix products.  The design matrix and
-the observability gate depend only on the grids, so each is built once per
-distinct grid set, kept in a small LRU cache and handed out read-only.
+the target ``-omega_t`` varying only along the latter.  The design matrix
+and the observability gate depend only on the grids, so each is built once
+per distinct grid set (``core.grid_key``), in a small LRU cache, read-only.
+The energy gate is ``core.logistic``, the ring edges' overflow-safe one.
 """
 
 from __future__ import annotations
@@ -21,10 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SpectralConfig, UnobservableError
+from .core import (SpectralConfig, UnobservableError, from_key, grid_key,
+                   logistic)
 
-__all__ = ["WeightedSamples", "energy_gate", "obs_gate", "compute_weights",
-           "build_samples"]
+__all__ = ["WeightedSamples", "energy_gate", "obs_gate", "build_samples"]
 
 # lambda_obs of the observability gate m^2 / (m^2 + lambda_obs): half weight
 # at |m| = 1
@@ -72,8 +71,8 @@ def energy_gate(energies: np.ndarray, cfg: SpectralConfig) -> np.ndarray:
     e_max = float(np.max(energies))
     if e_max <= 0.0:
         raise UnobservableError("all-zero energies: nothing to gate")
-    z = cfg.energy_gate_sharpness * (energies / e_max - cfg.energy_gate_threshold)
-    return 1.0 / (1.0 + np.exp(-z))
+    return logistic(cfg.energy_gate_sharpness
+                    * (energies / e_max - cfg.energy_gate_threshold))
 
 
 def obs_gate(harmonic_index: np.ndarray) -> np.ndarray:
@@ -83,8 +82,9 @@ def obs_gate(harmonic_index: np.ndarray) -> np.ndarray:
 
 
 def _gated(energies: np.ndarray, obs, cfg: SpectralConfig) -> tuple:
-    """``compute_weights`` with the observability gate ``obs`` (None for
-    gate 1) already formed."""
+    """Gated weights and the gate bounds ``(g_lo, g_hi)`` over the samples
+    with a nonzero gate (so the band-capture bound's ratio ``g_hi/g_lo`` is
+    finite), given the observability gate ``obs`` (None: gate 1)."""
     g = energy_gate(energies, cfg)
     if obs is not None:
         g *= obs
@@ -95,37 +95,14 @@ def _gated(energies: np.ndarray, obs, cfg: SpectralConfig) -> tuple:
     return g * energies, float(g.min(where=positive, initial=g_hi)), g_hi
 
 
-def compute_weights(energies: np.ndarray, harmonic_index, cfg: SpectralConfig):
-    """Gated weights plus the realized gate bounds ``(g_lo, g_hi)``.
-
-    ``harmonic_index`` is the m (or nu) of rotation/scaling samples (a grid
-    that broadcasts against ``energies``), or None for translation (gate 1).
-    Bounds are taken over samples with a nonzero gate so the ratio
-    ``g_hi/g_lo`` that feeds the band-capture bound is finite.
-    """
-    obs = None if harmonic_index is None else obs_gate(harmonic_index)
-    return _gated(np.asarray(energies, dtype=np.float64), obs, cfg)
-
-
-def _grid_key(grid) -> tuple:
-    """Hashable form of a grid: its shape and its values as float64, all
-    the cached builders read of it."""
-    a = np.asarray(grid, dtype=np.float64)
-    return a.shape, tuple(a.ravel().tolist())
-
-
-def _from_key(key: tuple) -> np.ndarray:
-    return np.array(key[1], dtype=np.float64).reshape(key[0])
-
-
 @functools.lru_cache(maxsize=16)
 def _block_grids(cols: tuple, cells: tuple, hidx) -> tuple:
     """The ``(cells, 5)`` design of the column grids ``cols`` broadcast
     over ``cells`` and the observability gate of ``hidx`` (None for
     translation), built once per key and read-only."""
-    design = np.column_stack([np.broadcast_to(_from_key(c), cells).ravel()
+    design = np.column_stack([np.broadcast_to(from_key(c), cells).ravel()
                               for c in cols] + [np.ones(math.prod(cells))])
-    obs = None if hidx is None else obs_gate(_from_key(hidx))
+    obs = None if hidx is None else obs_gate(from_key(hidx))
     for a in (design, obs):
         if a is not None:
             a.setflags(write=False)
@@ -142,9 +119,9 @@ def build_samples(omega_x, omega_y, m, nu, omega_t, energies,
     if freq_t.ndim != 1 or freq_t.shape != energies.shape[:1]:
         raise ValueError("omega_t must be the grid of the energies' axis 0")
     design, obs = _block_grids(
-        tuple(_grid_key(c) for c in (omega_x, omega_y, m, nu)),
+        tuple(grid_key(c) for c in (omega_x, omega_y, m, nu)),
         energies.shape[1:],
-        None if harmonic_index is None else _grid_key(harmonic_index))
+        None if harmonic_index is None else grid_key(harmonic_index))
     w, g_lo, g_hi = _gated(energies, obs, cfg)
     k = len(freq_t)
     return WeightedSamples(design, freq_t, w.reshape(k, -1),

@@ -10,32 +10,23 @@ unnormalized, so Parseval reads ``sum |X|^2 == N * sum |x|^2`` with
 ``N = T*H*W`` (rect window).
 
 ``cropped_transform`` is the pipeline's transform: a pruned pass (Markel
-1971; Sorensen & Burrus 1993) that forms only the kept low-pass bins.  It
-takes the frames as a ``core.FrameSource`` yields them, in chunks that keep
-the x-transformed chunk within ``core.CHUNK_BYTES`` (one frame at least),
-so a window read from a file is never held whole.  Per chunk it takes
+1971; Sorensen & Burrus 1993) that forms only the kept low-pass bins, from
+the frames as a ``core.FrameSource`` yields them, in chunks that keep the
+x-transformed chunk within ``core.CHUNK_BYTES`` (one frame at least), so
+a window read from a file is never held whole.  Per chunk it takes
 ``rfft`` along x, keeps the columns ``0..max|kx|`` and FFTs along y only
 those; subtracts an optional constant offset from each frame's DC bin
 (exact: a constant only moves that bin), so the caller's 1/2 mean shift
-needs no copy of the data; gathers every kept bin with one flat index,
-the negative kept columns off the nonnegative ones by Hermitian symmetry,
-``X[ky, -j] = conj(X[-ky, j])``, conjugated in place; and applies the
-origin-centring phase ``exp(2 pi i k (n//2) / n)`` per bin instead of
-rolling the data.  Each chunk lands in the kept-bin ``frames`` array, so
-no ``(T, H, max|kx|+1)`` half spectrum is formed.  The windowed temporal
-DFT is one matrix product of the ``(K_t, T)`` table, the taper times the
-kept rows of the DFT matrix, with the frames.  A kept bin's DFT index
-``k`` is read off its shifted position (``position - n//2``), not off its
-``signed_bins`` label, which is wrong for many ``n``; the returned grids
-are still the labels, exactly as ``crop_to_cube`` produces them.  The
-tables that depend only on ``(T, H, W, lowpass_ratio, window_kind)`` (the
-gather, grids, centring phases, the temporal table) are built once per key
-by ``_transform_tables``, in a small LRU cache, read-only.
-``cube_retention`` takes the total energy from the time domain by Parseval,
-``T*H*W * sum_t h_t^2 * sum_{y,x} (x_t - offset)^2``, summed per chunk in
-the same pass, so the full spectrum is never formed.  ``spatial_transform``,
-``spectral_transform``, ``crop_to_cube`` and ``measured_retention`` remain
-as the full-spectrum reference, outside ``__all__``.
+needs no copy of the data; gathers every kept bin, the negative kept
+columns off the nonnegative ones by Hermitian symmetry, ``X[ky, -j] =
+conj(X[-ky, j])``; and applies the origin-centring phase per bin instead
+of rolling the data.  The temporal DFT is one matrix product with the kept
+rows of ``temporal_dft``, the one windowed temporal DFT table, which
+``resample.make_stack`` applies whole.  These tables depend only on the
+shapes and the config, so each is built once per key in a small LRU cache,
+read-only.  ``spatial_transform``, ``spectral_transform``, ``crop_to_cube``
+and ``measured_retention`` remain as the full-spectrum reference, outside
+``__all__``.
 """
 
 from __future__ import annotations
@@ -135,6 +126,15 @@ def shifted_dft(n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
+def temporal_dft(frames_t: int, window_kind: str) -> np.ndarray:
+    """The ``(T, T)`` windowed temporal DFT table, ``shifted_dft(T)`` times
+    the taper (rows in fftshift order), built once per key and read-only."""
+    table = shifted_dft(frames_t) * temporal_window(frames_t, window_kind)
+    table.setflags(write=False)
+    return table
+
+
+@functools.lru_cache(maxsize=8)
 def _transform_tables(t_n: int, h: int, w: int, ratio: float,
                       window_kind: str) -> tuple:
     """Shape-only tables of ``cropped_transform``, built once per key and
@@ -144,10 +144,9 @@ def _transform_tables(t_n: int, h: int, w: int, ratio: float,
     for ``kx >= 0``, row ``-ky % H`` at column ``-kx`` for ``kx < 0``) and
     the mask of the bins to conjugate (``kx < 0``); each kept bin's
     centring phase ``exp(2 pi i k (n//2) / n)``, what ``ifftshift`` before
-    the DFT does; the ``(K_t, T)`` temporal table, the taper times the kept
-    rows of ``shifted_dft(T)``.  A kept bin's DFT
-    index ``k`` is its shifted position minus ``n//2``, not its label,
-    which is wrong for many ``n``."""
+    the DFT does; the ``(K_t, T)`` temporal table, the kept rows of
+    ``temporal_dft``.  A kept bin's DFT index ``k`` is its shifted position
+    minus ``n//2``, not its label, which is wrong for many ``n``."""
     sizes = (t_n, h, w)
     masks = [keep_mask_1d(n, ratio) for n in sizes]
     ky, kx = (np.flatnonzero(m) - n // 2 for m, n in zip(masks[1:], (h, w)))
@@ -159,7 +158,7 @@ def _transform_tables(t_n: int, h: int, w: int, ratio: float,
     gather = (n_half, rows * n_half + np.abs(kx), conj)
     phase = (np.exp(2j * np.pi * ky * (h // 2) / h)[:, None]
              * np.exp(2j * np.pi * kx * (w // 2) / w)[None, :])
-    tdft = shifted_dft(t_n)[masks[0]] * temporal_window(t_n, window_kind)
+    tdft = temporal_dft(t_n, window_kind)[masks[0]]
     for a in (*grids, *gather[1:], phase, tdft):
         a.setflags(write=False)
     return grids, gather, phase, tdft

@@ -3,18 +3,12 @@
 Every generator is deterministic per seed (counter-based Philox stream, see
 ``RNG_NAME``).  Warped clips use bilinear sampling about the frame center
 with a half-intensity fill outside the base, so out-of-frame content is
-spectrally silent after mean shifting.  Each frame's four corners are four
-flat gathers from the base in a zero border, beside a table that marks
-the base, so a corner outside the frame needs no clip or mask of its own.
-Base patterns are band-limited to at most 0.3x Nyquist so the analysis
-low-pass keeps the signal under test.
+spectrally silent after mean shifting.  Base patterns are band-limited
+to at most 0.3x Nyquist so the analysis low-pass keeps the signal under
+test.
 
-Power-law clips shape white noise on its half spectrum.  The amplitude
-grid depends only on the shape and the exponent, so it is built once per
-``(T, H, W, kappa)``, kept in a small LRU cache and handed out read-only.
-The noise is drawn and transformed one frame at a time into the one
-half-spectrum buffer, every complex FFT pass is written back into it, and
-the clip is written over the buffer's own bytes one frame at a time.
+Power-law clips shape white noise on its half spectrum, in one buffer
+(see ``synth_powerlaw``).  ``read_spec`` reads a spec file by its schema.
 """
 
 from __future__ import annotations
@@ -25,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, DegenerateInputError, VideoWindow
+from .core import (ConfigError, DegenerateInputError, VideoWindow, check_json,
+                   load_schema)
 
-__all__ = ["MotionSpec", "RNG_NAME", "make_rng", "make_base", "synth_sim2",
-           "synth_powerlaw"]
+__all__ = ["MotionSpec", "RNG_NAME", "make_rng", "make_base", "read_spec",
+           "synth_sim2", "synth_powerlaw"]
 
 RNG_NAME = "numpy.random.Philox"
 
@@ -37,6 +32,8 @@ MOTION_KINDS = ("translation", "rotation", "scaling", "mixed", "static")
 
 
 def make_rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ConfigError(f"seed must be at least 0, got {seed}")
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -80,14 +77,28 @@ class MotionSpec:
                 "alpha": self.alpha, "noise_sigma": self.noise_sigma,
                 "seed": self.seed, "rng": RNG_NAME}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MotionSpec":
-        v = d.get("v", (0.0, 0.0))
-        return cls(kind=d.get("kind", "static"), v=(float(v[0]), float(v[1])),
-                   omega=float(d.get("omega", 0.0)),
-                   alpha=float(d.get("alpha", 0.0)),
-                   noise_sigma=float(d.get("noise_sigma", 0.0)),
-                   seed=int(d.get("seed", 0)))
+
+def read_spec(raw) -> tuple:
+    """``(spec, base, (T, H, W), exact)`` of a parsed synth spec, read as
+    ``schemas/synth_spec.schema.json`` states it (``core.check_json``); a
+    field left out takes its default, 16x64x64 for the sizes.  A spec the
+    schema rejects is a ``ConfigError``."""
+    try:
+        check_json(raw, load_schema("synth_spec.schema.json"), "spec")
+        # the numbers as float64, which a large JSON integer overflows
+        kw = {k: float(raw[k]) for k in ("omega", "alpha", "noise_sigma")
+              if k in raw}
+        kw["v"] = tuple(map(float, raw.get("v", (0.0, 0.0))))
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(str(exc)) from exc
+    shape = tuple(int(raw.get(k, n)) for k, n in (("T", 16), ("H", 64),
+                                                  ("W", 64)))
+    # past numpy's index limit a shape fails as a ValueError, not MemoryError
+    if math.prod(shape) > 2 ** 56:
+        raise ConfigError("clip too large to allocate: T*H*W > 2**56")
+    spec = MotionSpec(kind=raw["kind"], seed=int(raw.get("seed", 0)), **kw)
+    return (spec, raw.get("base", "bandpass_noise"), shape,
+            raw.get("exact", False))
 
 
 def _vignette(height: int, width: int) -> np.ndarray:
@@ -190,7 +201,8 @@ def synth_sim2(base_kind: str, spec: MotionSpec, frames_t: int, height: int,
     """
     if frames_t < 1:
         raise ConfigError("need at least one frame")
-    scale_total = math.exp(spec.alpha * frames_t)
+    # exp overflows past 709.78; any scale past 10 is a collapse anyway
+    scale_total = math.exp(min(spec.alpha * frames_t, 709.0))
     if not (0.1 <= scale_total <= 10.0):
         raise DegenerateInputError(
             f"scale collapse: exp(alpha*T) = {scale_total:.3g} outside [0.1, 10]")
@@ -261,8 +273,7 @@ def synth_powerlaw(frames_t: int, height: int, width: int, kappa: float,
     per-dimension-normalized radius (DC excluded), random Hermitian phases.
 
     Built by shaping white noise in the frequency domain, so per-bin
-    energies fluctuate (chi-square) around the power law.  The amplitude
-    grid is built once per ``(T, H, W, kappa)`` and shared read-only.  The
+    energies fluctuate (chi-square) around the power law.  The
     transforms are the ``rfftn``/``irfftn`` axis passes in their own order:
     each frame's noise is drawn and ``rfft``-ed into the one half-spectrum
     buffer, every complex pass is written back into it, and each frame's

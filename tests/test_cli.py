@@ -1,18 +1,22 @@
 import argparse
+import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import pathlib
 import re
+import tempfile
 import tracemalloc
 import warnings
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sim2spec import cli, synth
 from sim2spec.cli import main
@@ -214,6 +218,146 @@ def test_synth_non_finite_spec_exit_2(field, raw, tmp_path, capsys,
     assert rc == 2
     assert f"invalid spec: {field} must be finite" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "x.raw")
+
+
+SMALL_SPEC = {"kind": "translation", "v": [1, 0], "T": 4, "H": 16, "W": 16}
+
+
+def run_synth(raw, tmp):
+    """``main(["synth", ...])`` on the spec ``raw`` written under ``tmp``:
+    the exit code, stderr, and whether any output file was written."""
+    spec_path, out = os.path.join(tmp, "spec.json"), os.path.join(tmp, "x.raw")
+    write_json(spec_path, raw)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        rc = main(["synth", spec_path, "--out", out])
+    written = [n for n in os.listdir(tmp) if n.startswith("x.raw")]
+    return rc, err.getvalue(), written
+
+
+@pytest.mark.parametrize("raw", [
+    {}, dict(SMALL_SPEC, T=2.7), dict(SMALL_SPEC, T="3"),
+    dict(SMALL_SPEC, T=True), dict(SMALL_SPEC, H=2),
+    dict(SMALL_SPEC, v=["1", "2"]),
+    dict(SMALL_SPEC, kind="rotation", v=[0, 0], omega="0.1"),
+    dict(SMALL_SPEC, seed="7"), dict(SMALL_SPEC, seed=-1),
+    dict(SMALL_SPEC, exact="false")],
+    ids=["empty", "T_fraction", "T_string", "T_bool", "H_below_8",
+         "v_strings", "omega_string", "seed_string", "seed_negative",
+         "exact_string"])
+def test_synth_reads_spec_with_schema_types(raw, tmp_path):
+    # each of these rendered a clip when the fields were coerced with
+    # int(), float() and bool(): {} as a 16x64x64 static clip, T=2.7 as 2,
+    # "3" as 3, true as 1, exact="false" as an exact clip
+    assert not jsonschema.Draft7Validator(
+        schema("synth_spec.schema.json")).is_valid(raw)
+    rc, err, written = run_synth(raw, str(tmp_path))
+    assert rc == 2
+    assert err.startswith("error: invalid spec: ") and err.count("\n") == 1
+    assert written == []
+
+
+@pytest.mark.parametrize("raw", [
+    dict(SMALL_SPEC, kind="scaling", v=[0, 0], alpha=1000),
+    dict(SMALL_SPEC, kind="rotation", v=[0, 0], omega=10 ** 400),
+    dict(SMALL_SPEC, T=10 ** 30)],
+    ids=["exp_overflow", "number_past_float64", "shape_past_numpy_limit"])
+def test_synth_schema_valid_spec_out_of_range_exit_2(raw, tmp_path):
+    # valid by the schema, but exp(alpha*T) overflowed math.exp and a
+    # number past float64 overflowed float(): uncaught OverflowErrors
+    rc, err, written = run_synth(raw, str(tmp_path))
+    assert rc == 2
+    assert err.startswith("error: invalid spec: ") and err.count("\n") == 1
+    assert written == []
+
+
+def test_synth_integral_float_size_is_an_integer(tmp_path):
+    # 2.0 is a JSON Schema integer, as in the sidecar
+    rc, _, _ = run_synth(dict(SMALL_SPEC, T=2.0, seed=7.0), str(tmp_path))
+    assert rc == 0
+    copy = read_json(tmp_path / "x.raw.spec.json")
+    assert (copy["T"], copy["seed"]) == (2, 7)
+    assert load_video(str(tmp_path / "x.raw")).shape == (2, 16, 16)
+
+
+# spec fields, with values the schema accepts and values it does not; the
+# sizes are always given and stay at most 8x32x32
+SIZE_FIELDS = {
+    "T": st.one_of(st.integers(-1, 8), st.sampled_from([2.0, 2.7, "3", True])),
+    "H": st.one_of(st.integers(2, 32),
+                   st.sampled_from([16.0, 8.5, "16", False, None])),
+    "W": st.one_of(st.integers(2, 32), st.sampled_from([32.0, "8", [16]])),
+}
+SPEC_FIELDS = {
+    "kind": st.sampled_from(["translation", "rotation", "scaling", "mixed",
+                             "static", "spin", 1]),
+    "v": st.one_of(st.lists(st.floats(-2, 2), min_size=2, max_size=2),
+                   st.lists(st.integers(-2, 2), max_size=3),
+                   st.sampled_from([["1", "2"], 5, [True, 0]])),
+    "omega": st.one_of(st.floats(-0.3, 0.3),
+                       st.sampled_from(["0.1", True, None])),
+    "alpha": st.one_of(st.floats(-0.5, 0.5), st.sampled_from(["0", [0.1]])),
+    "noise_sigma": st.one_of(st.floats(-0.05, 0.05),
+                             st.sampled_from([None, "0"])),
+    "seed": st.one_of(st.integers(-2, 50),
+                      st.sampled_from([7.0, 2.5, "7", False])),
+    "base": st.sampled_from(["checker", "gaussian_blobs", "bandpass_noise",
+                             "stripes", 0]),
+    "exact": st.one_of(st.booleans(), st.sampled_from(["false", 0, 1.0])),
+    "rng": st.sampled_from(["numpy.random.Philox", 3]),
+}
+SPECS = st.one_of(st.fixed_dictionaries(SIZE_FIELDS, optional=SPEC_FIELDS),
+                  st.lists(st.integers(0, 9), max_size=2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(raw=SPECS)
+def test_synth_spec_property(raw):
+    # a spec the schema rejects exits 2 and writes nothing; no spec ends in
+    # an uncaught exception, and every error is one line
+    valid = jsonschema.Draft7Validator(
+        schema("synth_spec.schema.json")).is_valid(raw)
+    with tempfile.TemporaryDirectory() as tmp:
+        rc, err, written = run_synth(raw, tmp)
+        if rc == 0:
+            jsonschema.validate(read_json(os.path.join(tmp, "x.raw.spec.json")),
+                                schema("synth_spec.schema.json"))
+    assert rc in (0, 2)
+    assert valid or rc == 2
+    if rc == 2:
+        assert err.startswith("error: invalid spec: ")
+        assert err.count("\n") == 1 and written == []
+    else:
+        assert sorted(written) == ["x.raw", "x.raw.json", "x.raw.spec.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "CLIP", "--json", "BAD"], ["analyze", "CLIP", "--csv", "BAD"],
+    ["validate", "--suite", "bounds", "--n", "2", "--json", "BAD"],
+    ["synth", "SPEC", "--out", "BAD"],
+    ["sweep", "--param", "delta", "--range", "1", "--out", "BAD"]],
+    ids=["analyze_json", "analyze_csv", "validate_json", "synth_out",
+         "sweep_out"])
+def test_unwritable_output_exit_2(argv, trans_clip_path, tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    write_json(spec, SMALL_SPEC)
+    bad = str(tmp_path / "no_such_dir" / "out")
+    paths = {"CLIP": trans_clip_path, "SPEC": str(spec), "BAD": bad}
+    assert main([paths.get(a, a) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert bad in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--param", "delta", "--range", "1", "--seed", "-1"],
+    ["validate", "--suite", "bounds", "--n", "2", "--seed", "-1"]],
+    ids=["sweep", "validate"])
+def test_negative_seed_exit_2(argv, capsys):
+    # Philox rejects a negative seed; that was an uncaught ValueError
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: seed must be at least 0, got -1\n"
 
 
 def whole_read_digest(path, chunk=None):
@@ -528,6 +672,18 @@ def test_sweep_bad_range_exit_2(monkeypatch):
     assert main(["sweep", "--param", "tau", "--range", "abc"]) == 2
     assert main(["sweep", "--param", "noise", "--range", "0,-1"]) == 2
     assert main(["sweep", "--param", "tau", "--range", "0.1,0"]) == 2
+
+
+@pytest.mark.parametrize("text", ["4..inf", "-inf..8", "4,inf", "nan..8"])
+def test_sweep_non_finite_bound_exit_2(text, monkeypatch, capsys):
+    # 4..inf was an uncaught OverflowError from int(inf)
+    def no_analysis(*args):
+        raise AssertionError("analyze ran")
+
+    monkeypatch.setattr(cli, "analyze", no_analysis)
+    assert main(["sweep", "--param", "T", f"--range={text}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad range: ") and err.count("\n") == 1
 
 
 def test_sweep_non_finite_noise_exit_2(tmp_path, monkeypatch):

@@ -5,10 +5,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sim2spec.core import SpectralConfig, UnobservableError
-from sim2spec.gates import build_samples, compute_weights, energy_gate, obs_gate
+from sim2spec.gates import build_samples, energy_gate, obs_gate
 from sim2spec.synth import make_rng
 
 CFG = SpectralConfig()
+
+
+def gated(e, m):
+    """Weights and realized gate bounds of a one-frequency block over the
+    cells ``e``, with harmonic index ``m`` (None for translation)."""
+    s = build_samples(0.0, 0.0, 0.0 if m is None else m, 0.0, np.zeros(1),
+                      np.asarray(e, dtype=np.float64)[None, :], m, CFG)
+    return s.weights[0], s.g_lo, s.g_hi
 
 
 def test_obs_gate_half_at_m1():
@@ -30,7 +38,7 @@ def test_energy_gate_at_max():
 def test_rotation_m0_gets_zero_weight():
     e = np.array([1.0, 1.0])
     m = np.array([0, 3])
-    w, g_lo, g_hi = compute_weights(e, m, CFG)
+    w, g_lo, g_hi = gated(e, m)
     assert w[0] == 0.0
     assert w[1] > 0.0
     assert 0 < g_lo <= g_hi
@@ -38,12 +46,12 @@ def test_rotation_m0_gets_zero_weight():
 
 def test_all_zero_energy_raises():
     with pytest.raises(UnobservableError):
-        compute_weights(np.zeros(5), None, CFG)
+        gated(np.zeros(5), None)
 
 
 def test_translation_gate_is_energy_only():
     e = np.array([0.2, 1.0])
-    w, g_lo, g_hi = compute_weights(e, None, CFG)
+    w, g_lo, g_hi = gated(e, None)
     assert np.allclose(w, energy_gate(e, CFG) * e)
     assert g_hi <= 1.0
 
@@ -52,11 +60,25 @@ def test_gate_bounds_cover_all_samples():
     rng = np.random.default_rng(0)
     e = rng.uniform(0.001, 1.0, 200)
     m = rng.integers(1, 12, 200)
-    w, g_lo, g_hi = compute_weights(e, m, CFG)
+    w, g_lo, g_hi = gated(e, m)
     g = w / e
     assert np.all(g >= g_lo - 1e-12)
     assert np.all(g <= g_hi + 1e-12)
     assert math.isfinite(g_hi / g_lo)
+
+
+@given(st.floats(0.1, 1e6))
+def test_energy_gate_is_the_clipped_logistic(sharpness):
+    # one logistic for the gate and the ring edges: unchanged where
+    # |z| <= 60, and no overflow in exp at any sharpness
+    e = np.linspace(0.0, 1.0, 101)
+    cfg = SpectralConfig(energy_gate_sharpness=sharpness)
+    z = sharpness * (e - cfg.energy_gate_threshold)
+    with np.errstate(all="raise"):
+        g = energy_gate(e, cfg)
+    near = np.abs(z) <= 60.0
+    assert np.array_equal(g[near], 1.0 / (1.0 + np.exp(-z[near])))
+    assert np.all((g > 0.0) & (g <= 1.0))
 
 
 @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sim2spec.core import (DegenerateInputError, FrameSource, SpectralConfig,
-                           VideoWindow, load_video, normalize_window,
-                           save_video)
+                           VideoWindow, grid_key, load_video,
+                           normalize_window, save_video)
 from sim2spec.losses import (adaptive_composite, analyze, rotation_loss,
                              scaling_loss, translation_loss)
 from sim2spec.resample import HarmonicStack
@@ -714,6 +714,7 @@ def test_cached_grid_tables_give_cold_reports():
         resample._polar_lut.cache_clear()
         resample._ring_masks.cache_clear()
         resample._stack_tables.cache_clear()
+        spectral.temporal_dft.cache_clear()
         spectral._transform_tables.cache_clear()
         gates._block_grids.cache_clear()
         cold.append(analyze(clip, c).to_dict())
@@ -723,25 +724,35 @@ def test_cached_grid_tables_give_cold_reports():
 def test_cached_grid_tables_read_only():
     fy, fx = signed_bins(33), signed_bins(47)
     lut = resample.build_polar_lut(fy, fx, 20, 24)
-    masks = resample._ring_masks(resample._grid_key(fy),
-                                 resample._grid_key(fx), 20, 20.0)
+    masks = resample._ring_masks(grid_key(fy), grid_key(fx), 20, 20.0)
     grids, (_, *gather), *rest = spectral._transform_tables(8, 33, 47, 0.3,
                                                            "hann")
     m = signed_bins(24)[None, :]
     rot = gates.build_samples(0.0, 0.0, m, 0.0, signed_bins(8),
                               np.ones((8, 20, 24)), m, SpectralConfig())
     design, obs = gates._block_grids(
-        tuple(gates._grid_key(c) for c in (0.0, 0.0, m, 0.0)), (20, 24),
-        gates._grid_key(m))
+        tuple(grid_key(c) for c in (0.0, 0.0, m, 0.0)), (20, 24), grid_key(m))
     assert rot.design is design
-    arrays = [*grids, *gather, *rest,
-              *(a for a in resample._stack_tables(20, 24, 8, 16, "hann")
+    # the shared temporal DFT table: its kept rows are the transform's
+    tdft = spectral.temporal_dft(8, "hann")
+    assert np.array_equal(rest[-1], tdft[keep_mask_1d(8, 0.3)])
+    arrays = [*grids, *gather, *rest, tdft,
+              *(a for a in resample._stack_tables(20, 24, 16)
                 if isinstance(a, np.ndarray)), design, obs]
-    assert len(arrays) == 15
+    assert len(arrays) == 14
     for arr in (lut.rho, lut.theta, lut.indices, lut.weights, masks,
                 *arrays):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = 0
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_analyze_sharp_energy_gate(motion_clips):
+    # the energy gate's own logistic overflowed exp at this sharpness
+    cfg = SpectralConfig(energy_gate_sharpness=1e4)
+    for clip in motion_clips.values():
+        report = analyze(clip, cfg)
+        assert math.isclose(sum(report.weights.values()), 1.0)
 
 
 def test_analyze_peak_allocation_below_two_blocks():
