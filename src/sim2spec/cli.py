@@ -105,8 +105,7 @@ def cmd_analyze(args) -> int:
     # the source feeds the digest the bytes analyze reads through it, so
     # the input is read once and never held whole
     digest = hashlib.sha256()
-    with FrameSource.open(args.input, digest) as src:
-        report = analyze(src, cfg)
+    report = analyze(FrameSource.open(args.input, digest), cfg)
     payload = {"manifest": make_manifest(
                    "analyze", {args.input: digest.hexdigest()}, cfg),
                "report": report.to_dict()}

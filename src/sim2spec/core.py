@@ -274,19 +274,12 @@ def _read_bytes(path: str, digest) -> bytes:
 class FrameSource:
     """A ``(T, H, W)`` window as float64 chunks of whole frames, in order:
     ``read(step)`` yields chunks of ``step`` frames (the last one shorter),
-    checks what it reads and feeds the digest given to ``open``.  A raw
-    file's source holds its file open until it is read, once, or closed;
-    a source is a context manager that closes it."""
+    checks what it reads and feeds the digest given to ``open``.  A read
+    opens the files it reads and closes them, so a source can be read
+    again, and each read feeds the digest again."""
 
     shape: tuple
     read: Callable[[int], Iterator[np.ndarray]]
-    close: Callable[[], None] = lambda: None
-
-    def __enter__(self) -> "FrameSource":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def chunks(self):
         """The frames in chunks of ``CHUNK_BYTES`` once x-transformed."""
@@ -303,15 +296,15 @@ class FrameSource:
 
     @classmethod
     def open(cls, path: str, digest=None) -> "FrameSource":
-        """A directory of 8-bit PGM frames (sorted name order, divided by
-        255) or a raw float32 file plus its ``path + ".json"`` sidecar;
-        the shape comes from the sidecar or from the listing and first
-        frame, and a raw payload's size is checked on opening.  A
-        ``hashlib`` ``digest`` is fed the bytes as they are read: each
-        entry's name and contents, non-frames included, or the payload and
-        then the sidecar."""
+        """A directory of 8-bit PGM frames (its files, not subdirectories,
+        in name order; divided by 255) or a raw float32 file plus its
+        ``path + ".json"`` sidecar; the shape comes from the sidecar or
+        from the listing and first frame, and a raw payload's size is
+        checked on opening.  A ``hashlib`` ``digest`` is fed the bytes as
+        they are read: each listed file's name and contents, non-frames
+        included, or the payload and then the sidecar."""
         if os.path.isdir(path):
-            names = sorted(os.listdir(path))
+            names = sorted(e.name for e in os.scandir(path) if e.is_file())
             frames = [os.path.join(path, n) for n in names
                       if n.endswith(".pgm")]
             if not frames:
@@ -357,12 +350,10 @@ class FrameSource:
             raise FormatError(f"bad sidecar {sidecar}: {exc}") from exc
         shape = t, h, w = tuple(int(meta[key]) for key in ("T", "H", "W"))
         try:
-            fh = open(path, "rb")
-            size = os.fstat(fh.fileno()).st_size
+            size = os.path.getsize(path)
         except OSError as exc:
             raise FormatError(f"cannot read {path}: {exc}") from exc
         if size != 4 * t * h * w:
-            fh.close()
             raise FormatError(f"{path}: sidecar declares T={t} H={h} W={w} "
                               f"({4 * t * h * w} bytes), file holds {size} "
                               "bytes")
@@ -372,7 +363,7 @@ class FrameSource:
             # sidecar is fed to the digest after the payload
             buf = np.empty((min(step, t), h, w), dtype="<f4")
             try:
-                with fh:
+                with open(path, "rb") as fh:
                     for t0 in range(0, t, step):
                         piece = buf[:min(step, t - t0)]
                         if fh.readinto(piece) != piece.nbytes:
@@ -389,7 +380,7 @@ class FrameSource:
                 raise FormatError(f"cannot read {path}: {exc}") from exc
             if digest is not None:
                 digest.update(meta_blob)
-        return cls(shape, read_raw, fh.close)
+        return cls(shape, read_raw)
 
 
 _PGM_TOKEN = re.compile(rb"#[^\n]*|\S+")
@@ -425,12 +416,12 @@ def _parse_pgm(blob: bytes, path: str) -> np.ndarray:
 def load_video(path: str, digest=None) -> VideoWindow:
     """The window of ``FrameSource.open(path, digest)``, its chunks
     collected into one float64 array as they are read."""
-    with FrameSource.open(path, digest) as src:
-        data = np.empty(src.shape)
-        t0 = 0
-        for chunk in src.chunks():
-            data[t0:t0 + len(chunk)] = chunk
-            t0 += len(chunk)
+    src = FrameSource.open(path, digest)
+    data = np.empty(src.shape)
+    t0 = 0
+    for chunk in src.chunks():
+        data[t0:t0 + len(chunk)] = chunk
+        t0 += len(chunk)
     return VideoWindow(data)
 
 

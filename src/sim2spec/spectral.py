@@ -164,8 +164,7 @@ def _transform_tables(t_n: int, h: int, w: int, ratio: float,
     return grids, gather, phase, tdft
 
 
-def cropped_transform(v, cfg: SpectralConfig, offset: float = 0.0,
-                      frame_sq: np.ndarray | None = None
+def cropped_transform(v, cfg: SpectralConfig, offset: float = 0.0
                       ) -> tuple[np.ndarray, Spectrum3D]:
     """Cropped per-frame spectra ``frames`` (a complex ``(T, ky, kx)``
     array) and the cropped 3D cube of the window ``w = x - offset`` of the
@@ -176,8 +175,7 @@ def cropped_transform(v, cfg: SpectralConfig, offset: float = 0.0,
     the data is never copied.  The cube equals (to rounding)
     ``crop_to_cube(spectral_transform(w, cfg))`` at ``cfg.lowpass_ratio``,
     with the same bin grids; ``frames`` equals ``spatial_transform(w)``
-    cropped by ``keep_mask_1d`` along y and x.  A ``frame_sq`` array is
-    filled with each frame's ``sum_{y,x} w_t^2`` on the way.
+    cropped by ``keep_mask_1d`` along y and x.
     """
     src = FrameSource.of(v)
     t_n, h, w = src.shape
@@ -187,9 +185,6 @@ def cropped_transform(v, cfg: SpectralConfig, offset: float = 0.0,
     t0 = 0
     for chunk in src.chunks():
         out = frames[t0:t0 + len(chunk)]
-        if frame_sq is not None:
-            d = chunk - offset
-            frame_sq[t0:t0 + len(chunk)] = np.einsum("tyx,tyx->t", d, d)
         t0 += len(chunk)
         half = np.fft.fft(np.fft.rfft(chunk, axis=2)[:, :, :n_half], axis=1)
         half[:, 0, 0] -= offset * h * w
@@ -252,6 +247,8 @@ class EtaParams:
     @classmethod
     def for_grid(cls, frames_t: int, height: int, width: int,
                  kappa: float = 1.8) -> "EtaParams":
+        if min(frames_t, height, width) < 2:
+            raise ConfigError("need at least 2 samples per axis")
         eps = min(1.0 / (frames_t - 1), 1.0 / (height - 1), 1.0 / (width - 1))
         return cls(kappa=kappa, min_radius=eps)
 
@@ -289,12 +286,13 @@ def cube_retention(v, cfg: SpectralConfig, offset: float = 0.0) -> float:
 
     The inside energy comes from the pruned cube; the total comes from the
     time domain by Parseval, ``T*H*W * sum_t h_t^2 * sum_{y,x} w_t^2``,
-    summed per chunk in the same pass.
+    summed per chunk in a second read of the source.
     """
-    frame_sq = np.empty(v.shape[0])
-    _, cube = cropped_transform(v, cfg, offset, frame_sq)
+    _, cube = cropped_transform(v, cfg, offset)
+    frame_sq = [np.einsum("tyx,tyx->t", d, d)
+                for d in (c - offset for c in FrameSource.of(v).chunks())]
     taper = temporal_window(v.shape[0], cfg.window_kind)
-    total = math.prod(v.shape) * float(taper ** 2 @ frame_sq)
+    total = math.prod(v.shape) * float(taper ** 2 @ np.concatenate(frame_sq))
     if total <= 0.0:
         raise DegenerateInputError("zero total energy; retention undefined")
     inside = float(np.vdot(cube.coeffs, cube.coeffs).real)

@@ -206,6 +206,17 @@ def synth_sim2(base_kind: str, spec: MotionSpec, frames_t: int, height: int,
     if not (0.1 <= scale_total <= 10.0):
         raise DegenerateInputError(
             f"scale collapse: exp(alpha*T) = {scale_total:.3g} outside [0.1, 10]")
+    try:
+        frames = _render(base_kind, spec, frames_t, height, width, exact)
+    except FloatingPointError as exc:
+        # a number so large that the warp or the noise overflows float64
+        raise ConfigError(f"synthesis overflows float64: {exc}") from exc
+    return VideoWindow(np.clip(frames, 0.0, 1.0, out=frames))
+
+
+@np.errstate(over="raise", invalid="raise")
+def _render(base_kind, spec, frames_t, height, width, exact) -> np.ndarray:
+    """The unclipped frames of ``synth_sim2``."""
     rng = make_rng(spec.seed)
     vx, vy = spec.v
 
@@ -227,7 +238,7 @@ def synth_sim2(base_kind: str, spec: MotionSpec, frames_t: int, height: int,
         frames = np.empty((frames_t, height, width))
         for t in range(frames_t):
             s = math.exp(spec.alpha * t)
-            ang = spec.omega * t
+            ang = np.float64(spec.omega) * t  # so an overflow raises
             # inverse similarity: undo translation, then rotation/scale
             xs = (x - vx * t - cx) / s
             ys = (y - vy * t - cy) / s
@@ -244,7 +255,7 @@ def synth_sim2(base_kind: str, spec: MotionSpec, frames_t: int, height: int,
             rng.standard_normal(out=noise)
             noise *= spec.noise_sigma
             frame += noise
-    return VideoWindow(np.clip(frames, 0.0, 1.0, out=frames))
+    return frames
 
 
 @functools.lru_cache(maxsize=4)

@@ -154,8 +154,8 @@ def test_acceptance_5_adaptive_weights(cfg, motion_reports):
 def test_acceptance_6_bound_suites():
     t0 = time.time()
     checks, summary = suite_bounds(n=1000, seed=0)
-    assert summary["violations"] == 0, [c.to_dict() for c in checks
-                                        if not c.holds][:5]
+    assert summary["violations"] == 0, [(c.context, c.lhs, c.rhs)
+                                        for c in checks if not c.holds][:5]
     elapsed = time.time() - t0
     assert elapsed < 120.0
     announce(6, f"{summary['instances']} randomized/monotonicity checks, "

@@ -272,6 +272,23 @@ def test_synth_schema_valid_spec_out_of_range_exit_2(raw, tmp_path):
     assert written == []
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("raw", [
+    dict(SMALL_SPEC, v=[1e308, 0]),
+    dict(SMALL_SPEC, kind="static", v=[0, 0], noise_sigma=1e308),
+    dict(SMALL_SPEC, kind="rotation", v=[0, 0], omega=1e308)],
+    ids=["velocity", "noise_sigma", "omega"])
+def test_synth_float64_overflow_exit_2(raw, tmp_path):
+    # valid by the schema, but the warp made NaN coordinates (a loader's
+    # non-finite error), the noise overflowed to a clip of 0s and 1s
+    # (exit 0) and omega*t overflowed math.cos (an uncaught ValueError)
+    rc, err, written = run_synth(raw, str(tmp_path))
+    assert rc == 2
+    assert err.startswith("error: invalid spec: synthesis overflows float64")
+    assert err.count("\n") == 1
+    assert written == []
+
+
 def test_synth_integral_float_size_is_an_integer(tmp_path):
     # 2.0 is a JSON Schema integer, as in the sidecar
     rc, _, _ = run_synth(dict(SMALL_SPEC, T=2.0, seed=7.0), str(tmp_path))
@@ -474,6 +491,25 @@ def test_manifest_digests_pinned(tmp_path):
         assert main(["analyze", path, "--json", out]) == 0
         with open(out) as fh:
             assert json.load(fh)["manifest"]["inputs"] == {path: digest}
+
+
+def test_pgm_dir_subdirectories_left_out(tmp_path):
+    # a subdirectory, even one named like a frame, is not read: analyze
+    # (which digests every listed file) and load_video read the same
+    # frames, and the digest is the one without the subdirectories
+    pgm = str(tmp_path / "frames")
+    save_video(VideoWindow(np.full((4, 8, 8), 0.5)), pgm, "pgm_dir")
+    out = str(tmp_path / "rep.json")
+    runs = []
+    for sub in (None, ".ipynb_checkpoints", "extra.pgm"):
+        if sub is not None:
+            save_video(VideoWindow(np.zeros((1, 8, 8))),
+                       os.path.join(pgm, sub), "pgm_dir")
+        assert main(["analyze", pgm, "--json", out]) == 0
+        rep = read_json(out)
+        runs.append((rep["manifest"]["inputs"], rep["report"]))
+    assert runs[0] == runs[1] == runs[2]
+    assert load_video(pgm).shape == (4, 8, 8)
 
 
 def write_raw(path, data, shape=None):

@@ -2,7 +2,6 @@ import importlib
 import json
 import os
 import re
-import types
 
 import numpy as np
 import pytest
@@ -83,8 +82,8 @@ def test_raw_payload_short_after_size_check(held, tmp_path, monkeypatch,
     path.write_bytes(bytes(held))
     (tmp_path / "c.raw.json").write_text(
         json.dumps(dict(zip("THW", shape))))
-    promised = types.SimpleNamespace(st_size=4 * int(np.prod(shape)))
-    monkeypatch.setattr(os, "fstat", lambda fd: promised)
+    monkeypatch.setattr(os.path, "getsize",
+                        lambda p: 4 * int(np.prod(shape)))
     with pytest.raises(FormatError, match=re.escape(f"{path}: payload ended")):
         load_video(str(path))
     assert main(["analyze", str(path)]) == 2

@@ -673,6 +673,24 @@ def test_band_edge_fields_stable_under_pruned_transform(cfg, monkeypatch):
         assert abs(got[key] - ref[key]) <= 1e-12, key
 
 
+@pytest.mark.parametrize("fmt", [None, "raw_f32", "pgm_dir"])
+def test_source_can_be_read_again(fmt, cfg, tmp_path):
+    # a window's source, a raw file's and a PGM directory's give the same
+    # chunks and the same report on a second read
+    clip = make_fixture_clip("rotation", frames_t=17, size=64)
+    if fmt is None:
+        src = FrameSource.of(clip)
+    else:
+        path = str(tmp_path / "clip")
+        save_video(clip, path, fmt)
+        src = FrameSource.open(path)
+    first, second = (list(src.chunks()) for _ in range(2))
+    assert [len(c) for c in first] == [7, 7, 3]
+    for a, b in zip(first, second, strict=True):
+        np.testing.assert_array_equal(a, b)
+    assert analyze(src, cfg).to_dict() == analyze(src, cfg).to_dict()
+
+
 @pytest.mark.parametrize("fmt", ["raw_f32", "pgm_dir"])
 @pytest.mark.parametrize("kind", sorted(FIXTURE_SPECS))
 def test_analyze_source_matches_loaded_window(kind, fmt, cfg, tmp_path):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from sim2spec.core import DegenerateInputError, FrameSource, SpectralConfig, \
-    VideoWindow, normalize_window, save_video
+from sim2spec.core import ConfigError, DegenerateInputError, FrameSource, \
+    SpectralConfig, VideoWindow, load_video, normalize_window, save_video
 from sim2spec.spectral import (EtaParams, Spectrum3D, crop_to_cube,
                                cropped_transform, cube_retention,
                                eta_retention, keep_count, keep_mask_1d,
@@ -330,18 +330,26 @@ def test_cube_retention_powerlaw_suite_size():
 
 
 def test_cube_retention_offset_matches_normalized_window(tmp_path):
-    # the suite's 1/2 shift taken off the DC bins, on the clip held and
-    # read from a file, against the retention of the shifted copy
+    # the suite's 1/2 shift taken off the DC bins, on the clip held, read
+    # from a file (whose source is read twice: the cube, then the total)
+    # and loaded, against the retention of the shifted copy
     from sim2spec.synth import synth_powerlaw
     # float32 values, so the file holds the clip exactly
     clip = VideoWindow(synth_powerlaw(16, 224, 224, kappa=1.8, seed=3)
                        .data.astype(np.float32))
-    cfg = SpectralConfig(window_kind="rect", lowpass_ratio=0.3)
-    ref = cube_retention(normalize_window(clip), cfg)
     path = str(tmp_path / "clip.raw")
     save_video(clip, path)
-    for src in (clip, FrameSource.open(path)):
-        assert abs(cube_retention(src, cfg, offset=0.5) - ref) <= 1e-12
+    for kind in ("rect", "hann"):
+        cfg = SpectralConfig(window_kind=kind, lowpass_ratio=0.3)
+        ref = cube_retention(normalize_window(clip), cfg)
+        for src in (clip, FrameSource.open(path), load_video(path)):
+            assert abs(cube_retention(src, cfg, offset=0.5) - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(1, 16, 16), (16, 1, 16), (16, 16, 1)])
+def test_eta_for_grid_needs_two_samples_per_axis(shape):
+    with pytest.raises(ConfigError, match="at least 2 samples per axis"):
+        EtaParams.for_grid(*shape)
 
 
 def test_cube_retention_zero_energy_errors():
