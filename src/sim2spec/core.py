@@ -10,7 +10,10 @@ Conventions used throughout the package:
 * raw files are little-endian float32 with a UTF-8 JSON sidecar; JSON
   from outside (a sidecar, a synth spec) is read by ``check_json``
   against its shipped schema; ``logistic`` and ``grid_key`` are shared
-* input is read through a ``FrameSource``, in checked chunks of frames
+* input is read through a ``FrameSource``, in checked chunks of frames; a
+  file source of frames too large to share a chunk reads one chunk ahead on
+  a reader thread when two CPUs are usable, so the read, checks and digest
+  overlap the transform
 """
 
 from __future__ import annotations
@@ -258,6 +261,37 @@ def check_json(value, schema: dict, name: str = "value") -> None:
             check_json(item, schema.get("items", {}), f"{name}[{i}]")
 
 
+def _frames_per_chunk(h: int, w: int) -> int:
+    """Whole ``h x w`` frames in ``CHUNK_BYTES`` once x-transformed (0 when
+    one frame alone overflows it)."""
+    return CHUNK_BYTES // (16 * h * (w // 2 + 1))
+
+
+def _read_ahead(chunks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """The items of ``chunks``, each produced on a reader thread while the
+    caller works on the one before, so one more chunk is in flight.  An
+    error of a chunk is raised when the caller asks for that chunk; a read
+    the caller abandons waits for the chunk in flight, then closes
+    ``chunks``.
+
+    Each read starts a thread of its own (about 0.15 ms) that ends with the
+    read, rather than sharing one for the process: no thread outlives a
+    read or is lost across a fork, and nested or interleaved reads cannot
+    queue behind each other."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    try:
+        # leaving the block waits for the job in flight and ends the thread;
+        # an abandoned read drops that job's result, a chunk never asked for
+        with ThreadPoolExecutor(1, thread_name_prefix="sim2spec-read") as pool:
+            job = pool.submit(next, chunks, None)
+            while (chunk := job.result()) is not None:
+                job = pool.submit(next, chunks, None)
+                yield chunk
+    finally:
+        chunks.close()
+
+
 def _read_bytes(path: str, digest) -> bytes:
     """Whole contents of ``path``, also fed to ``digest`` if one is given."""
     try:
@@ -283,8 +317,7 @@ class FrameSource:
 
     def chunks(self):
         """The frames in chunks of ``CHUNK_BYTES`` once x-transformed."""
-        _, h, w = self.shape
-        return self.read(max(1, CHUNK_BYTES // (16 * h * (w // 2 + 1))))
+        return self.read(max(1, _frames_per_chunk(*self.shape[1:])))
 
     @classmethod
     def of(cls, v) -> "FrameSource":
@@ -295,6 +328,22 @@ class FrameSource:
             v.data[t:t + step] for t in range(0, v.frames_t, step)))
 
     @classmethod
+    def _of_reader(cls, shape: tuple, read) -> "FrameSource":
+        """The source of a file reader ``read``, reading one chunk ahead on
+        a reader thread only where that pays: a frame alone overflows
+        ``CHUNK_BYTES`` (about 181x181 and up), so its read and digest cost
+        about as much as its transform, and the process may run on two
+        CPUs or more.  On smaller frames a handoff per chunk costs more
+        than it hides."""
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        if _frames_per_chunk(*shape[1:]) or cpus < 2:
+            return cls(shape, read)
+        return cls(shape, lambda step: _read_ahead(read(step)))
+
+    @classmethod
     def open(cls, path: str, digest=None) -> "FrameSource":
         """A directory of 8-bit PGM frames (its files, not subdirectories,
         in name order; divided by 255) or a raw float32 file plus its
@@ -302,7 +351,10 @@ class FrameSource:
         from the listing and first frame, and a raw payload's size is
         checked on opening.  A ``hashlib`` ``digest`` is fed the bytes as
         they are read: each listed file's name and contents, non-frames
-        included, or the payload and then the sidecar."""
+        included, or the payload and then the sidecar.  Where frames are
+        too large to share a chunk and two CPUs are usable, each read runs
+        on a reader thread one chunk ahead of its caller (``_of_reader``),
+        with the same bytes, checks and errors in the same order."""
         if os.path.isdir(path):
             names = sorted(e.name for e in os.scandir(path) if e.is_file())
             frames = [os.path.join(path, n) for n in names
@@ -334,7 +386,7 @@ class FrameSource:
                                       f"{sorted(shapes)}")
                 if batch:
                     yield np.stack(batch)
-            return cls((len(frames), *hw), read_pgm)
+            return cls._of_reader((len(frames), *hw), read_pgm)
 
         sidecar = path + ".json"
         if not os.path.exists(path):
@@ -380,7 +432,7 @@ class FrameSource:
                 raise FormatError(f"cannot read {path}: {exc}") from exc
             if digest is not None:
                 digest.update(meta_blob)
-        return cls(shape, read_raw)
+        return cls._of_reader(shape, read_raw)
 
 
 _PGM_TOKEN = re.compile(rb"#[^\n]*|\S+")

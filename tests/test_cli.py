@@ -471,21 +471,31 @@ def test_cli_analyze_peak_allocation_below_half_window(tmp_path):
     assert peak < 0.5 * window_bytes
 
 
-def test_manifest_digests_pinned(tmp_path):
-    # a window of exact float32 and 8-bit values: the digests of its raw
-    # file and of its PGM directory (one file in it not a frame) are the
-    # ones the whole-window loader recorded
-    t, y, x = np.ogrid[0:12, 0:32, 0:32]
-    v = VideoWindow(((3 * x + 5 * y + 7 * t) % 17) / 16.0)
-    raw = str(tmp_path / "clip.raw")
-    pgm = str(tmp_path / "frames")
-    save_video(v, raw)
-    save_video(v, pgm, "pgm_dir")
-    pathlib.Path(pgm, "notes.txt").write_bytes(b"not a frame\n")
-    pinned = {
-        raw: "065849ef1c157407493cae71d191ea04da636efce21d3d24b34290532bb09a03",
-        pgm: "122f734f9264cbd089dbef0cae8377e664c8425745e1695e8e8ed0afeccb4b89",
-    }
+def test_manifest_digests_pinned(tmp_path, monkeypatch):
+    # windows of exact float32 and 8-bit values, each saved as a raw file
+    # and as a PGM directory (one file in it not a frame): 12x32x32 frames
+    # are read directly and keep the digests the whole-window loader
+    # recorded; 4x192x200 frames (one a chunk, two CPUs) are read one chunk
+    # ahead on a reader thread and keep the digests of the direct read
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    pinned = {}
+    for (n_t, n_y, n_x), raw_digest, pgm_digest in [
+            ((12, 32, 32),
+             "065849ef1c157407493cae71d191ea04da636efce21d3d24b34290532bb09a03",
+             "122f734f9264cbd089dbef0cae8377e664c8425745e1695e8e8ed0afeccb4b89"),
+            ((4, 192, 200),
+             "4c8d4b595abbc946f2ef15c728d12786eecef2f62b02839fd8f7f5570f19988f",
+             "a2a66ec1f26c257aa2cb012270ce30310034f7b45d992d64b25a790b401b3e20"),
+    ]:
+        t, y, x = np.ogrid[0:n_t, 0:n_y, 0:n_x]
+        v = VideoWindow(((3 * x + 5 * y + 7 * t) % 17) / 16.0)
+        raw = str(tmp_path / f"clip{n_x}.raw")
+        pgm = str(tmp_path / f"frames{n_x}")
+        save_video(v, raw)
+        save_video(v, pgm, "pgm_dir")
+        pathlib.Path(pgm, "notes.txt").write_bytes(b"not a frame\n")
+        pinned.update({raw: raw_digest, pgm: pgm_digest})
     for path, digest in pinned.items():
         out = str(tmp_path / "rep.json")
         assert main(["analyze", path, "--json", out]) == 0

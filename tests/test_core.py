@@ -1,14 +1,18 @@
+import builtins
+import hashlib
 import importlib
 import json
 import os
 import re
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sim2spec.core import (NUMERIC_EPS, ConfigError,
-                           FormatError, MotionEstimate, SpectralConfig,
+from sim2spec import core
+from sim2spec.core import (NUMERIC_EPS, ConfigError, FormatError,
+                           FrameSource, MotionEstimate, SpectralConfig,
                            VideoWindow, load_video, normalize_window,
                            save_video)
 from sim2spec.gates import OBS_GATE_LAMBDA
@@ -122,6 +126,161 @@ def test_missing_path_errors(tmp_path):
         load_video(str(tmp_path / "nope.raw"))
     with pytest.raises(FormatError):
         load_video(str(tmp_path / "nope"))
+
+
+# 192x200 frames overflow CHUNK_BYTES once x-transformed, so a file source
+# reads them one chunk ahead on a reader thread when two CPUs are usable;
+# 32x32 frames share a chunk and are read directly
+AHEAD, DIRECT = (3, 192, 200), (4, 32, 32)
+
+
+class ThreadDigest:
+    """A sha256 that records which threads fed it."""
+
+    def __init__(self):
+        self.sha, self.threads = hashlib.sha256(), set()
+
+    def update(self, blob):
+        self.threads.add(threading.get_ident())
+        self.sha.update(blob)
+
+
+def usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
+                        raising=False)
+
+
+def raw_and_pgm(tmp_path, shape):
+    """A window of 8-bit values saved as a raw float32 file and as a PGM
+    directory (with one file in it not a frame)."""
+    data = np.random.default_rng(3).integers(0, 256, size=shape) / 255.0
+    raw, pgm = str(tmp_path / "c.raw"), str(tmp_path / "frames")
+    v = VideoWindow(data)
+    save_video(v, raw)
+    save_video(v, pgm, "pgm_dir")
+    (tmp_path / "frames" / "notes.txt").write_bytes(b"not a frame\n")
+    return data, raw, pgm
+
+
+@pytest.mark.parametrize("shape", [AHEAD, DIRECT])
+def test_read_ahead_matches_direct_read(shape, tmp_path, monkeypatch):
+    # with two CPUs and large frames the reader thread feeds the digest;
+    # the chunks, digest and report are those of the direct read
+    from sim2spec.cli import main
+    data, raw, pgm = raw_and_pgm(tmp_path, shape)
+    out = str(tmp_path / "rep.json")
+    for path in (raw, pgm):
+        runs = []
+        for cpus in ((0, 1), (0,)):
+            usable_cpus(monkeypatch, cpus)
+            digest = ThreadDigest()
+            chunks = list(FrameSource.open(path, digest).chunks())
+            assert main(["analyze", path, "--json", out]) == 0
+            with open(out) as fh:
+                payload = json.load(fh)
+            runs.append((chunks, digest, payload["manifest"]["inputs"],
+                         payload["report"]))
+        (ahead, d2, in2, rep2), (direct, d1, in1, rep1) = runs
+        assert len(ahead) == len(direct) == (shape[0] if shape == AHEAD
+                                             else 1)
+        for a, b in zip(ahead, direct):
+            assert a.dtype == b.dtype == np.float64
+            assert np.array_equal(a, b)
+        assert np.array_equal(np.concatenate(ahead),
+                              data.astype("<f4") if path == raw else data)
+        assert d2.sha.hexdigest() == d1.sha.hexdigest()
+        assert (in2, rep2) == (in1, rep1)
+        assert d1.threads == {threading.get_ident()}
+        if shape == AHEAD:
+            assert threading.get_ident() not in d2.threads
+        else:
+            assert d2.threads == {threading.get_ident()}
+
+
+def test_one_cpu_and_in_memory_read_directly(tmp_path, monkeypatch):
+    # one usable CPU (by affinity, or by count where there is no affinity)
+    # reads large frames on the calling thread; views never read ahead
+    data, raw, _ = raw_and_pgm(tmp_path, AHEAD)
+    usable_cpus(monkeypatch, (0,))
+    digest = ThreadDigest()
+    list(FrameSource.open(raw, digest).chunks())
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    list(FrameSource.open(raw, digest).chunks())
+    assert digest.threads == {threading.get_ident()}
+    usable_cpus(monkeypatch, (0, 1))
+    v = VideoWindow(data)
+    assert all(np.shares_memory(c, v.data)
+               for c in FrameSource.of(v).chunks())
+
+
+def read_until_error(path):
+    """The number of chunks read before the ``FormatError``, and its text."""
+    done = 0
+    with pytest.raises(FormatError) as err:
+        for _ in FrameSource.open(path, hashlib.sha256()).chunks():
+            done += 1
+    return done, str(err.value)
+
+
+@pytest.mark.parametrize("fault", ["nan_last_frame", "short_payload",
+                                   "pgm_shape"])
+def test_read_ahead_errors_match_direct_read(fault, tmp_path, monkeypatch,
+                                             capsys):
+    # each error is raised at the chunk it belongs to, with the direct
+    # read's text, and analyze exits 2 with it
+    from sim2spec.cli import main
+    data, raw, pgm = raw_and_pgm(tmp_path, AHEAD)
+    path = raw
+    if fault == "nan_last_frame":
+        bad = data.astype("<f4")
+        bad[-1, 5, 7] = np.nan
+        bad.tofile(raw)
+    elif fault == "short_payload":
+        data[:1].astype("<f4").tofile(raw)
+        size = data.size * 4
+        monkeypatch.setattr(os.path, "getsize", lambda p: size)
+    else:
+        path = pgm
+        (tmp_path / "frames" / "frame_0002.pgm").write_bytes(
+            b"P5\n199 192\n255\n" + bytes(192 * 199))
+    runs = []
+    for cpus in ((0, 1), (0,)):
+        usable_cpus(monkeypatch, cpus)
+        runs.append(read_until_error(path))
+        assert main(["analyze", path]) == 2
+        assert runs[-1][1] in capsys.readouterr().err
+    assert runs[0] == runs[1]
+    assert runs[0][0] == {"nan_last_frame": 2, "short_payload": 1,
+                          "pgm_shape": 2}[fault]
+
+
+@pytest.mark.parametrize("stop", [StopIteration, RuntimeError])
+def test_abandoned_read_ahead_closes_its_files(stop, tmp_path, monkeypatch):
+    # leaving after the first chunk, by a break or an exception, waits for
+    # the chunk in flight: every file is closed and the reader thread ended
+    _, raw, pgm = raw_and_pgm(tmp_path, AHEAD)
+    usable_cpus(monkeypatch, (0, 1))
+    opened = []
+
+    def tracked_open(*args, **kwargs):
+        opened.append(builtins.open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(core, "open", tracked_open, raising=False)
+    threads = threading.active_count()
+    for path in (raw, pgm):
+        digest = ThreadDigest()
+        try:
+            for _ in FrameSource.open(path, digest).chunks():
+                if stop is StopIteration:
+                    break
+                raise stop("caller failed")
+        except RuntimeError:
+            pass
+        assert threading.get_ident() not in digest.threads
+        assert opened and all(fh.closed for fh in opened)
+        assert threading.active_count() == threads
 
 
 def test_normalize_constant_half():
