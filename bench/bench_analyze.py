@@ -105,7 +105,7 @@ def bench_size(size, repeats: int) -> dict:
 
     cfg = SpectralConfig()
     clip = mixed_clip(size)
-    frames, cube = cropped_transform(clip, cfg, offset=0.5)
+    frames, cube = cropped_transform(clip, cfg)
     fy, fx = cube.freq_y, cube.freq_x
     lut = build_polar_lut(fy, fx, cfg.rings, cfg.angular_bins)
     polar = polar_resample(frames, lut)
@@ -116,7 +116,7 @@ def bench_size(size, repeats: int) -> dict:
     scl = scaling_loss(rings, stack, cfg)
     analyze(clip, cfg)
     stages = {
-        "transform": lambda: cropped_transform(clip, cfg, offset=0.5),
+        "transform": lambda: cropped_transform(clip, cfg),
         "polar_lut": lambda: build_polar_lut(fy, fx, cfg.rings,
                                              cfg.angular_bins),
         "polar_resample": lambda: polar_resample(frames, lut),

@@ -286,7 +286,7 @@ def suite_retention(n: int, seed: int) -> tuple:
     # each clip is freed before the next is made; the 1/2 shift comes off
     # the DC bins, so no shifted copy is made either
     vals = [cube_retention(synth_powerlaw(*size, kappa=1.8, seed=seed + i),
-                           cfg, offset=0.5) for i in range(n)]
+                           cfg) for i in range(n)]
     for i, r in enumerate(vals):
         checks.append(BoundCheck(eta["eta_cube_lo"] - 0.02, r,
                                  {"bound": "retention_sample_lo", "i": i}))

@@ -4,16 +4,16 @@ Conventions used throughout the package:
 
 * video data is a real ``(T, H, W)`` array, row-major ``(t, y, x)``,
   luminance in ``[0, 1]``
-* analysis runs on mean-shifted data, ``x - 1/2``: ``analyze`` takes the
-  1/2 off each frame's spatial DC bin inside the transform, and
+* analysis runs on mean-shifted data, ``x - MID_GRAY``: the transform
+  takes ``MID_GRAY`` off each frame's spatial DC bin, and
   ``normalize_window`` forms the shifted window explicitly
 * raw files are little-endian float32 with a UTF-8 JSON sidecar; JSON
   from outside (a sidecar, a synth spec) is read by ``check_json``
   against its shipped schema; ``logistic`` and ``grid_key`` are shared
-* input is read through a ``FrameSource``, in checked chunks of frames; a
-  file source of frames too large to share a chunk reads one chunk ahead on
-  a reader thread when two CPUs are usable, so the read, checks and digest
-  overlap the transform
+* input is read by ``chunks()``, of a held ``VideoWindow`` or a
+  ``FrameSource``, in chunks of whole frames; a file source of frames too
+  large to share a chunk reads one chunk ahead on a reader thread when two
+  CPUs are usable, so the read, checks and digest overlap the transform
 """
 
 from __future__ import annotations
@@ -110,6 +110,14 @@ class VideoWindow:
     def shape(self):
         return self.data.shape
 
+    def chunks(self) -> Iterator[np.ndarray]:
+        """Views of the frames in chunks of ``CHUNK_BYTES`` once
+        x-transformed, as a ``FrameSource`` yields them."""
+        step = max(1, _frames_per_chunk(self.height, self.width))
+        return (self.data[t:t + step] for t in range(0, self.frames_t, step))
+
+# the shift taken off every sample before analysis (see the module docstring)
+MID_GRAY = 0.5
 
 # guard added to denominators (and inside logs) of the normalized statistics
 NUMERIC_EPS = 1e-8
@@ -307,41 +315,50 @@ def _read_bytes(path: str, digest) -> bytes:
 @dataclass(frozen=True)
 class FrameSource:
     """A ``(T, H, W)`` window as float64 chunks of whole frames, in order:
-    ``read(step)`` yields chunks of ``step`` frames (the last one shorter),
-    checks what it reads and feeds the digest given to ``open``.  A read
-    opens the files it reads and closes them, so a source can be read
-    again, and each read feeds the digest again."""
+    ``read()`` yields the chunks, checks what it reads and feeds the digest
+    given to ``open``.  A read opens the files it reads and closes them, so
+    a source can be read again, and each read feeds the digest again."""
 
     shape: tuple
-    read: Callable[[int], Iterator[np.ndarray]]
+    read: Callable[[], Iterator[np.ndarray]]
 
-    def chunks(self):
-        """The frames in chunks of ``CHUNK_BYTES`` once x-transformed."""
-        return self.read(max(1, _frames_per_chunk(*self.shape[1:])))
-
-    @classmethod
-    def of(cls, v) -> "FrameSource":
-        """``v`` if a source, else views of the ``VideoWindow`` ``v``."""
-        if isinstance(v, FrameSource):
-            return v
-        return cls(v.shape, lambda step: (
-            v.data[t:t + step] for t in range(0, v.frames_t, step)))
+    def chunks(self) -> Iterator[np.ndarray]:
+        """The chunks of ``read()``, each checked against ``shape``: a
+        frame of another shape, or more or fewer than ``shape[0]`` frames
+        in all, is a ``FormatError``.  Leaving early closes the read."""
+        t_n, h, w = self.shape
+        read, t0 = self.read(), 0
+        try:
+            for chunk in read:
+                if chunk.shape[1:] != (h, w):
+                    raise FormatError(f"read a chunk of shape {chunk.shape}, "
+                                      f"frames of the window are {h}x{w}")
+                t0 += len(chunk)
+                if t0 > t_n:
+                    raise FormatError(f"read more than the {t_n} frames of "
+                                      "the window")
+                yield chunk
+        finally:
+            if hasattr(read, "close"):
+                read.close()
+        if t0 != t_n:
+            raise FormatError(f"read {t0} of the {t_n} frames of the window")
 
     @classmethod
     def _of_reader(cls, shape: tuple, read) -> "FrameSource":
-        """The source of a file reader ``read``, reading one chunk ahead on
-        a reader thread only where that pays: a frame alone overflows
-        ``CHUNK_BYTES`` (about 181x181 and up), so its read and digest cost
-        about as much as its transform, and the process may run on two
-        CPUs or more.  On smaller frames a handoff per chunk costs more
-        than it hides."""
+        """The source of a file reader ``read(step)``, its ``step`` set once
+        from ``shape``, read one chunk ahead on a reader thread only where
+        that pays: a frame alone overflows ``CHUNK_BYTES`` (about 181x181
+        and up), so its read and digest cost about as much as its
+        transform, and the process may run on two CPUs or more.  On
+        smaller frames a handoff per chunk costs more than it hides."""
         if hasattr(os, "sched_getaffinity"):
             cpus = len(os.sched_getaffinity(0))
         else:
             cpus = os.cpu_count() or 1
-        if _frames_per_chunk(*shape[1:]) or cpus < 2:
-            return cls(shape, read)
-        return cls(shape, lambda step: _read_ahead(read(step)))
+        if (step := _frames_per_chunk(*shape[1:])) or cpus < 2:
+            return cls(shape, lambda: read(max(1, step)))
+        return cls(shape, lambda: _read_ahead(read(1)))
 
     @classmethod
     def open(cls, path: str, digest=None) -> "FrameSource":
@@ -365,7 +382,8 @@ class FrameSource:
 
             def read_pgm(step):
                 # a frame of another shape is an error once every frame is
-                # parsed, so the error lists every shape
+                # parsed, so the error lists every shape; from the first
+                # such frame on, only the shapes are kept
                 shapes, batch = {hw}, []
                 for name in names:
                     is_frame = name.endswith(".pgm")
@@ -376,9 +394,10 @@ class FrameSource:
                     file = os.path.join(path, name)
                     blob = _read_bytes(file, digest)
                     if is_frame:
-                        batch.append(_parse_pgm(blob, file))
-                        shapes.add(batch[-1].shape)
-                    if len(batch) == step and len(shapes) == 1:
+                        shapes.add((frame := _parse_pgm(blob, file)).shape)
+                        if len(shapes) == 1:
+                            batch.append(frame)
+                    if len(batch) == step:
                         yield np.stack(batch)
                         batch = []
                 if len(shapes) != 1:
@@ -465,10 +484,10 @@ def _parse_pgm(blob: bytes, path: str) -> np.ndarray:
     return pixels.reshape(h, w).astype(np.float64) / 255.0
 
 
-def load_video(path: str, digest=None) -> VideoWindow:
-    """The window of ``FrameSource.open(path, digest)``, its chunks
-    collected into one float64 array as they are read."""
-    src = FrameSource.open(path, digest)
+def load_video(path: str) -> VideoWindow:
+    """The window of ``FrameSource.open(path)``, its chunks collected into
+    one float64 array as they are read."""
+    src = FrameSource.open(path)
     data = np.empty(src.shape)
     t0 = 0
     for chunk in src.chunks():
@@ -496,5 +515,5 @@ def save_video(v: VideoWindow, path: str, format: str = "raw_f32") -> None:
 
 
 def normalize_window(v: VideoWindow) -> VideoWindow:
-    """Subtract the half-intensity offset so samples live in [-1/2, 1/2]."""
-    return VideoWindow(v.data - 0.5)
+    """Subtract ``MID_GRAY`` so samples live in [-1/2, 1/2]."""
+    return VideoWindow(v.data - MID_GRAY)

@@ -423,8 +423,8 @@ def analyze(v: VideoWindow | FrameSource,
             cfg: SpectralConfig | None = None) -> LossReport:
     """Run the full pipeline on one window, held or read from a source.
 
-    pruned transform of the mean-shifted window (the 1/2 offset comes off
-    each frame's DC bin, see ``cropped_transform``) -> polar/harmonic
+    pruned transform of the mean-shifted window (``core.MID_GRAY`` comes
+    off each frame's DC bin, see ``cropped_transform``) -> polar/harmonic
     features -> losses -> adaptive composite.  Deterministic for fixed
     input and configuration; escaping errors carry their stage label, and
     the input's format errors come ahead of a too-short window's.
@@ -433,7 +433,7 @@ def analyze(v: VideoWindow | FrameSource,
     nt, height, width = v.shape
 
     with _stage("transform"):
-        frames_c, s3c = cropped_transform(v, cfg, offset=0.5)
+        frames_c, s3c = cropped_transform(v, cfg)
         retained = s3c.coeffs.size / (nt * height * width)
     if nt < 2:
         raise DegenerateInputError("window too short: need at least 2 frames")

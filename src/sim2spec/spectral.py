@@ -11,22 +11,21 @@ unnormalized, so Parseval reads ``sum |X|^2 == N * sum |x|^2`` with
 
 ``cropped_transform`` is the pipeline's transform: a pruned pass (Markel
 1971; Sorensen & Burrus 1993) that forms only the kept low-pass bins, from
-the frames as a ``core.FrameSource`` yields them, in chunks that keep the
-x-transformed chunk within ``core.CHUNK_BYTES`` (one frame at least), so
+the ``chunks()`` of a ``core.VideoWindow`` or ``core.FrameSource``, each
+within ``core.CHUNK_BYTES`` once x-transformed (one frame at least), so
 a window read from a file is never held whole.  Per chunk it takes
 ``rfft`` along x, keeps the columns ``0..max|kx|`` and FFTs along y only
-those; subtracts an optional constant offset from each frame's DC bin
-(exact: a constant only moves that bin), so the caller's 1/2 mean shift
-needs no copy of the data; gathers every kept bin, the negative kept
-columns off the nonnegative ones by Hermitian symmetry, ``X[ky, -j] =
-conj(X[-ky, j])``; and applies the origin-centring phase per bin instead
-of rolling the data.  The temporal DFT is one matrix product with the kept
-rows of ``temporal_dft``, the one windowed temporal DFT table, which
-``resample.make_stack`` applies whole.  These tables depend only on the
-shapes and the config, so each is built once per key in a small LRU cache,
-read-only.  ``spatial_transform``, ``spectral_transform``, ``crop_to_cube``
-and ``measured_retention`` remain as the full-spectrum reference, outside
-``__all__``.
+those; takes the mean shift ``core.MID_GRAY`` off each frame's DC bin
+(exact: a constant only moves that bin), so it copies no data; gathers
+every kept bin, the negative kept columns off the nonnegative ones by
+Hermitian symmetry, ``X[ky, -j] = conj(X[-ky, j])``; and applies the
+origin-centring phase per bin instead of rolling the data.  The temporal
+DFT is one matrix product with the kept rows of ``temporal_dft``, the one
+windowed temporal DFT table, which ``resample.make_stack`` applies whole.
+These tables depend only on the shapes and the config, so each is built
+once per key in a small LRU cache, read-only.  ``spatial_transform``,
+``spectral_transform``, ``crop_to_cube`` and ``measured_retention`` remain
+as the full-spectrum reference, outside ``__all__``.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ConfigError, DegenerateInputError, FrameSource,
+from .core import (MID_GRAY, ConfigError, DegenerateInputError,
                    SpectralConfig, VideoWindow)
 
 __all__ = [
@@ -164,30 +163,28 @@ def _transform_tables(t_n: int, h: int, w: int, ratio: float,
     return grids, gather, phase, tdft
 
 
-def cropped_transform(v, cfg: SpectralConfig, offset: float = 0.0
-                      ) -> tuple[np.ndarray, Spectrum3D]:
+def cropped_transform(v, cfg: SpectralConfig) -> tuple[np.ndarray, Spectrum3D]:
     """Cropped per-frame spectra ``frames`` (a complex ``(T, ky, kx)``
-    array) and the cropped 3D cube of the window ``w = x - offset`` of the
+    array) and the cropped 3D cube of ``w = normalize_window(v)``, for a
     ``VideoWindow`` or ``FrameSource`` ``v``, from one pruned pass over
-    its chunks (described in the module docstring).
+    its ``chunks()`` (described in the module docstring).
 
-    ``offset`` comes off each frame's spatial DC bin as ``offset*H*W``, so
-    the data is never copied.  The cube equals (to rounding)
+    ``MID_GRAY`` comes off each frame's spatial DC bin as ``MID_GRAY*H*W``,
+    so the data is never copied.  The cube equals (to rounding)
     ``crop_to_cube(spectral_transform(w, cfg))`` at ``cfg.lowpass_ratio``,
     with the same bin grids; ``frames`` equals ``spatial_transform(w)``
     cropped by ``keep_mask_1d`` along y and x.
     """
-    src = FrameSource.of(v)
-    t_n, h, w = src.shape
+    t_n, h, w = v.shape
     grids, (n_half, index, conj), phase, tdft = _transform_tables(
         t_n, h, w, cfg.lowpass_ratio, cfg.window_kind)
     frames = np.empty((t_n, *index.shape), dtype=np.complex128)
     t0 = 0
-    for chunk in src.chunks():
+    for chunk in v.chunks():
         out = frames[t0:t0 + len(chunk)]
         t0 += len(chunk)
         half = np.fft.fft(np.fft.rfft(chunk, axis=2)[:, :, :n_half], axis=1)
-        half[:, 0, 0] -= offset * h * w
+        half[:, 0, 0] -= MID_GRAY * h * w
         # every index is in range; "clip" lets take write into out unbuffered
         np.take(half.reshape(len(half), -1), index, axis=1, out=out,
                 mode="clip")
@@ -280,17 +277,18 @@ def eta_retention(ratio: float, p: EtaParams) -> dict:
     return {"eta_ball": lo, "eta_cube_lo": lo, "eta_cube_hi": hi}
 
 
-def cube_retention(v, cfg: SpectralConfig, offset: float = 0.0) -> float:
+def cube_retention(v, cfg: SpectralConfig) -> float:
     """``measured_retention(spectral_transform(w, cfg), cfg.lowpass_ratio)``
-    for ``w`` as in ``cropped_transform``, without the full spectrum.
+    for ``w`` and ``v`` as in ``cropped_transform``, without the full
+    spectrum.
 
     The inside energy comes from the pruned cube; the total comes from the
     time domain by Parseval, ``T*H*W * sum_t h_t^2 * sum_{y,x} w_t^2``,
-    summed per chunk in a second read of the source.
+    summed per chunk in a second read of ``v``.
     """
-    _, cube = cropped_transform(v, cfg, offset)
+    _, cube = cropped_transform(v, cfg)
     frame_sq = [np.einsum("tyx,tyx->t", d, d)
-                for d in (c - offset for c in FrameSource.of(v).chunks())]
+                for d in (c - MID_GRAY for c in v.chunks())]
     taper = temporal_window(v.shape[0], cfg.window_kind)
     total = math.prod(v.shape) * float(taper ** 2 @ np.concatenate(frame_sq))
     if total <= 0.0:

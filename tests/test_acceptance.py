@@ -13,7 +13,7 @@ import pytest
 
 from sim2spec.bounds import window_leakage
 from sim2spec.cli import suite_bounds
-from sim2spec.core import SpectralConfig, normalize_window
+from sim2spec.core import SpectralConfig
 from sim2spec.losses import adaptive_composite, analyze, rotation_loss
 from sim2spec.spectral import EtaParams, cube_retention, eta_retention
 from sim2spec.synth import MotionSpec, make_rng, synth_powerlaw, synth_sim2
@@ -39,7 +39,7 @@ def test_acceptance_1_retention(cfg_rect):
     vals = []
     for seed in range(100):
         clip = synth_powerlaw(16, 224, 224, kappa=1.8, seed=1000 + seed)
-        r = cube_retention(normalize_window(clip), cfg)
+        r = cube_retention(clip, cfg)
         assert lo <= r <= hi, (seed, r)
         vals.append(r)
     mean = float(np.mean(vals))

@@ -5,6 +5,7 @@ import json
 import os
 import re
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,8 +211,7 @@ def test_one_cpu_and_in_memory_read_directly(tmp_path, monkeypatch):
     assert digest.threads == {threading.get_ident()}
     usable_cpus(monkeypatch, (0, 1))
     v = VideoWindow(data)
-    assert all(np.shares_memory(c, v.data)
-               for c in FrameSource.of(v).chunks())
+    assert all(np.shares_memory(c, v.data) for c in v.chunks())
 
 
 def read_until_error(path):
@@ -281,6 +281,58 @@ def test_abandoned_read_ahead_closes_its_files(stop, tmp_path, monkeypatch):
         assert threading.get_ident() not in digest.threads
         assert opened and all(fh.closed for fh in opened)
         assert threading.active_count() == threads
+
+
+def collect(src):
+    """The chunks of ``src`` written into one array, as ``load_video``
+    collects them."""
+    data, t0 = np.empty(src.shape), 0
+    for chunk in src.chunks():
+        data[t0:t0 + len(chunk)] = chunk
+        t0 += len(chunk)
+    return data
+
+
+@pytest.mark.parametrize("frames, match", [
+    ((8, 30, 30), "frames of the window are 32x32"),
+    ((6, 32, 32), "read 6 of the 8 frames"),
+    ((10, 32, 32), "more than the 8 frames")])
+def test_source_chunks_checked_against_shape(frames, match):
+    # a reader whose frames differ from the source's shape, or that yields
+    # fewer or more frames than it declares, fails however it is read
+    from sim2spec.losses import analyze
+    from sim2spec.spectral import cube_retention
+    data = np.random.default_rng(1).random(frames)
+    src = FrameSource((8, 32, 32), lambda: (
+        data[t:t + 4] for t in range(0, len(data), 4)))
+    for read in (analyze, lambda s: cube_retention(s, SpectralConfig()),
+                 collect):
+        with pytest.raises(FormatError, match=match):
+            read(src)
+
+
+@pytest.mark.parametrize("cpus", [(0,), (0, 1)])
+def test_pgm_shape_mismatch_holds_few_frames(cpus, tmp_path, monkeypatch):
+    # past the first frame of another shape the later frames are parsed
+    # for their shapes only: the read holds a few frames, not all the rest
+    d = tmp_path / "frames"
+    d.mkdir()
+    for t in range(40):
+        h = 200 if t == 1 else 256
+        (d / f"frame_{t:04d}.pgm").write_bytes(
+            b"P5\n256 %d\n255\n" % h + bytes(256 * h))
+    usable_cpus(monkeypatch, cpus)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError,
+                           match=r"\[\(200, 256\), \(256, 256\)\]"):
+            for _ in FrameSource.open(str(d)).chunks():
+                pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one float64 frame is 0.5 MB; the parent read held all 39 after it
+    assert peak < 6 * 256 * 256 * 8
 
 
 def test_normalize_constant_half():

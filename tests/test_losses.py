@@ -605,10 +605,10 @@ def test_analyze_stage_labels():
 # the pruned transform leaves every report field where the full one put it
 
 
-def crop_of_full_transform(v, cfg, offset=0.0):
-    """Reference for ``cropped_transform``: the offset subtracted from the
-    data, then full transforms, then crop."""
-    vn = VideoWindow(v.data - offset)
+def crop_of_full_transform(v, cfg):
+    """Reference for ``cropped_transform``: ``normalize_window``, then
+    full transforms, then crop."""
+    vn = normalize_window(v)
     my = keep_mask_1d(vn.height, cfg.lowpass_ratio)
     mx = keep_mask_1d(vn.width, cfg.lowpass_ratio)
     return (spatial_transform(vn)[:, my][:, :, mx],
@@ -679,7 +679,7 @@ def test_source_can_be_read_again(fmt, cfg, tmp_path):
     # chunks and the same report on a second read
     clip = make_fixture_clip("rotation", frames_t=17, size=64)
     if fmt is None:
-        src = FrameSource.of(clip)
+        src = clip
     else:
         path = str(tmp_path / "clip")
         save_video(clip, path, fmt)
@@ -775,7 +775,7 @@ def test_analyze_sharp_energy_gate(motion_clips):
 
 def test_analyze_peak_allocation_below_two_blocks():
     # no full-block temporary: the spectra are formed one frame at a time
-    # and the 1/2 offset comes off the DC bins instead of a shifted copy
+    # and the 1/2 shift comes off the DC bins instead of a shifted copy
     clip = VideoWindow(make_rng(3).random((32, 256, 256)))
     tracemalloc.start()
     try:

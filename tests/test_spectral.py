@@ -236,13 +236,12 @@ def test_keep_count_properties(n, r1, r2):
 # pruned one-pass transform against the crop of the full transform
 
 
-def assert_pruned_matches_crop(data, kind, ratio, offset=0.0):
-    """``cropped_transform(v, cfg, offset)`` against the full transforms of
-    ``v.data - offset``, cropped."""
+def assert_pruned_matches_crop(data, kind, ratio):
+    """``cropped_transform(v, cfg)`` against the full transforms of
+    ``normalize_window(v)``, cropped."""
     cfg = SpectralConfig(window_kind=kind, lowpass_ratio=ratio)
-    frames, cube = cropped_transform(VideoWindow(data), cfg,
-                                     offset=offset)
-    vn = VideoWindow(data - offset)
+    frames, cube = cropped_transform(VideoWindow(data), cfg)
+    vn = normalize_window(VideoWindow(data))
     ref_cube = crop_to_cube(spectral_transform(vn, cfg), ratio)
     for grid in ("freq_t", "freq_y", "freq_x"):
         assert np.array_equal(getattr(cube, grid), getattr(ref_cube, grid))
@@ -260,20 +259,21 @@ def assert_pruned_matches_crop(data, kind, ratio, offset=0.0):
 @given(st.integers(2, 33), st.integers(1, 70), st.integers(1, 70),
        st.sampled_from(["rect", "hann"]),
        st.floats(1e-3, 1.0, exclude_min=True),
-       st.one_of(st.sampled_from([0.0, 0.5]), st.floats(-2.0, 2.0)),
+       st.one_of(st.sampled_from([1.0, 0.5]), st.floats(-1.0, 3.0)),
        st.integers(0, 2 ** 31))
-@example(t_n=3, h=9, w=1, kind="hann", ratio=0.3, offset=0.5, seed=1)
-@example(t_n=4, h=1, w=1, kind="rect", ratio=0.3, offset=0.5, seed=2)
-@example(t_n=5, h=6, w=2, kind="rect", ratio=0.3, offset=0.0, seed=3)
+# ``mean`` is the window's mean: ``mean - 1/2`` is left after the shift
+@example(t_n=3, h=9, w=1, kind="hann", ratio=0.3, mean=0.5, seed=1)
+@example(t_n=4, h=1, w=1, kind="rect", ratio=0.3, mean=0.5, seed=2)
+@example(t_n=5, h=6, w=2, kind="rect", ratio=0.3, mean=1.0, seed=3)
 # at ratio 1.0 an even size keeps kx = -W/2, the column Hermitian
 # symmetry maps onto itself
-@example(t_n=6, h=8, w=10, kind="rect", ratio=1.0, offset=0.5, seed=4)
-@example(t_n=7, h=33, w=47, kind="hann", ratio=1.0, offset=0.37, seed=5)
-@example(t_n=9, h=31, w=45, kind="hann", ratio=0.3, offset=0.5, seed=6)
+@example(t_n=6, h=8, w=10, kind="rect", ratio=1.0, mean=0.5, seed=4)
+@example(t_n=7, h=33, w=47, kind="hann", ratio=1.0, mean=0.63, seed=5)
+@example(t_n=9, h=31, w=45, kind="hann", ratio=0.3, mean=0.5, seed=6)
 def test_cropped_transform_matches_crop_property(t_n, h, w, kind, ratio,
-                                                 offset, seed):
-    data = make_rng(seed).random((t_n, h, w))
-    assert_pruned_matches_crop(data, kind, ratio, offset=offset)
+                                                 mean, seed):
+    data = make_rng(seed).random((t_n, h, w)) + (mean - 0.5)
+    assert_pruned_matches_crop(data, kind, ratio)
 
 
 # windows that the spatial pass splits into several chunks of frames, the
@@ -286,8 +286,7 @@ CHUNK_EDGE_SHAPES = [(16, 64, 64), (13, 100, 47)]
 @pytest.mark.parametrize("kind", ["rect", "hann"])
 def test_cropped_transform_matches_crop_sizes(shape, kind):
     # 47 and 224 are sizes whose signed_bins labels are off (see below)
-    assert_pruned_matches_crop(make_rng(11).random(shape), kind, 0.3,
-                               offset=0.5)
+    assert_pruned_matches_crop(make_rng(11).random(shape), kind, 0.3)
 
 
 @pytest.mark.parametrize("shape", CHUNK_EDGE_SHAPES)
@@ -310,29 +309,30 @@ def test_chunk_edge_shapes_end_on_partial_chunk(shape, monkeypatch):
        st.sampled_from(["rect", "hann"]),
        st.floats(1e-3, 1.0, exclude_min=True), st.integers(0, 2 ** 31))
 def test_cube_retention_matches_measured(t_n, h, w, kind, ratio, seed):
-    v = normalize_window(VideoWindow(
-        make_rng(seed).random((t_n, h, w))))
+    v = VideoWindow(make_rng(seed).random((t_n, h, w)))
     cfg = SpectralConfig(window_kind=kind, lowpass_ratio=ratio)
     if kind == "hann" and t_n == 2:
         with pytest.raises(DegenerateInputError):
             cube_retention(v, cfg)
         return
-    ref = measured_retention(spectral_transform(v, cfg), ratio)
+    ref = measured_retention(spectral_transform(normalize_window(v), cfg),
+                             ratio)
     assert abs(cube_retention(v, cfg) - ref) <= 1e-12
 
 
 def test_cube_retention_powerlaw_suite_size():
     from sim2spec.synth import synth_powerlaw
-    v = normalize_window(synth_powerlaw(16, 224, 224, kappa=1.8, seed=3))
+    v = synth_powerlaw(16, 224, 224, kappa=1.8, seed=3)
     cfg = SpectralConfig(window_kind="rect", lowpass_ratio=0.3)
-    ref = measured_retention(spectral_transform(v, cfg), 0.3)
+    ref = measured_retention(spectral_transform(normalize_window(v), cfg),
+                             0.3)
     assert abs(cube_retention(v, cfg) - ref) <= 1e-12
 
 
 def test_cube_retention_offset_matches_normalized_window(tmp_path):
-    # the suite's 1/2 shift taken off the DC bins, on the clip held, read
-    # from a file (whose source is read twice: the cube, then the total)
-    # and loaded, against the retention of the shifted copy
+    # the 1/2 shift taken off the DC bins, on the clip held, read from a
+    # file (whose source is read twice: the cube, then the total) and
+    # loaded, against the full spectrum of the shifted copy
     from sim2spec.synth import synth_powerlaw
     # float32 values, so the file holds the clip exactly
     clip = VideoWindow(synth_powerlaw(16, 224, 224, kappa=1.8, seed=3)
@@ -341,9 +341,10 @@ def test_cube_retention_offset_matches_normalized_window(tmp_path):
     save_video(clip, path)
     for kind in ("rect", "hann"):
         cfg = SpectralConfig(window_kind=kind, lowpass_ratio=0.3)
-        ref = cube_retention(normalize_window(clip), cfg)
+        ref = measured_retention(
+            spectral_transform(normalize_window(clip), cfg), 0.3)
         for src in (clip, FrameSource.open(path), load_video(path)):
-            assert abs(cube_retention(src, cfg, offset=0.5) - ref) <= 1e-12
+            assert abs(cube_retention(src, cfg) - ref) <= 1e-12
 
 
 @pytest.mark.parametrize("shape", [(1, 16, 16), (16, 1, 16), (16, 16, 1)])
@@ -353,7 +354,7 @@ def test_eta_for_grid_needs_two_samples_per_axis(shape):
 
 
 def test_cube_retention_zero_energy_errors():
-    v = VideoWindow(np.zeros((4, 8, 8)))
+    v = VideoWindow(np.full((4, 8, 8), 0.5))
     with pytest.raises(DegenerateInputError):
         cube_retention(v, RECT)
 
