@@ -11,8 +11,10 @@ itself is timed the same way, after one untimed call per size, and one
 more run records its tracemalloc peak.  The ``cli_analyze`` row times an
 in-process ``cli.main(["analyze", FILE, "--json", OUT])`` on the same clip
 saved as raw_f32, after one untimed call, so the CLI glue (parsing,
-loading, manifest and JSON output) shows beside the stages; one more call
-records its tracemalloc peak, the read included.  The
+loading, manifest and JSON output) shows beside the stages.  It records
+the median over its calls beside the minimum: a read on a reader thread
+stalls now and then on its hand-off, which the minimum hides.  One more
+call records its tracemalloc peak, the read included.  The
 ``retention_clip`` row times ``cli.suite_retention(1, 0)``, the ``validate``
 retention suite on one seeded 16x224^2 ``synth_powerlaw`` clip, the same
 way, so each tree is timed on its own suite code.  The ``synth_sim2_ms``
@@ -65,13 +67,18 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS")
 
 
-def min_ms(fn, repeats: int) -> float:
-    best = float("inf")
+def times_ms(fn, repeats: int) -> list:
+    """Wall time (ms) of each of ``repeats`` calls of ``fn``."""
+    out = []
     for _ in range(repeats):
         t0 = time.perf_counter()
         fn()
-        best = min(best, time.perf_counter() - t0)
-    return best * 1e3
+        out.append((time.perf_counter() - t0) * 1e3)
+    return out
+
+
+def min_ms(fn, repeats: int) -> float:
+    return min(times_ms(fn, repeats))
 
 
 def mixed_clip(size):
@@ -136,7 +143,8 @@ def bench_size(size, repeats: int) -> dict:
     cli_ms, cli_peak = bench_cli_analyze(clip, repeats)
     out = {"stages_ms": {k: min_ms(fn, repeats) for k, fn in stages.items()},
            "analyze_ms": min_ms(lambda: analyze(clip, cfg), repeats),
-           "cli_analyze_ms": cli_ms,
+           "cli_analyze_ms": min(cli_ms),
+           "cli_analyze_call_median_ms": statistics.median(cli_ms),
            "cli_analyze_tracemalloc_peak_mb": cli_peak}
     tracemalloc.start()
     try:
@@ -149,10 +157,10 @@ def bench_size(size, repeats: int) -> dict:
 
 
 def bench_cli_analyze(clip, repeats: int) -> tuple:
-    """Minimum time (ms) of ``cli.main(["analyze", FILE, "--json", OUT])``
-    in process on ``clip`` saved as raw_f32, after one untimed call, and
-    the tracemalloc peak (MB) of one more call; its printed summary is
-    dropped."""
+    """The time (ms) of each of ``repeats`` calls of ``cli.main(["analyze",
+    FILE, "--json", OUT])`` in process on ``clip`` saved as raw_f32, after
+    one untimed call, and the tracemalloc peak (MB) of one more call; its
+    printed summary is dropped."""
     from sim2spec import cli
     from sim2spec.core import save_video
 
@@ -166,7 +174,7 @@ def bench_cli_analyze(clip, repeats: int) -> tuple:
                 cli.main(argv)
 
         one()
-        ms = min_ms(one, repeats)
+        ms = times_ms(one, repeats)
         tracemalloc.start()
         try:
             one()
@@ -284,13 +292,15 @@ def main(argv=None) -> int:
                   f"{res['analyze_ms']['median']:.2f} ms "
                   f"(quartiles {q1:.2f}-{q3:.2f}), peak "
                   f"{res['analyze_tracemalloc_peak_mb']['median']:.1f} MB")
-            q1, _, q3 = statistics.quantiles(
-                res["cli_analyze_ms"]["rounds"], n=4)
-            print(f"{label} {name}: cli analyze median "
-                  f"{res['cli_analyze_ms']['median']:.2f} ms "
-                  f"(quartiles {q1:.2f}-{q3:.2f}), peak "
+            for key, what in (("cli_analyze_ms", "min"),
+                              ("cli_analyze_call_median_ms", "call median")):
+                q1, _, q3 = statistics.quantiles(res[key]["rounds"], n=4)
+                print(f"{label} {name}: cli analyze {what}, median "
+                      f"{res[key]['median']:.2f} ms "
+                      f"(quartiles {q1:.2f}-{q3:.2f})")
+            print(f"{label} {name}: cli analyze peak "
                   f"{res['cli_analyze_tracemalloc_peak_mb']['median']:.1f}"
-                  f" MB")
+                  " MB")
         clip = summary["retention_clip_ms"]
         q1, _, q3 = statistics.quantiles(clip["rounds"], n=4)
         print(f"{label} retention_clip: median {clip['median']:.2f} ms "

@@ -12,8 +12,9 @@ Conventions used throughout the package:
   against its shipped schema; ``logistic`` and ``grid_key`` are shared
 * input is read by ``chunks()``, of a held ``VideoWindow`` or a
   ``FrameSource``, in chunks of whole frames; a file source of frames too
-  large to share a chunk reads one chunk ahead on a reader thread when two
-  CPUs are usable, so the read, checks and digest overlap the transform
+  large to share a chunk is read on a reader thread when two CPUs are
+  usable, with up to two chunks queued (the reader does not wait to be
+  asked), so the read, checks and digest overlap the transform
 """
 
 from __future__ import annotations
@@ -276,27 +277,50 @@ def _frames_per_chunk(h: int, w: int) -> int:
 
 
 def _read_ahead(chunks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-    """The items of ``chunks``, each produced on a reader thread while the
-    caller works on the one before, so one more chunk is in flight.  An
-    error of a chunk is raised when the caller asks for that chunk; a read
-    the caller abandons waits for the chunk in flight, then closes
+    """The items of ``chunks``, produced on a reader thread that does not
+    wait to be asked: up to two chunks are queued, and the reader blocks
+    only when two are waiting (holding the next one it read), the caller
+    only when none is.  An error of a chunk is queued in order and raised
+    when the caller reaches that chunk.  A read the caller leaves early
+    stops the reader, drains the queue and joins the thread, then closes
     ``chunks``.
 
     Each read starts a thread of its own (about 0.15 ms) that ends with the
     read, rather than sharing one for the process: no thread outlives a
     read or is lost across a fork, and nested or interleaved reads cannot
     queue behind each other."""
-    from concurrent.futures import ThreadPoolExecutor
+    import queue
+    import threading
 
+    ready, stop = queue.Queue(2), threading.Event()
+
+    def run():
+        # each item is (True, chunk), and the last (False, error or None)
+        try:
+            while not stop.is_set():
+                ready.put((True, next(chunks)))
+        except StopIteration:
+            ready.put((False, None))
+        except BaseException as exc:  # raised again on the caller's thread
+            ready.put((False, exc))
+
+    reader = threading.Thread(target=run, name="sim2spec-read", daemon=True)
+    reader.start()
     try:
-        # leaving the block waits for the job in flight and ends the thread;
-        # an abandoned read drops that job's result, a chunk never asked for
-        with ThreadPoolExecutor(1, thread_name_prefix="sim2spec-read") as pool:
-            job = pool.submit(next, chunks, None)
-            while (chunk := job.result()) is not None:
-                job = pool.submit(next, chunks, None)
-                yield chunk
+        while True:
+            more, item = ready.get()
+            if not more:
+                if item is not None:
+                    raise item
+                return
+            yield item
     finally:
+        # once stop is set the reader puts at most one more item, which
+        # the emptied queue has room for, so the join cannot hang
+        stop.set()
+        while not ready.empty():
+            ready.get_nowait()
+        reader.join()
         chunks.close()
 
 
@@ -347,7 +371,8 @@ class FrameSource:
     @classmethod
     def _of_reader(cls, shape: tuple, read) -> "FrameSource":
         """The source of a file reader ``read(step)``, its ``step`` set once
-        from ``shape``, read one chunk ahead on a reader thread only where
+        from ``shape``, read on a reader thread (``_read_ahead``: up to two
+        chunks queued; the reader does not wait to be asked) only where
         that pays: a frame alone overflows ``CHUNK_BYTES`` (about 181x181
         and up), so its read and digest cost about as much as its
         transform, and the process may run on two CPUs or more.  On
@@ -370,8 +395,9 @@ class FrameSource:
         they are read: each listed file's name and contents, non-frames
         included, or the payload and then the sidecar.  Where frames are
         too large to share a chunk and two CPUs are usable, each read runs
-        on a reader thread one chunk ahead of its caller (``_of_reader``),
-        with the same bytes, checks and errors in the same order."""
+        on a reader thread ahead of its caller (``_of_reader``): up to two
+        chunks queued, and the reader does not wait to be asked.  The
+        bytes, checks and errors are the same, in the same order."""
         if os.path.isdir(path):
             names = sorted(e.name for e in os.scandir(path) if e.is_file())
             frames = [os.path.join(path, n) for n in names

@@ -155,6 +155,10 @@ def make_base(kind: str, height: int, width: int, rng: np.random.Generator,
     return 0.5 + 0.4 * pat
 
 
+# samples warped at once by ``_bilinear``: its temporaries are this long
+BILINEAR_BLOCK = 1 << 13
+
+
 def _bilinear(base: np.ndarray, yq: np.ndarray, xq: np.ndarray) -> np.ndarray:
     """Sample ``base`` at float coordinates, mid-gray (0.5) fill outside.
 
@@ -162,32 +166,40 @@ def _bilinear(base: np.ndarray, yq: np.ndarray, xq: np.ndarray) -> np.ndarray:
     is 1 on the base and 0 on the border.  The top-left corner is clamped
     into that border (rows to ``[-2, h]``, columns to ``[-2, w]``), so a
     corner outside the base reads 0 from both tables, and each corner is
-    one flat ``take`` from each at a fixed offset.
+    one flat ``take`` from each at a fixed offset.  The samples are warped
+    ``BILINEAR_BLOCK`` at a time into the output, so every temporary is
+    block-sized whatever the frame.
     """
     h, w = base.shape
     stride = w + 4
     vals = np.zeros((h + 4, stride))
     vals[2:-2, 2:-2] = base
-    inside = np.zeros((h + 4, stride))
-    inside[2:-2, 2:-2] = 1.0
+    inside = np.zeros((h + 4, stride), dtype=bool)
+    inside[2:-2, 2:-2] = True
     vals, inside = vals.ravel(), inside.ravel()
-    y0 = np.floor(yq)
-    x0 = np.floor(xq)
-    dy = yq - y0
-    dx = xq - x0
-    # fmax/fmin send a NaN coordinate to the border; its NaN weights still
-    # make the pixel NaN
-    flat = ((np.fmin(np.fmax(y0, -2.0), h) + 2.0) * stride
-            + np.fmin(np.fmax(x0, -2.0), w) + 2.0).astype(np.intp)
-    wy0, wx0 = 1 - dy, 1 - dx
     out = np.zeros(yq.shape)
-    acc_w = np.zeros(yq.shape)
-    for off, wy, wx in ((0, wy0, wx0), (1, wy0, dx), (stride, dy, wx0),
-                        (stride + 1, dy, dx)):
-        wgt = wy * wx
-        out += wgt * vals[off:].take(flat)
-        acc_w += wgt * inside[off:].take(flat)
-    return out + 0.5 * (1.0 - acc_w)
+    # flat views (a grid that is not contiguous is copied; out always is)
+    ys, xs, outs = (np.reshape(a, -1) for a in (yq, xq, out))
+    for i in range(0, ys.size, BILINEAR_BLOCK):
+        yb, xb = ys[i:i + BILINEAR_BLOCK], xs[i:i + BILINEAR_BLOCK]
+        ob = outs[i:i + BILINEAR_BLOCK]
+        y0 = np.floor(yb)
+        x0 = np.floor(xb)
+        dy = yb - y0
+        dx = xb - x0
+        # fmax/fmin send a NaN coordinate to the border; its NaN weights
+        # still make the pixel NaN
+        flat = ((np.fmin(np.fmax(y0, -2.0), h) + 2.0) * stride
+                + np.fmin(np.fmax(x0, -2.0), w) + 2.0).astype(np.intp)
+        wy0, wx0 = 1 - dy, 1 - dx
+        acc_w = np.zeros(len(yb))
+        for off, wy, wx in ((0, wy0, wx0), (1, wy0, dx), (stride, dy, wx0),
+                            (stride + 1, dy, dx)):
+            wgt = wy * wx
+            ob += wgt * vals[off:].take(flat)
+            acc_w += wgt * inside[off:].take(flat)
+        ob += 0.5 * (1.0 - acc_w)
+    return out
 
 
 def synth_sim2(base_kind: str, spec: MotionSpec, frames_t: int, height: int,
@@ -234,7 +246,10 @@ def _render(base_kind, spec, frames_t, height, width, exact) -> np.ndarray:
         base = make_base(base_kind, height, width, rng)
         # pivot about (H//2, W//2): matches the spatial DFT phase origin
         cy, cx = float(height // 2), float(width // 2)
-        y, x = np.mgrid[0:height, 0:width].astype(np.float64)
+        # a (1, W) row and an (H, 1) column: each pixel gets the value the
+        # full grids would give it, by the same operations in the same order
+        x = np.arange(width, dtype=np.float64)[None, :]
+        y = np.arange(height, dtype=np.float64)[:, None]
         frames = np.empty((frames_t, height, width))
         for t in range(frames_t):
             s = math.exp(spec.alpha * t)
@@ -243,9 +258,13 @@ def _render(base_kind, spec, frames_t, height, width, exact) -> np.ndarray:
             xs = (x - vx * t - cx) / s
             ys = (y - vy * t - cy) / s
             ca, sa = math.cos(-ang), math.sin(-ang)
-            xb = ca * xs - sa * ys + cx
-            yb = sa * xs + ca * ys + cy
+            xb = ca * xs - sa * ys
+            xb += cx
+            yb = sa * xs + ca * ys
+            yb += cy
             frames[t] = _bilinear(base, yb, xb)
+            # freed before the next frame's grids are made
+            del xb, yb
 
     if spec.noise_sigma > 0:
         # frame by frame from the same generator: the stream is consumed

@@ -4,7 +4,9 @@ import importlib
 import json
 import os
 import re
+import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -281,6 +283,97 @@ def test_abandoned_read_ahead_closes_its_files(stop, tmp_path, monkeypatch):
         assert threading.get_ident() not in digest.threads
         assert opened and all(fh.closed for fh in opened)
         assert threading.active_count() == threads
+
+
+def counting_chunks(n, produced, closed):
+    """``n`` one-sample chunks, each recorded in ``produced`` as it is made;
+    on closing, the closing thread and the live thread count go to
+    ``closed``."""
+    try:
+        for i in range(n):
+            produced.append(i)
+            yield np.full(1, float(i))
+    finally:
+        closed.append((threading.get_ident(), threading.active_count()))
+
+
+def wait_until(done, timeout=10.0):
+    """Poll ``done()`` until it is true or ``timeout`` seconds pass."""
+    deadline = time.monotonic() + timeout
+    while not done() and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
+def test_read_ahead_fills_its_queue_unasked():
+    # once the first chunk is taken, the reader queues two more and holds a
+    # third while it waits for a slot, without being asked; never more
+    threads = threading.active_count()
+    produced, closed = [], []
+    read = core._read_ahead(counting_chunks(8, produced, closed))
+    assert next(read)[0] == 0.0
+    wait_until(lambda: len(produced) >= 4)
+    time.sleep(0.05)
+    assert len(produced) == 4
+    assert [next(read)[0] for _ in range(7)] == [1.0, 2.0, 3.0, 4.0, 5.0,
+                                                 6.0, 7.0]
+    assert next(read, None) is None
+    assert len(closed) == 1 and threading.active_count() == threads
+
+
+def test_closed_read_ahead_ends_its_thread():
+    # with the queue full and the reader waiting for a slot, close() on the
+    # outer iterator stops, drains and joins the reader thread, and only
+    # then closes the inner read, on the closing thread
+    threads = threading.active_count()
+    produced, closed = [], []
+    read = core._read_ahead(counting_chunks(8, produced, closed))
+    next(read)
+    wait_until(lambda: len(produced) >= 4)
+    assert threading.active_count() == threads + 1
+    closer = threading.Thread(target=read.close, daemon=True)
+    closer.start()
+    closer.join(timeout=10.0)
+    assert not closer.is_alive()
+    assert threading.active_count() == threads
+    assert closed == [(closer.ident, threads + 1)]
+    assert len(produced) == 4
+
+
+def test_read_ahead_under_fast_switching():
+    # more callers than cores, each reading or leaving early, with the
+    # interpreter switching threads every few microseconds: every read
+    # yields its chunks in order, is closed once and ends its thread
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    failures = []
+
+    def caller(k):
+        for n in range(30):
+            produced, closed = [], []
+            stop_at = (n * 7 + k) % 25
+            got = []
+            for chunk in core._read_ahead(counting_chunks(20, produced,
+                                                          closed)):
+                got.append(chunk[0])
+                if len(got) == stop_at:
+                    break
+            if got != [float(i) for i in range(len(got))] or (
+                    len(got) != min(stop_at or 20, 20)) or len(closed) != 1:
+                failures.append((k, n, got, closed))
+
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller, args=(k,), daemon=True)
+                   for k in range(4)]
+        for c in callers:
+            c.start()
+        deadline = time.monotonic() + 60.0
+        for c in callers:
+            c.join(timeout=max(0.0, deadline - time.monotonic()))
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(c.is_alive() for c in callers)
+    assert failures == []
+    assert threading.active_count() == threads
 
 
 def collect(src):

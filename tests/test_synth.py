@@ -219,6 +219,20 @@ def test_bilinear_matches_per_corner_reference(shape):
                           per_corner_bilinear(base, yq, xq))
 
 
+@pytest.mark.parametrize("block", [synth.BILINEAR_BLOCK, 37])
+def test_bilinear_blocks_match_per_corner_reference(block, monkeypatch):
+    """Sample grids longer than a block, not a whole number of blocks and
+    not contiguous, warp bit for bit like the per-corner reference."""
+    monkeypatch.setattr(synth, "BILINEAR_BLOCK", block)
+    rng = np.random.default_rng(5)
+    base = rng.uniform(0.1, 0.9, (90, 120))
+    yq = rng.uniform(-4.0, 94.0, (131, 97)).T
+    xq = rng.uniform(-4.0, 124.0, (131, 97)).T
+    assert yq.size > synth.BILINEAR_BLOCK and yq.size % block
+    assert np.array_equal(synth._bilinear(base, yq, xq),
+                          per_corner_bilinear(base, yq, xq))
+
+
 WARP_SPECS = {
     "translation": MotionSpec(kind="translation", v=(0.7, -0.3), seed=1),
     "rotation": MotionSpec(kind="rotation", omega=0.05, seed=2),
@@ -274,6 +288,25 @@ def test_noisy_clip_peak_below_clip_and_a_third():
     tracemalloc.start()
     try:
         clip = synth_sim2("bandpass_noise", spec, 32, 256, 256, exact=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert clip.data.nbytes == 8 * 32 * 256 * 256
+    assert peak < 1.3 * clip.data.nbytes
+
+
+def test_warped_clip_peak_below_clip_and_a_third():
+    """The warp grids are a row and a column, and ``_bilinear`` works in
+    blocks of samples: the traced peak of a warped mixed-motion clip at
+    32x256^2 stays under 1.3x its float64 bytes (about 20 frame-sized
+    temporaries per warped frame made it 1.63x)."""
+    spec = MotionSpec(kind="mixed", v=(0.7, -0.3), omega=0.05, alpha=-0.01,
+                      noise_sigma=0.01, seed=5)
+    # a tiny clip first, so modules imported on first use are not counted
+    synth_sim2("bandpass_noise", spec, 2, 8, 8)
+    tracemalloc.start()
+    try:
+        clip = synth_sim2("bandpass_noise", spec, 32, 256, 256)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
