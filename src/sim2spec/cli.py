@@ -29,7 +29,8 @@ from . import __version__
 from .bounds import (BoundCheck, band_capture_check, ridge_inequality_check,
                      ring_entropy_check, window_leakage)
 from .core import (ConfigError, DegenerateInputError, FrameSource,
-                   SpectralConfig, Sim2Error, UnobservableError, save_video)
+                   SpectralConfig, Sim2Error, UnobservableError, save_video,
+                   usable_cpus)
 from .losses import analyze, ridge_wls_solve
 from .spectral import EtaParams, cube_retention, eta_retention
 from .synth import MotionSpec, make_rng, read_spec, synth_powerlaw, synth_sim2
@@ -42,13 +43,14 @@ EXIT_DEGENERATE = 3
 
 def environment() -> dict:
     """The numpy version, the BLAS it was built against, the BLAS thread
-    variables (None when unset) and the CPU count."""
+    variables (None when unset), the CPU count and the CPUs this process
+    may run on (``core.usable_cpus``)."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__,
             "blas": {key: blas.get(key) for key in ("name", "version")},
             "threads": {var: os.environ.get(var) for var in (
                 "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
-            "cpu_count": os.cpu_count()}
+            "cpu_count": os.cpu_count(), "usable_cpus": usable_cpus()}
 
 
 def make_manifest(command: str, inputs: dict,
@@ -65,6 +67,13 @@ def make_manifest(command: str, inputs: dict,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "environment": environment(),
     }
+
+
+def write_json(path: str, obj) -> None:
+    """Write ``obj`` to ``path`` as ``json.dumps(obj)``: one-shot, so the
+    C encoder does it (``json.dump`` always streams through the Python one)."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj))
 
 
 # one row per SpectralConfig field: (flag, field, type or choices, help)
@@ -110,8 +119,7 @@ def cmd_analyze(args) -> int:
                    "analyze", {args.input: digest.hexdigest()}, cfg),
                "report": report.to_dict()}
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
+        write_json(args.json, payload)
     if args.csv:
         row = _report_row(report)
         with open(args.csv, "w", newline="") as fh:
@@ -156,8 +164,7 @@ def cmd_synth(args) -> int:
     save_video(v, args.out)
     spec_copy = dict(spec.to_dict(), T=shape[0], H=shape[1], W=shape[2],
                      base=base, exact=exact)
-    with open(args.out + ".spec.json", "w", encoding="utf-8") as fh:
-        json.dump(spec_copy, fh, indent=1)
+    write_json(args.out + ".spec.json", spec_copy)
     print(f"wrote {args.out} ({'x'.join(map(str, shape))})")
     return EXIT_OK
 
@@ -319,8 +326,7 @@ def cmd_validate(args) -> int:
     payload = {"manifest": make_manifest("validate", {}),
                "suites": suites, "violations_total": violations}
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1)
+        write_json(args.json, payload)
     if violations:
         for c in all_checks:
             if not c.holds:

@@ -9,7 +9,7 @@ Conventions used throughout the package:
   ``normalize_window`` forms the shifted window explicitly
 * raw files are little-endian float32 with a UTF-8 JSON sidecar; JSON
   from outside (a sidecar, a synth spec) is read by ``check_json``
-  against its shipped schema; ``logistic`` and ``grid_key`` are shared
+  against its shipped schema; ``logistic`` and ``table`` are shared
 * input is read by ``chunks()``, of a held ``VideoWindow`` or a
   ``FrameSource``, in chunks of whole frames; a file source of frames too
   large to share a chunk is read on a reader thread when two CPUs are
@@ -20,13 +20,14 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import inspect
 import itertools
 import json
 import math
 import os
 import re
 from collections.abc import Callable, Iterator
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from numbers import Integral
 
 import numpy as np
@@ -130,15 +131,55 @@ def logistic(z) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -60.0, 60.0)))
 
 
-def grid_key(grid) -> tuple:
-    """Hashable form of a grid for the cached table builders: its shape and
-    its float64 values (``from_key`` gives it back)."""
-    a = np.asarray(grid, dtype=np.float64)
-    return a.shape, tuple(a.ravel().tolist())
+# the most results each ``table`` builder keeps
+TABLE_CACHE_SIZE = 8
 
 
-def from_key(key: tuple) -> np.ndarray:
-    return np.array(key[1], dtype=np.float64).reshape(key[0])
+class _ArrayKey(tuple):
+    """An ndarray argument of a ``table`` builder: dtype, shape, bytes."""
+
+
+def _freeze(obj):
+    """``obj`` with each ndarray in it (itself, or one in a tuple or a
+    dataclass field, at any depth) set read-only."""
+    if isinstance(obj, np.ndarray):
+        obj.setflags(write=False)
+    elif isinstance(obj, tuple) or is_dataclass(obj):
+        for item in obj if isinstance(obj, tuple) else vars(obj).values():
+            _freeze(item)
+    return obj
+
+
+def table(build: Callable) -> Callable:
+    """``build``, run once per distinct argument tuple, for the tables that
+    depend only on shapes, grids and the config: an ndarray argument (a
+    list as its array) is keyed by its dtype, shape and contents, and the
+    builder gets a read-only copy; the ``TABLE_CACHE_SIZE`` latest results
+    are kept, and every ndarray in a result is handed out read-only."""
+
+    @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+    def cached(*key):
+        return _freeze(build(*(np.frombuffer(k[2], k[0]).reshape(k[1])
+                               if type(k) is _ArrayKey else k for k in key)))
+
+    @functools.wraps(build)
+    def keyed(*args, **kwargs):
+        if kwargs:  # one key for a call however its arguments are passed
+            args = inspect.signature(build).bind(*args, **kwargs).args
+        args = [np.asarray(a) if isinstance(a, list) else a for a in args]
+        return cached(*(_ArrayKey((a.dtype, a.shape, a.tobytes()))
+                        if isinstance(a, np.ndarray) else a for a in args))
+
+    keyed.cache_info, keyed.cache_clear = cached.cache_info, cached.cache_clear
+    return keyed
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: the size of its affinity set where the
+    platform has one, else ``os.cpu_count()`` (1 when unknown)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # Defaults below are the fixed values used for all main runs; override per
@@ -180,6 +221,10 @@ class SpectralConfig:
             raise ConfigError("ridge must be nonnegative")
         if self.softmax_temperature <= 0:
             raise ConfigError("softmax_temperature must be positive")
+        if not (0.0 <= self.energy_gate_threshold < 1.0):
+            raise ConfigError("energy_gate_threshold must be in [0, 1)")
+        if self.energy_gate_sharpness < 0:
+            raise ConfigError("energy_gate_sharpness must be nonnegative")
         if self.window_kind not in ("hann", "rect"):
             raise ConfigError(f"unknown window kind {self.window_kind!r}")
 
@@ -377,11 +422,7 @@ class FrameSource:
         and up), so its read and digest cost about as much as its
         transform, and the process may run on two CPUs or more.  On
         smaller frames a handoff per chunk costs more than it hides."""
-        if hasattr(os, "sched_getaffinity"):
-            cpus = len(os.sched_getaffinity(0))
-        else:
-            cpus = os.cpu_count() or 1
-        if (step := _frames_per_chunk(*shape[1:])) or cpus < 2:
+        if (step := _frames_per_chunk(*shape[1:])) or usable_cpus() < 2:
             return cls(shape, lambda: read(max(1, step)))
         return cls(shape, lambda: _read_ahead(read(1)))
 

@@ -7,8 +7,7 @@ information (exactly zero at m = 0).  The realized gate extremes are
 recorded with the samples because the concentration bounds need the gate
 ratio.  A block is a design matrix over its cells times a temporal grid,
 the target ``-omega_t`` varying only along the latter.  The design matrix
-and the observability gate depend only on the grids, so each is built once
-per distinct grid set (``core.grid_key``), in a small LRU cache, read-only.
+and the observability gate depend only on the grids (``core.table``).
 The energy gate is ``core.logistic``, the ring edges' overflow-safe one.
 """
 
@@ -20,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SpectralConfig, UnobservableError, from_key, grid_key,
-                   logistic)
+from .core import SpectralConfig, UnobservableError, logistic, table
 
 __all__ = ["WeightedSamples", "energy_gate", "obs_gate", "build_samples"]
 
@@ -95,18 +93,14 @@ def _gated(energies: np.ndarray, obs, cfg: SpectralConfig) -> tuple:
     return g * energies, float(g.min(where=positive, initial=g_hi)), g_hi
 
 
-@functools.lru_cache(maxsize=16)
-def _block_grids(cols: tuple, cells: tuple, hidx) -> tuple:
-    """The ``(cells, 5)`` design of the column grids ``cols`` broadcast
-    over ``cells`` and the observability gate of ``hidx`` (None for
-    translation), built once per key and read-only."""
-    design = np.column_stack([np.broadcast_to(from_key(c), cells).ravel()
-                              for c in cols] + [np.ones(math.prod(cells))])
-    obs = None if hidx is None else obs_gate(from_key(hidx))
-    for a in (design, obs):
-        if a is not None:
-            a.setflags(write=False)
-    return design, obs
+@table
+def _block_grids(omega_x, omega_y, m, nu, cells: tuple, hidx) -> tuple:
+    """The ``(cells, 5)`` design of the columns broadcast over ``cells``
+    and the observability gate of ``hidx`` (None for translation)."""
+    design = np.column_stack([np.broadcast_to(c, cells).ravel()
+                              for c in (omega_x, omega_y, m, nu)]
+                             + [np.ones(math.prod(cells))])
+    return design, None if hidx is None else obs_gate(hidx)
 
 
 def build_samples(omega_x, omega_y, m, nu, omega_t, energies,
@@ -118,10 +112,8 @@ def build_samples(omega_x, omega_y, m, nu, omega_t, energies,
     freq_t = np.asarray(omega_t, dtype=np.float64)
     if freq_t.ndim != 1 or freq_t.shape != energies.shape[:1]:
         raise ValueError("omega_t must be the grid of the energies' axis 0")
-    design, obs = _block_grids(
-        tuple(grid_key(c) for c in (omega_x, omega_y, m, nu)),
-        energies.shape[1:],
-        None if harmonic_index is None else grid_key(harmonic_index))
+    design, obs = _block_grids(omega_x, omega_y, m, nu, energies.shape[1:],
+                               harmonic_index)
     w, g_lo, g_hi = _gated(energies, obs, cfg)
     k = len(freq_t)
     return WeightedSamples(design, freq_t, w.reshape(k, -1),

@@ -11,20 +11,17 @@ Cartesian-domain losses only.
 ``make_stack``'s temporal transform is ``spectral.temporal_dft``, the
 table the pruned transform takes its kept rows from; the ring edges are
 ``core.logistic``.  The polar lookup table, the ring masks and
-``make_stack``'s own tables depend only on the grids (keyed by
-``core.grid_key``), the shapes and the config, so each is built once per
-key in a small LRU cache and handed out read-only.
+``make_stack``'s own tables depend only on the grids, the shapes and the
+config (``core.table``).
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (NUMERIC_EPS, ConfigError, SpectralConfig, from_key,
-                   grid_key, logistic)
+from .core import NUMERIC_EPS, ConfigError, SpectralConfig, logistic, table
 from .spectral import shifted_dft, signed_bins, temporal_dft
 
 __all__ = ["PolarLUT", "HarmonicStack", "build_polar_lut", "polar_resample",
@@ -63,20 +60,14 @@ class PolarLUT:
         return len(self.theta)
 
 
+@table
 def build_polar_lut(freq_y: np.ndarray, freq_x: np.ndarray, n_rho: int,
                     n_theta: int) -> PolarLUT:
-    """The (cached, read-only) lookup table mapping ``(rho_k, theta_l)``
-    targets to four Cartesian neighbors with bilinear weights; the radii
-    reach the largest circle that stays on the grids."""
-    return _polar_lut(grid_key(freq_y), grid_key(freq_x), n_rho, n_theta)
-
-
-@functools.lru_cache(maxsize=8)
-def _polar_lut(key_y: tuple, key_x: tuple, n_rho: int,
-               n_theta: int) -> PolarLUT:
+    """The lookup table mapping ``(rho_k, theta_l)`` targets to four
+    Cartesian neighbors with bilinear weights; the radii reach the largest
+    circle that stays on the grids."""
     if n_rho < 2 or n_theta < 4:
         raise ConfigError("need n_rho >= 2 and n_theta >= 4")
-    freq_y, freq_x = from_key(key_y), from_key(key_x)
     h, w = len(freq_y), len(freq_x)
     rho_max = max_safe_radius(freq_y, freq_x)
     if rho_max <= 0:
@@ -100,8 +91,6 @@ def _polar_lut(key_y: tuple, key_x: tuple, n_rho: int,
     idx = np.where(inside, rr * w + cc, 0)
     wgt = np.where(inside, np.column_stack([(1 - dr) * (1 - dc), (1 - dr) * dc,
                                             dr * (1 - dc), dr * dc]), 0.0)
-    for a in (rho, theta, idx, wgt):
-        a.setflags(write=False)
     return PolarLUT(rho, theta, idx, wgt, (h, w))
 
 
@@ -140,7 +129,7 @@ class HarmonicStack:
             raise ConfigError("harmonic stack contains non-finite entries")
 
 
-@functools.lru_cache(maxsize=8)
+@table
 def _stack_tables(n_rho: int, n_theta: int, n_xi: int) -> tuple:
     """Shape-only tables of ``make_stack``: the shifted angular DFT matrix;
     the ``(n_xi, n_rho)`` radial matrix, ``1/n_theta`` times the shifted DFT
@@ -156,11 +145,8 @@ def _stack_tables(n_rho: int, n_theta: int, n_xi: int) -> tuple:
     rows = np.arange(n_xi)
     interp[rows, i0] = 1.0 - frac
     interp[rows, i0 + 1] = frac
-    arrays = (shifted_dft(n_theta), shifted_dft(n_xi) @ (interp / n_theta),
-              signed_bins(n_theta), signed_bins(n_xi))
-    for a in arrays:
-        a.setflags(write=False)
-    return *arrays[:2], float(xi[1] - xi[0]), *arrays[2:]
+    return (shifted_dft(n_theta), shifted_dft(n_xi) @ (interp / n_theta),
+            float(xi[1] - xi[0]), signed_bins(n_theta), signed_bins(n_xi))
 
 
 def make_stack(polar: np.ndarray, cfg: SpectralConfig) -> HarmonicStack:
@@ -190,15 +176,14 @@ def make_stack(polar: np.ndarray, cfg: SpectralConfig) -> HarmonicStack:
     return HarmonicStack(ang, ang_m, rad, rad_nu, signed_bins(nt), xi_step)
 
 
-@functools.lru_cache(maxsize=8)
-def _ring_masks(key_y: tuple, key_x: tuple, n_rings: int,
+@table
+def _ring_masks(freq_y: np.ndarray, freq_x: np.ndarray, n_rings: int,
                 sharpness: float) -> np.ndarray:
-    """Soft annulus memberships ``(n_rings, ky, kx)`` on the grids ``key_y``
-    x ``key_x``.  Logistic edges (slope ``sharpness`` per bin) telescope to
-    a partition of unity on ``(0, rho_max]``; the innermost ring has no
-    lower edge so DC is fully inside it, and weight rolls off to zero
-    beyond the outer radius."""
-    freq_y, freq_x = from_key(key_y), from_key(key_x)
+    """Soft annulus memberships ``(n_rings, ky, kx)`` on the grids
+    ``freq_y`` x ``freq_x``.  Logistic edges (slope ``sharpness`` per bin)
+    telescope to a partition of unity on ``(0, rho_max]``; the innermost
+    ring has no lower edge so DC is fully inside it, and weight rolls off
+    to zero beyond the outer radius."""
     rho_max = max_safe_radius(freq_y, freq_x)
     if rho_max <= 0:
         raise ConfigError("spatial grid too small for ring analysis")
@@ -208,9 +193,7 @@ def _ring_masks(key_y: tuple, key_x: tuple, n_rings: int,
     upper = [logistic(sharpness * (radius - edges[k]))
              for k in range(1, n_rings + 1)]
     lower = [np.ones_like(radius)] + upper[:-1]
-    masks = np.stack([lo - up for lo, up in zip(lower, upper)])
-    masks.setflags(write=False)
-    return masks
+    return np.stack([lo - up for lo, up in zip(lower, upper)])
 
 
 def ring_energies(energy: np.ndarray, freq_y: np.ndarray,
@@ -228,8 +211,7 @@ def ring_energies(energy: np.ndarray, freq_y: np.ndarray,
     if energy.shape[1:] != (len(freq_y), len(freq_x)):
         raise ConfigError(f"energy is {energy.shape[1:]}, grids are "
                           f"{(len(freq_y), len(freq_x))}")
-    masks = _ring_masks(grid_key(freq_y), grid_key(freq_x), cfg.rings,
-                        SOFT_RING_EDGE)
+    masks = _ring_masks(freq_y, freq_x, cfg.rings, SOFT_RING_EDGE)
     sums = masks.reshape(cfg.rings, -1) @ energy.reshape(len(energy), -1).T
     totals = sums.sum(axis=0)
     return sums / (totals + NUMERIC_EPS)[None, :]

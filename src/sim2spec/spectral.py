@@ -22,22 +22,21 @@ Hermitian symmetry, ``X[ky, -j] = conj(X[-ky, j])``; and applies the
 origin-centring phase per bin instead of rolling the data.  The temporal
 DFT is one matrix product with the kept rows of ``temporal_dft``, the one
 windowed temporal DFT table, which ``resample.make_stack`` applies whole.
-These tables depend only on the shapes and the config, so each is built
-once per key in a small LRU cache, read-only.  ``spatial_transform``,
-``spectral_transform``, ``crop_to_cube`` and ``measured_retention`` remain
-as the full-spectrum reference, outside ``__all__``.
+These tables depend only on the shapes and the config (``core.table``).
+``spatial_transform``, ``spectral_transform``, ``crop_to_cube`` and
+``measured_retention`` remain as the full-spectrum reference, outside
+``__all__``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (MID_GRAY, ConfigError, DegenerateInputError,
-                   SpectralConfig, VideoWindow)
+                   SpectralConfig, VideoWindow, table)
 
 __all__ = [
     "Spectrum3D",
@@ -124,28 +123,26 @@ def shifted_dft(n: int) -> np.ndarray:
     return np.exp(-2j * np.pi * (np.outer(k, np.arange(n)) % n) / n)
 
 
-@functools.lru_cache(maxsize=8)
+@table
 def temporal_dft(frames_t: int, window_kind: str) -> np.ndarray:
     """The ``(T, T)`` windowed temporal DFT table, ``shifted_dft(T)`` times
-    the taper (rows in fftshift order), built once per key and read-only."""
-    table = shifted_dft(frames_t) * temporal_window(frames_t, window_kind)
-    table.setflags(write=False)
-    return table
+    the taper (rows in fftshift order)."""
+    return shifted_dft(frames_t) * temporal_window(frames_t, window_kind)
 
 
-@functools.lru_cache(maxsize=8)
+@table
 def _transform_tables(t_n: int, h: int, w: int, ratio: float,
                       window_kind: str) -> tuple:
-    """Shape-only tables of ``cropped_transform``, built once per key and
-    read-only: the cube's grids (``signed_bins`` labels); the gather from
-    the Hermitian half, its width ``max|kx| + 1``, the flat index of each
-    kept bin in a frame's half spectrum (row ``ky % H`` at column ``kx``
-    for ``kx >= 0``, row ``-ky % H`` at column ``-kx`` for ``kx < 0``) and
-    the mask of the bins to conjugate (``kx < 0``); each kept bin's
-    centring phase ``exp(2 pi i k (n//2) / n)``, what ``ifftshift`` before
-    the DFT does; the ``(K_t, T)`` temporal table, the kept rows of
-    ``temporal_dft``.  A kept bin's DFT index ``k`` is its shifted position
-    minus ``n//2``, not its label, which is wrong for many ``n``."""
+    """Shape-only tables of ``cropped_transform``: the cube's grids
+    (``signed_bins`` labels); the gather from the Hermitian half, its width
+    ``max|kx| + 1``, the flat index of each kept bin in a frame's half
+    spectrum (row ``ky % H`` at column ``kx`` for ``kx >= 0``, row
+    ``-ky % H`` at column ``-kx`` for ``kx < 0``) and the mask of the bins
+    to conjugate (``kx < 0``); each kept bin's centring phase
+    ``exp(2 pi i k (n//2) / n)``, what ``ifftshift`` before the DFT does;
+    the ``(K_t, T)`` temporal table, the kept rows of ``temporal_dft``.
+    A kept bin's DFT index ``k`` is its shifted position minus ``n//2``,
+    not its label, which is wrong for many ``n``."""
     sizes = (t_n, h, w)
     masks = [keep_mask_1d(n, ratio) for n in sizes]
     ky, kx = (np.flatnonzero(m) - n // 2 for m, n in zip(masks[1:], (h, w)))
@@ -157,10 +154,7 @@ def _transform_tables(t_n: int, h: int, w: int, ratio: float,
     gather = (n_half, rows * n_half + np.abs(kx), conj)
     phase = (np.exp(2j * np.pi * ky * (h // 2) / h)[:, None]
              * np.exp(2j * np.pi * kx * (w // 2) / w)[None, :])
-    tdft = temporal_dft(t_n, window_kind)[masks[0]]
-    for a in (*grids, *gather[1:], phase, tdft):
-        a.setflags(write=False)
-    return grids, gather, phase, tdft
+    return grids, gather, phase, temporal_dft(t_n, window_kind)[masks[0]]
 
 
 def cropped_transform(v, cfg: SpectralConfig) -> tuple[np.ndarray, Spectrum3D]:

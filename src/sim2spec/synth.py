@@ -13,14 +13,13 @@ Power-law clips shape white noise on its half spectrum, in one buffer
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (ConfigError, DegenerateInputError, VideoWindow, check_json,
-                   load_schema)
+                   load_schema, table)
 
 __all__ = ["MotionSpec", "RNG_NAME", "make_rng", "make_base", "read_spec",
            "synth_sim2", "synth_powerlaw"]
@@ -277,11 +276,11 @@ def _render(base_kind, spec, frames_t, height, width, exact) -> np.ndarray:
     return frames
 
 
-@functools.lru_cache(maxsize=4)
+@table
 def _powerlaw_amplitude(frames_t: int, height: int, width: int,
                         kappa: float) -> np.ndarray:
     """``r^(-kappa)`` on the half-spectrum grid ``(T, H, W//2 + 1)``, zero
-    at DC; built once per shape and exponent and handed out read-only."""
+    at DC."""
 
     def axis_radius(freq, n):
         return freq * n / ((n - 1) / 2.0)
@@ -293,7 +292,6 @@ def _powerlaw_amplitude(frames_t: int, height: int, width: int,
     amp = np.zeros_like(r2)
     nz = r2 > 0
     amp[nz] = r2[nz] ** (-kappa / 2.0)
-    amp.setflags(write=False)
     return amp
 
 

@@ -73,6 +73,13 @@ def analyze_file(path, out):
 
 def assert_one_analyze(tracer):
     counts = tracer.counts[tracer.op]
+    # a traced function the pipeline stopped calling by its traced name
+    # would read zero in the benchmark's per-layer metrics
+    for name in ("resample.build_polar_lut", "resample.polar_resample",
+                 "resample.make_stack", "resample.ring_energies",
+                 "losses.translation_loss", "losses.rotation_loss",
+                 "losses.scaling_loss", "losses.unified_residual"):
+        assert counts[name + ".calls"] == 1, name
     assert counts["gates.build_samples.calls"] == 3
     assert counts["losses.ridge_wls_solve.calls"] == 4
     # the 1/2 shift comes off the DC bins, not a normalized copy

@@ -107,6 +107,30 @@ def test_analyze_missing_input_exit_2(tmp_path):
     assert main(["analyze", str(tmp_path / "nope.raw")]) == 2
 
 
+@pytest.mark.parametrize("flag, value", [("--gate-sharpness", "-10"),
+                                         ("--tau-e", "7")])
+def test_analyze_senseless_gate_exit_2(trans_clip_path, flag, value,
+                                       capsys):
+    # an inverted gate, or a threshold that flags every slice
+    assert main(["analyze", trans_clip_path, flag, value]) == 2
+    assert "energy_gate" in capsys.readouterr().err
+
+
+def test_json_outputs_are_one_dumps(trans_clip_path, tmp_path):
+    # analyze, validate and synth each write json.dumps of the document
+    rep, val = str(tmp_path / "rep.json"), str(tmp_path / "val.json")
+    spec_path, clip = str(tmp_path / "spec.json"), str(tmp_path / "c.raw")
+    write_json(spec_path, {"kind": "static", "seed": 1, "T": 4, "H": 8,
+                           "W": 8})
+    assert main(["analyze", trans_clip_path, "--json", rep]) == 0
+    assert main(["validate", "--suite", "bounds", "--n", "2",
+                 "--json", val]) == 0
+    assert main(["synth", spec_path, "--out", clip]) == 0
+    for path in (rep, val, clip + ".spec.json"):
+        text = pathlib.Path(path).read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text))
+
+
 def test_analyze_bad_dims_exit_2(tmp_path):
     raw = tmp_path / "neg.raw"
     np.zeros(4096, dtype="<f4").tofile(raw)
@@ -620,6 +644,9 @@ def test_manifests_record_environment(trans_clip_path, tmp_path,
                                      monkeypatch):
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    # the CPUs the read path decides by: the affinity set, not the count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
     rep, val = str(tmp_path / "rep.json"), str(tmp_path / "val.json")
     assert main(["analyze", trans_clip_path, "--json", rep]) == 0
     assert main(["validate", "--suite", "bounds", "--n", "5",
@@ -634,6 +661,7 @@ def test_manifests_record_environment(trans_clip_path, tmp_path,
         assert env["threads"]["OPENBLAS_NUM_THREADS"] == "3"
         assert env["threads"]["MKL_NUM_THREADS"] is None
         assert env["cpu_count"] == os.cpu_count()
+        assert env["usable_cpus"] == 3
 
 
 def test_validate_exactness_suite(tmp_path):

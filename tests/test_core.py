@@ -216,6 +216,44 @@ def test_one_cpu_and_in_memory_read_directly(tmp_path, monkeypatch):
     assert all(np.shares_memory(c, v.data) for c in v.chunks())
 
 
+def test_usable_cpus_reads_affinity_else_count(monkeypatch):
+    usable_cpus(monkeypatch, (0, 3, 5))
+    assert core.usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert core.usable_cpus() == 6
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert core.usable_cpus() == 1
+
+
+def test_table_keys_arrays_by_dtype_shape_and_contents():
+    builds = []
+
+    @core.table
+    def build(grid, n):
+        builds.append(grid)
+        return grid * n, (np.ones(n), n)
+
+    grid = np.arange(3)
+    out = build(grid, 2)
+    assert build(grid.copy(), 2) is out
+    assert build(grid, n=2) is out
+    assert build([0, 1, 2], 2) is out
+    for other in (grid.astype(float), grid.reshape(3, 1), grid + 1):
+        assert build(other, 2) is not out
+    assert len(builds) == 4
+    # the builder reads a read-only copy, so the caller's array stays its
+    # own and a later write to it leaves the table as built
+    assert not builds[0].flags.writeable
+    assert not np.shares_memory(builds[0], grid)
+    grid[0] = 7
+    assert np.array_equal(out[0], [0, 2, 4])
+    for arr in (out[0], out[1][0]):
+        with pytest.raises(ValueError):
+            arr[0] = 1
+    assert build.cache_info().maxsize == core.TABLE_CACHE_SIZE
+
+
 def read_until_error(path):
     """The number of chunks read before the ``FormatError``, and its text."""
     done = 0
@@ -515,10 +553,21 @@ def test_config_defaults_match_fixed_values():
     {"energy_gate_sharpness": float("nan")},
     {"energy_gate_sharpness": float("-inf")},
     {"lowpass_ratio": float("nan")},
+    # an inverted gate (the loudest bins weighted least), and thresholds
+    # that flag every slice or none
+    {"energy_gate_sharpness": -10.0}, {"energy_gate_sharpness": -1e-9},
+    {"energy_gate_threshold": 7.0}, {"energy_gate_threshold": 1.0},
+    {"energy_gate_threshold": -0.1},
 ])
 def test_config_invariants(kw):
     with pytest.raises(ConfigError):
         SpectralConfig(**kw)
+
+
+def test_config_gate_edges_accepted():
+    # a flat gate and a threshold of zero are in range
+    cfg = SpectralConfig(energy_gate_sharpness=0.0, energy_gate_threshold=0.0)
+    assert (cfg.energy_gate_sharpness, cfg.energy_gate_threshold) == (0, 0)
 
 
 @pytest.mark.parametrize("name", ["rings", "angular_bins", "logradius_bins",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -6,15 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sim2spec.core import (DegenerateInputError, FrameSource, SpectralConfig,
-                           VideoWindow, grid_key, load_video,
-                           normalize_window, save_video)
+from sim2spec.core import (TABLE_CACHE_SIZE, DegenerateInputError,
+                           FrameSource, SpectralConfig, VideoWindow,
+                           load_video, normalize_window, save_video)
 from sim2spec.losses import (adaptive_composite, analyze, rotation_loss,
                              scaling_loss, translation_loss)
 from sim2spec.resample import HarmonicStack
 from sim2spec.spectral import crop_to_cube, keep_mask_1d, signed_bins, \
     spatial_transform, spectral_transform
-from sim2spec import gates, losses, resample, spectral
+from sim2spec import bounds, gates, losses, resample, spectral, synth
 from sim2spec.cli import EXACTNESS_VELOCITIES
 from sim2spec.synth import MotionSpec, make_rng, synth_sim2
 from sim2spec.bounds import window_leakage
@@ -711,6 +712,13 @@ def test_analyze_source_matches_loaded_window(kind, fmt, cfg, tmp_path):
 # ---------------------------------------------------------------------------
 # grid tables built once; no full-block temporaries
 
+# every cached table builder of the analysis modules, by name: whatever
+# one of them defines with an lru_cache's ``cache_clear``
+TABLES = {name: fn for mod in (spectral, resample, gates, losses, bounds,
+                               synth)
+          for name, fn in vars(mod).items()
+          if hasattr(fn, "cache_clear") and fn.__module__ == mod.__name__}
+
 
 def test_cached_grid_tables_give_cold_reports():
     # sizes and configs interleaved so a table keyed on too little (the
@@ -729,39 +737,55 @@ def test_cached_grid_tables_give_cold_reports():
     warm = [analyze(clip, c).to_dict() for clip, c in calls]
     cold = []
     for clip, c in calls:
-        resample._polar_lut.cache_clear()
-        resample._ring_masks.cache_clear()
-        resample._stack_tables.cache_clear()
-        spectral.temporal_dft.cache_clear()
-        spectral._transform_tables.cache_clear()
-        gates._block_grids.cache_clear()
+        for build in TABLES.values():
+            build.cache_clear()
         cold.append(analyze(clip, c).to_dict())
     assert warm == cold
 
 
+def arrays_in(value) -> list:
+    """Every ndarray in ``value``: itself, or one in a tuple, a list or a
+    dataclass field, at any depth."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if dataclasses.is_dataclass(value):
+        value = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    if isinstance(value, (tuple, list)):
+        return [a for item in value for a in arrays_in(item)]
+    return []
+
+
 def test_cached_grid_tables_read_only():
     fy, fx = signed_bins(33), signed_bins(47)
-    lut = resample.build_polar_lut(fy, fx, 20, 24)
-    masks = resample._ring_masks(grid_key(fy), grid_key(fx), 20, 20.0)
-    grids, (_, *gather), *rest = spectral._transform_tables(8, 33, 47, 0.3,
-                                                           "hann")
     m = signed_bins(24)[None, :]
+    calls = {"temporal_dft": (8, "hann"),
+             "_transform_tables": (8, 33, 47, 0.3, "hann"),
+             "build_polar_lut": (fy, fx, 20, 24),
+             "_stack_tables": (20, 24, 16),
+             "_ring_masks": (fy, fx, 20, 20.0),
+             "_block_grids": (0.0, 0.0, m, 0.0, (20, 24), m),
+             "_powerlaw_amplitude": (4, 8, 10, 1.8)}
+    assert calls.keys() == TABLES.keys()
+    for name, args in calls.items():
+        build = TABLES[name]
+        assert build.cache_info().maxsize == TABLE_CACHE_SIZE, name
+        out = build(*args)
+        # an equal copy of each array argument finds the same table
+        assert build(*(a.copy() if isinstance(a, np.ndarray) else a
+                       for a in args)) is out, name
+        arrays = arrays_in(out)
+        assert arrays, name
+        for arr in arrays:
+            with pytest.raises(ValueError):
+                arr[(0,) * arr.ndim] = 0
     rot = gates.build_samples(0.0, 0.0, m, 0.0, signed_bins(8),
                               np.ones((8, 20, 24)), m, SpectralConfig())
-    design, obs = gates._block_grids(
-        tuple(grid_key(c) for c in (0.0, 0.0, m, 0.0)), (20, 24), grid_key(m))
-    assert rot.design is design
+    assert rot.design is gates._block_grids(*calls["_block_grids"])[0]
     # the shared temporal DFT table: its kept rows are the transform's
-    tdft = spectral.temporal_dft(8, "hann")
-    assert np.array_equal(rest[-1], tdft[keep_mask_1d(8, 0.3)])
-    arrays = [*grids, *gather, *rest, tdft,
-              *(a for a in resample._stack_tables(20, 24, 16)
-                if isinstance(a, np.ndarray)), design, obs]
-    assert len(arrays) == 14
-    for arr in (lut.rho, lut.theta, lut.indices, lut.weights, masks,
-                *arrays):
-        with pytest.raises(ValueError):
-            arr[(0,) * arr.ndim] = 0
+    assert np.array_equal(spectral._transform_tables(8, 33, 47, 0.3,
+                                                     "hann")[-1],
+                          spectral.temporal_dft(8, "hann")[
+                              keep_mask_1d(8, 0.3)])
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
