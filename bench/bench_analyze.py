@@ -24,7 +24,20 @@ clip (its amplitude grid cached) and record its tracemalloc peak.  The
 stage rows split
 ``analyze`` as it runs: ``samples`` builds the three sample blocks, each
 ``*_loss`` row builds its block again and fits it, and
-``unified_residual`` fits the blocks the losses returned.
+``unified_residual`` fits the blocks the losses returned.  The ``glue_ms``
+rows time the CLI glue on the size's report: ``make_manifest`` for an
+``analyze`` input, and ``report_json``, ``to_dict`` plus ``json.dumps`` of
+the payload ``cli analyze`` writes.
+
+Every timed call is followed by one run of a fixed reference kernel, the
+mix of ``benchmark/worker.py``'s ``Reference`` at 16x64^2 (a full-frame
+FFT, argument-parser construction, indented JSON encoding and small NumPy
+reductions), which does not use ``sim2spec``.  Beside each time row
+(``*_ms``) a ``*_ref`` row stores its ratio to the kernel over the same
+calls: minimum over minimum, or median over median for the call median.
+The host's speed drifts by tens of percent between rounds and runs, and
+the ratio cancels most of that drift, so points from different runs
+compare by their ratios.
 
 Each ``--label`` names the source tree of the ``--src`` at the same
 position (one label alone defaults to this checkout's ``src``).  Every
@@ -67,18 +80,58 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS")
 
 
-def times_ms(fn, repeats: int) -> list:
-    """Wall time (ms) of each of ``repeats`` calls of ``fn``."""
-    out = []
+def times_ms(fn, repeats: int, ref) -> tuple:
+    """Wall times (ms) of ``repeats`` calls of ``fn``, each followed by one
+    run of the reference kernel ``ref``: ``(calls, kernel runs)``."""
+    calls, runs = [], []
     for _ in range(repeats):
-        t0 = time.perf_counter()
-        fn()
-        out.append((time.perf_counter() - t0) * 1e3)
-    return out
+        for f, out in ((fn, calls), (ref.run, runs)):
+            t0 = time.perf_counter()
+            f()
+            out.append((time.perf_counter() - t0) * 1e3)
+    return calls, runs
 
 
-def min_ms(fn, repeats: int) -> float:
-    return min(times_ms(fn, repeats))
+def row(fn, repeats: int, ref) -> tuple:
+    """The minimum time (ms) of ``fn`` and its ratio to the kernel's."""
+    calls, runs = times_ms(fn, repeats, ref)
+    return min(calls), min(calls) / min(runs)
+
+
+def rows(fns: dict, repeats: int, ref) -> tuple:
+    """``({name: ms}, {name: ratio})``, the ``row`` of each of ``fns``."""
+    timed = {k: row(fn, repeats, ref) for k, fn in fns.items()}
+    return ({k: ms for k, (ms, _) in timed.items()},
+            {k: ratio for k, (_, ratio) in timed.items()})
+
+
+class Reference:
+    """The fixed reference kernel (see the module docstring), run once on
+    construction."""
+
+    def __init__(self):
+        import numpy as np
+
+        rng = np.random.default_rng(0)
+        self.frames = rng.standard_normal(SIZES[0])
+        self.payload = {f"k{i}": rng.standard_normal(20).tolist()
+                        for i in range(30)}
+        self.small = [rng.standard_normal((20, 24)) for _ in range(40)]
+        self.run()
+
+    def run(self) -> None:
+        import numpy as np
+
+        np.fft.fftshift(np.fft.fft2(self.frames, axes=(1, 2)), axes=(1, 2))
+        parser = argparse.ArgumentParser()
+        sub = parser.add_subparsers()
+        for n in range(4):
+            cmd = sub.add_parser(f"c{n}")
+            for j in range(12):
+                cmd.add_argument(f"--a{j}", type=float)
+        json.dumps(self.payload, indent=1)
+        for a in self.small:
+            float((np.abs(a) ** 2).sum())
 
 
 def mixed_clip(size):
@@ -99,7 +152,8 @@ def energy(z):
     return e
 
 
-def bench_size(size, repeats: int) -> dict:
+def bench_size(size, repeats: int, ref) -> dict:
+    from sim2spec.cli import make_manifest
     from sim2spec.core import SpectralConfig
     from sim2spec.losses import (adaptive_composite, analyze,
                                  rotation_loss, rotation_samples,
@@ -121,7 +175,14 @@ def bench_size(size, repeats: int) -> dict:
     trans = translation_loss(cube, cfg)
     rot = rotation_loss(stack, rings, cfg)
     scl = scaling_loss(rings, stack, cfg)
-    analyze(clip, cfg)
+    report = analyze(clip, cfg)
+    manifest = make_manifest("analyze", {"clip.raw": "0" * 64}, cfg)
+    glue = {
+        "make_manifest": lambda: make_manifest(
+            "analyze", {"clip.raw": "0" * 64}, cfg),
+        "report_json": lambda: json.dumps({"manifest": manifest,
+                                           "report": report.to_dict()}),
+    }
     stages = {
         "transform": lambda: cropped_transform(clip, cfg),
         "polar_lut": lambda: build_polar_lut(fy, fx, cfg.rings,
@@ -140,12 +201,16 @@ def bench_size(size, repeats: int) -> dict:
         "composite": lambda: adaptive_composite(
             trans.l_trans, rot.l_rot, scl.l_scale, cfg.softmax_temperature),
     }
-    cli_ms, cli_peak = bench_cli_analyze(clip, repeats)
-    out = {"stages_ms": {k: min_ms(fn, repeats) for k, fn in stages.items()},
-           "analyze_ms": min_ms(lambda: analyze(clip, cfg), repeats),
-           "cli_analyze_ms": min(cli_ms),
-           "cli_analyze_call_median_ms": statistics.median(cli_ms),
-           "cli_analyze_tracemalloc_peak_mb": cli_peak}
+    (cli_ms, cli_runs), cli_peak = bench_cli_analyze(clip, repeats, ref)
+    out = dict(zip(("stages_ms", "stages_ref"), rows(stages, repeats, ref)))
+    out.update(zip(("glue_ms", "glue_ref"), rows(glue, repeats, ref)))
+    out.update(zip(("analyze_ms", "analyze_ref"),
+                   row(lambda: analyze(clip, cfg), repeats, ref)))
+    for key, stat in (("cli_analyze", min),
+                      ("cli_analyze_call_median", statistics.median)):
+        out[key + "_ms"] = stat(cli_ms)
+        out[key + "_ref"] = stat(cli_ms) / stat(cli_runs)
+    out["cli_analyze_tracemalloc_peak_mb"] = cli_peak
     tracemalloc.start()
     try:
         analyze(clip, cfg)
@@ -156,8 +221,8 @@ def bench_size(size, repeats: int) -> dict:
     return out
 
 
-def bench_cli_analyze(clip, repeats: int) -> tuple:
-    """The time (ms) of each of ``repeats`` calls of ``cli.main(["analyze",
+def bench_cli_analyze(clip, repeats: int, ref) -> tuple:
+    """The ``times_ms`` of ``repeats`` calls of ``cli.main(["analyze",
     FILE, "--json", OUT])`` in process on ``clip`` saved as raw_f32, after
     one untimed call, and the tracemalloc peak (MB) of one more call; its
     printed summary is dropped."""
@@ -174,7 +239,7 @@ def bench_cli_analyze(clip, repeats: int) -> tuple:
                 cli.main(argv)
 
         one()
-        ms = times_ms(one, repeats)
+        ms = times_ms(one, repeats, ref)
         tracemalloc.start()
         try:
             one()
@@ -184,29 +249,32 @@ def bench_cli_analyze(clip, repeats: int) -> tuple:
         return ms, peak
 
 
-def bench_retention_clip(repeats: int) -> float:
+def bench_retention_clip(repeats: int, ref) -> dict:
     from sim2spec.cli import suite_retention
 
     def one():
         return suite_retention(1, 0)
 
     one()
-    return min_ms(one, repeats)
+    return dict(zip(("retention_clip_ms", "retention_clip_ref"),
+                    row(one, repeats, ref)))
 
 
-def bench_synth(repeats: int) -> dict:
-    """Minimum times (ms) of the clip generators, and the tracemalloc peak
-    (MB) of one power-law clip with its amplitude grid cached."""
+def bench_synth(repeats: int, ref) -> dict:
+    """The rows of the clip generators, and the tracemalloc peak (MB) of
+    one power-law clip with its amplitude grid cached."""
     from sim2spec.synth import synth_powerlaw
 
-    out = {"synth_sim2_ms": {"x".join(map(str, size)): min_ms(
-        lambda: mixed_clip(size), repeats) for size in SYNTH_SIZES}}
+    out = dict(zip(("synth_sim2_ms", "synth_sim2_ref"), rows(
+        {"x".join(map(str, size)): lambda size=size: mixed_clip(size)
+         for size in SYNTH_SIZES}, repeats, ref)))
 
     def powerlaw():
         return synth_powerlaw(*POWERLAW_SIZE, 1.8, 0)
 
     powerlaw()
-    out["powerlaw_clip_ms"] = min_ms(powerlaw, repeats)
+    out.update(zip(("powerlaw_clip_ms", "powerlaw_clip_ref"),
+                   row(powerlaw, repeats, ref)))
     tracemalloc.start()
     try:
         powerlaw()
@@ -218,10 +286,10 @@ def bench_synth(repeats: int) -> dict:
 
 
 def bench_all(repeats: int) -> dict:
-    return {"sizes": {"x".join(map(str, s)): bench_size(s, repeats)
+    ref = Reference()
+    return {"sizes": {"x".join(map(str, s)): bench_size(s, repeats, ref)
                       for s in SIZES},
-            "retention_clip_ms": bench_retention_clip(repeats),
-            **bench_synth(repeats)}
+            **bench_retention_clip(repeats, ref), **bench_synth(repeats, ref)}
 
 
 def run_round(src: str, repeats: int) -> dict:
@@ -237,6 +305,16 @@ def summarize(rounds: list):
     if isinstance(rounds[0], dict):
         return {k: summarize([r[k] for r in rounds]) for k in rounds[0]}
     return {"median": statistics.median(rounds), "rounds": rounds}
+
+
+def spread(ms: dict, ref: dict) -> str:
+    """A summarized time row and its reference row: each median, with its
+    quartiles across rounds."""
+    q = [statistics.quantiles(res["rounds"], n=4) for res in (ms, ref)]
+    return (f"median {ms['median']:.2f} ms "
+            f"(quartiles {q[0][0]:.2f}-{q[0][2]:.2f}), "
+            f"{ref['median']:.3f} ref "
+            f"(quartiles {q[1][0]:.3f}-{q[1][2]:.3f})")
 
 
 def main(argv=None) -> int:
@@ -281,40 +359,33 @@ def main(argv=None) -> int:
             "repeats": args.repeats,
             "rounds": ROUNDS,
             "sizes": sizes,
-            **{k: summary[k] for k in ("retention_clip_ms", "synth_sim2_ms",
-                                       "powerlaw_clip_ms",
-                                       "powerlaw_clip_tracemalloc_peak_mb")},
+            **{k: v for k, v in summary.items() if k != "sizes"},
         })
+
+        def show(name, ms, ref):
+            print(f"{label} {name}: {spread(ms, ref)}")
+
         for name, res in sizes.items():
-            q1, _, q3 = statistics.quantiles(res["analyze_ms"]["rounds"],
-                                             n=4)
-            print(f"{label} {name}: analyze median "
-                  f"{res['analyze_ms']['median']:.2f} ms "
-                  f"(quartiles {q1:.2f}-{q3:.2f}), peak "
-                  f"{res['analyze_tracemalloc_peak_mb']['median']:.1f} MB")
-            for key, what in (("cli_analyze_ms", "min"),
-                              ("cli_analyze_call_median_ms", "call median")):
-                q1, _, q3 = statistics.quantiles(res[key]["rounds"], n=4)
-                print(f"{label} {name}: cli analyze {what}, median "
-                      f"{res[key]['median']:.2f} ms "
-                      f"(quartiles {q1:.2f}-{q3:.2f})")
-            print(f"{label} {name}: cli analyze peak "
+            for key, what in (("analyze", "analyze"),
+                              ("cli_analyze", "cli analyze min"),
+                              ("cli_analyze_call_median",
+                               "cli analyze call median")):
+                show(f"{name} {what}", res[key + "_ms"], res[key + "_ref"])
+            for key in res["glue_ms"]:
+                show(f"{name} {key}", res["glue_ms"][key],
+                     res["glue_ref"][key])
+            print(f"{label} {name}: peak "
+                  f"{res['analyze_tracemalloc_peak_mb']['median']:.1f} MB "
+                  "analyze, "
                   f"{res['cli_analyze_tracemalloc_peak_mb']['median']:.1f}"
-                  " MB")
-        clip = summary["retention_clip_ms"]
-        q1, _, q3 = statistics.quantiles(clip["rounds"], n=4)
-        print(f"{label} retention_clip: median {clip['median']:.2f} ms "
-              f"(quartiles {q1:.2f}-{q3:.2f})")
-        for name, res in summary["synth_sim2_ms"].items():
-            q1, _, q3 = statistics.quantiles(res["rounds"], n=4)
-            print(f"{label} synth_sim2 {name}: median {res['median']:.2f} "
-                  f"ms (quartiles {q1:.2f}-{q3:.2f})")
-        clip = summary["powerlaw_clip_ms"]
-        q1, _, q3 = statistics.quantiles(clip["rounds"], n=4)
-        print(f"{label} powerlaw_clip: median {clip['median']:.2f} ms "
-              f"(quartiles {q1:.2f}-{q3:.2f}), peak "
-              f"{summary['powerlaw_clip_tracemalloc_peak_mb']['median']:.1f}"
-              " MB")
+                  " MB cli analyze")
+        for key in ("retention_clip", "powerlaw_clip"):
+            show(key, summary[key + "_ms"], summary[key + "_ref"])
+        for name in summary["synth_sim2_ms"]:
+            show(f"synth_sim2 {name}", summary["synth_sim2_ms"][name],
+                 summary["synth_sim2_ref"][name])
+        peak = summary["powerlaw_clip_tracemalloc_peak_mb"]["median"]
+        print(f"{label} powerlaw_clip: peak {peak:.1f} MB")
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"points": points}, fh, indent=1)
         fh.write("\n")

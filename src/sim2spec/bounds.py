@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError, DegenerateInputError
+from .core import ConfigError, DegenerateInputError, table
 from .losses import ridge_wls_solve
 from .spectral import signed_bins, temporal_window
 
@@ -46,18 +46,23 @@ class BoundCheck:
 # window leakage
 
 
+@table
+def _leakage_profile(frames_t: int, kind: str) -> tuple:
+    """``window_leakage``'s power spectrum, its total and ``|bins|``."""
+    if not np.any(h := temporal_window(frames_t, kind)):
+        raise DegenerateInputError("temporal window is all zero")
+    power = np.fft.fftshift(np.abs(np.fft.fft(h)) ** 2)
+    return power, power.sum(), np.abs(signed_bins(frames_t))
+
+
 def window_leakage(frames_t: int, delta: int, kind: str = "hann") -> float:
     """Fraction of the temporal window's spectral energy beyond +-delta bins."""
     if frames_t < 2:
         raise ConfigError("need at least 2 frames")
     if delta < 0:
         raise ConfigError("delta must be nonnegative")
-    h = temporal_window(frames_t, kind)
-    if not np.any(h):
-        raise DegenerateInputError("temporal window is all zero")
-    power = np.fft.fftshift(np.abs(np.fft.fft(h)) ** 2)
-    bins = signed_bins(frames_t)
-    return float(power[np.abs(bins) > delta].sum() / power.sum())
+    power, total, bins = _leakage_profile(frames_t, kind)
+    return float(power[bins > delta].sum() / total)
 
 
 # ---------------------------------------------------------------------------

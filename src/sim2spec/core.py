@@ -20,6 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import hashlib
 import inspect
 import itertools
 import json
@@ -27,7 +28,7 @@ import math
 import os
 import re
 from collections.abc import Callable, Iterator
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from numbers import Integral
 
 import numpy as np
@@ -228,15 +229,12 @@ class SpectralConfig:
         if self.window_kind not in ("hann", "rect"):
             raise ConfigError(f"unknown window kind {self.window_kind!r}")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def to_dict(self) -> dict:  # asdict without its deep copies
+        return {f: getattr(self, f) for f in self.__dataclass_fields__}
 
     def stable_hash(self) -> str:
         """Platform-stable hash of the configuration (sorted-key JSON)."""
-        import hashlib
-
-        blob = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return _config_hash(*self.to_dict().values())
 
 
 @dataclass(frozen=True)
@@ -261,8 +259,16 @@ class MotionEstimate:
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"motion estimate field {name} is not finite")
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+    def to_dict(self) -> dict:  # asdict without its deep copies
+        return {f: getattr(self, f) for f in self.__dataclass_fields__}
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE, typed=True)
+def _config_hash(*values) -> str:
+    """``stable_hash`` per field values and types (0, 0.0: unlike JSON)."""
+    blob = json.dumps(dict(zip(SpectralConfig.__dataclass_fields__, values)),
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 # bytes of a chunk of frames once x-transformed, ``16*H*(W//2 + 1)`` a

@@ -63,9 +63,14 @@ def ridge_wls_solve(gram: np.ndarray, rhs: np.ndarray, sum_w: float,
     ``theta = V ((V' rhs) / (e + lam))`` over the eigenpairs whose
     ``e + lam`` lies above rounding level (``n eps max(e + lam)``), which is
     the pseudo-inverse's min-norm answer at lam = 0; the fit is identifiable
-    when ``e_min > 1e-10 max(1, e_max)``."""
+    when ``e_min > 1e-10 max(1, e_max)``.  A 1x1 gram skips LAPACK: its
+    ``e = [g]``, ``V = [[1]]`` make theta ``(r + 0) / (g + lam) + 0``."""
     if sum_w <= 0.0:
         raise UnobservableError("zero total weight")
+    if len(rhs) == 1:
+        g, d = gram[0, 0], gram[0, 0] + lam
+        t = (rhs[0] + 0.0) / d + 0.0 if d > np.finfo(float).eps * d else 0.0
+        return np.array([t]), bool(g > 1e-10 * max(1.0, g))
     e, v = np.linalg.eigh(gram)
     d = e + lam
     keep = d > len(d) * np.finfo(np.float64).eps * d.max()
@@ -73,18 +78,21 @@ def ridge_wls_solve(gram: np.ndarray, rhs: np.ndarray, sum_w: float,
     return theta, bool(e[0] > 1e-10 * max(1.0, e[-1]))
 
 
-def _fit(blocks, scales, cols, lam: float) -> RidgeResult:
-    """Ridge fit over the list ``cols`` on the summed ``scale * moments``:
-    theta scattered into the 5-vector, and the residual ``sum scale * w *
-    err^2 / sum scale * w`` from the same moments as ``(theta' G theta -
-    2 theta' r + sum w y^2) / sum w``, clamped at 0 where rounding takes
-    it below."""
-    gram, rhs, sum_w, sum_wyy = (
-        sum(s * x for s, x in zip(scales, part))
-        for part in zip(*(b.moments for b in blocks)))
+TRANS_COLS, ROT_COLS, SCALE_COLS, JOINT_COLS = (
+    (list(c), np.ix_(c, c)) for c in ((0, 1, 4), (2,), (3,), range(5)))
+
+
+def _fit(moments: tuple, cols: tuple, lam: float) -> RidgeResult:
+    """Ridge fit over ``cols`` (``TRANS_COLS`` ...: a column list and its
+    ``np.ix_`` gram index) on the moments ``(gram, rhs, sum_w, sum_wyy)``:
+    theta scattered into the 5-vector, and the residual ``sum w err^2 /
+    sum w`` from the same moments as ``(theta' G theta - 2 theta' r + sum w
+    y^2) / sum w``, clamped at 0 where rounding takes it below."""
+    gram, rhs, sum_w, sum_wyy = moments
+    cols, block = cols
     theta = np.zeros(5)
-    theta[cols], identifiable = ridge_wls_solve(gram[np.ix_(cols, cols)],
-                                                rhs[cols], sum_w, lam)
+    theta[cols], identifiable = ridge_wls_solve(gram[block], rhs[cols],
+                                                sum_w, lam)
     residual = (theta @ gram @ theta - 2.0 * theta @ rhs + sum_wyy) / sum_w
     return RidgeResult(theta, max(0.0, float(residual)), identifiable)
 
@@ -132,7 +140,6 @@ def scaling_samples(stack: HarmonicStack, cfg: SpectralConfig) -> WeightedSample
 # ---------------------------------------------------------------------------
 # slice machinery shared by the individual losses
 
-TRANS_COLS = [0, 1, 4]
 # integer synthetic motions put energy exactly on a band edge; without the
 # slack, rounding at the 1e-14 level decides whether it counts as inside
 BAND_EDGE_SLACK = 1e-9
@@ -148,7 +155,7 @@ def _slice_fit(build, source, cols, cfg: SpectralConfig):
     """
     try:
         samples = build(source, cfg)
-        fit = _fit([samples], [1.0], cols, cfg.ridge)
+        fit = _fit(samples.moments, cols, cfg.ridge)
     except UnobservableError:
         return _NO_FIT, None, 0.0
     if not fit.identifiable:
@@ -260,13 +267,13 @@ def rotation_loss(stack: HarmonicStack, rings: np.ndarray,
     carries a tone at m*omega rad/frame, which aliases once |m*omega| >= pi
     and then biases the slope toward zero.
     """
-    ent = -np.sum(rings * np.log(rings + NUMERIC_EPS), axis=0)
-    c_ring = float(np.clip(1.0 - ent.mean() / math.log(len(rings)), 0.0, 1.0))
+    ent = -float(np.sum(rings * np.log(rings + NUMERIC_EPS), axis=0).mean())
+    c_ring = min(max(1.0 - ent / math.log(len(rings)), 0.0), 1.0)
     eps_nb = float(np.mean(1.0 - rings.max(axis=0)))
-    fit, samples, c_rot = _slice_fit(rotation_samples, stack, [2], cfg)
+    fit, samples, c_rot = _slice_fit(rotation_samples, stack, ROT_COLS, cfg)
     l_rot = 1.0 - 0.5 * (c_ring + c_rot)
     return RotationLoss(
-        fit, samples, l_rot=float(np.clip(l_rot, 0.0, 1.0)), c_rot=c_rot,
+        fit, samples, l_rot=min(max(l_rot, 0.0), 1.0), c_rot=c_rot,
         c_ring=c_ring, omega=_estimate(fit.theta, stack).omega,
         eps_nb=eps_nb)
 
@@ -296,24 +303,22 @@ def scaling_loss(rings: np.ndarray, stack: HarmonicStack,
         d_t = rings[:, 1:] - rings[:, :-1]
         dr_hat = d_rho / (math.sqrt(float((d_rho ** 2).sum())) + eps)
         dt_hat = d_t / (math.sqrt(float((d_t ** 2).sum())) + eps)
-        c_flow = float(abs((dr_hat[:, :-1] * dt_hat[:-1, :]).sum()))
-        c_flow = min(c_flow, 1.0)
+        c_flow = min(float(abs((dr_hat[:, :-1] * dt_hat[:-1, :]).sum())), 1.0)
 
         t = np.arange(nt, dtype=np.float64)
         cov = float(np.mean((rho_c - rho_c.mean()) * (t - t.mean())))
         var_r = float(np.var(rho_c))
         var_t = float(np.var(t))
-        s_trend = abs(cov) / (math.sqrt(var_r * var_t) + eps)
-        s_trend = min(s_trend, 1.0)
+        s_trend = min(abs(cov) / (math.sqrt(var_r * var_t) + eps), 1.0)
         if var_r <= 1e-24:
             s_trend = 0.0
             trend_flat = True
         slope = cov / var_t if var_t > 0 else 0.0
 
-    fit, samples, c_scale = _slice_fit(scaling_samples, stack, [3], cfg)
+    fit, samples, c_scale = _slice_fit(scaling_samples, stack, SCALE_COLS, cfg)
     l_scale = 1.0 - 0.5 * (c_flow + s_trend)
     return ScalingLoss(
-        fit, samples, l_scale=float(np.clip(l_scale, 0.0, 1.0)),
+        fit, samples, l_scale=min(max(l_scale, 0.0), 1.0),
         c_flow=c_flow, s_trend=s_trend, c_scale=c_scale,
         alpha=_estimate(fit.theta, stack).alpha, rho_c=rho_c, rho_c_slope=slope, short_window=nt < 3,
         trend_flat=trend_flat)
@@ -342,7 +347,9 @@ def unified_residual(trans: WeightedSamples | None,
     if not blocks:
         return _NO_FIT
     scales = [1.0 / float(s.energies.sum()) for s in blocks]
-    return _fit(blocks, scales, list(range(5)), cfg.ridge)
+    return _fit([sum(s * x for s, x in zip(scales, part))
+                 for part in zip(*(b.moments for b in blocks))],
+                JOINT_COLS, cfg.ridge)
 
 
 # ---------------------------------------------------------------------------

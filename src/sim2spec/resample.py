@@ -130,12 +130,12 @@ class HarmonicStack:
 
 
 @table
-def _stack_tables(n_rho: int, n_theta: int, n_xi: int) -> tuple:
+def _stack_tables(n_rho: int, n_theta: int, n_xi: int, nt: int) -> tuple:
     """Shape-only tables of ``make_stack``: the shifted angular DFT matrix;
     the ``(n_xi, n_rho)`` radial matrix, ``1/n_theta`` times the shifted DFT
     over xi of the linear interpolation from the rho grid
     ``rho_max*(k+1)/n_rho`` to ``n_xi`` log-spaced radii over the same
-    range; ``xi_step``; the m and nu grids."""
+    range; ``xi_step``; the m, nu and temporal grids."""
     rho = np.arange(1, n_rho + 1, dtype=np.float64)
     xi = np.linspace(np.log(rho[0]), np.log(rho[-1]), n_xi)
     pos = np.exp(xi) - 1.0                        # fractional index into prof
@@ -146,7 +146,8 @@ def _stack_tables(n_rho: int, n_theta: int, n_xi: int) -> tuple:
     interp[rows, i0] = 1.0 - frac
     interp[rows, i0 + 1] = frac
     return (shifted_dft(n_theta), shifted_dft(n_xi) @ (interp / n_theta),
-            float(xi[1] - xi[0]), signed_bins(n_theta), signed_bins(n_xi))
+            float(xi[1] - xi[0]), signed_bins(n_theta), signed_bins(n_xi),
+            signed_bins(nt))
 
 
 def make_stack(polar: np.ndarray, cfg: SpectralConfig) -> HarmonicStack:
@@ -167,13 +168,13 @@ def make_stack(polar: np.ndarray, cfg: SpectralConfig) -> HarmonicStack:
     n_rho, n_theta, nt = polar.shape
     if n_theta < 4:
         raise ConfigError("need at least 4 angular samples")
-    adft, radial, xi_step, ang_m, rad_nu = _stack_tables(
-        n_rho, n_theta, cfg.logradius_bins)
+    adft, radial, xi_step, ang_m, rad_nu, freq_t = _stack_tables(
+        n_rho, n_theta, cfg.logradius_bins, nt)
     tdft = temporal_dft(nt, cfg.window_kind)
     ang = adft @ (polar.reshape(-1, nt) @ tdft.T).reshape(polar.shape)
     # m = 0 sits at position n_theta // 2 of the shifted rows
     rad = radial @ ang[:, n_theta // 2, :]
-    return HarmonicStack(ang, ang_m, rad, rad_nu, signed_bins(nt), xi_step)
+    return HarmonicStack(ang, ang_m, rad, rad_nu, freq_t, xi_step)
 
 
 @table

@@ -8,8 +8,11 @@ from hypothesis import given, settings, strategies as st
 from sim2spec.bounds import (BoundCheck, band_capture_check,
                              ridge_inequality_check, ring_entropy_bound,
                              ring_entropy_check, window_leakage)
+from sim2spec import bounds
+from sim2spec.cli import suite_bounds
 from sim2spec.core import ConfigError, DegenerateInputError
 from sim2spec.losses import analyze
+from sim2spec.spectral import signed_bins, temporal_window
 from sim2spec.synth import MotionSpec, make_rng, synth_sim2
 
 from conftest import make_fixture_clip
@@ -49,6 +52,24 @@ def test_leakage_all_zero_window_is_degenerate():
     with pytest.raises(DegenerateInputError):
         window_leakage(2, 1, "hann")
     assert window_leakage(2, 1, "rect") == 0.0
+
+
+@pytest.mark.parametrize("kind", ["hann", "rect"])
+def test_leakage_from_cached_profile_is_the_direct_sum(kind):
+    for t in (3, 8, 15, 16, 32, 64):
+        h = temporal_window(t, kind)
+        power = np.fft.fftshift(np.abs(np.fft.fft(h)) ** 2)
+        bins = signed_bins(t)
+        for delta in range(t // 2 + 2):
+            direct = float(power[np.abs(bins) > delta].sum() / power.sum())
+            assert window_leakage(t, delta, kind) == direct
+
+
+def test_bounds_suite_reads_one_profile_per_window():
+    bounds._leakage_profile.cache_clear()
+    suite_bounds(0, 0)
+    # 76 leakage values over the four frame counts, all Hann
+    assert bounds._leakage_profile.cache_info().misses == 4
 
 
 # ---------------------------------------------------------------------------

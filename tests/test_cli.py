@@ -9,6 +9,7 @@ import math
 import os
 import pathlib
 import re
+import sys
 import tempfile
 import tracemalloc
 import warnings
@@ -653,15 +654,36 @@ def test_manifests_record_environment(trans_clip_path, tmp_path,
                  "--json", val]) == 0
     report = read_json(rep)
     jsonschema.validate(report, schema("report.schema.json"))
+    jsonschema.validate(read_json(val), schema("validate.schema.json"))
     env_schema = schema("report.schema.json")["definitions"]["environment"]
     for payload in (report, read_json(val)):
         env = payload["manifest"]["environment"]
         jsonschema.validate(env, env_schema)
         assert env["numpy"] == np.__version__
+        assert env["fft"] == np.fft._pocketfft_umath.__name__
         assert env["threads"]["OPENBLAS_NUM_THREADS"] == "3"
         assert env["threads"]["MKL_NUM_THREADS"] is None
         assert env["cpu_count"] == os.cpu_count()
         assert env["usable_cpus"] == 3
+
+
+def test_cli_analyze_makes_no_asdict_call(trans_clip_path, tmp_path):
+    # asdict deep-copies every field; a profile hook sees a call to it
+    # however it was imported
+    calls, hook = [], sys.getprofile()
+
+    def watch(frame, event, arg):
+        if event == "call" and frame.f_code is dataclasses.asdict.__code__:
+            calls.append(frame.f_back.f_code.co_name)
+
+    sys.setprofile(watch)
+    try:
+        rc = main(["analyze", trans_clip_path, "--json",
+                   str(tmp_path / "rep.json")])
+    finally:
+        sys.setprofile(hook)
+    assert rc == 0
+    assert calls == []
 
 
 def test_validate_exactness_suite(tmp_path):

@@ -8,6 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -587,6 +588,21 @@ def test_config_hash_stable():
     b = SpectralConfig()
     assert a.stable_hash() == b.stable_hash()
     assert a.stable_hash() != SpectralConfig(rings=16).stable_hash()
+
+
+def test_config_hash_pinned():
+    # the hash is cached per field values and types: 0 and 0.0 write
+    # different JSON, so they hash apart
+    assert SpectralConfig().stable_hash() == "779267435a6357fa"
+    assert SpectralConfig(ridge=0).stable_hash() == "5b25fb295a19326f"
+    assert SpectralConfig(ridge=0.0).stable_hash() == "7b63af156ffecd55"
+
+
+@pytest.mark.parametrize("value", [
+    SpectralConfig(), SpectralConfig(rings=12, window_kind="rect"),
+    MotionEstimate(), MotionEstimate(0.5, -1.0, 0.25, -0.01, 2.0)])
+def test_to_dict_is_asdict(value):
+    assert list(value.to_dict().items()) == list(asdict(value).items())
 
 
 def test_motion_estimate_rejects_nonfinite():

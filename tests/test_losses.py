@@ -406,8 +406,9 @@ def test_moment_residual_matches_per_sample_on_random_blocks(a, b, c,
     rng = make_rng(seed)
     blocks = [random_block(kind, a, b, c, rng)[0]
               for kind in ("translation", "rotation", "scaling")]
-    for block, cols in zip(blocks, ([0, 1, 4], [2], [3])):
-        assert_moment_residual(losses._fit([block], [1.0], cols, 1e-3),
+    for block, cols in zip(blocks, (losses.TRANS_COLS, losses.ROT_COLS,
+                                    losses.SCALE_COLS)):
+        assert_moment_residual(losses._fit(block.moments, cols, 1e-3),
                                [block], [1.0])
     scales = [1.0 / b.energies.sum() for b in blocks]
     assert_moment_residual(losses.unified_residual(*blocks, SpectralConfig()),
@@ -491,6 +492,41 @@ def counting(monkeypatch, name):
 
     monkeypatch.setattr(losses, name, wrapper)
     return calls
+
+
+def eigh_solve(gram, rhs, lam):
+    """``ridge_wls_solve``'s eigendecomposition route, for any size."""
+    e, v = np.linalg.eigh(gram)
+    d = e + lam
+    keep = d > len(d) * np.finfo(np.float64).eps * d.max()
+    theta = v[:, keep] @ ((v[:, keep].T @ rhs) / d[keep])
+    return theta, bool(e[0] > 1e-10 * max(1.0, e[-1]))
+
+
+@given(st.floats(min_value=0.0, allow_infinity=False), st.floats(),
+       st.sampled_from([0.0, 1e-3]))
+def test_one_column_solve_is_the_eigh_route_bit_for_bit(g, r, lam):
+    gram, rhs = np.array([[g]]), np.array([r])
+    with np.errstate(over="ignore", invalid="ignore"):  # both routes warn
+        theta, identifiable = losses.ridge_wls_solve(gram, rhs, 1.0, lam)
+        ref, ref_identifiable = eigh_solve(gram, rhs, lam)
+    assert theta.tobytes() == ref.tobytes()
+    assert identifiable == ref_identifiable
+
+
+def test_analyze_at_16x64_makes_two_eigh_calls(cfg, monkeypatch):
+    # the translation and joint fits; the one-column slices skip LAPACK
+    clip = synth_sim2("bandpass_noise", MotionSpec(
+        kind="mixed", v=(0.7, -0.3), omega=0.05, alpha=-0.01, seed=5),
+        16, 64, 64)
+    eighs, eigh = [], np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda a: eighs.append(a.shape) or eigh(a))
+    solves = counting(monkeypatch, "ridge_wls_solve")
+    report = analyze(clip, cfg)
+    assert not any(report.diagnostics["flags"].values())
+    assert len(solves) == 4
+    assert eighs == [(3, 3), (5, 5)]
 
 
 @pytest.mark.parametrize("kind", sorted(BLOCK_FLAGS))
@@ -761,7 +797,8 @@ def test_cached_grid_tables_read_only():
     calls = {"temporal_dft": (8, "hann"),
              "_transform_tables": (8, 33, 47, 0.3, "hann"),
              "build_polar_lut": (fy, fx, 20, 24),
-             "_stack_tables": (20, 24, 16),
+             "_stack_tables": (20, 24, 16, 8),
+             "_leakage_profile": (16, "hann"),
              "_ring_masks": (fy, fx, 20, 20.0),
              "_block_grids": (0.0, 0.0, m, 0.0, (20, 24), m),
              "_powerlaw_amplitude": (4, 8, 10, 1.8)}
