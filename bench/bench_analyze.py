@@ -4,48 +4,45 @@
                                   [--label NAME --src DIR ...]
                                   [--repeats N] [--out BENCH_analyze.json]
 
-On a seeded mixed-motion clip at 16x64^2, 16x128^2 and 32x256^2, each stage
-of ``analyze`` is run on the previous stages' outputs and timed with
-``time.perf_counter`` as the minimum over ``--repeats`` runs; ``analyze``
-itself is timed the same way, after one untimed call per size, and one
-more run records its tracemalloc peak.  The ``cli_analyze`` row times an
-in-process ``cli.main(["analyze", FILE, "--json", OUT])`` on the same clip
-saved as raw_f32, after one untimed call, so the CLI glue (parsing,
-loading, manifest and JSON output) shows beside the stages.  It records
-the median over its calls beside the minimum: a read on a reader thread
-stalls now and then on its hand-off, which the minimum hides.  One more
-call records its tracemalloc peak, the read included.  The
-``retention_clip`` row times ``cli.suite_retention(1, 0)``, the ``validate``
-retention suite on one seeded 16x224^2 ``synth_powerlaw`` clip, the same
-way, so each tree is timed on its own suite code.  The ``synth_sim2_ms``
-rows time rendering the mixed-motion clip itself at 16x64^2 and 32x256^2,
-and the ``powerlaw_clip`` rows time one seeded 16x224^2 ``synth_powerlaw``
-clip (its amplitude grid cached) and record its tracemalloc peak.  The
-stage rows split
-``analyze`` as it runs: ``samples`` builds the three sample blocks, each
-``*_loss`` row builds its block again and fits it, and
-``unified_residual`` fits the blocks the losses returned.  The ``glue_ms``
-rows time the CLI glue on the size's report: ``make_manifest`` for an
-``analyze`` input, and ``report_json``, ``to_dict`` plus ``json.dumps`` of
-the payload ``cli analyze`` writes.
+On a seeded mixed-motion clip at 16x64^2, 16x128^2 and 32x256^2, after
+one untimed call, ``analyze`` is timed with ``time.perf_counter`` as the
+minimum over ``--repeats`` calls, and one more call records its
+tracemalloc peak.  The stage rows come from ``--repeats`` more calls of
+``analyze`` itself, each run by ``clocked_call``: each name of ``STAGES``
+that ``analyze`` reaches through ``sim2spec.losses`` books its self time
+(the clocked stages it calls left out) to its row, and ``assembly`` books
+the rest, ``analyze``'s own work.  So ``samples`` is the building of the
+three sample blocks, ``fits`` every ridge solve, a ``*_loss`` row what its
+loss does around them, and the rows of a call sum to the call.  A stage
+row is the median over the calls, ``clocked_ms`` the median clocked call
+and ``clock_cost`` its ratio to the median unclocked one.  A stage that
+``analyze`` stops calling reads zero.  The ``cli_analyze`` rows time an
+in-process ``cli.main(["analyze", FILE, "--json", OUT])`` on the clip
+saved as raw_f32 the same way, with the median call beside the minimum
+(a reader thread's hand-off stalls now and then, which the minimum
+hides).  The ``glue_ms`` rows time ``make_manifest`` and ``report_json``,
+``to_dict`` plus ``json.dumps`` of the payload ``cli analyze`` writes.
+The ``retention_clip`` row times ``cli.suite_retention(1, 0)`` (one
+16x224^2 ``synth_powerlaw`` clip), the ``synth_sim2_ms`` rows the
+mixed-motion clip at 16x64^2 and 32x256^2, and the ``powerlaw_clip`` rows
+one 16x224^2 ``synth_powerlaw`` clip (amplitude grid cached).
 
 Every timed call is followed by one run of a fixed reference kernel, the
 mix of ``benchmark/worker.py``'s ``Reference`` at 16x64^2 (a full-frame
 FFT, argument-parser construction, indented JSON encoding and small NumPy
 reductions), which does not use ``sim2spec``.  Beside each time row
 (``*_ms``) a ``*_ref`` row stores its ratio to the kernel over the same
-calls: minimum over minimum, or median over median for the call median.
+calls: minimum over minimum, or median over median for a median row.
 The host's speed drifts by tens of percent between rounds and runs, and
 the ratio cancels most of that drift, so points from different runs
 compare by their ratios.
 
 Each ``--label`` names the source tree of the ``--src`` at the same
 position (one label alone defaults to this checkout's ``src``).  Every
-tree is timed in a fresh interpreter in each of ``ROUNDS`` rounds, and the
-order of the trees rotates from round to round, so no tree always runs
-first.  Each tree's point stores every value per round and its median
-under its label in ``--out``, beside the points already there, so trees
-are compared by one script on one machine.  BLAS and OpenMP thread
+tree is timed in a fresh interpreter in each of ``ROUNDS`` rounds, the
+order of the trees rotating from round to round.  Each tree's point
+stores every value per round and its median under its label in
+``--out``, beside the points already there.  BLAS and OpenMP thread
 variables are recorded, not set: pin them in the environment to compare
 like with like.
 """
@@ -54,6 +51,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -105,6 +103,16 @@ def rows(fns: dict, repeats: int, ref) -> tuple:
             {k: ratio for k, (_, ratio) in timed.items()})
 
 
+def peak_mb(fn) -> float:
+    """The tracemalloc peak (MB) of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 1e6
+    finally:
+        tracemalloc.stop()
+
+
 class Reference:
     """The fixed reference kernel (see the module docstring), run once on
     construction."""
@@ -143,38 +151,59 @@ def mixed_clip(size):
                                  alpha=-0.01, seed=5), *size)
 
 
-def energy(z):
-    """``|z|^2`` as ``analyze`` forms it, squared in place."""
-    import numpy as np
+# the names ``analyze`` reaches through ``sim2spec.losses`` -> stage row
+STAGES = dict(
+    cropped_transform="transform", build_polar_lut="polar_lut",
+    polar_resample="polar_resample", make_stack="harmonics",
+    ring_energies="ring_energies", build_samples="samples",
+    ridge_wls_solve="fits", translation_loss="translation_loss",
+    rotation_loss="rotation_loss", scaling_loss="scaling_loss",
+    unified_residual="unified_residual", adaptive_composite="composite")
 
-    e = np.abs(z)
-    e *= e
-    return e
+
+def clocked_call(fn, *args) -> dict:
+    """``{row: self time (ms)}`` of one call ``fn(*args)``: for the call,
+    each name of ``STAGES`` in ``sim2spec.losses`` books the time of its
+    calls, less that of the clocked calls they make, to its row, and
+    ``assembly`` books the rest.  The names are put back afterwards, also
+    when the call raises."""
+    from sim2spec import losses
+
+    ms = dict.fromkeys([*STAGES.values(), "assembly"], 0.0)
+    inner = [0.0]  # per open call: the time of the clocked calls it made
+
+    def clock(row_name, stage):
+        def clocked(*a, **kw):
+            inner.append(0.0)
+            t0 = time.perf_counter()
+            try:
+                return stage(*a, **kw)
+            finally:
+                dt = time.perf_counter() - t0
+                ms[row_name] += (dt - inner.pop()) * 1e3
+                inner[-1] += dt
+        return clocked
+
+    saved = {name: getattr(losses, name) for name in STAGES}
+    try:
+        for name, row_name in STAGES.items():
+            setattr(losses, name, clock(row_name, saved[name]))
+        t0 = time.perf_counter()
+        fn(*args)
+        ms["assembly"] = (time.perf_counter() - t0 - inner[0]) * 1e3
+    finally:
+        for name, stage in saved.items():
+            setattr(losses, name, stage)
+    return ms
 
 
 def bench_size(size, repeats: int, ref) -> dict:
     from sim2spec.cli import make_manifest
     from sim2spec.core import SpectralConfig
-    from sim2spec.losses import (adaptive_composite, analyze,
-                                 rotation_loss, rotation_samples,
-                                 scaling_loss, scaling_samples,
-                                 translation_loss, translation_samples,
-                                 unified_residual)
-    from sim2spec.resample import (build_polar_lut, make_stack,
-                                   polar_resample, ring_energies)
-    from sim2spec.spectral import cropped_transform
+    from sim2spec.losses import analyze
 
     cfg = SpectralConfig()
     clip = mixed_clip(size)
-    frames, cube = cropped_transform(clip, cfg)
-    fy, fx = cube.freq_y, cube.freq_x
-    lut = build_polar_lut(fy, fx, cfg.rings, cfg.angular_bins)
-    polar = polar_resample(frames, lut)
-    stack = make_stack(polar, cfg)
-    rings = ring_energies(energy(frames), fy, fx, cfg)
-    trans = translation_loss(cube, cfg)
-    rot = rotation_loss(stack, rings, cfg)
-    scl = scaling_loss(rings, stack, cfg)
     report = analyze(clip, cfg)
     manifest = make_manifest("analyze", {"clip.raw": "0" * 64}, cfg)
     glue = {
@@ -183,49 +212,33 @@ def bench_size(size, repeats: int, ref) -> dict:
         "report_json": lambda: json.dumps({"manifest": manifest,
                                            "report": report.to_dict()}),
     }
-    stages = {
-        "transform": lambda: cropped_transform(clip, cfg),
-        "polar_lut": lambda: build_polar_lut(fy, fx, cfg.rings,
-                                             cfg.angular_bins),
-        "polar_resample": lambda: polar_resample(frames, lut),
-        "harmonics": lambda: make_stack(polar, cfg),
-        "ring_energies": lambda: ring_energies(energy(frames), fy, fx, cfg),
-        "samples": lambda: (translation_samples(cube, cfg),
-                            rotation_samples(stack, cfg),
-                            scaling_samples(stack, cfg)),
-        "translation_loss": lambda: translation_loss(cube, cfg),
-        "rotation_loss": lambda: rotation_loss(stack, rings, cfg),
-        "scaling_loss": lambda: scaling_loss(rings, stack, cfg),
-        "unified_residual": lambda: unified_residual(
-            trans.samples, rot.samples, scl.samples, cfg),
-        "composite": lambda: adaptive_composite(
-            trans.l_trans, rot.l_rot, scl.l_scale, cfg.softmax_temperature),
-    }
-    (cli_ms, cli_runs), cli_peak = bench_cli_analyze(clip, repeats, ref)
-    out = dict(zip(("stages_ms", "stages_ref"), rows(stages, repeats, ref)))
-    out.update(zip(("glue_ms", "glue_ref"), rows(glue, repeats, ref)))
-    out.update(zip(("analyze_ms", "analyze_ref"),
-                   row(lambda: analyze(clip, cfg), repeats, ref)))
-    for key, stat in (("cli_analyze", min),
-                      ("cli_analyze_call_median", statistics.median)):
-        out[key + "_ms"] = stat(cli_ms)
-        out[key + "_ref"] = stat(cli_ms) / stat(cli_runs)
+    cli_times, cli_peak = bench_cli_analyze(clip, repeats, ref)
+    out = dict(zip(("glue_ms", "glue_ref"), rows(glue, repeats, ref)))
+    clocked = []
+    median = statistics.median
+    calls, runs = times_ms(
+        lambda: clocked.append(clocked_call(analyze, clip, cfg)),
+        repeats, ref)
+    plain = times_ms(lambda: analyze(clip, cfg), repeats, ref)
+    out["stages_ms"] = {k: median(c[k] for c in clocked) for k in clocked[0]}
+    out["stages_ref"] = {k: ms / median(runs)
+                         for k, ms in out["stages_ms"].items()}
+    out["clock_cost"] = median(calls) / median(plain[0])
+    for key, stat, timed in (("clocked", median, (calls, runs)),
+                             ("analyze", min, plain),
+                             ("cli_analyze", min, cli_times),
+                             ("cli_analyze_call_median", median, cli_times)):
+        out[key + "_ms"] = stat(timed[0])
+        out[key + "_ref"] = stat(timed[0]) / stat(timed[1])
     out["cli_analyze_tracemalloc_peak_mb"] = cli_peak
-    tracemalloc.start()
-    try:
-        analyze(clip, cfg)
-        out["analyze_tracemalloc_peak_mb"] = \
-            tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
+    out["analyze_tracemalloc_peak_mb"] = peak_mb(lambda: analyze(clip, cfg))
     return out
 
 
 def bench_cli_analyze(clip, repeats: int, ref) -> tuple:
-    """The ``times_ms`` of ``repeats`` calls of ``cli.main(["analyze",
-    FILE, "--json", OUT])`` in process on ``clip`` saved as raw_f32, after
-    one untimed call, and the tracemalloc peak (MB) of one more call; its
-    printed summary is dropped."""
+    """``times_ms`` and ``peak_mb`` of the in-process ``cli.main(["analyze",
+    FILE, "--json", OUT])`` on ``clip`` saved as raw_f32, its printout
+    dropped."""
     from sim2spec import cli
     from sim2spec.core import save_video
 
@@ -239,49 +252,26 @@ def bench_cli_analyze(clip, repeats: int, ref) -> tuple:
                 cli.main(argv)
 
         one()
-        ms = times_ms(one, repeats, ref)
-        tracemalloc.start()
-        try:
-            one()
-            peak = tracemalloc.get_traced_memory()[1] / 1e6
-        finally:
-            tracemalloc.stop()
-        return ms, peak
+        return times_ms(one, repeats, ref), peak_mb(one)
 
 
-def bench_retention_clip(repeats: int, ref) -> dict:
+def bench_clips(repeats: int, ref) -> dict:
+    """The rows of the retention suite and of the clip generators, and
+    the tracemalloc peak (MB) of one power-law clip."""
     from sim2spec.cli import suite_retention
-
-    def one():
-        return suite_retention(1, 0)
-
-    one()
-    return dict(zip(("retention_clip_ms", "retention_clip_ref"),
-                    row(one, repeats, ref)))
-
-
-def bench_synth(repeats: int, ref) -> dict:
-    """The rows of the clip generators, and the tracemalloc peak (MB) of
-    one power-law clip with its amplitude grid cached."""
     from sim2spec.synth import synth_powerlaw
 
-    out = dict(zip(("synth_sim2_ms", "synth_sim2_ref"), rows(
+    suite_retention(1, 0)
+    out = dict(zip(("retention_clip_ms", "retention_clip_ref"),
+                   row(lambda: suite_retention(1, 0), repeats, ref)))
+    out.update(zip(("synth_sim2_ms", "synth_sim2_ref"), rows(
         {"x".join(map(str, size)): lambda size=size: mixed_clip(size)
          for size in SYNTH_SIZES}, repeats, ref)))
-
-    def powerlaw():
-        return synth_powerlaw(*POWERLAW_SIZE, 1.8, 0)
-
+    powerlaw = functools.partial(synth_powerlaw, *POWERLAW_SIZE, 1.8, 0)
     powerlaw()
     out.update(zip(("powerlaw_clip_ms", "powerlaw_clip_ref"),
                    row(powerlaw, repeats, ref)))
-    tracemalloc.start()
-    try:
-        powerlaw()
-        out["powerlaw_clip_tracemalloc_peak_mb"] = \
-            tracemalloc.get_traced_memory()[1] / 1e6
-    finally:
-        tracemalloc.stop()
+    out["powerlaw_clip_tracemalloc_peak_mb"] = peak_mb(powerlaw)
     return out
 
 
@@ -289,7 +279,7 @@ def bench_all(repeats: int) -> dict:
     ref = Reference()
     return {"sizes": {"x".join(map(str, s)): bench_size(s, repeats, ref)
                       for s in SIZES},
-            **bench_retention_clip(repeats, ref), **bench_synth(repeats, ref)}
+            **bench_clips(repeats, ref)}
 
 
 def run_round(src: str, repeats: int) -> dict:
@@ -367,18 +357,23 @@ def main(argv=None) -> int:
 
         for name, res in sizes.items():
             for key, what in (("analyze", "analyze"),
+                              ("clocked", "clocked analyze"),
                               ("cli_analyze", "cli analyze min"),
                               ("cli_analyze_call_median",
                                "cli analyze call median")):
                 show(f"{name} {what}", res[key + "_ms"], res[key + "_ref"])
+            stages = {k: v["median"] for k, v in res["stages_ms"].items()}
+            print(f"{label} {name}: stage rows (ms) " + ", ".join(
+                f"{k} {v:.3f}" for k, v in stages.items()) + ", sum "
+                f"{sum(stages.values()) / res['clocked_ms']['median']:.1%} "
+                f"of the clocked call; clock cost "
+                f"{res['clock_cost']['median'] - 1:+.1%}")
             for key in res["glue_ms"]:
                 show(f"{name} {key}", res["glue_ms"][key],
                      res["glue_ref"][key])
-            print(f"{label} {name}: peak "
-                  f"{res['analyze_tracemalloc_peak_mb']['median']:.1f} MB "
-                  "analyze, "
-                  f"{res['cli_analyze_tracemalloc_peak_mb']['median']:.1f}"
-                  " MB cli analyze")
+            print(f"{label} {name}: peak MB " + ", ".join(
+                f"{res[key + '_tracemalloc_peak_mb']['median']:.1f} {key}"
+                for key in ("analyze", "cli_analyze")))
         for key in ("retention_clip", "powerlaw_clip"):
             show(key, summary[key + "_ms"], summary[key + "_ref"])
         for name in summary["synth_sim2_ms"]:

@@ -295,25 +295,12 @@ def _powerlaw_amplitude(frames_t: int, height: int, width: int,
     return amp
 
 
-def synth_powerlaw(frames_t: int, height: int, width: int, kappa: float,
-                   seed: int) -> VideoWindow:
-    """Random clip whose spectral energy follows ``r^(-2*kappa)`` on the
-    per-dimension-normalized radius (DC excluded), random Hermitian phases.
-
-    Built by shaping white noise in the frequency domain, so per-bin
-    energies fluctuate (chi-square) around the power law.  The
-    transforms are the ``rfftn``/``irfftn`` axis passes in their own order:
-    each frame's noise is drawn and ``rfft``-ed into the one half-spectrum
-    buffer, every complex pass is written back into it, and each frame's
-    ``irfft`` is written over it.  So the clip is bit-identical to
-    ``irfftn(rfftn(noise) * amp)`` and the buffer is the only clip-sized
-    array.
-    """
-    if kappa <= 0:
-        raise ConfigError("kappa must be positive")
-    if min(frames_t, height, width) < 2:
-        raise ConfigError("power-law clips need at least 2 samples per axis")
-    amp = _powerlaw_amplitude(frames_t, height, width, float(kappa))
+@np.errstate(over="raise")
+def _powerlaw_noise(frames_t: int, height: int, width: int, kappa: float,
+                    seed: int) -> np.ndarray:
+    """The shaped noise of ``synth_powerlaw`` before its min-max scaling;
+    an overflow anywhere raises ``FloatingPointError``."""
+    amp = _powerlaw_amplitude(frames_t, height, width, kappa)
     rng = make_rng(seed)
     spec = np.empty(amp.shape, dtype=np.complex128)
     for t in range(frames_t):
@@ -335,10 +322,39 @@ def synth_powerlaw(frames_t: int, height: int, width: int, kappa: float,
     v = v.reshape(frames_t, height, width)
     for t in range(frames_t):
         v[t] = np.fft.irfft(spec[t], n=width, axis=1)
+    return v
+
+
+def synth_powerlaw(frames_t: int, height: int, width: int, kappa: float,
+                   seed: int) -> VideoWindow:
+    """Random clip whose spectral energy follows ``r^(-2*kappa)`` on the
+    per-dimension-normalized radius (DC excluded), random Hermitian phases.
+
+    Built by shaping white noise in the frequency domain, so per-bin
+    energies fluctuate (chi-square) around the power law.  The
+    transforms are the ``rfftn``/``irfftn`` axis passes in their own order:
+    each frame's noise is drawn and ``rfft``-ed into the one half-spectrum
+    buffer, every complex pass is written back into it, and each frame's
+    ``irfft`` is written over it.  So the clip is bit-identical to
+    ``irfftn(rfftn(noise) * amp)`` and the buffer is the only clip-sized
+    array.
+    """
+    if kappa <= 0:
+        raise ConfigError("kappa must be positive")
+    if min(frames_t, height, width) < 2:
+        raise ConfigError("power-law clips need at least 2 samples per axis")
+    shape = f"{frames_t}x{height}x{width}"
+    try:
+        v = _powerlaw_noise(frames_t, height, width, float(kappa), seed)
+    except FloatingPointError as exc:
+        raise ConfigError(f"kappa={kappa} overflows float64 on a {shape} "
+                          f"clip: {exc}") from exc
     lo, hi = v.min(), v.max()
-    if hi > lo:
-        v -= lo
-        v /= hi - lo
-    else:
-        v = np.full_like(v, 0.5)
+    if not hi > lo:
+        # every amplitude underflowed to 0, or to less than the noise and
+        # the transforms resolve
+        raise ConfigError(f"kappa={kappa} underflows float64 on a {shape} "
+                          "clip: the clip is flat")
+    v -= lo
+    v /= hi - lo
     return VideoWindow(v)

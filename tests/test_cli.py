@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sim2spec import cli, synth
+from sim2spec.bounds import BoundCheck
 from sim2spec.cli import main
 from sim2spec.core import (FormatError, SpectralConfig, VideoWindow,
                            load_video, save_video)
@@ -600,11 +601,31 @@ def bad_inputs(tmp):
     cases["inconsistent_pgm_shapes"] = (
         path, f"inconsistent frame shapes in {path}: "
         "[(4, 4), (8, 6), (8, 8)]")
+    path = os.path.join(tmp, "no_frames")
+    os.makedirs(path)
+    pathlib.Path(path, "notes.txt").write_text("no frames here")
+    cases["no_pgm_frames"] = (path, f"no .pgm frames in {path}")
+    path = os.path.join(tmp, "no_sidecar.raw")
+    np.zeros(48, dtype="<f4").tofile(path)
+    cases["missing_sidecar"] = (path, f"missing sidecar: {path}.json")
+    for case, blob, message in (
+            ("not_p5", b"P2\n4 4\n255\n" + bytes(16),
+             "not a binary PGM (P5)"),
+            ("truncated_pgm_header", b"P5\n4 4", "truncated PGM header"),
+            ("sixteen_bit_pgm", b"P5\n4 4\n65535\n" + bytes(32),
+             "only 8-bit PGM supported (maxval=255)")):
+        path = os.path.join(tmp, case)
+        write_pgm(path, [np.zeros((4, 4), np.uint8)])
+        frame = os.path.join(path, "frame_0000.pgm")
+        pathlib.Path(frame).write_bytes(blob)
+        cases[case] = (path, f"frame {frame}: {message}")
     return cases
 
 
 BAD_INPUTS = ("short_payload", "trailing_bytes", "t1_short_payload",
-              "nan_last_frame", "bad_pgm_header", "inconsistent_pgm_shapes")
+              "nan_last_frame", "bad_pgm_header", "inconsistent_pgm_shapes",
+              "no_pgm_frames", "missing_sidecar", "not_p5",
+              "truncated_pgm_header", "sixteen_bit_pgm")
 
 
 @pytest.mark.parametrize("case", BAD_INPUTS)
@@ -617,6 +638,31 @@ def test_format_errors_keep_text_and_exit_2(case, tmp_path, capsys):
     assert str(exc.value) == message
     assert main(["analyze", path]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_save_video_unknown_format_rejected(tmp_path):
+    v = VideoWindow(np.zeros((2, 4, 4)))
+    with pytest.raises(FormatError) as exc:
+        save_video(v, str(tmp_path / "clip.tiff"), "tiff")
+    assert str(exc.value) == \
+        "cannot save as 'tiff': use 'raw_f32' or 'pgm_dir'"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_validate_violation_exit_1(tmp_path, monkeypatch, capsys):
+    # cmd_validate resolves each suite through cli's globals at call time
+    failing = BoundCheck(2.0, 1.0, {"bound": "forced", "i": 0})
+    monkeypatch.setattr(cli, "suite_bounds", lambda n, seed: (
+        [failing], cli._suite_summary("bounds", [failing])))
+    out = str(tmp_path / "val.json")
+    assert main(["validate", "--suite", "bounds", "--json", out]) == 1
+    assert capsys.readouterr().err == \
+        "VIOLATION: {'bound': 'forced', 'i': 0} lhs=2.0 rhs=1.0\n"
+    payload = read_json(out)
+    jsonschema.validate(payload, schema("validate.schema.json"))
+    assert payload["violations_total"] == 1
+    assert payload["suites"] == [{"suite": "bounds", "instances": 1,
+                                  "violations": 1, "worst_slack": -1.0}]
 
 
 def test_validate_bounds_suite(tmp_path):

@@ -113,6 +113,17 @@ def test_powerlaw_range():
     assert v.data.min() >= 0.0 and v.data.max() <= 1.0
 
 
+@pytest.mark.parametrize("shape, kappa, message", [
+    # r^(-kappa/2) overflows, and the FFT passes would turn it into NaN
+    ((8, 16, 16), 1000, "kappa=1000 overflows float64 on a 8x16x16 clip"),
+    # every amplitude underflows to 0, with no warning, and the clip is flat
+    ((2, 2, 2), 3000, "kappa=3000 underflows float64 on a 2x2x2 clip"),
+])
+def test_powerlaw_broken_amplitude_rejected(shape, kappa, message):
+    with pytest.raises(ConfigError, match=message):
+        synth_powerlaw(*shape, kappa, 0)
+
+
 @pytest.mark.parametrize("shape", [(16, 224, 224), (5, 7, 9), (3, 33, 47),
                                    (2, 2, 2), (6, 20, 21)])
 def test_powerlaw_matches_complex_fft_construction(shape):
