@@ -40,11 +40,15 @@ compare by their ratios.
 Each ``--label`` names the source tree of the ``--src`` at the same
 position (one label alone defaults to this checkout's ``src``).  Every
 tree is timed in a fresh interpreter in each of ``ROUNDS`` rounds, the
-order of the trees rotating from round to round.  Each tree's point
-stores every value per round and its median under its label in
-``--out``, beside the points already there.  BLAS and OpenMP thread
-variables are recorded, not set: pin them in the environment to compare
-like with like.
+order of the trees rotating from round to round, with glibc's malloc
+told to keep freed memory (``MALLOC_ENV``, as ``benchmark/run.py`` sets
+it): under the defaults the heap is trimmed and grown again around
+temporaries just under the mmap threshold, which doubled the 16x64^2
+``polar_resample`` row.  Each tree's point stores every value per round
+and its median under its label in ``--out``, beside the points already
+there, with the line count of the tree's ``sim2spec/*.py`` and the
+malloc variables.  BLAS and OpenMP thread variables are recorded, not
+set: pin them in the environment to compare like with like.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import glob
 import io
 import json
 import os
@@ -76,6 +81,9 @@ CHILD = ("import json, sys; sys.path[:0] = sys.argv[1:3]; "
          "json.dump(bench_analyze.bench_all(int(sys.argv[3])), sys.stdout)")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS")
+# the malloc settings of benchmark/run.py, set for every round's child
+MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "2000000000",
+              "MALLOC_TRIM_THRESHOLD_": "4000000000"}
 
 
 def times_ms(fn, repeats: int, ref) -> tuple:
@@ -285,8 +293,17 @@ def bench_all(repeats: int) -> dict:
 def run_round(src: str, repeats: int) -> dict:
     out = subprocess.run([sys.executable, "-c", CHILD, HERE, src,
                           str(repeats)], check=True, capture_output=True,
-                         text=True).stdout
+                         text=True, env={**os.environ, **MALLOC_ENV}).stdout
     return json.loads(out)
+
+
+def src_lines(src: str) -> int:
+    """Lines of the tree's ``sim2spec/*.py``."""
+    total = 0
+    for path in glob.glob(os.path.join(src, "sim2spec", "*.py")):
+        with open(path, encoding="utf-8") as fh:
+            total += sum(1 for _ in fh)
+    return total
 
 
 def summarize(rounds: list):
@@ -336,7 +353,7 @@ def main(argv=None) -> int:
         with open(args.out, encoding="utf-8") as fh:
             points = json.load(fh)["points"]
     points = [p for p in points if p["label"] not in results]
-    for label, _ in trees:
+    for label, src in trees:
         summary = summarize(results[label])
         sizes = summary["sizes"]
         points.append({
@@ -346,6 +363,8 @@ def main(argv=None) -> int:
             "machine": platform.machine(),
             "cpu_count": os.cpu_count(),
             "thread_env": {k: os.environ.get(k) for k in THREAD_VARS},
+            "malloc_env": MALLOC_ENV,
+            "src_lines": src_lines(src),
             "repeats": args.repeats,
             "rounds": ROUNDS,
             "sizes": sizes,

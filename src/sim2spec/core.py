@@ -570,7 +570,8 @@ def load_video(path: str) -> VideoWindow:
 
 
 def save_video(v: VideoWindow, path: str, format: str = "raw_f32") -> None:
-    """Write a window back to disk; raw_f32 round-trips bit-exactly."""
+    """Write a window back to disk; raw_f32 round-trips bit-exactly.  A
+    pgm_dir that already holds ``.pgm`` frames is a ``FormatError``."""
     if format == "raw_f32":
         v.data.astype("<f4").tofile(path)
         with open(path + ".json", "w", encoding="utf-8") as fh:
@@ -578,6 +579,9 @@ def save_video(v: VideoWindow, path: str, format: str = "raw_f32") -> None:
         return
     if format == "pgm_dir":
         os.makedirs(path, exist_ok=True)
+        with os.scandir(path) as entries:
+            if any(e.is_file() and e.name.endswith(".pgm") for e in entries):
+                raise FormatError(f"{path} already holds .pgm frames")
         pixels = np.clip(np.round(v.data * 255.0), 0, 255).astype(np.uint8)
         for t, frame in enumerate(pixels):
             with open(os.path.join(path, f"frame_{t:04d}.pgm"), "wb") as fh:

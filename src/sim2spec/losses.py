@@ -16,6 +16,10 @@ Units and sign conventions (fixed once, used everywhere):
 * ``_rate_factors`` computes the two line-slope factors above; the loss
   results, the joint and slice estimates and the report's ``conversions``
   all take them from it
+* every per-window array has time on axis 0: the cube
+  ``(omega_t, ky, kx)``, ``ang`` ``(omega_t, rings, m)``, ``rad``
+  ``(omega_t, nu)`` and the ring shares ``(T, rings)`` reach
+  ``gates.build_samples`` and the statistics as they are
 """
 
 from __future__ import annotations
@@ -121,20 +125,19 @@ def translation_samples(s: Spectrum3D, cfg: SpectralConfig) -> WeightedSamples:
 
 
 def rotation_samples(stack: HarmonicStack, cfg: SpectralConfig) -> WeightedSamples:
-    """One sample per (rho, m != 0, omega_t) angular-harmonic cell."""
+    """One sample per (omega_t, rho, m != 0) angular-harmonic cell."""
     keep = stack.ang_m != 0
-    m = stack.ang_m[keep][None, :]
+    m = stack.ang_m[keep]
     return build_samples(0.0, 0.0, m, 0.0, stack.freq_t,
-                         _energy(stack.ang[:, keep, :].transpose(2, 0, 1)),
-                         m, cfg)
+                         _energy(stack.ang[:, :, keep]), m, cfg)
 
 
 def scaling_samples(stack: HarmonicStack, cfg: SpectralConfig) -> WeightedSamples:
-    """One sample per (nu != 0, omega_t) log-radial harmonic cell."""
+    """One sample per (omega_t, nu != 0) log-radial harmonic cell."""
     keep = stack.rad_nu != 0
     nu = stack.rad_nu[keep]
     return build_samples(0.0, 0.0, 0.0, nu, stack.freq_t,
-                         _energy(stack.rad[keep, :].T), nu, cfg)
+                         _energy(stack.rad[:, keep]), nu, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +259,7 @@ def translation_loss(s: Spectrum3D, cfg: SpectralConfig) -> TranslationLoss:
 def rotation_loss(stack: HarmonicStack, rings: np.ndarray,
                   cfg: SpectralConfig) -> RotationLoss:
     """Angular-velocity line fit, tilted-line energy ratio and ring
-    concentration of the ``(rings, T)`` ring shares.
+    concentration of the ``(T, rings)`` ring shares.
 
     The line slope is the slice's gated energy-weighted ridge slope over
     m != 0, and c_rot the energy captured by that same fit; with no usable
@@ -267,9 +270,9 @@ def rotation_loss(stack: HarmonicStack, rings: np.ndarray,
     carries a tone at m*omega rad/frame, which aliases once |m*omega| >= pi
     and then biases the slope toward zero.
     """
-    ent = -float(np.sum(rings * np.log(rings + NUMERIC_EPS), axis=0).mean())
-    c_ring = min(max(1.0 - ent / math.log(len(rings)), 0.0), 1.0)
-    eps_nb = float(np.mean(1.0 - rings.max(axis=0)))
+    ent = -float(np.sum(rings * np.log(rings + NUMERIC_EPS), axis=1).mean())
+    c_ring = min(max(1.0 - ent / math.log(rings.shape[1]), 0.0), 1.0)
+    eps_nb = float(np.mean(1.0 - rings.max(axis=1)))
     fit, samples, c_rot = _slice_fit(rotation_samples, stack, ROT_COLS, cfg)
     l_rot = 1.0 - 0.5 * (c_ring + c_rot)
     return RotationLoss(
@@ -285,48 +288,37 @@ def scaling_loss(rings: np.ndarray, stack: HarmonicStack,
     The line slope is the slice's gated energy-weighted ridge slope over
     nu != 0, and c_scale the energy captured by that same fit; a slice
     flagged as in ``rotation_loss`` reports slope 0 and c_scale 0.
-    ``rings`` is the ``(rings, T)`` array of per-frame ring shares from
+    ``rings`` is the ``(T, rings)`` array of per-frame ring shares from
     ``ring_energies``.  Windows shorter than 3 frames default both proxies
     to 0.5 (``short_window``); a flat centroid (zero variance) yields trend
     0 with ``trend_flat`` set.
     """
-    nt = rings.shape[1]
-    eps = NUMERIC_EPS
-    trend_flat = False
-    rho_c = _radial_centroid(rings, eps)
-
-    if nt < 3:
-        c_flow, s_trend = 0.5, 0.5
-        slope = 0.0
-    else:
-        d_rho = rings[1:, :] - rings[:-1, :]
-        d_t = rings[:, 1:] - rings[:, :-1]
-        dr_hat = d_rho / (math.sqrt(float((d_rho ** 2).sum())) + eps)
-        dt_hat = d_t / (math.sqrt(float((d_t ** 2).sum())) + eps)
-        c_flow = min(float(abs((dr_hat[:, :-1] * dt_hat[:-1, :]).sum())), 1.0)
+    nt = len(rings)
+    k = np.arange(1, rings.shape[1] + 1, dtype=np.float64)
+    rho_c = (rings * k).sum(axis=1) / (rings.sum(axis=1) + NUMERIC_EPS)
+    c_flow, s_trend, slope, trend_flat = 0.5, 0.5, 0.0, False
+    if nt >= 3:
+        d_t, d_rho = rings[1:] - rings[:-1], rings[:, 1:] - rings[:, :-1]
+        dr_hat = d_rho / (math.sqrt(float((d_rho ** 2).sum())) + NUMERIC_EPS)
+        dt_hat = d_t / (math.sqrt(float((d_t ** 2).sum())) + NUMERIC_EPS)
+        c_flow = min(float(abs((dr_hat[:-1] * dt_hat[:, :-1]).sum())), 1.0)
 
         t = np.arange(nt, dtype=np.float64)
         cov = float(np.mean((rho_c - rho_c.mean()) * (t - t.mean())))
         var_r = float(np.var(rho_c))
         var_t = float(np.var(t))
-        s_trend = min(abs(cov) / (math.sqrt(var_r * var_t) + eps), 1.0)
-        if var_r <= 1e-24:
-            s_trend = 0.0
-            trend_flat = True
-        slope = cov / var_t if var_t > 0 else 0.0
+        trend_flat = var_r <= 1e-24
+        s_trend = 0.0 if trend_flat else min(
+            abs(cov) / (math.sqrt(var_r * var_t) + NUMERIC_EPS), 1.0)
+        slope = cov / var_t
 
     fit, samples, c_scale = _slice_fit(scaling_samples, stack, SCALE_COLS, cfg)
     l_scale = 1.0 - 0.5 * (c_flow + s_trend)
     return ScalingLoss(
         fit, samples, l_scale=min(max(l_scale, 0.0), 1.0),
         c_flow=c_flow, s_trend=s_trend, c_scale=c_scale,
-        alpha=_estimate(fit.theta, stack).alpha, rho_c=rho_c, rho_c_slope=slope, short_window=nt < 3,
-        trend_flat=trend_flat)
-
-
-def _radial_centroid(values: np.ndarray, eps: float) -> np.ndarray:
-    k = np.arange(1, values.shape[0] + 1, dtype=np.float64)
-    return (k[:, None] * values).sum(axis=0) / (values.sum(axis=0) + eps)
+        alpha=_estimate(fit.theta, stack).alpha, rho_c=rho_c,
+        rho_c_slope=slope, short_window=nt < 3, trend_flat=trend_flat)
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +489,7 @@ def analyze(v: VideoWindow | FrameSource,
         "omega_bins": float(rot.fit.theta[2]),
         "alpha_bins": float(scl.fit.theta[3]),
         "frames_t": nt,
-        "rings": len(rings),
+        "rings": rings.shape[1],
         "window_kind": cfg.window_kind,
         "ridge": cfg.ridge,
         "band_tolerance": cfg.band_tolerance,

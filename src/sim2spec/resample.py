@@ -8,6 +8,11 @@ grid lives on that spatial-frequency plane: radii are linear in
 defined, angles uniform on ``[0, 2pi)``.  The DC bin is handled by the
 Cartesian-domain losses only.
 
+Every per-window array has time on axis 0, as the per-frame spectra and
+the cube do: polar samples ``(T, rings, angles)``, harmonic stacks
+``ang`` ``(omega_t, rings, m)`` and ``rad`` ``(omega_t, nu)``, ring
+shares ``(T, rings)``.
+
 ``make_stack``'s temporal transform is ``spectral.temporal_dft``, the
 table the pruned transform takes its kept rows from; the ring edges are
 ``core.logistic``.  The polar lookup table, the ring masks and
@@ -51,14 +56,6 @@ class PolarLUT:
     weights: np.ndarray
     spatial_shape: tuple
 
-    @property
-    def n_rho(self) -> int:
-        return len(self.rho)
-
-    @property
-    def n_theta(self) -> int:
-        return len(self.theta)
-
 
 @table
 def build_polar_lut(freq_y: np.ndarray, freq_x: np.ndarray, n_rho: int,
@@ -96,7 +93,7 @@ def build_polar_lut(freq_y: np.ndarray, freq_x: np.ndarray, n_rho: int,
 
 def polar_resample(frames: np.ndarray, lut: PolarLUT) -> np.ndarray:
     """Interpolate per-frame spatial spectra ``frames[t, y, x]`` onto
-    ``(rho, theta)``; returns an array of shape ``(n_rho, n_theta, T)``.
+    ``(rho, theta)``; returns an array of shape ``(T, n_rho, n_theta)``.
 
     ``frames`` must lie on the grids the LUT was built from.
     """
@@ -109,13 +106,13 @@ def polar_resample(frames: np.ndarray, lut: PolarLUT) -> np.ndarray:
     vals = flat[:, lut.indices[:, 0]] * lut.weights[:, 0]
     for k in range(1, 4):
         vals += flat[:, lut.indices[:, k]] * lut.weights[:, k]
-    return vals.T.reshape(lut.n_rho, lut.n_theta, nt).copy()
+    return vals.reshape(nt, len(lut.rho), len(lut.theta))
 
 
 @dataclass(frozen=True)
 class HarmonicStack:
-    """Angular harmonics ``ang[rho, m, omega_t]`` and log-radial harmonics
-    ``rad[nu, omega_t]``, both with signed centered index grids."""
+    """Angular harmonics ``ang[omega_t, rho, m]`` and log-radial harmonics
+    ``rad[omega_t, nu]``, both with signed centered index grids."""
 
     ang: np.ndarray
     ang_m: np.ndarray
@@ -131,8 +128,9 @@ class HarmonicStack:
 
 @table
 def _stack_tables(n_rho: int, n_theta: int, n_xi: int, nt: int) -> tuple:
-    """Shape-only tables of ``make_stack``: the shifted angular DFT matrix;
-    the ``(n_xi, n_rho)`` radial matrix, ``1/n_theta`` times the shifted DFT
+    """Shape-only tables of ``make_stack``, stored transposed so that each
+    right-multiplies rows of samples: the shifted angular DFT matrix; the
+    ``(n_rho, n_xi)`` radial matrix, ``1/n_theta`` times the shifted DFT
     over xi of the linear interpolation from the rho grid
     ``rho_max*(k+1)/n_rho`` to ``n_xi`` log-spaced radii over the same
     range; ``xi_step``; the m, nu and temporal grids."""
@@ -145,7 +143,7 @@ def _stack_tables(n_rho: int, n_theta: int, n_xi: int, nt: int) -> tuple:
     rows = np.arange(n_xi)
     interp[rows, i0] = 1.0 - frac
     interp[rows, i0 + 1] = frac
-    return (shifted_dft(n_theta), shifted_dft(n_xi) @ (interp / n_theta),
+    return (shifted_dft(n_theta).T, (shifted_dft(n_xi) @ (interp / n_theta)).T,
             float(xi[1] - xi[0]), signed_bins(n_theta), signed_bins(n_xi),
             signed_bins(nt))
 
@@ -153,27 +151,26 @@ def _stack_tables(n_rho: int, n_theta: int, n_xi: int, nt: int) -> tuple:
 def make_stack(polar: np.ndarray, cfg: SpectralConfig) -> HarmonicStack:
     """Angular and log-radial harmonic stacks from one windowed temporal DFT.
 
-    ``ang[rho, m, omega_t]`` is the DFT of ``polar[rho, theta, t]`` over
-    theta and (after the configured temporal taper) over t, both axes in
-    shifted signed order: two matrix products with the cached DFT matrices
-    (``spectral.temporal_dft`` over t).  The angle-averaged profile is
-    ``1/n_theta`` times the m = 0 row of ``ang``; it is interpolated from
-    the linear radius grid onto ``logradius_bins`` log-spaced radii
-    spanning the same range, and its DFT over log-radius gives
-    ``rad[nu, omega_t]``, all three steps one cached matrix, so one
-    temporal transform serves both stacks.
-    ``xi_step`` is the log-radius spacing (needed to convert the fitted
-    line slope into a physical log-scale rate).
+    ``ang[omega_t, rho, m]`` is the DFT of ``polar[t, rho, theta]`` over t
+    (``spectral.temporal_dft``, one product over the T rows) and over theta
+    (one product over all ``T*n_rho`` rows), both in shifted signed order.
+    ``rad[omega_t, nu]`` is the DFT over log-radius of the angle-averaged
+    profile, ``1/n_theta`` times the m = 0 column of ``ang``, interpolated
+    onto ``logradius_bins`` log-spaced radii over the same range: one cached
+    matrix, so one temporal transform serves both stacks.  ``xi_step`` is
+    the log-radius spacing, which converts the fitted line slope into a
+    log-scale rate.
     """
-    n_rho, n_theta, nt = polar.shape
+    nt, n_rho, n_theta = polar.shape
     if n_theta < 4:
         raise ConfigError("need at least 4 angular samples")
     adft, radial, xi_step, ang_m, rad_nu, freq_t = _stack_tables(
         n_rho, n_theta, cfg.logradius_bins, nt)
     tdft = temporal_dft(nt, cfg.window_kind)
-    ang = adft @ (polar.reshape(-1, nt) @ tdft.T).reshape(polar.shape)
-    # m = 0 sits at position n_theta // 2 of the shifted rows
-    rad = radial @ ang[:, n_theta // 2, :]
+    ang = ((tdft @ polar.reshape(nt, -1)).reshape(-1, n_theta)
+           @ adft).reshape(polar.shape)
+    # m = 0 sits at position n_theta // 2 of the shifted columns
+    rad = ang[:, :, n_theta // 2] @ radial
     return HarmonicStack(ang, ang_m, rad, rad_nu, freq_t, xi_step)
 
 
@@ -203,9 +200,9 @@ def ring_energies(energy: np.ndarray, freq_y: np.ndarray,
 
     ``energy[t, y, x]`` is the nonnegative per-frame energy (``|frames|^2``)
     on the ``freq_y`` x ``freq_x`` grid.  The rings split the largest
-    radius whose full circle stays on the grids.  Returns the ``(rings, T)``
-    array whose entry ``[k, t]`` is ring ``k+1``'s share of frame ``t``'s
-    energy: columns sum to 1 for frames with nonzero energy and to 0 for
+    radius whose full circle stays on the grids.  Returns the ``(T, rings)``
+    array whose entry ``[t, k]`` is ring ``k+1``'s share of frame ``t``'s
+    energy: rows sum to 1 for frames with nonzero energy and to 0 for
     silent frames.  The temporal trend of these distributions is what the
     scaling statistics read.
     """
@@ -213,6 +210,6 @@ def ring_energies(energy: np.ndarray, freq_y: np.ndarray,
         raise ConfigError(f"energy is {energy.shape[1:]}, grids are "
                           f"{(len(freq_y), len(freq_x))}")
     masks = _ring_masks(freq_y, freq_x, cfg.rings, SOFT_RING_EDGE)
-    sums = masks.reshape(cfg.rings, -1) @ energy.reshape(len(energy), -1).T
-    totals = sums.sum(axis=0)
-    return sums / (totals + NUMERIC_EPS)[None, :]
+    sums = energy.reshape(len(energy), -1) @ masks.reshape(cfg.rings, -1).T
+    totals = sums.sum(axis=1)
+    return sums / (totals + NUMERIC_EPS)[:, None]

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (MID_GRAY, ConfigError, DegenerateInputError,
-                   SpectralConfig, VideoWindow, table)
+                   FrameSource, SpectralConfig, VideoWindow, table)
 
 __all__ = [
     "Spectrum3D",
@@ -278,11 +278,17 @@ def cube_retention(v, cfg: SpectralConfig) -> float:
 
     The inside energy comes from the pruned cube; the total comes from the
     time domain by Parseval, ``T*H*W * sum_t h_t^2 * sum_{y,x} w_t^2``,
-    summed per chunk in a second read of ``v``.
+    summed per chunk as the pruned pass reads it, so ``v`` is read once.
     """
-    _, cube = cropped_transform(v, cfg)
-    frame_sq = [np.einsum("tyx,tyx->t", d, d)
-                for d in (c - MID_GRAY for c in v.chunks())]
+    frame_sq = []
+
+    def read():
+        for chunk in v.chunks():
+            d = chunk - MID_GRAY
+            frame_sq.append(np.einsum("tyx,tyx->t", d, d))
+            yield chunk
+
+    _, cube = cropped_transform(FrameSource(v.shape, read), cfg)
     taper = temporal_window(v.shape[0], cfg.window_kind)
     total = math.prod(v.shape) * float(taper ** 2 @ np.concatenate(frame_sq))
     if total <= 0.0:

@@ -45,6 +45,18 @@ def test_pgm_dir_roundtrip(tmp_path):
     assert np.allclose(back.data, v.data, atol=0.5 / 255)
 
 
+def test_pgm_dir_with_frames_rejected(tmp_path):
+    # writing a shorter clip over old frames would read back longer and
+    # mixed; the old frames stay as they were
+    d = str(tmp_path / "frames")
+    save_video(VideoWindow(np.full((6, 8, 8), 0.2)), d, "pgm_dir")
+    with pytest.raises(FormatError, match="already holds .pgm frames"):
+        save_video(VideoWindow(np.full((3, 8, 8), 0.8)), d, "pgm_dir")
+    back = load_video(d)
+    assert back.shape == (6, 8, 8)
+    assert np.allclose(back.data, 0.2, atol=0.5 / 255)
+
+
 def test_raw_sidecar_shapes(tmp_path):
     data = np.zeros((8, 32, 32), dtype="<f4")
     path = tmp_path / "c.raw"

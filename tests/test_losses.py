@@ -176,20 +176,20 @@ def test_translation_degenerate_support_sentinel():
 def constructed_stack(m_value, omega, t_n=16, n_rho=20, m_bins=24, n_xi=24,
                       rings_hot=(9,)):
     t = np.arange(t_n)
-    cm = np.zeros((n_rho, m_bins, t_n), dtype=complex)
+    cm = np.zeros((t_n, n_rho, m_bins), dtype=complex)
     m_grid = signed_bins(m_bins)
     idx = np.where(m_grid == m_value)[0][0]
     for r in rings_hot:
-        cm[r, idx, :] = np.exp(-1j * m_value * omega * t)
-    ang = np.fft.fftshift(np.fft.fft(cm, axis=2), axes=2)
-    rad = np.full((n_xi, t_n), 1e-30, dtype=complex)
+        cm[:, r, idx] = np.exp(-1j * m_value * omega * t)
+    ang = np.fft.fftshift(np.fft.fft(cm, axis=0), axes=0)
+    rad = np.full((t_n, n_xi), 1e-30, dtype=complex)
     return HarmonicStack(ang, m_grid, rad, signed_bins(n_xi),
                          signed_bins(t_n), 0.1)
 
 
 def one_ring_energies(n_rings=20, t_n=16, hot=9):
-    v = np.zeros((n_rings, t_n))
-    v[hot, :] = 1.0
+    v = np.zeros((t_n, n_rings))
+    v[:, hot] = 1.0
     return v
 
 
@@ -221,8 +221,8 @@ def test_rotation_one_ring_full_concentration():
 
 
 def test_scaling_t2_defaults():
-    v = np.zeros((20, 2))
-    v[5] = 0.5
+    v = np.zeros((2, 20))
+    v[:, 5] = 0.5
     stack = constructed_stack(2, 0.1, t_n=2)
     out = scaling_loss(v, stack, SpectralConfig())
     assert out.c_flow == 0.5 and out.s_trend == 0.5
@@ -257,8 +257,8 @@ def test_scaling_static_noise_null():
 
 
 def test_scaling_flat_centroid_flagged():
-    v = np.zeros((20, 8))
-    v[5] = 1.0  # identical every frame
+    v = np.zeros((8, 20))
+    v[:, 5] = 1.0  # identical every frame
     stack = constructed_stack(2, 0.1, t_n=8)
     out = scaling_loss(v, stack, SpectralConfig())
     assert out.s_trend == 0.0

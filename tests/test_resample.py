@@ -112,7 +112,7 @@ def test_radially_symmetric_field_theta_independent():
     r = np.hypot(y - c, x - c)
     field = np.exp(-0.5 * (r / 12.0) ** 2)
     lut = build_polar_lut(signed_bins(size), signed_bins(size), 12, 24)
-    polar = polar_resample(spectrum_from_field(field), lut)[:, :, 0]
+    polar = polar_resample(spectrum_from_field(field), lut)[0]
     spread = np.abs(polar - polar.mean(axis=1, keepdims=True)).max()
     assert spread <= 1e-3 * np.abs(polar).max()
 
@@ -123,7 +123,7 @@ def test_impulse_footprint_locality():
     c = size // 2
     field[c + 3, c + 4] = 1.0  # omega = (4, 3), radius 5
     lut = build_polar_lut(signed_bins(size), signed_bins(size), 16, 24)
-    polar = polar_resample(spectrum_from_field(field), lut)[:, :, 0]
+    polar = polar_resample(spectrum_from_field(field), lut)[0]
     rr, tt = np.nonzero(np.abs(polar) > 0)
     assert len(rr) > 0
     for k, ell in zip(rr, tt):
@@ -164,38 +164,38 @@ def test_rotated_field_shifts_theta_grid():
     field = field[crop]
     fy = fx = signed_bins(size)[keep]
     lut = build_polar_lut(fy, fx, 12, m)
-    p0 = polar_resample(spectrum_from_field(field), lut)[:, :, 0]
-    p1 = polar_resample(spectrum_from_field(rotated), lut)[:, :, 0]
+    p0 = polar_resample(spectrum_from_field(field), lut)[0]
+    p1 = polar_resample(spectrum_from_field(rotated), lut)[0]
     shifted = np.roll(p0, 1, axis=1)
     rel = np.abs(p1 - shifted).max() / np.abs(p0).max()
     assert rel <= 5e-2
 
     # dense angular oracle: 4096-sample resampling agrees with the relation
     dense = build_polar_lut(fy, fx, 12, 4096)
-    d0 = polar_resample(spectrum_from_field(field), dense)[:, :, 0]
-    d1 = polar_resample(spectrum_from_field(rotated), dense)[:, :, 0]
+    d0 = polar_resample(spectrum_from_field(field), dense)[0]
+    d1 = polar_resample(spectrum_from_field(rotated), dense)[0]
     dshift = np.roll(d0, 4096 // m, axis=1)
     rel_dense = np.abs(d1 - dshift).max() / np.abs(d0).max()
     assert rel_dense <= 5e-2
 
 
 def test_angular_constant_field_mass_at_m0():
-    polar = np.ones((8, 24, 4), dtype=complex)
+    polar = np.ones((4, 8, 24), dtype=complex)
     out, m_grid, _ = angular_spectrum(polar, RECT)
     e = np.abs(out) ** 2
-    off = e[:, m_grid != 0, :].sum()
+    off = e[:, :, m_grid != 0].sum()
     assert off <= 1e-20 * e.sum()
 
 
 def test_angular_single_harmonic_static():
     theta = 2 * np.pi * np.arange(24) / 24
-    polar = np.broadcast_to(np.exp(2j * theta)[None, :, None],
-                            (6, 24, 4)).copy()
+    polar = np.broadcast_to(np.exp(2j * theta)[None, None, :],
+                            (4, 6, 24)).copy()
     out, m_grid, wt_grid = angular_spectrum(polar, RECT)
     e = np.abs(out) ** 2
     im = np.where(m_grid == 2)[0][0]
     it = np.where(wt_grid == 0)[0][0]
-    assert e[:, im, it].sum() >= (1 - 1e-12) * e.sum()
+    assert e[it, :, im].sum() >= (1 - 1e-12) * e.sum()
 
 
 def test_angular_rotation_against_brute_force_dft():
@@ -209,11 +209,11 @@ def test_angular_rotation_against_brute_force_dft():
     radial = rng.uniform(0.5, 1.5, n_rho)
     ang_profile = np.zeros(m)
     ang_profile[:4] = rng.uniform(0.5, 1.0, 4)  # low-m angular content
-    field = np.zeros((n_rho, m, t_n), dtype=complex)
+    field = np.zeros((t_n, n_rho, m), dtype=complex)
     for it in range(t_n):
         prof = np.interp((theta - omega * it) % (2 * np.pi),
                          theta, ang_profile, period=2 * np.pi)
-        field[:, :, it] = radial[:, None] * prof[None, :]
+        field[it] = radial[:, None] * prof[None, :]
 
     out, m_grid, wt_grid = angular_spectrum(field, RECT)
 
@@ -221,9 +221,9 @@ def test_angular_rotation_against_brute_force_dft():
     oracle = np.zeros_like(out)
     for i_m, mv in enumerate(m_grid):
         for i_w, wv in enumerate(wt_grid):
-            ph = np.exp(-2j * np.pi * (mv * np.arange(m)[None, :, None] / m
-                                       + wv * t[None, None, :] / t_n))
-            oracle[:, i_m, i_w] = (field * ph).sum(axis=(1, 2))
+            ph = np.exp(-2j * np.pi * (mv * np.arange(m)[None, None, :] / m
+                                       + wv * t[:, None, None] / t_n))
+            oracle[i_w, :, i_m] = (field * ph).sum(axis=(0, 2))
     assert np.allclose(out, oracle, atol=1e-9 * np.abs(oracle).max())
 
     # line check: dominant mass within one bin of -m * Omega * T / (2 pi)
@@ -231,24 +231,24 @@ def test_angular_rotation_against_brute_force_dft():
     on_line = 0.0
     for i_m, mv in enumerate(m_grid):
         if mv == 0:
-            on_line += e[:, i_m, :].sum()
+            on_line += e[:, :, i_m].sum()
             continue
         target = -mv * omega * t_n / (2 * np.pi)
         sel = np.abs(wt_grid - target) <= 1.0
-        on_line += e[:, i_m, sel].sum()
+        on_line += e[sel, :, i_m].sum()
     assert on_line >= 0.98 * e.sum()
 
 
 def test_logradial_constant_profile_mass_at_nu0():
-    polar = np.ones((16, 8, 4), dtype=complex)
+    polar = np.ones((4, 16, 8), dtype=complex)
     cfg = SpectralConfig(window_kind="rect", logradius_bins=8)
     out, nu_grid, _, _ = logradial_spectrum(polar, cfg)
     e = np.abs(out) ** 2
-    assert e[nu_grid != 0, :].sum() <= 1e-20 * e.sum()
+    assert e[:, nu_grid != 0].sum() <= 1e-20 * e.sum()
 
 
 def test_logradial_zero_field_zero_stack():
-    polar = np.zeros((16, 8, 4), dtype=complex)
+    polar = np.zeros((4, 16, 8), dtype=complex)
     out, *_ = logradial_spectrum(polar, RECT)
     assert np.all(out == 0)
 
@@ -268,9 +268,9 @@ def test_logradial_shift_theorem_phase_ramp():
         z = (xi - xi_lo) / step - shift_bins
         return 1.0 + 0.8 * np.cos(2 * np.pi * z / n_xi)
 
-    polar = np.zeros((n_rho, 4, t_n), dtype=complex)
+    polar = np.zeros((t_n, n_rho, 4), dtype=complex)
     for it in range(t_n):
-        polar[:, :, it] = profile(np.log(rho), it)[:, None]
+        polar[it] = profile(np.log(rho), it)[:, None]
 
     out, nu_grid, wt_grid, xi_step = logradial_spectrum(polar, cfg)
     assert abs(xi_step - step) < 1e-12
@@ -290,13 +290,13 @@ def test_logradial_shift_theorem_phase_ramp():
         target = (-nv * t_n / n_xi)
         folded = ((np.asarray(wt_grid) - target + t_n / 2) % t_n) - t_n / 2
         sel = np.abs(folded) <= 1.0
-        on_line += e[i_n, sel].sum()
+        on_line += e[sel, i_n].sum()
     assert on_line >= 0.9 * e.sum()
 
 
 def test_angular_parseval_rect():
     rng = make_rng(13)
-    polar = rng.normal(size=(10, 24, 8)) + 1j * rng.normal(size=(10, 24, 8))
+    polar = rng.normal(size=(8, 10, 24)) + 1j * rng.normal(size=(8, 10, 24))
     out, *_ = angular_spectrum(polar, RECT)
     lhs = (np.abs(out) ** 2).sum()
     rhs = 24 * 8 * (np.abs(polar) ** 2).sum()
@@ -309,8 +309,8 @@ def test_logradial_parseval_affine_profile():
     cfg = SpectralConfig(window_kind="rect", logradius_bins=n_xi)
     rho = np.arange(1, n_rho + 1, dtype=float)
     a, b = 0.7, 0.05
-    polar = np.broadcast_to((a + b * rho)[:, None, None],
-                            (n_rho, 6, t_n)).astype(complex).copy()
+    polar = np.broadcast_to((a + b * rho)[None, :, None],
+                            (t_n, n_rho, 6)).astype(complex).copy()
     out, *_ = logradial_spectrum(polar, cfg)
     xi = np.linspace(np.log(rho[0]), np.log(rho[-1]), n_xi)
     resampled = a + b * np.exp(xi)
@@ -332,23 +332,24 @@ def test_make_stack_matches_two_pass_definition(n_rho, n_theta, frames_t,
     harmonics from the angle-averaged profile interpolated onto log radii,
     a DFT over log-radius, then its own windowed t DFT."""
     rng = make_rng(seed)
-    shape = (n_rho, n_theta, frames_t)
+    shape = (frames_t, n_rho, n_theta)
     polar = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     cfg = SpectralConfig(window_kind=kind, logradius_bins=n_xi)
     h = temporal_window(frames_t, kind)
 
     def windowed_time_dft(x):
-        return np.fft.fftshift(np.fft.fft(x * h, axis=-1), axes=-1)
+        tapered = x * h.reshape(-1, *[1] * (x.ndim - 1))
+        return np.fft.fftshift(np.fft.fft(tapered, axis=0), axes=0)
 
-    ang = windowed_time_dft(np.fft.fftshift(np.fft.fft(polar, axis=1),
-                                            axes=1))
-    prof = polar.mean(axis=1)                      # (n_rho, T)
+    ang = windowed_time_dft(np.fft.fftshift(np.fft.fft(polar, axis=2),
+                                            axes=2))
+    prof = polar.mean(axis=2)                      # (T, n_rho)
     rho = np.arange(1, n_rho + 1, dtype=np.float64)
     xi = np.linspace(np.log(rho[0]), np.log(rho[-1]), n_xi)
-    resampled = np.stack([np.interp(np.exp(xi), rho, col)
-                          for col in prof.T], axis=1)  # (n_xi, T)
-    rad = windowed_time_dft(np.fft.fftshift(np.fft.fft(resampled, axis=0),
-                                            axes=0))
+    resampled = np.stack([np.interp(np.exp(xi), rho, row)
+                          for row in prof])       # (T, n_xi)
+    rad = windowed_time_dft(np.fft.fftshift(np.fft.fft(resampled, axis=1),
+                                            axes=1))
 
     stack = make_stack(polar, cfg)
     assert stack.ang.shape == ang.shape and stack.rad.shape == rad.shape
@@ -362,7 +363,7 @@ def test_make_stack_matches_two_pass_definition(n_rho, n_theta, frames_t,
 
 def test_make_stack_rejects_few_angles():
     with pytest.raises(ConfigError):
-        make_stack(np.ones((4, 3, 4), dtype=complex), RECT)
+        make_stack(np.ones((4, 4, 3), dtype=complex), RECT)
 
 
 def ring_grid(values, size=48):
@@ -380,7 +381,7 @@ def test_ring_concentrated_annulus():
     energy = (((r > lo + 0.3) & (r < hi - 0.3)).astype(float))[None]
     energy = np.broadcast_to(energy, (4, size, size)).copy()
     out = ring_energies(*ring_grid(energy), cfg)
-    assert np.all(out[9, :] >= 0.95)
+    assert np.all(out[:, 9] >= 0.95)
 
 
 def test_ring_uniform_energy_matches_area_oracle():
@@ -397,7 +398,7 @@ def test_ring_uniform_energy_matches_area_oracle():
                        for k in range(20)], dtype=float)
     counts[0] += (r == 0).sum()
     oracle = counts / counts.sum()
-    measured = out[:, 0] / out[:, 0].sum()
+    measured = out[0] / out[0].sum()
     # compare rings carrying real mass; soft edges blur the smallest ones
     big = oracle > 0.01
     rel = np.abs(measured[big] - oracle[big]) / oracle[big]
@@ -410,8 +411,8 @@ def test_ring_zero_frame_stays_zero():
     energy[1] = 0.0
     cfg = SpectralConfig()
     out = ring_energies(*ring_grid(energy, size), cfg)
-    assert np.all(out[:, 1] == 0.0)
-    sums = out.sum(axis=0)
+    assert np.all(out[1] == 0.0)
+    sums = out.sum(axis=1)
     assert abs(sums[0] - 1.0) <= 1e-6 and abs(sums[2] - 1.0) <= 1e-6
 
 
@@ -420,5 +421,30 @@ def test_ring_normalization_invariant():
     size = 40
     energy = rng.uniform(0, 1, (5, size, size))
     out = ring_energies(*ring_grid(energy, size), SpectralConfig())
-    sums = out.sum(axis=0)
+    sums = out.sum(axis=1)
     assert np.all((np.abs(sums - 1.0) <= 1e-6) | (sums == 0.0))
+
+
+def test_time_first_layout_on_distinct_sizes():
+    """Every per-window array has time on axis 0; no two axes share a size,
+    so a transposed or mislabelled axis changes a shape."""
+    t_n, h, w, n_rho, n_theta, n_xi = 5, 24, 40, 7, 12, 10
+    cfg = SpectralConfig(rings=n_rho, angular_bins=n_theta,
+                         logradius_bins=n_xi)
+    rng = make_rng(23)
+    frames = (rng.normal(size=(t_n, h, w))
+              + 1j * rng.normal(size=(t_n, h, w)))
+    fy, fx = signed_bins(h), signed_bins(w)
+    lut = build_polar_lut(fy, fx, n_rho, n_theta)
+    polar = polar_resample(frames, lut)
+    assert polar.shape == (t_n, n_rho, n_theta)
+    for f, p in zip(frames, polar):
+        gather = (f.ravel()[lut.indices] * lut.weights).sum(1)
+        assert np.abs(p - gather.reshape(n_rho, n_theta)).max() <= 1e-14
+    stack = make_stack(polar, cfg)
+    assert stack.ang.shape == (t_n, n_rho, n_theta)
+    assert stack.rad.shape == (t_n, n_xi)
+    shares = ring_energies(np.abs(frames) ** 2, fy, fx, cfg)
+    assert shares.shape == (t_n, n_rho)
+    # short of 1 by NUMERIC_EPS over the frame's energy (about 700 here)
+    assert np.allclose(shares.sum(axis=1), 1.0, rtol=0, atol=1e-9)

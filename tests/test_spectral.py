@@ -331,8 +331,7 @@ def test_cube_retention_powerlaw_suite_size():
 
 def test_cube_retention_offset_matches_normalized_window(tmp_path):
     # the 1/2 shift taken off the DC bins, on the clip held, read from a
-    # file (whose source is read twice: the cube, then the total) and
-    # loaded, against the full spectrum of the shifted copy
+    # file and loaded, against the full spectrum of the shifted copy
     from sim2spec.synth import synth_powerlaw
     # float32 values, so the file holds the clip exactly
     clip = VideoWindow(synth_powerlaw(16, 224, 224, kappa=1.8, seed=3)
@@ -351,6 +350,23 @@ def test_cube_retention_offset_matches_normalized_window(tmp_path):
 def test_eta_for_grid_needs_two_samples_per_axis(shape):
     with pytest.raises(ConfigError, match="at least 2 samples per axis"):
         EtaParams.for_grid(*shape)
+
+
+def test_cube_retention_reads_its_window_once():
+    # the Parseval total is summed from the chunks the pruned pass reads,
+    # so a file that changed between two reads cannot mix two windows
+    v = VideoWindow(make_rng(5).random((12, 40, 24)))
+    reads = []
+
+    def read():
+        reads.append(1)
+        return v.chunks()
+
+    got = cube_retention(FrameSource(v.shape, read), RECT)
+    assert len(reads) == 1
+    ref = measured_retention(spectral_transform(normalize_window(v), RECT),
+                             RECT.lowpass_ratio)
+    assert abs(got - ref) <= 1e-12
 
 
 def test_cube_retention_zero_energy_errors():

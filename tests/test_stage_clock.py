@@ -7,9 +7,11 @@ point.  The bench module is imported read-only.
 """
 
 import importlib
+import importlib.util
 import os
 import sys
 import time
+import types
 
 import pytest
 
@@ -57,3 +59,25 @@ def test_clocks_are_removed_when_the_call_raises(bench):
     with pytest.raises(DegenerateInputError, match="too short"):
         bench.clocked_call(losses.analyze, one_frame)
     assert stage_names(bench) == before
+
+
+def test_rounds_run_under_the_benchmark_malloc_settings(bench,
+                                                       monkeypatch):
+    # the bench's children keep freed memory as the benchmark's worker
+    # does, so a stage row does not time heap trimming the benchmark
+    # never sees
+    path = os.path.join(BENCH_DIR, "..", "benchmark", "run.py")
+    spec = importlib.util.spec_from_file_location("benchmark_run", path)
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    assert bench.MALLOC_ENV == {k: v for k, v in run.PINNED_ENV.items()
+                                if k.startswith("MALLOC_")}
+    envs = []
+
+    def child(argv, env, **kwargs):
+        envs.append(env)
+        return types.SimpleNamespace(stdout="{}")
+
+    monkeypatch.setattr(bench.subprocess, "run", child)
+    assert bench.run_round("src", 1) == {}
+    assert envs[0].items() >= bench.MALLOC_ENV.items()
