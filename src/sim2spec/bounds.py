@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import ConfigError, DegenerateInputError, table
 from .losses import ridge_wls_solve
+from .resample import normalized_entropy
 from .spectral import signed_bins, temporal_window
 
 __all__ = [
@@ -120,11 +121,8 @@ def ring_entropy_check(distribution, eps_nb: float,
                        context: dict | None = None) -> BoundCheck:
     """Measured normalized entropy of a ring distribution vs the bound."""
     p = np.asarray(distribution, dtype=np.float64)
-    p = p / p.sum()
     n = len(p)
-    nz = p > 0
-    ent = float(-(p[nz] * np.log(p[nz])).sum())
-    lhs = ent / math.log(n)
+    lhs = float(normalized_entropy(p / p.sum()))
     rhs = ring_entropy_bound(eps_nb, n)
     ctx = dict(context or {})
     ctx.update({"eps_nb": eps_nb, "n_rings": n})

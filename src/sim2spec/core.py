@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import inspect
 import itertools
 import json
 import math
@@ -122,9 +121,6 @@ class VideoWindow:
 # the shift taken off every sample before analysis (see the module docstring)
 MID_GRAY = 0.5
 
-# guard added to denominators (and inside logs) of the normalized statistics
-NUMERIC_EPS = 1e-8
-
 
 def logistic(z) -> np.ndarray:
     """``1 / (1 + exp(-z))`` with ``z`` clipped to ``[-60, 60]``, so ``exp``
@@ -153,8 +149,8 @@ def _freeze(obj):
 
 def table(build: Callable) -> Callable:
     """``build``, run once per distinct argument tuple, for the tables that
-    depend only on shapes, grids and the config: an ndarray argument (a
-    list as its array) is keyed by its dtype, shape and contents, and the
+    depend only on shapes, grids and the config, passed by position: an
+    ndarray argument is keyed by its dtype, shape and contents, and the
     builder gets a read-only copy; the ``TABLE_CACHE_SIZE`` latest results
     are kept, and every ndarray in a result is handed out read-only."""
 
@@ -164,10 +160,7 @@ def table(build: Callable) -> Callable:
                                if type(k) is _ArrayKey else k for k in key)))
 
     @functools.wraps(build)
-    def keyed(*args, **kwargs):
-        if kwargs:  # one key for a call however its arguments are passed
-            args = inspect.signature(build).bind(*args, **kwargs).args
-        args = [np.asarray(a) if isinstance(a, list) else a for a in args]
+    def keyed(*args):
         return cached(*(_ArrayKey((a.dtype, a.shape, a.tobytes()))
                         if isinstance(a, np.ndarray) else a for a in args))
 

@@ -30,12 +30,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (NUMERIC_EPS, DegenerateInputError, FormatError,
-                   FrameSource, MotionEstimate, SpectralConfig, Sim2Error,
+from .core import (DegenerateInputError, FormatError, FrameSource,
+                   MotionEstimate, SpectralConfig, Sim2Error,
                    UnobservableError, VideoWindow)
 from .gates import WeightedSamples, build_samples
 from .resample import (HarmonicStack, build_polar_lut, make_stack,
-                       max_safe_radius, polar_resample, ring_energies)
+                       max_safe_radius, normalized_entropy, polar_resample,
+                       ring_energies)
 from .spectral import Spectrum3D, cropped_transform
 # the full-spectrum reference transforms stay importable from this module,
 # where the benchmark's span checks look them up
@@ -270,8 +271,7 @@ def rotation_loss(stack: HarmonicStack, rings: np.ndarray,
     carries a tone at m*omega rad/frame, which aliases once |m*omega| >= pi
     and then biases the slope toward zero.
     """
-    ent = -float(np.sum(rings * np.log(rings + NUMERIC_EPS), axis=1).mean())
-    c_ring = min(max(1.0 - ent / math.log(rings.shape[1]), 0.0), 1.0)
+    c_ring = min(max(1.0 - float(normalized_entropy(rings).mean()), 0.0), 1.0)
     eps_nb = float(np.mean(1.0 - rings.max(axis=1)))
     fit, samples, c_rot = _slice_fit(rotation_samples, stack, ROT_COLS, cfg)
     l_rot = 1.0 - 0.5 * (c_ring + c_rot)
@@ -289,19 +289,19 @@ def scaling_loss(rings: np.ndarray, stack: HarmonicStack,
     nu != 0, and c_scale the energy captured by that same fit; a slice
     flagged as in ``rotation_loss`` reports slope 0 and c_scale 0.
     ``rings`` is the ``(T, rings)`` array of per-frame ring shares from
-    ``ring_energies``.  Windows shorter than 3 frames default both proxies
-    to 0.5 (``short_window``); a flat centroid (zero variance) yields trend
-    0 with ``trend_flat`` set.
+    ``ring_energies``; c_flow is 0 when either share difference is all
+    zero.  Windows shorter than 3 frames default both proxies to 0.5
+    (``short_window``); a flat centroid sets ``trend_flat`` and trend 0.
     """
     nt = len(rings)
-    k = np.arange(1, rings.shape[1] + 1, dtype=np.float64)
-    rho_c = (rings * k).sum(axis=1) / (rings.sum(axis=1) + NUMERIC_EPS)
+    rho_c = rings @ np.arange(1.0, rings.shape[1] + 1)
     c_flow, s_trend, slope, trend_flat = 0.5, 0.5, 0.0, False
     if nt >= 3:
         d_t, d_rho = rings[1:] - rings[:-1], rings[:, 1:] - rings[:, :-1]
-        dr_hat = d_rho / (math.sqrt(float((d_rho ** 2).sum())) + NUMERIC_EPS)
-        dt_hat = d_t / (math.sqrt(float((d_t ** 2).sum())) + NUMERIC_EPS)
-        c_flow = min(float(abs((dr_hat[:-1] * dt_hat[:, :-1]).sum())), 1.0)
+        norms = (math.sqrt(float((d_rho ** 2).sum()))
+                 * math.sqrt(float((d_t ** 2).sum())))
+        flow = abs(float((d_rho[:-1] * d_t[:, :-1]).sum()))
+        c_flow = min(flow / norms, 1.0) if norms > 0 else 0.0
 
         t = np.arange(nt, dtype=np.float64)
         cov = float(np.mean((rho_c - rho_c.mean()) * (t - t.mean())))
@@ -309,7 +309,7 @@ def scaling_loss(rings: np.ndarray, stack: HarmonicStack,
         var_t = float(np.var(t))
         trend_flat = var_r <= 1e-24
         s_trend = 0.0 if trend_flat else min(
-            abs(cov) / (math.sqrt(var_r * var_t) + NUMERIC_EPS), 1.0)
+            abs(cov) / math.sqrt(var_r * var_t), 1.0)
         slope = cov / var_t
 
     fit, samples, c_scale = _slice_fit(scaling_samples, stack, SCALE_COLS, cfg)

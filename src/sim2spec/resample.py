@@ -26,11 +26,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NUMERIC_EPS, ConfigError, SpectralConfig, logistic, table
+from .core import ConfigError, SpectralConfig, logistic, table
 from .spectral import shifted_dft, signed_bins, temporal_dft
 
 __all__ = ["PolarLUT", "HarmonicStack", "build_polar_lut", "polar_resample",
-           "make_stack", "ring_energies", "max_safe_radius"]
+           "make_stack", "ring_energies", "normalized_entropy",
+           "max_safe_radius"]
 
 # logistic slope (per bin) of the soft ring edges
 SOFT_RING_EDGE = 20.0
@@ -202,14 +203,22 @@ def ring_energies(energy: np.ndarray, freq_y: np.ndarray,
     on the ``freq_y`` x ``freq_x`` grid.  The rings split the largest
     radius whose full circle stays on the grids.  Returns the ``(T, rings)``
     array whose entry ``[t, k]`` is ring ``k+1``'s share of frame ``t``'s
-    energy: rows sum to 1 for frames with nonzero energy and to 0 for
-    silent frames.  The temporal trend of these distributions is what the
-    scaling statistics read.
+    energy: a row sums to 1 (divided by its frame's total where that is
+    positive) or, for a silent frame, is zeros.  The temporal trend of
+    these distributions is what the scaling statistics read.
     """
     if energy.shape[1:] != (len(freq_y), len(freq_x)):
         raise ConfigError(f"energy is {energy.shape[1:]}, grids are "
                           f"{(len(freq_y), len(freq_x))}")
     masks = _ring_masks(freq_y, freq_x, cfg.rings, SOFT_RING_EDGE)
     sums = energy.reshape(len(energy), -1) @ masks.reshape(cfg.rings, -1).T
-    totals = sums.sum(axis=1)
-    return sums / (totals + NUMERIC_EPS)[:, None]
+    totals = sums.sum(axis=1, keepdims=True)
+    return sums / np.where(totals > 0, totals, 1.0)
+
+
+def normalized_entropy(p: np.ndarray) -> np.ndarray:
+    """Shannon entropy of the distributions ``p`` along the last axis over
+    the log of its length: 0 with every share on one ring, 1 for a uniform
+    row; ``0 log 0`` counts as 0, so a silent row reads 0."""
+    logs = np.log(np.where(p > 0, p, 1.0))
+    return -(p * logs).sum(axis=-1) / np.log(p.shape[-1])

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sim2spec.core import ConfigError, SpectralConfig
-from sim2spec.resample import (build_polar_lut, make_stack, polar_resample,
+from sim2spec.bounds import ring_entropy_check
+from sim2spec.resample import (build_polar_lut, make_stack,
+                               normalized_entropy, polar_resample,
                                ring_energies)
 from sim2spec.spectral import signed_bins, temporal_window
 from sim2spec.synth import make_rng
@@ -425,6 +427,36 @@ def test_ring_normalization_invariant():
     assert np.all((np.abs(sums - 1.0) <= 1e-6) | (sums == 0.0))
 
 
+def test_ring_shares_exact_and_scale_free():
+    # a power-of-two factor scales every ring sum and total exactly, so
+    # shares with no absolute term in them come out bit for bit
+    energy = make_rng(5).uniform(0, 1, (4, 40, 40))
+    energy[2] = 0.0
+    out = ring_energies(*ring_grid(energy, 40), SpectralConfig())
+    for scale in (2.0 ** -60, 2.0 ** -600, 2.0 ** 60):
+        scaled = ring_energies(*ring_grid(energy * scale, 40),
+                               SpectralConfig())
+        assert np.array_equal(scaled, out), scale
+
+
+def test_normalized_entropy_rule():
+    rng = make_rng(8)
+    p = rng.uniform(0, 1, (6, 9))
+    p[1, :4] = 0.0
+    p /= p.sum(axis=1, keepdims=True)
+    p[3] = 0.0
+    p[4] = np.eye(9)[2]
+    p[5] = 1.0 / 9
+    got = normalized_entropy(p)
+    for row, h in zip(p[:3], got[:3]):
+        nz = row[row > 0]
+        assert h == pytest.approx(-(nz * np.log(nz)).sum() / math.log(9),
+                                  rel=1e-14)
+        assert ring_entropy_check(row, 0.5).lhs == pytest.approx(h, rel=1e-14)
+    assert got[3] == 0.0 and got[4] == 0.0
+    assert got[5] == pytest.approx(1.0, rel=1e-15)
+
+
 def test_time_first_layout_on_distinct_sizes():
     """Every per-window array has time on axis 0; no two axes share a size,
     so a transposed or mislabelled axis changes a shape."""
@@ -446,5 +478,4 @@ def test_time_first_layout_on_distinct_sizes():
     assert stack.rad.shape == (t_n, n_xi)
     shares = ring_energies(np.abs(frames) ** 2, fy, fx, cfg)
     assert shares.shape == (t_n, n_rho)
-    # short of 1 by NUMERIC_EPS over the frame's energy (about 700 here)
-    assert np.allclose(shares.sum(axis=1), 1.0, rtol=0, atol=1e-9)
+    assert np.allclose(shares.sum(axis=1), 1.0, rtol=0, atol=1e-12)
