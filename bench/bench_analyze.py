@@ -47,8 +47,11 @@ temporaries just under the mmap threshold, which doubled the 16x64^2
 ``polar_resample`` row.  Each tree's point stores every value per round
 and its median under its label in ``--out``, beside the points already
 there, with the line count of the tree's ``sim2spec/*.py`` and the
-malloc variables.  BLAS and OpenMP thread variables are recorded, not
-set: pin them in the environment to compare like with like.
+malloc variables.  After the rounds, each tree's tier-1 suite runs once
+(``TIER1``, in the directory above its ``src``, the environment as given),
+and its point stores the wall seconds and the passed and xfailed counts
+under ``tier1``.  BLAS and OpenMP thread variables are recorded, not set:
+pin them in the environment to compare like with like.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -84,6 +88,8 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 # the malloc settings of benchmark/run.py, set for every round's child
 MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "2000000000",
               "MALLOC_TRIM_THRESHOLD_": "4000000000"}
+# the tier-1 command of ROADMAP.md, run with the tree's src on PYTHONPATH
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
 def times_ms(fn, repeats: int, ref) -> tuple:
@@ -297,6 +303,21 @@ def run_round(src: str, repeats: int) -> dict:
     return json.loads(out)
 
 
+def tier1(src: str) -> dict:
+    """Wall seconds and outcome counts of one tier-1 run of the tree whose
+    ``src`` is given, from pytest's summary line."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    t0 = time.perf_counter()
+    done = subprocess.run([sys.executable, *TIER1], cwd=os.path.dirname(src),
+                          env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    summary = done.stdout.splitlines()[-1]
+    return {"wall_s": wall, "passed": 0, "xfailed": 0,
+            **{what: int(n) for n, what in re.findall(r"(\d+) (\w+)",
+                                                      summary)}}
+
+
 def src_lines(src: str) -> int:
     """Lines of the tree's ``sim2spec/*.py``."""
     total = 0
@@ -347,6 +368,7 @@ def main(argv=None) -> int:
     for r in range(ROUNDS):
         for label, src in trees[r % len(trees):] + trees[:r % len(trees)]:
             results[label].append(run_round(src, args.repeats))
+    suites = {label: tier1(src) for label, src in trees}
 
     points = []
     if os.path.exists(args.out):
@@ -365,6 +387,7 @@ def main(argv=None) -> int:
             "thread_env": {k: os.environ.get(k) for k in THREAD_VARS},
             "malloc_env": MALLOC_ENV,
             "src_lines": src_lines(src),
+            "tier1": suites[label],
             "repeats": args.repeats,
             "rounds": ROUNDS,
             "sizes": sizes,
@@ -400,6 +423,9 @@ def main(argv=None) -> int:
                  summary["synth_sim2_ref"][name])
         peak = summary["powerlaw_clip_tracemalloc_peak_mb"]["median"]
         print(f"{label} powerlaw_clip: peak {peak:.1f} MB")
+        print(f"{label} tier-1: " + ", ".join(
+            f"{v} {k}" for k, v in suites[label].items() if k != "wall_s")
+            + f" in {suites[label]['wall_s']:.1f} s")
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"points": points}, fh, indent=1)
         fh.write("\n")

@@ -12,8 +12,8 @@ Conventions used throughout the package:
   against its shipped schema; ``logistic`` and ``table`` are shared
 * input is read by ``chunks()``, of a held ``VideoWindow`` or a
   ``FrameSource``, in chunks of whole frames; a file source of frames too
-  large to share a chunk is read on a reader thread when two CPUs are
-  usable, with up to two chunks queued (the reader does not wait to be
+  large to share a chunk is read on a one-thread executor when two CPUs
+  are usable, with three reads pending (the reader does not wait to be
   asked), so the read, checks and digest overlap the transform
 """
 
@@ -321,50 +321,27 @@ def _frames_per_chunk(h: int, w: int) -> int:
 
 
 def _read_ahead(chunks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-    """The items of ``chunks``, produced on a reader thread that does not
-    wait to be asked: up to two chunks are queued, and the reader blocks
-    only when two are waiting (holding the next one it read), the caller
-    only when none is.  An error of a chunk is queued in order and raised
-    when the caller reaches that chunk.  A read the caller leaves early
-    stops the reader, drains the queue and joins the thread, then closes
-    ``chunks``.
+    """The items of ``chunks``, read on a one-thread executor that keeps
+    three reads pending, so the reader does not wait to be asked: the
+    caller takes the oldest read's chunk, or raises that chunk's error,
+    and asks for the next.  A read the caller leaves early cancels the
+    reads not started, waits for the one in flight, then closes ``chunks``.
 
-    Each read starts a thread of its own (about 0.15 ms) that ends with the
-    read, rather than sharing one for the process: no thread outlives a
-    read or is lost across a fork, and nested or interleaved reads cannot
-    queue behind each other."""
-    import queue
-    import threading
+    Each read starts an executor of its own (with its thread, about
+    0.3 ms) that ends with the read, rather than sharing one for the
+    process: no thread outlives a read or crosses a fork, and nested or
+    interleaved reads cannot queue behind each other."""
+    from concurrent.futures import ThreadPoolExecutor
 
-    ready, stop = queue.Queue(2), threading.Event()
-
-    def run():
-        # each item is (True, chunk), and the last (False, error or None)
-        try:
-            while not stop.is_set():
-                ready.put((True, next(chunks)))
-        except StopIteration:
-            ready.put((False, None))
-        except BaseException as exc:  # raised again on the caller's thread
-            ready.put((False, exc))
-
-    reader = threading.Thread(target=run, name="sim2spec-read", daemon=True)
-    reader.start()
+    end = object()
+    reader = ThreadPoolExecutor(1, thread_name_prefix="sim2spec-read")
     try:
-        while True:
-            more, item = ready.get()
-            if not more:
-                if item is not None:
-                    raise item
-                return
-            yield item
+        pending = [reader.submit(next, chunks, end) for _ in range(3)]
+        while (chunk := pending.pop(0).result()) is not end:
+            pending.append(reader.submit(next, chunks, end))
+            yield chunk
     finally:
-        # once stop is set the reader puts at most one more item, which
-        # the emptied queue has room for, so the join cannot hang
-        stop.set()
-        while not ready.empty():
-            ready.get_nowait()
-        reader.join()
+        reader.shutdown(cancel_futures=True)
         chunks.close()
 
 
@@ -415,10 +392,10 @@ class FrameSource:
     @classmethod
     def _of_reader(cls, shape: tuple, read) -> "FrameSource":
         """The source of a file reader ``read(step)``, its ``step`` set once
-        from ``shape``, read on a reader thread (``_read_ahead``: up to two
-        chunks queued; the reader does not wait to be asked) only where
-        that pays: a frame alone overflows ``CHUNK_BYTES`` (about 181x181
-        and up), so its read and digest cost about as much as its
+        from ``shape``, read on a one-thread executor (``_read_ahead``:
+        three reads pending; the reader does not wait to be asked) only
+        where that pays: a frame alone overflows ``CHUNK_BYTES`` (about
+        181x181 and up), so its read and digest cost about as much as its
         transform, and the process may run on two CPUs or more.  On
         smaller frames a handoff per chunk costs more than it hides."""
         if (step := _frames_per_chunk(*shape[1:])) or usable_cpus() < 2:
@@ -435,9 +412,9 @@ class FrameSource:
         they are read: each listed file's name and contents, non-frames
         included, or the payload and then the sidecar.  Where frames are
         too large to share a chunk and two CPUs are usable, each read runs
-        on a reader thread ahead of its caller (``_of_reader``): up to two
-        chunks queued, and the reader does not wait to be asked.  The
-        bytes, checks and errors are the same, in the same order."""
+        on a one-thread executor ahead of its caller (``_of_reader``):
+        three reads pending, and the reader does not wait to be asked.
+        The bytes, checks and errors are the same, in the same order."""
         if os.path.isdir(path):
             names = sorted(e.name for e in os.scandir(path) if e.is_file())
             frames = [os.path.join(path, n) for n in names

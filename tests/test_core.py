@@ -353,8 +353,8 @@ def wait_until(done, timeout=10.0):
 
 
 def test_read_ahead_fills_its_queue_unasked():
-    # once the first chunk is taken, the reader queues two more and holds a
-    # third while it waits for a slot, without being asked; never more
+    # once the first chunk is taken, the executor reads the three chunks
+    # pending after it, without being asked; never more
     threads = threading.active_count()
     produced, closed = [], []
     read = core._read_ahead(counting_chunks(8, produced, closed))
@@ -369,9 +369,9 @@ def test_read_ahead_fills_its_queue_unasked():
 
 
 def test_closed_read_ahead_ends_its_thread():
-    # with the queue full and the reader waiting for a slot, close() on the
-    # outer iterator stops, drains and joins the reader thread, and only
-    # then closes the inner read, on the closing thread
+    # with three reads done and the executor's thread idle, close() on the
+    # outer iterator cancels the pending reads and shuts the executor down,
+    # and only then closes the inner read, on the closing thread
     threads = threading.active_count()
     produced, closed = [], []
     read = core._read_ahead(counting_chunks(8, produced, closed))

@@ -906,3 +906,16 @@ def test_slice_estimates_do_not_depend_on_contrast(cfg):
                 analyze(with_contrast(clip, c), cfg).slice_estimates[kind],
                 field)
             assert abs(got - ref) <= 1e-6 * abs(ref), (kind, c, got, ref)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "adaptive_composite weighs the sentinel losses of flagged slices like "
+    "measured ones, so a window with no usable slice still crowns a motion"))
+def test_every_slice_flagged_gives_equal_weights(cfg):
+    # under Hann both clips flag every slice, yet all_0.5 reads rotation
+    # 0.987 and t2_blobs (its taper is all zero) scaling 0.980
+    for name in ("all_0.5", "t2_blobs"):
+        rep = analyze(LAYOUT_CLIPS[name](), cfg)
+        assert all(rep.diagnostics["flags"][f] for f in BLOCK_FLAGS.values())
+        assert all(abs(w - 1 / 3) <= 1e-12 for w in rep.weights.values()), \
+            (name, rep.weights)
