@@ -16,11 +16,14 @@ three sample blocks, ``fits`` every ridge solve, a ``*_loss`` row what its
 loss does around them, and the rows of a call sum to the call.  A stage
 row is the median over the calls, ``clocked_ms`` the median clocked call
 and ``clock_cost`` its ratio to the median unclocked one.  A stage that
-``analyze`` stops calling reads zero.  The ``cli_analyze`` rows time an
-in-process ``cli.main(["analyze", FILE, "--json", OUT])`` on the clip
-saved as raw_f32 the same way, with the median call beside the minimum
-(a reader thread's hand-off stalls now and then, which the minimum
-hides).  The ``glue_ms`` rows time ``make_manifest`` and ``report_json``,
+``analyze`` stops calling reads zero.  A stage row whose median over the
+rounds is under ``UNRESOLVED_MS`` moves by tens of percent between
+processes of one tree, so each point lists those rows per size under
+``unresolved_stages``, and they are printed apart, without a ratio.  The
+``cli_analyze`` rows time an in-process ``cli.main(["analyze", FILE,
+"--json", OUT])`` on the clip saved as raw_f32 the same way, with the
+median call beside the minimum (a reader thread's hand-off stalls now and
+then, which the minimum hides).  The ``glue_ms`` rows time ``make_manifest`` and ``report_json``,
 ``to_dict`` plus ``json.dumps`` of the payload ``cli analyze`` writes.
 The ``retention_clip`` row times ``cli.suite_retention(1, 0)`` (one
 16x224^2 ``synth_powerlaw`` clip), the ``synth_sim2_ms`` rows the
@@ -88,6 +91,9 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 # the malloc settings of benchmark/run.py, set for every round's child
 MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "2000000000",
               "MALLOC_TRIM_THRESHOLD_": "4000000000"}
+# stage rows below this median (ms) differ by tens of percent between
+# processes of one tree, far more than their code's cost can move
+UNRESOLVED_MS = 0.1
 # the tier-1 command of ROADMAP.md, run with the tree's src on PYTHONPATH
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
@@ -378,6 +384,10 @@ def main(argv=None) -> int:
     for label, src in trees:
         summary = summarize(results[label])
         sizes = summary["sizes"]
+        for res in sizes.values():
+            res["unresolved_stages"] = [
+                k for k, v in res["stages_ms"].items()
+                if v["median"] < UNRESOLVED_MS]
         points.append({
             "label": label,
             "numpy": np.__version__,
@@ -405,11 +415,17 @@ def main(argv=None) -> int:
                                "cli analyze call median")):
                 show(f"{name} {what}", res[key + "_ms"], res[key + "_ref"])
             stages = {k: v["median"] for k, v in res["stages_ms"].items()}
-            print(f"{label} {name}: stage rows (ms) " + ", ".join(
-                f"{k} {v:.3f}" for k, v in stages.items()) + ", sum "
+            print(f"{label} {name}: stage rows (ms, ref) " + ", ".join(
+                f"{k} {v:.3f} {res['stages_ref'][k]['median']:.4f}"
+                for k, v in stages.items()
+                if k not in res["unresolved_stages"]) + ", sum "
                 f"{sum(stages.values()) / res['clocked_ms']['median']:.1%} "
                 f"of the clocked call; clock cost "
                 f"{res['clock_cost']['median'] - 1:+.1%}")
+            print(f"{label} {name}: stage rows under {UNRESOLVED_MS} ms, "
+                  "no ratio (ms) " + ", ".join(
+                      f"{k} {stages[k]:.3f}"
+                      for k in res["unresolved_stages"]))
             for key in res["glue_ms"]:
                 show(f"{name} {key}", res["glue_ms"][key],
                      res["glue_ref"][key])

@@ -45,8 +45,7 @@ from .spectral import spatial_transform, spectral_transform  # noqa: F401
 __all__ = [
     "RidgeResult", "LossReport", "TranslationLoss",
     "RotationLoss", "ScalingLoss",
-    "ridge_wls_solve", "translation_samples", "rotation_samples",
-    "scaling_samples", "translation_loss", "rotation_loss", "scaling_loss",
+    "ridge_wls_solve", "translation_loss", "rotation_loss", "scaling_loss",
     "unified_residual", "adaptive_composite", "analyze",
 ]
 
@@ -108,7 +107,11 @@ _NO_FIT.theta.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
-# sample builders
+# slice machinery shared by the individual losses
+
+# integer synthetic motions put energy exactly on a band edge; without the
+# slack, rounding at the 1e-14 level decides whether it counts as inside
+BAND_EDGE_SLACK = 1e-9
 
 
 def _energy(z: np.ndarray) -> np.ndarray:
@@ -119,38 +122,9 @@ def _energy(z: np.ndarray) -> np.ndarray:
     return e
 
 
-def translation_samples(s: Spectrum3D, cfg: SpectralConfig) -> WeightedSamples:
-    """One sample per retained Cartesian bin (translation slice columns)."""
-    return build_samples(s.freq_x[None, :], s.freq_y[:, None], 0.0, 0.0,
-                         s.freq_t, _energy(s.coeffs), None, cfg)
-
-
-def rotation_samples(stack: HarmonicStack, cfg: SpectralConfig) -> WeightedSamples:
-    """One sample per (omega_t, rho, m != 0) angular-harmonic cell."""
-    keep = stack.ang_m != 0
-    m = stack.ang_m[keep]
-    return build_samples(0.0, 0.0, m, 0.0, stack.freq_t,
-                         _energy(stack.ang[:, :, keep]), m, cfg)
-
-
-def scaling_samples(stack: HarmonicStack, cfg: SpectralConfig) -> WeightedSamples:
-    """One sample per (omega_t, nu != 0) log-radial harmonic cell."""
-    keep = stack.rad_nu != 0
-    nu = stack.rad_nu[keep]
-    return build_samples(0.0, 0.0, 0.0, nu, stack.freq_t,
-                         _energy(stack.rad[:, keep]), nu, cfg)
-
-
-# ---------------------------------------------------------------------------
-# slice machinery shared by the individual losses
-
-# integer synthetic motions put energy exactly on a band edge; without the
-# slack, rounding at the 1e-14 level decides whether it counts as inside
-BAND_EDGE_SLACK = 1e-9
-
-
-def _slice_fit(build, source, cols, cfg: SpectralConfig):
-    """Build one motion slice's sample block and solve its ridge fit once.
+def _slice_fit(cols, cfg: SpectralConfig, *block):
+    """Build one motion slice's sample block, ``build_samples(*block,
+    cfg)``, and solve its ridge fit over ``cols`` once.
 
     Returns ``(fit, samples, capture)``, ``capture`` being the raw-energy
     fraction of the samples whose error under the fit lies within the band
@@ -158,7 +132,7 @@ def _slice_fit(build, source, cols, cfg: SpectralConfig):
     identifiable, flags the slice as ``(_NO_FIT, None, 0.0)``.
     """
     try:
-        samples = build(source, cfg)
+        samples = build_samples(*block, cfg)
         fit = _fit(samples.moments, cols, cfg.ridge)
     except UnobservableError:
         return _NO_FIT, None, 0.0
@@ -246,11 +220,15 @@ def translation_loss(s: Spectrum3D, cfg: SpectralConfig) -> TranslationLoss:
     """Plane fit over the retained Cartesian bins.
 
     A degenerate spatial support (or an all-zero spectrum) yields the
-    sentinel loss 1.0 with the slice flagged, so adaptive weighting
-    naturally ignores the slice.
+    sentinel loss 1.0 with the slice flagged.  The softmax weighs it like
+    a measured loss, which is also in bin^2 (0.23-1.8 on the benchmark's
+    quality set), so 1.0 is no penalty; only a window with every slice
+    flagged gets equal weights (see ``analyze``).
     """
-    fit, samples, capture = _slice_fit(translation_samples, s, TRANS_COLS,
-                                       cfg)
+    # one sample per retained Cartesian bin
+    fit, samples, capture = _slice_fit(
+        TRANS_COLS, cfg, s.freq_x[None, :], s.freq_y[:, None], 0.0, 0.0,
+        s.freq_t, _energy(s.coeffs), None)
     if samples is None:
         return TranslationLoss(fit, None, l_trans=1.0, band_miss=0.0)
     return TranslationLoss(fit, samples, l_trans=fit.residual,
@@ -273,7 +251,12 @@ def rotation_loss(stack: HarmonicStack, rings: np.ndarray,
     """
     c_ring = min(max(1.0 - float(normalized_entropy(rings).mean()), 0.0), 1.0)
     eps_nb = float(np.mean(1.0 - rings.max(axis=1)))
-    fit, samples, c_rot = _slice_fit(rotation_samples, stack, ROT_COLS, cfg)
+    # one sample per (omega_t, rho, m != 0) angular-harmonic cell
+    keep = stack.ang_m != 0
+    m = stack.ang_m[keep]
+    fit, samples, c_rot = _slice_fit(ROT_COLS, cfg, 0.0, 0.0, m, 0.0,
+                                     stack.freq_t,
+                                     _energy(stack.ang[:, :, keep]), m)
     l_rot = 1.0 - 0.5 * (c_ring + c_rot)
     return RotationLoss(
         fit, samples, l_rot=min(max(l_rot, 0.0), 1.0), c_rot=c_rot,
@@ -312,7 +295,12 @@ def scaling_loss(rings: np.ndarray, stack: HarmonicStack,
             abs(cov) / math.sqrt(var_r * var_t), 1.0)
         slope = cov / var_t
 
-    fit, samples, c_scale = _slice_fit(scaling_samples, stack, SCALE_COLS, cfg)
+    # one sample per (omega_t, nu != 0) log-radial harmonic cell
+    keep = stack.rad_nu != 0
+    nu = stack.rad_nu[keep]
+    fit, samples, c_scale = _slice_fit(SCALE_COLS, cfg, 0.0, 0.0, 0.0, nu,
+                                       stack.freq_t,
+                                       _energy(stack.rad[:, keep]), nu)
     l_scale = 1.0 - 0.5 * (c_flow + s_trend)
     return ScalingLoss(
         fit, samples, l_scale=min(max(l_scale, 0.0), 1.0),
@@ -456,8 +444,11 @@ def analyze(v: VideoWindow | FrameSource,
     slices = {name: r for name, r in results.items() if not r.flagged}
     uni = unified_residual(trans.samples, rot.samples, scl.samples, cfg)
 
-    w, l_motion = adaptive_composite(trans.l_trans, rot.l_rot, scl.l_scale,
-                                     cfg.softmax_temperature)
+    # with no slice measured, no motion is preferred: an infinite
+    # temperature weighs the three losses equally
+    w, l_motion = adaptive_composite(
+        trans.l_trans, rot.l_rot, scl.l_scale,
+        cfg.softmax_temperature if slices else math.inf)
 
     to_omega, to_alpha = _rate_factors(stack)
     diagnostics = {

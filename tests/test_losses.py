@@ -909,11 +909,31 @@ def test_slice_estimates_do_not_depend_on_contrast(cfg):
 
 
 @pytest.mark.xfail(strict=True, reason=(
-    "adaptive_composite weighs the sentinel losses of flagged slices like "
-    "measured ones, so a window with no usable slice still crowns a motion"))
+    "the transform takes the fixed core.MID_GRAY off each frame, not the "
+    "window's mean, so an added offset leaves energy on each frame's "
+    "spatial DC bin, where it enters the sample blocks and their energy "
+    "gates"))
+def test_slice_estimates_do_not_depend_on_offset(cfg):
+    # at 16x64^2, seed 4, offsets 0 / 0.01 / 0.05: translation v_x 0.24429 /
+    # 0.24488 / 0.24012, rotation omega 0.18953 / 0.18828 / 0.16880 and
+    # scaling alpha -0.02576 / -0.00255 / -0.00030
+    for base, kind, field, motion in [
+            ("bandpass_noise", "translation", "v_x", dict(v=(1.0, 0.5))),
+            ("gaussian_blobs", "rotation", "omega", dict(omega=0.2)),
+            ("bandpass_noise", "scaling", "alpha", dict(alpha=-0.03))]:
+        clip = synth_sim2(base, MotionSpec(kind=kind, seed=4, **motion),
+                          16, 64, 64)
+        ref = getattr(analyze(clip, cfg).slice_estimates[kind], field)
+        for offset in (0.01, 0.05):
+            got = getattr(analyze(VideoWindow(clip.data + offset),
+                                  cfg).slice_estimates[kind], field)
+            assert abs(got - ref) <= 1e-6 * abs(ref), (kind, offset, got, ref)
+
+
 def test_every_slice_flagged_gives_equal_weights(cfg):
-    # under Hann both clips flag every slice, yet all_0.5 reads rotation
-    # 0.987 and t2_blobs (its taper is all zero) scaling 0.980
+    # under Hann both clips flag every slice; a softmax of their sentinel
+    # losses would read rotation 0.987 for all_0.5 and scaling 0.980 for
+    # t2_blobs (its taper is all zero)
     for name in ("all_0.5", "t2_blobs"):
         rep = analyze(LAYOUT_CLIPS[name](), cfg)
         assert all(rep.diagnostics["flags"][f] for f in BLOCK_FLAGS.values())
