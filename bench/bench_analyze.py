@@ -63,6 +63,7 @@ import argparse
 import contextlib
 import functools
 import glob
+import importlib.util
 import io
 import json
 import os
@@ -88,9 +89,21 @@ CHILD = ("import json, sys; sys.path[:0] = sys.argv[1:3]; "
          "json.dump(bench_analyze.bench_all(int(sys.argv[3])), sys.stdout)")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS")
+
+
+def _benchmark_run():
+    """``benchmark/run.py`` as a module, imported read-only."""
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_run", os.path.join(ROOT, "benchmark", "run.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # the malloc settings of benchmark/run.py, set for every round's child
-MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "2000000000",
-              "MALLOC_TRIM_THRESHOLD_": "4000000000"}
+MALLOC_ENV = {var: value for var, value
+              in _benchmark_run().PINNED_ENV.items()
+              if var.startswith("MALLOC_")}
 # stage rows below this median (ms) differ by tens of percent between
 # processes of one tree, far more than their code's cost can move
 UNRESOLVED_MS = 0.1

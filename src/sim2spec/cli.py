@@ -41,25 +41,18 @@ EXIT_INPUT = 2
 EXIT_DEGENERATE = 3
 
 
-@functools.cache
-def _static_environment() -> tuple:
-    """The entries of ``environment`` fixed for the process."""
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    fft = getattr(np.fft, "_pocketfft_umath", None)
-    return (np.__version__, fft.__name__ if fft else "numpy.fft",
-            {key: blas.get(key) for key in ("name", "version")},
-            os.cpu_count())
-
-
 def environment() -> dict:
     """The numpy version and FFT backend, the BLAS numpy was built against,
-    the CPU count, and, read on each call, the BLAS thread variables (None
-    when unset) and the CPUs this process may run on (``usable_cpus``)."""
-    version, fft, blas, cpu_count = _static_environment()
-    return {"numpy": version, "fft": fft, "blas": dict(blas),
+    the CPU count, the BLAS thread variables (None when unset) and the CPUs
+    this process may run on (``usable_cpus``)."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    fft = getattr(np.fft, "_pocketfft_umath", None)
+    return {"numpy": np.__version__,
+            "fft": fft.__name__ if fft else "numpy.fft",
+            "blas": {key: blas.get(key) for key in ("name", "version")},
             "threads": {var: os.environ.get(var) for var in (
                 "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")},
-            "cpu_count": cpu_count, "usable_cpus": usable_cpus()}
+            "cpu_count": os.cpu_count(), "usable_cpus": usable_cpus()}
 
 
 def make_manifest(command: str, inputs: dict,

@@ -28,7 +28,7 @@ import os
 import re
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields, is_dataclass
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -72,8 +72,11 @@ class DegenerateInputError(Sim2Error):
 class VideoWindow:
     """A single-channel luminance block ``data`` of shape ``(T, H, W)``.
 
-    ``data`` is stored as float64 and is immutable after construction.
-    Multi-channel ``(T, H, W, C)`` input is reduced to one channel
+    ``data`` is stored as float64 and read-only.  A float64 ``(T, H, W)``
+    array is taken without a copy and made read-only in place: the
+    caller's array becomes read-only, and a write through another view of
+    the same memory (the array it was sliced from) still reaches the
+    window.  Multi-channel ``(T, H, W, C)`` input is reduced to one channel
     (equal-weight average) before storage.  ``frames_t``, ``height`` and
     ``width`` are read off the stored array's shape.
     """
@@ -199,8 +202,13 @@ class SpectralConfig:
                     raise ConfigError(
                         f"{f.name} must be an integer, got {value!r}")
                 object.__setattr__(self, f.name, int(value))
-            elif isinstance(value, float) and not math.isfinite(value):
-                raise ConfigError(f"{f.name} must be finite, got {value}")
+            elif f.type == "float":  # any real number is stored as float
+                if type(value) is bool or not isinstance(value, Real):
+                    raise ConfigError(
+                        f"{f.name} must be a real number, got {value!r}")
+                if not math.isfinite(value):
+                    raise ConfigError(f"{f.name} must be finite, got {value}")
+                object.__setattr__(self, f.name, float(value))
         if not (0.0 < self.lowpass_ratio <= 1.0):
             raise ConfigError("lowpass_ratio must be in (0, 1]")
         if self.rings < 2:
@@ -227,7 +235,9 @@ class SpectralConfig:
 
     def stable_hash(self) -> str:
         """Platform-stable hash of the configuration (sorted-key JSON)."""
-        return _config_hash(*self.to_dict().values())
+        blob = json.dumps(self.to_dict(), sort_keys=True,
+                          separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -254,14 +264,6 @@ class MotionEstimate:
 
     def to_dict(self) -> dict:  # asdict without its deep copies
         return {f: getattr(self, f) for f in self.__dataclass_fields__}
-
-
-@functools.lru_cache(maxsize=TABLE_CACHE_SIZE, typed=True)
-def _config_hash(*values) -> str:
-    """``stable_hash`` per field values and types (0, 0.0: unlike JSON)."""
-    blob = json.dumps(dict(zip(SpectralConfig.__dataclass_fields__, values)),
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 # bytes of a chunk of frames once x-transformed, ``16*H*(W//2 + 1)`` a

@@ -114,14 +114,6 @@ _NO_FIT.theta.setflags(write=False)
 BAND_EDGE_SLACK = 1e-9
 
 
-def _energy(z: np.ndarray) -> np.ndarray:
-    """``|z|^2`` squared in place: bit-identical to ``np.abs(z) ** 2``, with
-    one array fewer alive."""
-    e = np.abs(z)
-    e *= e
-    return e
-
-
 def _slice_fit(cols, cfg: SpectralConfig, *block):
     """Build one motion slice's sample block, ``build_samples(*block,
     cfg)``, and solve its ridge fit over ``cols`` once.
@@ -228,7 +220,7 @@ def translation_loss(s: Spectrum3D, cfg: SpectralConfig) -> TranslationLoss:
     # one sample per retained Cartesian bin
     fit, samples, capture = _slice_fit(
         TRANS_COLS, cfg, s.freq_x[None, :], s.freq_y[:, None], 0.0, 0.0,
-        s.freq_t, _energy(s.coeffs), None)
+        s.freq_t, np.abs(s.coeffs) ** 2, None)
     if samples is None:
         return TranslationLoss(fit, None, l_trans=1.0, band_miss=0.0)
     return TranslationLoss(fit, samples, l_trans=fit.residual,
@@ -256,7 +248,7 @@ def rotation_loss(stack: HarmonicStack, rings: np.ndarray,
     m = stack.ang_m[keep]
     fit, samples, c_rot = _slice_fit(ROT_COLS, cfg, 0.0, 0.0, m, 0.0,
                                      stack.freq_t,
-                                     _energy(stack.ang[:, :, keep]), m)
+                                     np.abs(stack.ang[:, :, keep]) ** 2, m)
     l_rot = 1.0 - 0.5 * (c_ring + c_rot)
     return RotationLoss(
         fit, samples, l_rot=min(max(l_rot, 0.0), 1.0), c_rot=c_rot,
@@ -300,7 +292,7 @@ def scaling_loss(rings: np.ndarray, stack: HarmonicStack,
     nu = stack.rad_nu[keep]
     fit, samples, c_scale = _slice_fit(SCALE_COLS, cfg, 0.0, 0.0, 0.0, nu,
                                        stack.freq_t,
-                                       _energy(stack.rad[:, keep]), nu)
+                                       np.abs(stack.rad[:, keep]) ** 2, nu)
     l_scale = 1.0 - 0.5 * (c_flow + s_trend)
     return ScalingLoss(
         fit, samples, l_scale=min(max(l_scale, 0.0), 1.0),
@@ -433,7 +425,8 @@ def analyze(v: VideoWindow | FrameSource,
                               cfg.rings, cfg.angular_bins)
         polar = polar_resample(frames_c, lut)
         stack = make_stack(polar, cfg)
-        rings = ring_energies(_energy(frames_c), s3c.freq_y, s3c.freq_x, cfg)
+        rings = ring_energies(np.abs(frames_c) ** 2, s3c.freq_y, s3c.freq_x,
+                              cfg)
 
     with _stage("losses"):
         trans = translation_loss(s3c, cfg)

@@ -591,6 +591,22 @@ def test_config_integer_fields(name):
     assert cfg.stable_hash() == SpectralConfig(**{name: value}).stable_hash()
 
 
+@pytest.mark.parametrize("name, whole", [
+    ("lowpass_ratio", 1), ("ridge", 0), ("energy_gate_threshold", 0),
+    ("energy_gate_sharpness", 3), ("softmax_temperature", 2)])
+def test_config_float_fields(name, whole):
+    # any real number but a bool is stored as the equal Python float
+    value = getattr(SpectralConfig(), name)
+    for real in (np.float32(value), np.float64(value), whole):
+        cfg = SpectralConfig(**{name: real})
+        assert type(getattr(cfg, name)) is float
+        assert (cfg.stable_hash() ==
+                SpectralConfig(**{name: float(real)}).stable_hash())
+    for bad in (True, "0.3", None):
+        with pytest.raises(ConfigError, match="must be a real number"):
+            SpectralConfig(**{name: bad})
+
+
 def test_config_hash_stable():
     a = SpectralConfig()
     b = SpectralConfig()
@@ -599,10 +615,8 @@ def test_config_hash_stable():
 
 
 def test_config_hash_pinned():
-    # the hash is cached per field values and types: 0 and 0.0 write
-    # different JSON, so they hash apart
     assert SpectralConfig().stable_hash() == "779267435a6357fa"
-    assert SpectralConfig(ridge=0).stable_hash() == "5b25fb295a19326f"
+    assert SpectralConfig(ridge=0).stable_hash() == "7b63af156ffecd55"
     assert SpectralConfig(ridge=0.0).stable_hash() == "7b63af156ffecd55"
 
 

@@ -1,12 +1,11 @@
 """The benchmark's four quality metrics, held to the committed ledger.
 
-The quality set of ``benchmark/gen.py`` (``QUALITY_WINDOWS`` windows of
-``motion_mix`` from ``QUALITY_SEED``, rendered by ``synth_sim2`` at
-``SMALL``) is built in memory, stored as ``write_windows`` stores it, run
-through ``analyze`` with the default config and scored by
-``benchmark/worker.py``'s ``quality_metrics``; the benchmark modules are
-imported read-only.  A metric worse than its value in
-``quality_ledger.json`` by more than ``REL_TOL`` fails; a change that
+Each set of ``SETS`` (windows of ``benchmark/gen.py``'s ``motion_mix``,
+rendered by ``synth_sim2``) is built in memory, stored as
+``write_windows`` stores it, run through ``analyze`` with the default
+config and scored by ``benchmark/worker.py``'s ``quality_metrics``; the
+benchmark modules are imported read-only.  A metric worse than its value
+in ``quality_ledger.json`` by more than ``REL_TOL`` fails; a change that
 improves one updates the ledger (see README).
 """
 
@@ -26,6 +25,15 @@ HERE = os.path.dirname(__file__)
 BENCH_DIR = os.path.join(HERE, "..", "benchmark")
 LEDGER = os.path.join(HERE, "quality_ledger.json")
 REL_TOL = 1e-9
+# each ledger set's (seed, windows, (T, H, W)) from the benchmark modules
+SETS = {
+    # the benchmark's quality set, 90 windows at 16x64^2
+    "quality": lambda gen: (gen.QUALITY_SEED, gen.QUALITY_WINDOWS,
+                            gen.SMALL),
+    # 3 windows a motion kind at a second size: its medians catch changed
+    # answers, they do not estimate quality
+    "seed3_32x128": lambda gen: (3, 15, (32, 128, 128)),
+}
 
 
 @pytest.fixture(scope="module")
@@ -49,23 +57,24 @@ def stored(clip: VideoWindow, i: int) -> VideoWindow:
     return VideoWindow(clip.data.astype("<f4").astype(np.float64))
 
 
-def quality(gen, worker) -> dict:
+def quality(gen, worker, seed: int, windows: int, size: tuple) -> dict:
     cfg, docs, truth = SpectralConfig(), [], []
-    specs = gen.motion_mix(make_rng(gen.QUALITY_SEED), gen.QUALITY_WINDOWS)
+    specs = gen.motion_mix(make_rng(seed), windows)
     for i, (base, spec) in enumerate(specs):
-        clip = stored(synth_sim2(base, spec, *gen.SMALL), i)
+        clip = stored(synth_sim2(base, spec, *size), i)
         docs.append({"report": analyze(clip, cfg).to_dict()})
         truth.append({"spec": spec.to_dict()})
     return worker.quality_metrics(docs, truth)
 
 
-def test_quality_no_worse_than_ledger(bench):
+@pytest.mark.parametrize("set_name", SETS)
+def test_quality_no_worse_than_ledger(bench, set_name):
     with open(LEDGER, encoding="utf-8") as fh:
-        ledger = json.load(fh)["metrics"]
+        ledger = json.load(fh)["sets"][set_name]["metrics"]
     with open(os.path.join(BENCH_DIR, "..", "BENCHMARK.json"),
               encoding="utf-8") as fh:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
-    got = quality(*bench)
+    got = quality(*bench, *SETS[set_name](bench[0]))
     assert set(got) == set(ledger)
     worse = {name: (got[name], ledger[name]) for name in ledger
              if (got[name] - ledger[name])
