@@ -352,21 +352,20 @@ SWEEP_FIXTURES = {
 
 
 def _parse_range(text: str, integer: bool) -> list:
-    """``--range``: a comma list or ``lo..hi`` inclusive (each integer for an
-    integer parameter, else 7 steps); a value not a finite number is bad."""
+    """``--range``: a comma list or ``lo..hi`` inclusive (every integer for
+    an integer parameter, else 7 steps); each value an int for an integer
+    parameter, else a float, and finite."""
     span = ".." in text
     try:
-        vals = [float(x) for x in (text.split("..", 1) if span else
-                                   filter(str.strip, text.split(",")))]
+        vals = list(map(int if integer else float, text.split("..", 1) if span
+                        else filter(str.strip, text.split(","))))
         if not all(map(math.isfinite, vals)):
             raise ValueError(f"{text!r} is not finite")
     except ValueError as exc:
         raise ConfigError(f"bad range: {exc}") from exc
     if span:
-        vals = (list(range(int(vals[0]), int(vals[1]) + 1)) if integer
+        vals = (list(range(vals[0], vals[1] + 1)) if integer
                 else list(np.linspace(*vals, 7)))
-    elif integer:
-        vals = [int(x) for x in vals]
     if not vals:
         raise ConfigError("bad range: empty range")
     return vals
@@ -389,9 +388,9 @@ def cmd_sweep(args) -> int:
     for val in values:
         cfg, frames_t, noise = base_cfg, 16, 0.0
         if args.param == "T":
-            frames_t = int(val)
+            frames_t = val
         elif args.param == "delta":
-            cfg = replace(cfg, band_tolerance=int(val))
+            cfg = replace(cfg, band_tolerance=val)
         elif args.param == "tau":
             cfg = replace(cfg, softmax_temperature=float(val))
         elif args.param == "noise":

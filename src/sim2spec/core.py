@@ -426,10 +426,7 @@ class FrameSource:
             hw = _parse_pgm(_read_bytes(frames[0], None), frames[0]).shape
 
             def read_pgm(step):
-                # a frame of another shape is an error once every frame is
-                # parsed, so the error lists every shape; from the first
-                # such frame on, only the shapes are kept
-                shapes, batch = {hw}, []
+                batch = []
                 for name in names:
                     is_frame = name.endswith(".pgm")
                     if digest is not None:
@@ -439,15 +436,14 @@ class FrameSource:
                     file = os.path.join(path, name)
                     blob = _read_bytes(file, digest)
                     if is_frame:
-                        shapes.add((frame := _parse_pgm(blob, file)).shape)
-                        if len(shapes) == 1:
-                            batch.append(frame)
+                        if (frame := _parse_pgm(blob, file)).shape != hw:
+                            raise FormatError(
+                                f"inconsistent frame shapes in {path}: "
+                                f"{sorted({hw, frame.shape})}")
+                        batch.append(frame)
                     if len(batch) == step:
                         yield np.stack(batch)
                         batch = []
-                if len(shapes) != 1:
-                    raise FormatError(f"inconsistent frame shapes in {path}: "
-                                      f"{sorted(shapes)}")
                 if batch:
                     yield np.stack(batch)
             return cls._of_reader((len(frames), *hw), read_pgm)

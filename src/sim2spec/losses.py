@@ -432,16 +432,14 @@ def analyze(v: VideoWindow | FrameSource,
         trans = translation_loss(s3c, cfg)
         rot = rotation_loss(stack, rings, cfg)
         scl = scaling_loss(rings, stack, cfg)
-
-    results = {"translation": trans, "rotation": rot, "scaling": scl}
-    slices = {name: r for name, r in results.items() if not r.flagged}
-    uni = unified_residual(trans.samples, rot.samples, scl.samples, cfg)
-
-    # with no slice measured, no motion is preferred: an infinite
-    # temperature weighs the three losses equally
-    w, l_motion = adaptive_composite(
-        trans.l_trans, rot.l_rot, scl.l_scale,
-        cfg.softmax_temperature if slices else math.inf)
+        results = {"translation": trans, "rotation": rot, "scaling": scl}
+        slices = {name: r for name, r in results.items() if not r.flagged}
+        uni = unified_residual(trans.samples, rot.samples, scl.samples, cfg)
+        # with no slice measured, no motion is preferred: an infinite
+        # temperature weighs the three losses equally
+        w, l_motion = adaptive_composite(
+            trans.l_trans, rot.l_rot, scl.l_scale,
+            cfg.softmax_temperature if slices else math.inf)
 
     to_omega, to_alpha = _rate_factors(stack)
     diagnostics = {

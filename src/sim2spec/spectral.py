@@ -198,14 +198,14 @@ def keep_count(n: int, ratio: float) -> int:
 def keep_mask_1d(n: int, ratio: float) -> np.ndarray:
     """Boolean keep-mask over the shifted bin grid of one dimension.
 
-    Bins are admitted in the order 0, +1, -1, +2, -2, ... until the
-    per-dimension count is reached, so the kept set is a centered window
-    (one extra positive bin when the count is even).
+    The kept set is the run of ``count = keep_count(n, ratio)`` positions
+    from ``min(n//2 - (count-1)//2, n - count)``, centred on zero's position
+    ``n//2`` (one extra positive bin when the count is even and below n).
     """
-    idx = signed_bins(n)
-    order = np.lexsort((idx < 0, np.abs(idx)))
+    count = keep_count(n, ratio)
+    start = min(n // 2 - (count - 1) // 2, n - count)
     mask = np.zeros(n, dtype=bool)
-    mask[order[:keep_count(n, ratio)]] = True
+    mask[start:start + count] = True
     return mask
 
 
@@ -254,7 +254,11 @@ def _eta_ball(ratio: float, p: EtaParams) -> float:
     expo = 3.0 - 2.0 * p.kappa
     if abs(expo) < 1e-12:
         return math.log(cut / r_lo) / math.log(r_hi / r_lo)
-    return (cut ** expo - r_lo ** expo) / (r_hi ** expo - r_lo ** expo)
+    try:
+        return (cut ** expo - r_lo ** expo) / (r_hi ** expo - r_lo ** expo)
+    except OverflowError as exc:
+        raise ConfigError(f"kappa={p.kappa} overflows float64 at "
+                          f"min_radius={r_lo}, max_radius={r_hi}") from exc
 
 
 def eta_retention(ratio: float, p: EtaParams) -> dict:

@@ -35,6 +35,17 @@ def test_every_traced_function_resolves(spans):
         assert callable(getattr(mod, fname, None)), f"{modname}.{fname}"
 
 
+def test_selftest_wrappers_install_and_uninstall():
+    # the self-test's wrapper check reaches names such as losses'
+    # re-imported spectral_transform, which nothing else here holds
+    saved = sys.path[:]
+    try:
+        sys.path.insert(0, BENCH_DIR)
+        importlib.import_module("selftest").check_wrappers()
+    finally:
+        sys.path[:] = saved
+
+
 def translation_clip():
     return synth_sim2("bandpass_noise",
                       MotionSpec(kind="translation", v=(1.0, 0.5), seed=1),

@@ -600,7 +600,7 @@ def bad_inputs(tmp):
                      for s in ((8, 8), (8, 6), (8, 8), (4, 4))])
     cases["inconsistent_pgm_shapes"] = (
         path, f"inconsistent frame shapes in {path}: "
-        "[(4, 4), (8, 6), (8, 8)]")
+        "[(8, 6), (8, 8)]")
     path = os.path.join(tmp, "no_frames")
     os.makedirs(path)
     pathlib.Path(path, "notes.txt").write_text("no frames here")
@@ -824,6 +824,20 @@ def test_sweep_non_finite_bound_exit_2(text, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "analyze", no_analysis)
     assert main(["sweep", "--param", "T", f"--range={text}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad range: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("param,text", [("T", "4.5"), ("T", "4..8.5"),
+                                        ("delta", "1.7")])
+def test_sweep_non_integer_value_exit_2(param, text, monkeypatch, capsys):
+    # an integer parameter's value was parsed as a float and truncated:
+    # delta 1.7 ran and reported delta 1
+    def no_analysis(*args):
+        raise AssertionError("analyze ran")
+
+    monkeypatch.setattr(cli, "analyze", no_analysis)
+    assert main(["sweep", "--param", param, f"--range={text}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: bad range: ") and err.count("\n") == 1
 

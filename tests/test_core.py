@@ -454,8 +454,8 @@ def test_source_chunks_checked_against_shape(frames, match):
 
 @pytest.mark.parametrize("cpus", [(0,), (0, 1)])
 def test_pgm_shape_mismatch_holds_few_frames(cpus, tmp_path, monkeypatch):
-    # past the first frame of another shape the later frames are parsed
-    # for their shapes only: the read holds a few frames, not all the rest
+    # the read stops at the first frame of another shape: it parses the
+    # first frame on opening, then frames 0 and 1, and holds a few frames
     d = tmp_path / "frames"
     d.mkdir()
     for t in range(40):
@@ -463,6 +463,13 @@ def test_pgm_shape_mismatch_holds_few_frames(cpus, tmp_path, monkeypatch):
         (d / f"frame_{t:04d}.pgm").write_bytes(
             b"P5\n256 %d\n255\n" % h + bytes(256 * h))
     usable_cpus(monkeypatch, cpus)
+    parsed, parse = [], core._parse_pgm
+
+    def counted_parse(blob, path):
+        parsed.append(path)
+        return parse(blob, path)
+
+    monkeypatch.setattr(core, "_parse_pgm", counted_parse)
     tracemalloc.start()
     try:
         with pytest.raises(FormatError,
@@ -472,8 +479,10 @@ def test_pgm_shape_mismatch_holds_few_frames(cpus, tmp_path, monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one float64 frame is 0.5 MB; the parent read held all 39 after it
+    # one float64 frame is 0.5 MB; an earlier read held all 39 after it
     assert peak < 6 * 256 * 256 * 8
+    # an earlier read parsed all 40 frames after the open, for their shapes
+    assert len(parsed) <= 3
 
 
 def test_normalize_constant_half():

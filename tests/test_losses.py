@@ -638,6 +638,15 @@ def test_analyze_stage_labels():
         analyze(clip, SpectralConfig())
 
 
+def test_overflowing_fit_keeps_losses_label():
+    # the joint fit and the composite ran outside any stage: a window of
+    # 1e300-scale noise overflowed its energies with no label
+    clip = VideoWindow(make_rng(0).standard_normal((16, 32, 32)) * 1e300)
+    with np.errstate(all="ignore"):
+        with pytest.raises(DegenerateInputError, match=r"^\[losses\] "):
+            analyze(clip, SpectralConfig())
+
+
 # ---------------------------------------------------------------------------
 # the pruned transform leaves every report field where the full one put it
 

@@ -167,6 +167,12 @@ def test_eta_log_branch_matches_quadrature():
     assert abs(out - num / den) < 1e-9
 
 
+def test_eta_overflow_is_config_error():
+    # r_lo ** expo overflowed as a bare OverflowError
+    with pytest.raises(ConfigError, match=r"kappa=300\.0 .*min_radius=0\.001"):
+        eta_retention(0.3, EtaParams(kappa=300.0))
+
+
 def test_eta_near_log_branch_continuous():
     p_log = EtaParams(kappa=1.5, min_radius=1e-3)
     p_near = EtaParams(kappa=1.5 + 1e-9, min_radius=1e-3)
@@ -226,10 +232,20 @@ def test_lowpass_then_retention_is_total():
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(4, 256), st.floats(1e-6, 1.0), st.floats(1e-6, 1.0))
+@example(17, 0.3, 0.3)
 def test_keep_count_properties(n, r1, r2):
     lo, hi = sorted((r1, r2))
     assert 2 <= keep_count(n, lo) <= keep_count(n, hi) <= n
     assert keep_count(n, 1.0) == n
+    # the mask is one run of keep_count positions holding position n//2,
+    # symmetric about it but for one extra positive bin at an even count
+    # below n (at n = 17 the repeated labels moved the sorted choice)
+    count = keep_count(n, lo)
+    kept = np.flatnonzero(keep_mask_1d(n, lo))
+    assert len(kept) == count and kept[-1] - kept[0] == count - 1
+    below, above = n // 2 - kept[0], kept[-1] - n // 2
+    assert below >= 0 and above >= 0
+    assert count == n or above - below == (count % 2 == 0)
 
 
 # ---------------------------------------------------------------------------
