@@ -12,11 +12,13 @@ tracemalloc peak.  The stage rows come from ``--repeats`` more calls of
 that ``analyze`` reaches through ``sim2spec.losses`` books its self time
 (the clocked stages it calls left out) to its row, and ``assembly`` books
 the rest, ``analyze``'s own work.  So ``samples`` is the building of the
-three sample blocks, ``fits`` every ridge solve, a ``*_loss`` row what its
-loss does around them, and the rows of a call sum to the call.  A stage
-row is the median over the calls, ``clocked_ms`` the median clocked call
-and ``clock_cost`` its ratio to the median unclocked one.  A stage that
-``analyze`` stops calling reads zero.  A stage row whose median over the
+three sample blocks with their moments (points from trees whose blocks
+formed the moments lazily book those to the ``*_loss`` rows), ``fits``
+every ridge solve, a ``*_loss`` row what its loss does around them, and
+the rows of a call sum to the call.  A stage row is the median over the
+calls, ``clocked_ms`` the median clocked call and ``clock_cost`` its
+ratio to the median unclocked one.  A stage that ``analyze`` stops
+calling reads zero.  A stage row whose median over the
 rounds is under ``UNRESOLVED_MS`` moves by tens of percent between
 processes of one tree, so each point lists those rows per size under
 ``unresolved_stages``, and they are printed apart, without a ratio.  The

@@ -16,7 +16,7 @@ import numpy as np
 from .core import ConfigError, DegenerateInputError, table
 from .losses import ridge_wls_solve
 from .resample import normalized_entropy
-from .spectral import signed_bins, temporal_window
+from .spectral import temporal_window
 
 __all__ = [
     "BoundCheck", "window_leakage", "band_capture_check",
@@ -49,11 +49,12 @@ class BoundCheck:
 
 @table
 def _leakage_profile(frames_t: int, kind: str) -> tuple:
-    """``window_leakage``'s power spectrum, its total and ``|bins|``."""
+    """``window_leakage``'s power spectrum, its total and each bin's
+    distance from DC, the index ``spectral.shifted_dft`` gives its row."""
     if not np.any(h := temporal_window(frames_t, kind)):
         raise DegenerateInputError("temporal window is all zero")
     power = np.fft.fftshift(np.abs(np.fft.fft(h)) ** 2)
-    return power, power.sum(), np.abs(signed_bins(frames_t))
+    return power, power.sum(), np.abs(np.arange(frames_t) - frames_t // 2)
 
 
 def window_leakage(frames_t: int, delta: int, kind: str = "hann") -> float:
@@ -78,6 +79,8 @@ def band_capture_check(energies, errors, gates, delta: float,
     ``gates`` the per-sample gate factors (weights are gate * energy).
     Zero total energy is a vacuous pass (flagged in the context).
     """
+    if not delta > 0:
+        raise ConfigError("delta must be positive")
     e = np.asarray(energies, dtype=np.float64)
     err = np.asarray(errors, dtype=np.float64)
     g = np.asarray(gates, dtype=np.float64)

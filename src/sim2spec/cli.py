@@ -282,11 +282,11 @@ def suite_retention(n: int, seed: int) -> tuple:
     if n < 1:
         # with no clip the mean would be NaN and read as a violation
         raise ConfigError(f"--n-retention must be at least 1, got {n}")
-    cfg = SpectralConfig(window_kind="rect", lowpass_ratio=0.3)
+    cfg = SpectralConfig(window_kind="rect")
     checks = []
     size = (16, 224, 224)
     params = EtaParams.for_grid(*size, kappa=1.8)
-    eta = eta_retention(0.3, params)
+    eta = eta_retention(cfg.lowpass_ratio, params)
     checks.append(BoundCheck(abs(eta["eta_ball"] - 0.97), 0.005,
                              {"bound": "eta_ball_value"}))
     checks.append(BoundCheck(abs(eta["eta_cube_hi"] - 0.987), 0.005,

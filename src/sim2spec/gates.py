@@ -7,13 +7,13 @@ information (exactly zero at m = 0).  The realized gate extremes are
 recorded with the samples because the concentration bounds need the gate
 ratio.  A block is a design matrix over its cells times a temporal grid,
 the target ``-omega_t`` varying only along the latter.  The design matrix
-and the observability gate depend only on the grids (``core.table``).
+and the observability gate depend only on the grids (``core.table``);
+``build_samples`` forms the moments when it builds the block.
 The energy gate is ``core.logistic``, the ring edges' overflow-safe one.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -35,6 +35,8 @@ class WeightedSamples:
     grid ``freq_t`` (targets ``-omega_t``), and ``(K, cells)`` ``weights``
     and ``energies``.  ``g_lo``/``g_hi`` bound the gate factor over every
     carried sample (``w = g * E`` with ``g`` in ``[g_lo, g_hi]``).
+    ``moments`` is ``(gram, rhs, sum_w, sum_wyy)`` = ``(sum w x x^T,
+    sum w x y, sum w, sum w y^2)``.
     """
 
     design: np.ndarray
@@ -43,21 +45,11 @@ class WeightedSamples:
     energies: np.ndarray
     g_lo: float
     g_hi: float
+    moments: tuple
 
     @property
     def n(self) -> int:
         return self.weights.size
-
-    @functools.cached_property
-    def moments(self) -> tuple:
-        """``(gram, rhs, sum_w, sum_wyy)`` = ``(sum w x x^T, sum w x y,
-        sum w, sum w y^2)``, formed once from the weights' per-cell and
-        per-frequency sums."""
-        w_cell = self.weights.sum(0)
-        gram = self.design.T @ (self.design * w_cell[:, None])
-        rhs = -self.design.T @ (self.freq_t @ self.weights)
-        sum_wyy = self.freq_t ** 2 @ self.weights.sum(1)
-        return gram, rhs, w_cell.sum(), sum_wyy
 
     def errors(self, theta) -> np.ndarray:
         """Per-sample ``x . theta - y``, ``(K, cells)``."""
@@ -77,20 +69,6 @@ def obs_gate(harmonic_index: np.ndarray) -> np.ndarray:
     """m^2 / (m^2 + lambda_obs); zero at m = 0, approaching 1 for large m."""
     m2 = np.asarray(harmonic_index, dtype=np.float64) ** 2
     return m2 / (m2 + OBS_GATE_LAMBDA)
-
-
-def _gated(energies: np.ndarray, obs, cfg: SpectralConfig) -> tuple:
-    """Gated weights and the gate bounds ``(g_lo, g_hi)`` over the samples
-    with a nonzero gate (so the band-capture bound's ratio ``g_hi/g_lo`` is
-    finite), given the observability gate ``obs`` (None: gate 1)."""
-    g = energy_gate(energies, cfg)
-    if obs is not None:
-        g *= obs
-    positive = g > 0.0
-    g_hi = float(g.max(where=positive, initial=0.0))
-    if g_hi <= 0.0:
-        raise UnobservableError("observability gate removed every sample")
-    return g * energies, float(g.min(where=positive, initial=g_hi)), g_hi
 
 
 @table
@@ -114,7 +92,20 @@ def build_samples(omega_x, omega_y, m, nu, omega_t, energies,
         raise ValueError("omega_t must be the grid of the energies' axis 0")
     design, obs = _block_grids(omega_x, omega_y, m, nu, energies.shape[1:],
                                harmonic_index)
-    w, g_lo, g_hi = _gated(energies, obs, cfg)
+    g = energy_gate(energies, cfg)
+    if obs is not None:
+        g *= obs
+    # bounds over the nonzero gates: band capture's g_hi/g_lo is finite
+    positive = g > 0.0
+    g_hi = float(g.max(where=positive, initial=0.0))
+    if g_hi <= 0.0:
+        raise UnobservableError("observability gate removed every sample")
+    g_lo = float(g.min(where=positive, initial=g_hi))
     k = len(freq_t)
-    return WeightedSamples(design, freq_t, w.reshape(k, -1),
-                           energies.reshape(k, -1), g_lo, g_hi)
+    w = (g * energies).reshape(k, -1)
+    w_cell = w.sum(0)
+    gram = design.T @ (design * w_cell[:, None])
+    rhs = -design.T @ (freq_t @ w)
+    sum_wyy = freq_t ** 2 @ w.sum(1)
+    return WeightedSamples(design, freq_t, w, energies.reshape(k, -1),
+                           g_lo, g_hi, (gram, rhs, w_cell.sum(), sum_wyy))

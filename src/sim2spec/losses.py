@@ -389,11 +389,11 @@ class LossReport:
 def _stage(name: str):
     """Prefixes escaping package errors with the pipeline stage that raised
     them; a ``FormatError`` from reading the input keeps the reader's
-    text."""
+    text.  Stages run one after another, never nested."""
     try:
         yield
     except Sim2Error as exc:
-        if isinstance(exc, FormatError) or str(exc).startswith(f"[{name}]"):
+        if isinstance(exc, FormatError):
             raise
         raise type(exc)(f"[{name}] {exc}") from exc
 

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, SpectralConfig, logistic, table
+from .core import (ConfigError, DegenerateInputError, SpectralConfig,
+                   logistic, table)
 from .spectral import shifted_dft, signed_bins, temporal_dft
 
 __all__ = ["PolarLUT", "HarmonicStack", "build_polar_lut", "polar_resample",
@@ -124,7 +125,8 @@ class HarmonicStack:
 
     def __post_init__(self):
         if not (np.all(np.isfinite(self.ang)) and np.all(np.isfinite(self.rad))):
-            raise ConfigError("harmonic stack contains non-finite entries")
+            raise DegenerateInputError(
+                "harmonic stack contains non-finite entries")
 
 
 @table

@@ -12,7 +12,7 @@ from sim2spec import bounds
 from sim2spec.cli import suite_bounds
 from sim2spec.core import ConfigError, DegenerateInputError
 from sim2spec.losses import analyze
-from sim2spec.spectral import signed_bins, temporal_window
+from sim2spec.spectral import temporal_window
 from sim2spec.synth import MotionSpec, make_rng, synth_sim2
 
 from conftest import make_fixture_clip
@@ -34,9 +34,13 @@ def test_leakage_rect_all_energy_at_dc():
 
 def test_leakage_hann_monotone_in_t():
     assert window_leakage(32, 1) <= window_leakage(16, 1)
-    for delta in (0, 1, 2):
-        vals = [window_leakage(t, delta) for t in (8, 16, 32, 64)]
-        assert all(vals[i + 1] <= vals[i] + 1e-15 for i in range(3))
+    # every T, so that a frame count whose bin labels repeat (17, 49, ...)
+    # is read by position; delta = 2 still rises from T = 8 to 9
+    for delta, ts in ((0, range(8, 65)), (1, range(8, 65)),
+                      (2, (8, 16, 32, 64))):
+        vals = [window_leakage(t, delta) for t in ts]
+        assert all(vals[i + 1] <= vals[i] + 1e-15
+                   for i in range(len(vals) - 1)), delta
 
 
 def test_leakage_monotone_in_delta():
@@ -56,10 +60,10 @@ def test_leakage_all_zero_window_is_degenerate():
 
 @pytest.mark.parametrize("kind", ["hann", "rect"])
 def test_leakage_from_cached_profile_is_the_direct_sum(kind):
-    for t in (3, 8, 15, 16, 32, 64):
+    for t in (3, 8, 15, 16, 17, 32, 49, 64):
         h = temporal_window(t, kind)
         power = np.fft.fftshift(np.abs(np.fft.fft(h)) ** 2)
-        bins = signed_bins(t)
+        bins = np.arange(t) - t // 2
         for delta in range(t // 2 + 2):
             direct = float(power[np.abs(bins) > delta].sum() / power.sum())
             assert window_leakage(t, delta, kind) == direct
@@ -88,6 +92,12 @@ def test_band_capture_full_capture():
     chk = band_capture_check([1, 2, 3], [0.5, -0.3, 0.9], [1, 1, 1], 1.0)
     assert chk.lhs == 0.0
     assert chk.holds
+
+
+@pytest.mark.parametrize("delta", [0, 0.0, -1])
+def test_band_capture_rejects_nonpositive_delta(delta):
+    with pytest.raises(ConfigError, match="delta"):
+        band_capture_check([1, 2], [0.5, 3], [0.5, 0.9], delta)
 
 
 def test_band_capture_zero_energy_vacuous():
