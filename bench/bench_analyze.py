@@ -30,7 +30,12 @@ then, which the minimum hides).  The ``glue_ms`` rows time ``make_manifest`` and
 The ``retention_clip`` row times ``cli.suite_retention(1, 0)`` (one
 16x224^2 ``synth_powerlaw`` clip), the ``synth_sim2_ms`` rows the
 mixed-motion clip at 16x64^2 and 32x256^2, and the ``powerlaw_clip`` rows
-one 16x224^2 ``synth_powerlaw`` clip (amplitude grid cached).
+one 16x224^2 ``synth_powerlaw`` clip (amplitude grid cached).  The
+``powerlaw_clip_one_cpu`` rows time the same clip, and the reference
+kernel after it, with the bench process's affinity narrowed to one of
+its CPUs (``os.sched_setaffinity``, restored afterwards), where the clip
+has no helper thread; a platform without ``sched_setaffinity`` has no
+such rows.
 
 Every timed call is followed by one run of a fixed reference kernel, the
 mix of ``benchmark/worker.py``'s ``Reference`` at 16x64^2 (a full-frame
@@ -306,6 +311,16 @@ def bench_clips(repeats: int, ref) -> dict:
     powerlaw()
     out.update(zip(("powerlaw_clip_ms", "powerlaw_clip_ref"),
                    row(powerlaw, repeats, ref)))
+    if hasattr(os, "sched_setaffinity"):
+        cpus = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(cpus)})
+        try:
+            powerlaw()
+            out.update(zip(("powerlaw_clip_one_cpu_ms",
+                            "powerlaw_clip_one_cpu_ref"),
+                           row(powerlaw, repeats, ref)))
+        finally:
+            os.sched_setaffinity(0, cpus)
     out["powerlaw_clip_tracemalloc_peak_mb"] = peak_mb(powerlaw)
     return out
 
@@ -447,8 +462,10 @@ def main(argv=None) -> int:
             print(f"{label} {name}: peak MB " + ", ".join(
                 f"{res[key + '_tracemalloc_peak_mb']['median']:.1f} {key}"
                 for key in ("analyze", "cli_analyze")))
-        for key in ("retention_clip", "powerlaw_clip"):
-            show(key, summary[key + "_ms"], summary[key + "_ref"])
+        for key in ("retention_clip", "powerlaw_clip",
+                    "powerlaw_clip_one_cpu"):
+            if key + "_ms" in summary:
+                show(key, summary[key + "_ms"], summary[key + "_ref"])
         for name in summary["synth_sim2_ms"]:
             show(f"synth_sim2 {name}", summary["synth_sim2_ms"][name],
                  summary["synth_sim2_ref"][name])

@@ -136,10 +136,13 @@ def ring_entropy_check(distribution, eps_nb: float,
 # ridge residual
 
 
-def ridge_inequality_check(design, targets, weights, lam: float,
-                           context: dict | None = None) -> BoundCheck:
-    """||X theta_lam - y||^2 <= r* + lam ||theta_LS||^2 in the whitened
-    coordinates X = sqrt(W) Phi, y = sqrt(W) b."""
+def ridge_inequality_check(design, targets, weights, lams,
+                           context: dict | None = None) -> list:
+    """One ``BoundCheck`` per ridge ``lam`` of ``lams``, in their order:
+    ||X theta_lam - y||^2 <= r* + lam ||theta_LS||^2 in the whitened
+    coordinates X = sqrt(W) Phi, y = sqrt(W) b.  The least-squares
+    reference r*, theta_LS and the moments are formed once for all of
+    ``lams``."""
     design = np.asarray(design, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
@@ -147,9 +150,12 @@ def ridge_inequality_check(design, targets, weights, lam: float,
     y = targets * np.sqrt(w)
     theta_ls, *_ = np.linalg.lstsq(x, y, rcond=None)
     r_star = float(((x @ theta_ls - y) ** 2).sum())
-    theta, _ = ridge_wls_solve(x.T @ x, x.T @ y, float(w.sum()), lam)
-    lhs = float(((x @ theta - y) ** 2).sum())
-    rhs = r_star + lam * float(theta_ls @ theta_ls)
-    ctx = dict(context or {})
-    ctx["lam"] = lam
-    return BoundCheck(lhs, rhs, ctx)
+    ls_norm2 = float(theta_ls @ theta_ls)
+    xtx, xty, sum_w = x.T @ x, x.T @ y, float(w.sum())
+    checks = []
+    for lam in lams:
+        theta, _ = ridge_wls_solve(xtx, xty, sum_w, lam)
+        lhs = float(((x @ theta - y) ** 2).sum())
+        checks.append(BoundCheck(lhs, r_star + lam * ls_norm2,
+                                 {**(context or {}), "lam": lam}))
+    return checks

@@ -206,9 +206,8 @@ def suite_bounds(n: int, seed: int) -> tuple:
             design[:, -1] = design[:, 0]  # exercise the rank-deficient path
         targets = rng.normal(size=m)
         weights = rng.uniform(0.1, 2.0, m)
-        for lam in (1e-4, 1e-3):
-            checks.append(ridge_inequality_check(design, targets, weights,
-                                                 lam, {"case": i}))
+        checks.extend(ridge_inequality_check(design, targets, weights,
+                                             (1e-4, 1e-3), {"case": i}))
     for i in range(n):
         n_r = int(rng.integers(2, 30))
         eps_nb = float(rng.uniform(0.0, 0.5))

@@ -230,6 +230,9 @@ class EtaParams:
     min_radius: float = 1e-3
 
     def __post_init__(self):
+        for name in ("kappa", "min_radius", "max_radius"):
+            if not math.isfinite(value := getattr(self, name)):
+                raise ConfigError(f"{name} must be finite (got {value!r})")
         if self.kappa <= 0:
             raise ConfigError("spectral exponent must be positive")
         if not (0.0 < self.min_radius < self.max_radius):

@@ -7,19 +7,25 @@ spectrally silent after mean shifting.  Base patterns are band-limited
 to at most 0.3x Nyquist so the analysis low-pass keeps the signal under
 test.
 
-Power-law clips shape white noise on its half spectrum, in one buffer
-(see ``synth_powerlaw``).  ``read_spec`` reads a spec file by its schema.
+Power-law clips shape white noise on its half spectrum, in one buffer.
+Where two CPUs are usable, a helper thread that lives for the one call
+draws the next frame's noise while the caller transforms the last, and
+the two share the later passes; every 1-D transform sees the same input
+either way, so the clip is the same bit for bit (see
+``synth_powerlaw``).  ``read_spec`` reads a spec file by its schema.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (ConfigError, DegenerateInputError, VideoWindow, check_json,
-                   load_schema, table)
+                   load_schema, table, usable_cpus)
 
 __all__ = ["MotionSpec", "RNG_NAME", "make_rng", "make_base", "read_spec",
            "synth_sim2", "synth_powerlaw"]
@@ -295,33 +301,102 @@ def _powerlaw_amplitude(frames_t: int, height: int, width: int,
     return amp
 
 
+class _Done:
+    """A call made at once on the caller's thread, standing in for the
+    helper's future where fewer than two CPUs are usable."""
+
+    def __init__(self, fn, *args):
+        self.value = fn(*args)
+
+    def result(self):
+        return self.value
+
+
+@contextlib.contextmanager
+def _helper():
+    """``run(fn, *args)``, which starts ``fn(*args)`` on a one-thread
+    executor, in a copy of the caller's context (so ``np.errstate`` holds
+    there too), and returns its future.  The executor lives for the
+    ``with`` block, as in ``core._read_ahead``: leaving it, also by an
+    error, cancels the calls not started and waits for the one in flight,
+    so no thread outlives the block or crosses a fork.  With fewer than
+    two usable CPUs, ``run`` makes the call at once instead (``_Done``)."""
+    if usable_cpus() < 2:
+        yield _Done
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    ctx = contextvars.copy_context()
+    pool = ThreadPoolExecutor(1, thread_name_prefix="sim2spec-synth")
+    try:
+        yield lambda fn, *args: pool.submit(ctx.run, fn, *args)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 @np.errstate(over="raise")
 def _powerlaw_noise(frames_t: int, height: int, width: int, kappa: float,
                     seed: int) -> np.ndarray:
-    """The shaped noise of ``synth_powerlaw`` before its min-max scaling;
-    an overflow anywhere raises ``FloatingPointError``."""
+    """The shaped noise of ``synth_powerlaw`` before its min-max scaling,
+    its passes shared with a helper as ``synth_powerlaw`` describes; an
+    overflow anywhere raises ``FloatingPointError``."""
     amp = _powerlaw_amplitude(frames_t, height, width, kappa)
     rng = make_rng(seed)
     spec = np.empty(amp.shape, dtype=np.complex128)
-    for t in range(frames_t):
-        # frame by frame, the noise is drawn in the order of one
-        # (T, H, W) draw
-        np.fft.rfft(rng.standard_normal((height, width)), axis=1,
-                    out=spec[t])
-    np.fft.fft(spec, axis=1, out=spec)
-    np.fft.fft(spec, axis=0, out=spec)
-    # the amplitude is even in every frequency, so shaping the half
-    # spectrum of the real noise keeps it Hermitian
-    spec *= amp
-    np.fft.ifft(spec, axis=0, out=spec)
-    np.fft.ifft(spec, axis=1, out=spec)
+    ring = np.empty((2, height, width))
     # the clip is written over the spectrum's own bytes: a clip row (8*W
     # bytes) is no longer than a spectrum row (16*(W//2 + 1)), so clip
     # frame t ends before spectrum frame t + 1 begins
     v = spec.reshape(-1).view(np.float64)[:frames_t * height * width]
     v = v.reshape(frames_t, height, width)
-    for t in range(frames_t):
-        v[t] = np.fft.irfft(spec[t], n=width, axis=1)
+
+    def draw(t):
+        rng.standard_normal(out=ring[t % 2])
+
+    def fft_t(a):
+        np.fft.fft(a, axis=0, out=a)
+
+    def ifft_t(a):
+        np.fft.ifft(a, axis=0, out=a)
+
+    def ifft_y(a):
+        np.fft.ifft(a, axis=1, out=a)
+
+    def irfft(t):
+        np.fft.irfft(spec[t], n=width, axis=1, out=ring[t % 2])
+
+    with _helper() as run:
+        def both(fn, theirs, ours):
+            # fn(theirs) on the helper while the caller runs fn(ours)
+            done = run(fn, theirs)
+            fn(ours)
+            done.result()
+
+        # the helper draws frame t + 1 while the caller transforms frame
+        # t; one helper takes the draws in frame order, so the stream is
+        # read in the order of one (T, H, W) draw
+        drawn = run(draw, 0)
+        for t in range(frames_t):
+            drawn.result()
+            if t + 1 < frames_t:
+                drawn = run(draw, t + 1)
+            np.fft.rfft(ring[t % 2], axis=1, out=spec[t])
+            np.fft.fft(spec[t], axis=0, out=spec[t])
+        both(fft_t, spec[:, :height // 2], spec[:, height // 2:])
+        # the amplitude is even in every frequency, so shaping the half
+        # spectrum of the real noise keeps it Hermitian
+        spec *= amp
+        both(ifft_t, spec[:, :height // 2], spec[:, height // 2:])
+        both(ifft_y, spec[:frames_t // 2], spec[frames_t // 2:])
+        # a pair of clip frames overlaps no spectrum frame after the pair,
+        # so it is written once both of its frames are transformed
+        for t in range(0, frames_t, 2):
+            n = min(2, frames_t - t)
+            if n == 2:
+                both(irfft, t + 1, t)
+            else:
+                irfft(t)
+            v[t:t + n] = ring[:n]
     return v
 
 
@@ -338,9 +413,33 @@ def synth_powerlaw(frames_t: int, height: int, width: int, kappa: float,
     ``irfft`` is written over it.  So the clip is bit-identical to
     ``irfftn(rfftn(noise) * amp)`` and the buffer is the only clip-sized
     array.
+
+    The passes are shared with one helper thread (``_helper``), which
+    lives for the call:
+
+    - the helper draws frame t + 1's noise into a two-frame ring while
+      the caller ``rfft``s frame t and transforms it along y; the draws
+      are its only work then, in frame order, so the Philox stream is
+      read as one ``(T, H, W)`` draw reads it;
+    - each t-axis pass is split into the first ``H // 2`` rows, on the
+      helper, and the rest; the y-axis ``ifft`` into the first
+      ``T // 2`` frames and the rest; ``spec *= amp`` stays whole, on
+      the caller;
+    - the ``irfft`` takes frames in pairs, t on the caller and t + 1 on
+      the helper, both into the ring, in ascending t.  A clip frame
+      overlaps only spectrum frames up to its own, so the pair is copied
+      into the clip once both of its frames are read.
+
+    The helper runs each call in a copy of the caller's context, so the
+    ``np.errstate`` that turns an overflow into ``FloatingPointError``
+    holds there too.  With fewer than two usable CPUs
+    (``core.usable_cpus``, the rule ``FrameSource`` follows), the
+    helper's calls are made inline, in the same order: a second thread
+    on one CPU only costs handoffs.
     """
-    if kappa <= 0:
-        raise ConfigError("kappa must be positive")
+    if not (math.isfinite(kappa) and kappa > 0):
+        raise ConfigError(
+            f"kappa must be finite and positive (got {kappa!r})")
     if min(frames_t, height, width) < 2:
         raise ConfigError("power-law clips need at least 2 samples per axis")
     shape = f"{frames_t}x{height}x{width}"

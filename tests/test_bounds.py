@@ -158,7 +158,7 @@ def test_ridge_inequality_lambda_zero_equality():
     x = rng.normal(size=(30, 4))
     y = rng.normal(size=30)
     w = rng.uniform(0.5, 1.5, 30)
-    chk = ridge_inequality_check(x, y, w, 0.0)
+    chk, = ridge_inequality_check(x, y, w, (0.0,))
     assert abs(chk.lhs - chk.rhs) <= 1e-9 * max(1, abs(chk.rhs))
 
 
@@ -168,8 +168,10 @@ def test_ridge_inequality_consistent_system():
     theta = np.array([1.0, -2.0, 0.5])
     y = x @ theta
     w = np.ones(40)
-    for lam in (1e-4, 1e-2, 1.0):
-        chk = ridge_inequality_check(x, y, w, lam)
+    lams = (1e-4, 1e-2, 1.0)
+    for lam, chk in zip(lams, ridge_inequality_check(x, y, w, lams),
+                        strict=True):
+        assert chk.context["lam"] == lam
         assert chk.holds
         assert chk.lhs <= lam * float(theta @ theta) + 1e-9
 
@@ -185,7 +187,8 @@ def test_ridge_inequality_random(seed, lam):
         x[:, -1] = x[:, 0]
     y = rng.normal(size=m)
     w = rng.uniform(0.1, 2.0, m)
-    assert ridge_inequality_check(x, y, w, lam).holds
+    chk, = ridge_inequality_check(x, y, w, (lam,))
+    assert chk.holds
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,18 @@ def test_eta_overflow_is_config_error():
         eta_retention(0.3, EtaParams(kappa=300.0))
 
 
+@pytest.mark.parametrize("kw", [
+    dict(kappa=math.nan), dict(kappa=math.inf),
+    dict(kappa=1.8, max_radius=math.inf),
+    dict(kappa=1.8, min_radius=math.nan),
+    dict(kappa=1.8, max_radius=-math.inf)])
+def test_eta_params_reject_non_finite(kw):
+    # kappa=nan or inf read NaN retention, max_radius=inf read 1.0
+    name = next(k for k, v in kw.items() if not math.isfinite(v))
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        EtaParams(**kw)
+
+
 def test_eta_near_log_branch_continuous():
     p_log = EtaParams(kappa=1.5, min_radius=1e-3)
     p_near = EtaParams(kappa=1.5 + 1e-9, min_radius=1e-3)

@@ -1,4 +1,7 @@
+import itertools
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -152,6 +155,66 @@ def test_powerlaw_matches_complex_fft_construction(shape):
     assert np.array_equal(clip.data, min_max(half))
     full = np.fft.ifftn(np.fft.fftn(noise) * amp).real
     assert np.abs(clip.data - min_max(full)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kappa", [math.nan, math.inf, -math.inf])
+def test_powerlaw_rejects_non_finite_kappa(kappa):
+    # nan and inf used to be blamed on underflow, after the transforms ran
+    with pytest.raises(ConfigError,
+                       match=r"kappa must be finite and positive \(got"):
+        synth_powerlaw(4, 8, 8, kappa, 0)
+
+
+def usable_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
+                        raising=False)
+
+
+@pytest.mark.parametrize("cpus", [(0,), (0, 1)])
+@pytest.mark.parametrize("shape", [(5, 7, 9), (3, 33, 47), (7, 9, 8),
+                                   (2, 3, 2), (16, 224, 224)])
+def test_powerlaw_noise_matches_rfftn_on_one_and_two_cpus(shape, cpus,
+                                                          monkeypatch):
+    """Inline on one CPU and shared with the helper on two, the shaped
+    noise is the ``rfftn`` -> shape -> ``irfftn`` construction bit for bit,
+    at odd T (a last frame without a pair) and odd H (uneven halves)."""
+    usable_cpus(monkeypatch, cpus)
+    kappa, seed = 1.8, 41
+    noise = make_rng(seed).standard_normal(shape)
+    amp = synth._powerlaw_amplitude(*shape, kappa)
+    want = np.fft.irfftn(np.fft.rfftn(noise) * amp, s=shape, axes=(0, 1, 2))
+    assert np.array_equal(synth._powerlaw_noise(*shape, kappa, seed), want)
+
+
+@pytest.mark.parametrize("cpus, helper", [((0,), False), ((0, 1), True)])
+def test_powerlaw_helper_ends_with_the_call(cpus, helper, monkeypatch):
+    """The helper thread transforms frames on two CPUs, none on one; it is
+    gone when the call returns, and when the call raises midway."""
+    usable_cpus(monkeypatch, cpus)
+    irfft, names = np.fft.irfft, set()
+
+    def named_irfft(*args, **kw):
+        names.add(threading.current_thread().name)
+        return irfft(*args, **kw)
+
+    monkeypatch.setattr(np.fft, "irfft", named_irfft)
+    before = set(threading.enumerate())
+    synth_powerlaw(6, 20, 21, 1.8, 0)
+    assert set(threading.enumerate()) == before
+    others = names - {threading.current_thread().name}
+    assert {name.split("_")[0] for name in others} == (
+        {"sim2spec-synth"} if helper else set())
+    calls = itertools.count()
+
+    def failing_irfft(*args, **kw):
+        if next(calls) == 1:
+            raise RuntimeError("irfft failed")
+        return irfft(*args, **kw)
+
+    monkeypatch.setattr(np.fft, "irfft", failing_irfft)
+    with pytest.raises(RuntimeError, match="irfft failed"):
+        synth_powerlaw(6, 20, 21, 1.8, 0)
+    assert set(threading.enumerate()) == before
 
 
 def test_powerlaw_amplitude_cached_read_only():
