@@ -122,13 +122,16 @@ def ring_entropy_bound(eps_nb: float, n_rings: int) -> float:
 
 def ring_entropy_check(distribution, eps_nb: float,
                        context: dict | None = None) -> BoundCheck:
-    """Measured normalized entropy of a ring distribution vs the bound."""
+    """Measured normalized entropy of a ring distribution vs the bound; a
+    silent one reads 0, a vacuous pass (flagged in the context)."""
     p = np.asarray(distribution, dtype=np.float64)
     n = len(p)
-    lhs = float(normalized_entropy(p / p.sum()))
     rhs = ring_entropy_bound(eps_nb, n)
-    ctx = dict(context or {})
-    ctx.update({"eps_nb": eps_nb, "n_rings": n})
+    total = p.sum()
+    ctx = {**(context or {}), "eps_nb": eps_nb, "n_rings": n}
+    if total <= 0:
+        ctx["vacuous"] = True
+    lhs = float(normalized_entropy(p / total if total > 0 else p))
     return BoundCheck(lhs, rhs, ctx)
 
 

@@ -12,13 +12,15 @@ Conventions used throughout the package:
   against its shipped schema; ``logistic`` and ``table`` are shared
 * input is read by ``chunks()``, of a held ``VideoWindow`` or a
   ``FrameSource``, in chunks of whole frames; a file source of frames too
-  large to share a chunk is read on a one-thread executor when two CPUs
-  are usable, with three reads pending (the reader does not wait to be
-  asked), so the read, checks and digest overlap the transform
+  large to share a chunk is read through ``helper`` with three reads
+  pending, so the read, checks and digest overlap the transform
+* ``helper`` is the one place that decides whether a second CPU is used
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import hashlib
 import itertools
@@ -26,6 +28,7 @@ import json
 import math
 import os
 import re
+import types
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields, is_dataclass
 from numbers import Integral, Real
@@ -179,6 +182,33 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+@contextlib.contextmanager
+def helper(name: str):
+    """``run(fn, *args)``, which hands ``fn(*args)`` to a second thread and
+    returns what stands for its result: the one rule by which the package
+    uses a second CPU.  With two or more usable CPUs (``usable_cpus``), the
+    call goes to a one-thread executor whose thread is named ``name``, in
+    a copy of the caller's context (so ``np.errstate`` holds there too),
+    and ``run`` returns its future.  The executor lives for the ``with``
+    block: leaving it, also by an error, cancels the calls not started and
+    joins the thread, so no thread outlives the block or crosses a fork.
+    With one CPU a second thread only costs handoffs, so ``run`` returns a
+    deferred call: it runs on the caller's thread when its ``result()`` is
+    asked for, and not at all if it never is."""
+    if usable_cpus() < 2:
+        yield lambda fn, *args: types.SimpleNamespace(
+            result=functools.partial(fn, *args))
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    ctx = contextvars.copy_context()
+    pool = ThreadPoolExecutor(1, thread_name_prefix=name)
+    try:
+        yield lambda fn, *args: pool.submit(ctx.run, fn, *args)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 # Defaults below are the fixed values used for all main runs; override per
 # call site only in sweeps or tests.
 @dataclass(frozen=True)
@@ -323,27 +353,19 @@ def _frames_per_chunk(h: int, w: int) -> int:
 
 
 def _read_ahead(chunks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
-    """The items of ``chunks``, read on a one-thread executor that keeps
-    three reads pending, so the reader does not wait to be asked: the
-    caller takes the oldest read's chunk, or raises that chunk's error,
-    and asks for the next.  A read the caller leaves early cancels the
-    reads not started, waits for the one in flight, then closes ``chunks``.
-
-    Each read starts an executor of its own (with its thread, about
-    0.3 ms) that ends with the read, rather than sharing one for the
-    process: no thread outlives a read or crosses a fork, and nested or
-    interleaved reads cannot queue behind each other."""
-    from concurrent.futures import ThreadPoolExecutor
-
+    """The items of ``chunks``, each read through ``helper`` with three
+    reads pending, so the helper does not wait to be asked: the caller
+    takes the oldest read's chunk, or raises that chunk's error, and asks
+    for the next.  A read the caller leaves early ends the helper, then
+    closes ``chunks``."""
     end = object()
-    reader = ThreadPoolExecutor(1, thread_name_prefix="sim2spec-read")
     try:
-        pending = [reader.submit(next, chunks, end) for _ in range(3)]
-        while (chunk := pending.pop(0).result()) is not end:
-            pending.append(reader.submit(next, chunks, end))
-            yield chunk
+        with helper("sim2spec-read") as run:
+            pending = [run(next, chunks, end) for _ in range(3)]
+            while (chunk := pending.pop(0).result()) is not end:
+                pending.append(run(next, chunks, end))
+                yield chunk
     finally:
-        reader.shutdown(cancel_futures=True)
         chunks.close()
 
 
@@ -394,15 +416,13 @@ class FrameSource:
     @classmethod
     def _of_reader(cls, shape: tuple, read) -> "FrameSource":
         """The source of a file reader ``read(step)``, its ``step`` set once
-        from ``shape``, read on a one-thread executor (``_read_ahead``:
-        three reads pending; the reader does not wait to be asked) only
-        where that pays: a frame alone overflows ``CHUNK_BYTES`` (about
-        181x181 and up), so its read and digest cost about as much as its
-        transform, and the process may run on two CPUs or more.  On
-        smaller frames a handoff per chunk costs more than it hides."""
-        if (step := _frames_per_chunk(*shape[1:])) or usable_cpus() < 2:
-            return cls(shape, lambda: read(max(1, step)))
-        return cls(shape, lambda: _read_ahead(read(1)))
+        from ``shape``.  Where a frame alone overflows ``CHUNK_BYTES``
+        (about 181x181 and up), its read and digest cost about as much as
+        its transform, so it is read one frame at a time through
+        ``_read_ahead`` (``helper`` decides whether on a second thread).
+        On smaller frames a handoff per chunk costs more than it hides."""
+        step = _frames_per_chunk(*shape[1:])
+        return cls(shape, lambda: read(step) if step else _read_ahead(read(1)))
 
     @classmethod
     def open(cls, path: str, digest=None) -> "FrameSource":
@@ -413,10 +433,9 @@ class FrameSource:
         checked on opening.  A ``hashlib`` ``digest`` is fed the bytes as
         they are read: each listed file's name and contents, non-frames
         included, or the payload and then the sidecar.  Where frames are
-        too large to share a chunk and two CPUs are usable, each read runs
-        on a one-thread executor ahead of its caller (``_of_reader``):
-        three reads pending, and the reader does not wait to be asked.
-        The bytes, checks and errors are the same, in the same order."""
+        too large to share a chunk, each read runs ahead of its caller
+        through ``helper`` (``_of_reader``).  The bytes, checks and errors
+        are the same either way, in the same order."""
         if os.path.isdir(path):
             names = sorted(e.name for e in os.scandir(path) if e.is_file())
             frames = [os.path.join(path, n) for n in names

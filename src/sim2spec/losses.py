@@ -331,7 +331,7 @@ def unified_residual(trans: WeightedSamples | None,
 def adaptive_composite(l_trans: float, l_rot: float, l_scale: float,
                        tau: float):
     """Temperature softmax over the negated losses and the weighted sum."""
-    if tau <= 0:
+    if not tau > 0:
         raise DegenerateInputError("temperature must be positive")
     losses = np.array([l_trans, l_rot, l_scale], dtype=np.float64)
     if not np.all(np.isfinite(losses)):

@@ -7,25 +7,21 @@ spectrally silent after mean shifting.  Base patterns are band-limited
 to at most 0.3x Nyquist so the analysis low-pass keeps the signal under
 test.
 
-Power-law clips shape white noise on its half spectrum, in one buffer.
-Where two CPUs are usable, a helper thread that lives for the one call
-draws the next frame's noise while the caller transforms the last, and
-the two share the later passes; every 1-D transform sees the same input
-either way, so the clip is the same bit for bit (see
+Power-law clips shape white noise on its half spectrum, in one buffer,
+sharing the passes with ``core.helper``; every 1-D transform sees the
+same input either way, so the clip is the same bit for bit (see
 ``synth_powerlaw``).  ``read_spec`` reads a spec file by its schema.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (ConfigError, DegenerateInputError, VideoWindow, check_json,
-                   load_schema, table, usable_cpus)
+                   helper, load_schema, table)
 
 __all__ = ["MotionSpec", "RNG_NAME", "make_rng", "make_base", "read_spec",
            "synth_sim2", "synth_powerlaw"]
@@ -301,39 +297,6 @@ def _powerlaw_amplitude(frames_t: int, height: int, width: int,
     return amp
 
 
-class _Done:
-    """A call made at once on the caller's thread, standing in for the
-    helper's future where fewer than two CPUs are usable."""
-
-    def __init__(self, fn, *args):
-        self.value = fn(*args)
-
-    def result(self):
-        return self.value
-
-
-@contextlib.contextmanager
-def _helper():
-    """``run(fn, *args)``, which starts ``fn(*args)`` on a one-thread
-    executor, in a copy of the caller's context (so ``np.errstate`` holds
-    there too), and returns its future.  The executor lives for the
-    ``with`` block, as in ``core._read_ahead``: leaving it, also by an
-    error, cancels the calls not started and waits for the one in flight,
-    so no thread outlives the block or crosses a fork.  With fewer than
-    two usable CPUs, ``run`` makes the call at once instead (``_Done``)."""
-    if usable_cpus() < 2:
-        yield _Done
-        return
-    from concurrent.futures import ThreadPoolExecutor
-
-    ctx = contextvars.copy_context()
-    pool = ThreadPoolExecutor(1, thread_name_prefix="sim2spec-synth")
-    try:
-        yield lambda fn, *args: pool.submit(ctx.run, fn, *args)
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 @np.errstate(over="raise")
 def _powerlaw_noise(frames_t: int, height: int, width: int, kappa: float,
                     seed: int) -> np.ndarray:
@@ -365,7 +328,7 @@ def _powerlaw_noise(frames_t: int, height: int, width: int, kappa: float,
     def irfft(t):
         np.fft.irfft(spec[t], n=width, axis=1, out=ring[t % 2])
 
-    with _helper() as run:
+    with helper("sim2spec-synth") as run:
         def both(fn, theirs, ours):
             # fn(theirs) on the helper while the caller runs fn(ours)
             done = run(fn, theirs)
@@ -414,8 +377,8 @@ def synth_powerlaw(frames_t: int, height: int, width: int, kappa: float,
     ``irfftn(rfftn(noise) * amp)`` and the buffer is the only clip-sized
     array.
 
-    The passes are shared with one helper thread (``_helper``), which
-    lives for the call:
+    The passes are shared with ``core.helper``, which lives for the call
+    (on one CPU its calls are deferred to the caller's thread):
 
     - the helper draws frame t + 1's noise into a two-frame ring while
       the caller ``rfft``s frame t and transforms it along y; the draws
@@ -430,12 +393,8 @@ def synth_powerlaw(frames_t: int, height: int, width: int, kappa: float,
       overlaps only spectrum frames up to its own, so the pair is copied
       into the clip once both of its frames are read.
 
-    The helper runs each call in a copy of the caller's context, so the
-    ``np.errstate`` that turns an overflow into ``FloatingPointError``
-    holds there too.  With fewer than two usable CPUs
-    (``core.usable_cpus``, the rule ``FrameSource`` follows), the
-    helper's calls are made inline, in the same order: a second thread
-    on one CPU only costs handoffs.
+    The ``np.errstate`` that turns an overflow into ``FloatingPointError``
+    holds on the helper too.
     """
     if not (math.isfinite(kappa) and kappa > 0):
         raise ConfigError(

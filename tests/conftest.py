@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -38,6 +39,12 @@ def make_fixture_clip(kind, frames_t=16, size=128, noise=0.0, seed=None):
     if seed is not None:
         kw["seed"] = seed
     return synth_sim2(base, MotionSpec(**kw), frames_t, size, size)
+
+
+def usable_cpus(monkeypatch, cpus):
+    """Make ``core.usable_cpus`` read the affinity set ``cpus``."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
+                        raising=False)
 
 
 def solve_rows(design, targets, weights, lam):

@@ -132,6 +132,20 @@ def test_ring_entropy_bound_zero_eps():
     assert chk.lhs == 0.0 and chk.holds
 
 
+def test_ring_entropy_check_one_ring_is_config_error():
+    # the bound's ring count is checked before the entropy divides by log 1
+    with pytest.raises(ConfigError, match="need at least 2 rings"):
+        ring_entropy_check([1.0], 0.1)
+
+
+def test_ring_entropy_check_silent_rings_read_zero():
+    # an all-zero distribution is not normalized: entropy 0, a vacuous pass
+    chk = ring_entropy_check(np.zeros(5), 0.1, {"case": 3})
+    assert chk.lhs == 0.0 and chk.holds
+    assert chk.context == {"case": 3, "eps_nb": 0.1, "n_rings": 5,
+                           "vacuous": True}
+
+
 def test_ring_entropy_bound_half_two_rings():
     assert ring_entropy_bound(0.5, 2) == pytest.approx(1.0)
 

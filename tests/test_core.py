@@ -1,4 +1,5 @@
 import builtins
+import contextlib
 import hashlib
 import importlib
 import json
@@ -20,6 +21,8 @@ from sim2spec.core import (ConfigError, FormatError, FrameSource,
                            load_video, normalize_window, save_video)
 from sim2spec.gates import OBS_GATE_LAMBDA
 from sim2spec.resample import SOFT_RING_EDGE
+
+from conftest import usable_cpus
 
 
 def test_raw_roundtrip_bit_exact(tmp_path):
@@ -160,11 +163,6 @@ class ThreadDigest:
         self.sha.update(blob)
 
 
-def usable_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
-                        raising=False)
-
-
 def raw_and_pgm(tmp_path, shape):
     """A window of 8-bit values saved as a raw float32 file and as a PGM
     directory (with one file in it not a frame)."""
@@ -226,6 +224,48 @@ def test_one_cpu_and_in_memory_read_directly(tmp_path, monkeypatch):
     usable_cpus(monkeypatch, (0, 1))
     v = VideoWindow(data)
     assert all(np.shares_memory(c, v.data) for c in v.chunks())
+
+
+def test_helper_on_one_cpu_defers_each_call_to_its_result(monkeypatch):
+    # no thread starts; each call runs on the caller's thread when its
+    # result is asked for, and raises there
+    usable_cpus(monkeypatch, (0,))
+    calls, threads = [], threading.active_count()
+
+    def call(x):
+        calls.append((x, threading.get_ident()))
+        if x == "bad":
+            raise ValueError("call failed")
+        return x
+
+    with core.helper("sim2spec-test") as run:
+        first, second, bad = run(call, 1), run(call, 2), run(call, "bad")
+        assert calls == [] and threading.active_count() == threads
+        assert second.result() == 2 and first.result() == 1
+        assert calls == [(2, threading.get_ident()),
+                         (1, threading.get_ident())]
+        with pytest.raises(ValueError, match="call failed"):
+            bad.result()
+        run(call, 3)
+    assert len(calls) == 3 and threading.active_count() == threads
+
+
+@pytest.mark.parametrize("fail", [False, True])
+def test_helper_on_two_cpus_runs_on_a_named_thread(fail, monkeypatch):
+    # each call runs on a thread named by the helper's name, and the thread
+    # is joined when the block ends, also when the block raises
+    usable_cpus(monkeypatch, (0, 1))
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError) if fail else contextlib.nullcontext():
+        with core.helper("sim2spec-test") as run:
+            name = run(lambda: threading.current_thread().name).result()
+            started = set(threading.enumerate()) - before
+            if fail:
+                raise RuntimeError("block failed")
+    assert name.split("_")[0] == "sim2spec-test"
+    assert [t.name for t in started] == [name]
+    assert not any(t.is_alive() for t in started)
+    assert set(threading.enumerate()) == before
 
 
 def test_usable_cpus_reads_affinity_else_count(monkeypatch):
@@ -352,9 +392,10 @@ def wait_until(done, timeout=10.0):
         time.sleep(0.001)
 
 
-def test_read_ahead_fills_its_queue_unasked():
+def test_read_ahead_fills_its_queue_unasked(monkeypatch):
     # once the first chunk is taken, the executor reads the three chunks
     # pending after it, without being asked; never more
+    usable_cpus(monkeypatch, (0, 1))
     threads = threading.active_count()
     produced, closed = [], []
     read = core._read_ahead(counting_chunks(8, produced, closed))
@@ -368,10 +409,11 @@ def test_read_ahead_fills_its_queue_unasked():
     assert len(closed) == 1 and threading.active_count() == threads
 
 
-def test_closed_read_ahead_ends_its_thread():
+def test_closed_read_ahead_ends_its_thread(monkeypatch):
     # with three reads done and the executor's thread idle, close() on the
     # outer iterator cancels the pending reads and shuts the executor down,
     # and only then closes the inner read, on the closing thread
+    usable_cpus(monkeypatch, (0, 1))
     threads = threading.active_count()
     produced, closed = [], []
     read = core._read_ahead(counting_chunks(8, produced, closed))
@@ -387,10 +429,11 @@ def test_closed_read_ahead_ends_its_thread():
     assert len(produced) == 4
 
 
-def test_read_ahead_under_fast_switching():
+def test_read_ahead_under_fast_switching(monkeypatch):
     # more callers than cores, each reading or leaving early, with the
     # interpreter switching threads every few microseconds: every read
     # yields its chunks in order, is closed once and ends its thread
+    usable_cpus(monkeypatch, (0, 1))
     threads, interval = threading.active_count(), sys.getswitchinterval()
     failures = []
 

@@ -559,6 +559,13 @@ def test_softmax_high_temperature_uniform():
     assert np.allclose(w, 1 / 3, atol=1e-6)
 
 
+@pytest.mark.parametrize("tau", [0.0, -1.0, math.nan])
+def test_softmax_rejects_temperature_not_positive(tau):
+    # a NaN temperature used to return NaN weights
+    with pytest.raises(DegenerateInputError, match="temperature must be"):
+        adaptive_composite(1.0, 1.0, 1.0, tau)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(0, 5), min_size=3, max_size=3),
        st.floats(0.01, 10.0), st.floats(-2.0, 2.0))

@@ -4,7 +4,9 @@ No linter ships with the test toolchain, so this reads each module with
 ``ast``: every module-level import must be read in its module, listed in
 ``__all__`` or marked ``# noqa: F401`` (a re-import kept for a caller that
 looks it up by name), and every module-level function, class or constant
-whose name starts with ``_`` must be read in its module.
+whose name starts with ``_`` must be read in its module.  Only ``core``
+imports the thread modules: ``core.helper`` is the one place that starts
+a second thread.
 """
 
 import ast
@@ -77,3 +79,19 @@ def test_every_private_name_is_read(name):
             if bound.startswith("_") and not bound.startswith("__")
             and bound not in reads]
     assert not dead, f"{name}: unread private names {dead}"
+
+
+THREAD_MODULES = {"concurrent", "contextvars"}
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "core.py"])
+def test_only_core_imports_thread_modules(name):
+    tree, _ = _parse(name)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            imported.append(node.module)
+    found = [mod for mod in imported if mod.split(".")[0] in THREAD_MODULES]
+    assert not found, f"{name} imports {found}; use core.helper"

@@ -1,6 +1,5 @@
 import itertools
 import math
-import os
 import threading
 import tracemalloc
 
@@ -12,6 +11,8 @@ from sim2spec.spectral import SpectralConfig, signed_bins, spectral_transform
 from sim2spec import synth
 from sim2spec.synth import (MotionSpec, make_base, make_rng, synth_powerlaw,
                             synth_sim2)
+
+from conftest import usable_cpus
 
 RECT = SpectralConfig(window_kind="rect")
 
@@ -163,11 +164,6 @@ def test_powerlaw_rejects_non_finite_kappa(kappa):
     with pytest.raises(ConfigError,
                        match=r"kappa must be finite and positive \(got"):
         synth_powerlaw(4, 8, 8, kappa, 0)
-
-
-def usable_cpus(monkeypatch, cpus):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(cpus),
-                        raising=False)
 
 
 @pytest.mark.parametrize("cpus", [(0,), (0, 1)])
